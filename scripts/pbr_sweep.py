@@ -3,6 +3,7 @@
 null budgets; print one verdict per configuration."""
 
 import argparse
+from dataclasses import replace
 from fractions import Fraction
 
 from omlab import pbr
@@ -35,7 +36,7 @@ def main() -> None:
     base = pbr.FeasibilityProblem(lambda_size=args.lambda_size,
                                   grid_denominator=4, q=Fraction(1, 4))
     for budget in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(0)):
-        v = pbr.null_outcome_extension(base, budget)
+        v = pbr.solve_feasibility(replace(base, null_budget=budget))
         note = ""
         if v.status == "feasible":
             replay = pbr.replay_witness(v.witness)

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Run every verification verb and print a one-line summary per run."""
+"""Run every verification verb and print a one-line summary per run.
+
+Every report is also serialized to schema-checked JSON; a report that fails
+the schema counts as a failed run.
+"""
 
 import sys
 
+import jsonschema
+
 from omlab.cli import run
-from omlab.reports import RunConfig
+from omlab.reports import RunConfig, emit
 
 RUNS = [
     RunConfig(command="verify toy-born"),
@@ -32,10 +38,16 @@ def main() -> int:
     for config in RUNS:
         report = run(config)
         ok = report.all_passed
+        try:
+            emit(report, "json")
+            schema = ""
+        except jsonschema.ValidationError as exc:
+            ok = False
+            schema = f"  schema error: {exc.message}"
         n_pass = sum(1 for c in report.checks if c.passed)
         print(f"{'PASS' if ok else 'FAIL'}  {config.command:24s} "
               f"{n_pass}/{len(report.checks)} checks  "
-              f"{report.wall_clock_s:6.2f}s  args={config.args}")
+              f"{report.wall_clock_s:6.2f}s  args={config.args}{schema}")
         worst = max(worst, 0 if ok else 1)
     return worst
 

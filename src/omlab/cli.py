@@ -49,7 +49,7 @@ def _check(name, expected, observed, provenance, passed=None, detail=None) -> Ch
     e, o = _fmt(expected), _fmt(observed)
     if passed is None:
         passed = e == o
-    return CheckResult(name, e, o, provenance, passed, detail)
+    return CheckResult(name, e, o, provenance, bool(passed), detail)
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +221,10 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
 # --------------------------------------------------------------------------
 # nogo targets
 
-def pbr_checks(q: Fraction | None, lambda_size: int, grid_denominator: int,
-               relax_product: bool, null_budget: Fraction | None) -> list:
+def pbr_checks(q, lambda_size: int, grid_denominator: int,
+               relax_product: bool, null_budget) -> list:
+    """``q`` and ``null_budget`` are fractions or fraction strings; None
+    means no forced overlap and no no-show escape respectively."""
     checks = []
     scenario = pbr.build_pbr_scenario(q if q is not None else Fraction(1, 4))
     for j in range(1, 5):
@@ -235,13 +237,10 @@ def pbr_checks(q: Fraction | None, lambda_size: int, grid_denominator: int,
     problem = pbr.FeasibilityProblem(lambda_size=lambda_size,
                                      grid_denominator=grid_denominator,
                                      q=q, relax_product=relax_product,
-                                     null_budget=None)
-    if null_budget is not None and null_budget > 0:
-        verdict = pbr.null_outcome_extension(problem, null_budget)
-        expected_status = "feasible"
-    else:
-        verdict = pbr.solve_feasibility(problem)
-        expected_status = "infeasible" if q is not None else "feasible"
+                                     null_budget=null_budget)
+    escape = problem.null_budget is not None
+    verdict = pbr.solve_feasibility(problem)
+    expected_status = "feasible" if escape or problem.q is None else "infeasible"
     checks.append(_check(f"pbr verdict ({verdict.grid_note})", expected_status,
                          verdict.status, "DERIVED",
                          detail=verdict.to_json()))
@@ -253,7 +252,7 @@ def pbr_checks(q: Fraction | None, lambda_size: int, grid_denominator: int,
         replay = pbr.replay_witness(verdict.witness)
         checks.append(_check("pbr witness reproduces Born (post-selected)", True,
                              replay["post_selected_match"], "DERIVED"))
-        if null_budget is not None and null_budget > 0:
+        if escape:
             checks.append(_check("pbr null witness: raw statistics differ from Born",
                                  True, not replay["unconditioned_match"], "TRIVIAL"))
     return checks
@@ -349,8 +348,9 @@ def gaussian_suite_checks(lam: float) -> list:
     return checks
 
 
-def gaussian_epr_checks(squeeze: float, lam: float, measure: str, value: float) -> list:
-    epr = gaussian.epr_correlated(squeeze, lam)
+def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
+                        value: float) -> list:
+    epr = gaussian.epr_correlated(squeeze, hbar_like)
     res = gaussian.epr_inference(epr, measure, value)
     sign = 1.0 if measure == "q" else -1.0
     want = sign * math.tanh(2 * squeeze) * value
@@ -366,7 +366,71 @@ def gaussian_epr_checks(squeeze: float, lam: float, measure: str, value: float) 
 
 
 # --------------------------------------------------------------------------
-# dispatch
+# options and dispatch
+
+def _fraction_or_none(text):
+    return None if text in (None, "", "none", "None") else str(Fraction(text))
+
+
+class Option:
+    """One CLI option, declared once: its flag, the ``RunConfig.args`` key it
+    fills, its default as typed on the command line, the conversion from a
+    command-line value to an args value, and the rest of its argparse spec."""
+
+    def __init__(self, flag: str, key: str, default, to_arg=None, **spec):
+        self.flag = flag
+        self.key = key
+        self.default = default
+        self.to_arg = to_arg or (lambda value: value)
+        self.spec = spec
+
+
+# verb -> (help, target choices, options in --help order)
+VERBS = {
+    "verify": ("replay exact demonstrations", sorted(VERIFY_TARGETS) + ["all"], ()),
+    "simulate": ("run the interferometer", ["mz"], (
+        Option("--phase", "phase_in", "pi", lambda phase: phase == "pi",
+               choices=("0", "pi")),
+        Option("--model", "model", "both", choices=("quantum", "toy", "both")),
+        Option("--source", "source", "first_splitter",
+               choices=("first_splitter", "upper_arm")),
+        Option("--theta", "theta", None, type=float,
+               help="extra float-mode run at an arbitrary phase"),
+    )),
+    "nogo": ("constraint-based no-go analyses", ["pbr", "hardy", "chsh"], (
+        Option("--q", "q", "1/4", _fraction_or_none,
+               help="forced overlap floor as a fraction; 'none' disables"),
+        Option("--lambda-size", "lambda_size", 4, type=int),
+        Option("--grid-denominator", "grid_denominator", 4, type=int),
+        Option("--null-budget", "null_budget", None, _fraction_or_none,
+               help="no-show budget as a fraction; enables the escape"),
+        Option("--relax-product", "relax_product", False, action="store_true"),
+        Option("--drop-invar", "drop_invar", False, action="store_true"),
+    )),
+    "gaussian": ("restricted Liouville suite", ["suite", "epr"], (
+        Option("--squeeze", "squeeze", 3.0, type=float),
+        Option("--lambda", "hbar_like", 1.0, type=float),
+        Option("--measure", "measure", "q", choices=("q", "p")),
+        Option("--value", "value", 1.0, type=float),
+    )),
+}
+
+OPTIONS = {opt.key: opt for _, _, opts in VERBS.values() for opt in opts}
+
+_GAUSSIAN_ARGS = ("squeeze", "hbar_like", "measure", "value")
+
+# command -> (the args its report records, its checks given those args)
+COMMANDS = {
+    "simulate mz": (("phase_in", "model", "source", "theta"),
+                    lambda a: mz_checks(**a)),
+    "nogo pbr": (("q", "lambda_size", "grid_denominator", "null_budget",
+                  "relax_product"), lambda a: pbr_checks(**a)),
+    "nogo hardy": (("lambda_size", "drop_invar"), lambda a: hardy_checks(**a)),
+    "nogo chsh": ((), lambda a: chsh_checks()),
+    "gaussian suite": (_GAUSSIAN_ARGS, lambda a: gaussian_suite_checks(a["hbar_like"])),
+    "gaussian epr": (_GAUSSIAN_ARGS, lambda a: gaussian_epr_checks(**a)),
+}
+
 
 def run(config: RunConfig) -> ReportDocument:
     """Execute the configured command and assemble the report document."""
@@ -381,39 +445,17 @@ def run(config: RunConfig) -> ReportDocument:
 
 def _dispatch(config: RunConfig) -> list:
     verb, _, target = config.command.partition(" ")
-    args = config.args
     if verb == "verify":
-        if target == "all":
-            checks = []
-            for name in VERIFY_TARGETS:
-                checks.extend(VERIFY_TARGETS[name](config))
-            return checks
-        if target in VERIFY_TARGETS:
-            return VERIFY_TARGETS[target](config)
-        raise ValueError(f"unknown verify target {target!r}")
-    if verb == "simulate" and target == "mz":
-        return mz_checks(args.get("phase_in", True), args.get("model", "both"),
-                         args.get("source", "first_splitter"), args.get("theta"))
-    if verb == "nogo" and target == "pbr":
-        q = args.get("q")
-        return pbr_checks(Fraction(q) if q is not None else None,
-                          args.get("lambda_size", 4),
-                          args.get("grid_denominator", 4),
-                          args.get("relax_product", False),
-                          Fraction(args["null_budget"]) if args.get("null_budget")
-                          is not None else None)
-    if verb == "nogo" and target == "hardy":
-        return hardy_checks(args.get("lambda_size", 4), args.get("drop_invar", False))
-    if verb == "nogo" and target == "chsh":
-        return chsh_checks()
-    if verb == "gaussian" and target == "suite":
-        return gaussian_suite_checks(args.get("hbar_like", 1.0))
-    if verb == "gaussian" and target == "epr":
-        return gaussian_epr_checks(args.get("squeeze", 3.0),
-                                   args.get("hbar_like", 1.0),
-                                   args.get("measure", "q"),
-                                   args.get("value", 1.0))
-    raise ValueError(f"unknown command {config.command!r}")
+        if target != "all" and target not in VERIFY_TARGETS:
+            raise ValueError(f"unknown verify target {target!r}")
+        names = list(VERIFY_TARGETS) if target == "all" else [target]
+        return [c for name in names for c in VERIFY_TARGETS[name](config)]
+    if config.command not in COMMANDS:
+        raise ValueError(f"unknown command {config.command!r}")
+    keys, checks = COMMANDS[config.command]
+    # an omitted arg takes the CLI default, converted as the CLI converts it
+    return checks({k: config.args[k] if k in config.args
+                   else OPTIONS[k].to_arg(OPTIONS[k].default) for k in keys})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,70 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omlab", parents=[common],
         description="desk-scale checks for ontological models of quantum theory")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="replay exact demonstrations")
-    p_verify.add_argument("target", choices=sorted(VERIFY_TARGETS) + ["all"])
-
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="run the interferometer")
-    p_sim.add_argument("target", choices=["mz"])
-    p_sim.add_argument("--phase", choices=("0", "pi"), default="pi")
-    p_sim.add_argument("--model", choices=("quantum", "toy", "both"), default="both")
-    p_sim.add_argument("--source", choices=("first_splitter", "upper_arm"),
-                       default="first_splitter")
-    p_sim.add_argument("--theta", type=float, default=None,
-                       help="extra float-mode run at an arbitrary phase")
-
-    p_nogo = sub.add_parser("nogo", parents=[common],
-                            help="constraint-based no-go analyses")
-    p_nogo.add_argument("target", choices=["pbr", "hardy", "chsh"])
-    p_nogo.add_argument("--q", default="1/4",
-                        help="forced overlap floor as a fraction; 'none' disables")
-    p_nogo.add_argument("--lambda-size", type=int, default=4)
-    p_nogo.add_argument("--grid-denominator", type=int, default=4)
-    p_nogo.add_argument("--null-budget", default=None,
-                        help="no-show budget as a fraction; enables the escape")
-    p_nogo.add_argument("--relax-product", action="store_true")
-    p_nogo.add_argument("--drop-invar", action="store_true")
-
-    p_g = sub.add_parser("gaussian", parents=[common],
-                         help="restricted Liouville suite")
-    p_g.add_argument("target", choices=["suite", "epr"])
-    p_g.add_argument("--squeeze", type=float, default=3.0)
-    p_g.add_argument("--lambda", dest="hbar_like", type=float, default=1.0)
-    p_g.add_argument("--measure", choices=("q", "p"), default="q")
-    p_g.add_argument("--value", type=float, default=1.0)
+    for verb, (help_text, targets, options) in VERBS.items():
+        p = sub.add_parser(verb, parents=[common], help=help_text)
+        p.add_argument("target", choices=targets)
+        for opt in options:
+            p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
     return parser
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     command = f"{ns.verb} {ns.target}"
-    args: dict = {}
-    number_mode = "exact"
-    seed = getattr(ns, "seed", 0)
-    output = getattr(ns, "output", None)
+    keys = COMMANDS[command][0] if command in COMMANDS else ()
+    args = {k: OPTIONS[k].to_arg(getattr(ns, k)) for k in keys}
+    number_mode = "float" if ns.verb == "gaussian" else "exact"
     if ns.verb == "simulate":
-        args = {"phase_in": ns.phase == "pi", "model": ns.model, "source": ns.source}
-        if ns.theta is not None:
-            args["theta"] = ns.theta
+        if args["theta"] is None:
+            del args["theta"]  # recorded only when given
+        else:
             number_mode = "float"
-    elif ns.verb == "nogo" and ns.target == "pbr":
-        args = {
-            "q": None if ns.q in ("none", "None") else str(Fraction(ns.q)),
-            "lambda_size": ns.lambda_size,
-            "grid_denominator": ns.grid_denominator,
-            "null_budget": str(Fraction(ns.null_budget)) if ns.null_budget else None,
-            "relax_product": ns.relax_product,
-        }
-    elif ns.verb == "nogo" and ns.target == "hardy":
-        args = {"lambda_size": ns.lambda_size, "drop_invar": ns.drop_invar}
-    elif ns.verb == "gaussian":
-        args = {"squeeze": ns.squeeze, "hbar_like": ns.hbar_like,
-                "measure": ns.measure, "value": ns.value}
-        number_mode = "float"
-    return RunConfig(command=command, args=args, seed=seed,
-                     number_mode=number_mode, output=output)
+    return RunConfig(command=command, args=args, seed=getattr(ns, "seed", 0),
+                     number_mode=number_mode, output=getattr(ns, "output", None))
 
 
 def main(argv=None) -> int:

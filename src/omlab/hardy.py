@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import quantum
 
@@ -29,18 +29,6 @@ DETECTORS = ("d1", "d2")
 
 class HardyError(ValueError):
     pass
-
-
-class HardyContradiction(HardyError):
-    """Flags cannot be equated across settings without starving totality."""
-
-    def __init__(self, lam, facts):
-        self.lam = lam
-        self.facts = tuple(facts)
-        super().__init__(
-            f"ontic state {lam!r} would make both detectors impossible: "
-            + "; ".join(map(str, facts))
-        )
 
 
 @dataclass(frozen=True)
@@ -109,107 +97,83 @@ class PossibilisticAssignment:
         }
 
 
-def unconstrained_assignment(labels: Sequence, psi_support: Iterable,
-                             phi_support: Iterable) -> PossibilisticAssignment:
-    """Everything possible everywhere; the blank slate before any facts."""
-    flags = {(lam, theta, d): True
-             for lam in labels for theta in THETAS for d in DETECTORS}
-    return PossibilisticAssignment(tuple(labels), frozenset(psi_support),
-                                   frozenset(phi_support), flags)
-
-
-def apply_zero_facts(assignment: PossibilisticAssignment,
-                     facts: Iterable[ZeroFact]) -> PossibilisticAssignment:
-    """Force flags to False wherever a preparation's support meets a
-    zero-probability fact (this is the possibilistic-completeness step)."""
-    flags = dict(assignment.flags)
-    for fact in facts:
-        if not fact.is_zero:
-            continue
-        for lam in assignment.support(fact.preparation):
-            flags[(lam, fact.theta, fact.detector)] = False
-    return PossibilisticAssignment(assignment.labels, assignment.psi_support,
-                                   assignment.phi_support, flags)
-
-
-def apply_ontic_indifference(assignment: PossibilisticAssignment,
-                             zero_facts: Iterable[ZeroFact] = ()) -> PossibilisticAssignment:
-    """Equate the theta=0 and theta=pi flags for the upper-arm support.
-
-    A detector stays possible only if it is possible at both settings after
-    the zero facts are loaded.  If that leaves some state in the upper-arm
-    support with no possible detector, totality fails and the contradiction
-    is raised, naming the state and the facts that squeezed it.
-    """
-    facts = tuple(zero_facts)
-    constrained = apply_zero_facts(assignment, facts) if facts else assignment
-    flags = dict(constrained.flags)
-    for lam in assignment.phi_support:
-        equated = {}
-        for d in DETECTORS:
-            equated[d] = flags[(lam, "0", d)] and flags[(lam, "pi", d)]
-        if not any(equated.values()):
-            blockers = [f for f in facts if f.is_zero and lam in assignment.support(f.preparation)]
-            raise HardyContradiction(lam, blockers)
-        for theta in THETAS:
-            for d in DETECTORS:
-                flags[(lam, theta, d)] = equated[d]
-    return PossibilisticAssignment(assignment.labels, assignment.psi_support,
-                                   assignment.phi_support, flags)
-
-
 # --------------------------------------------------------------------------
 # exhaustive search
 
 # A per-state configuration: (in_psi, in_phi, flags for (theta, detector)).
 _FLAG_KEYS = tuple(itertools.product(THETAS, DETECTORS))
+_CONFIGS = tuple((in_psi, in_phi, bits)
+                 for in_psi, in_phi in itertools.product((False, True), repeat=2)
+                 for bits in itertools.product((False, True), repeat=4))
+
+
+def _unpack(config: tuple) -> tuple:
+    """(preparation -> membership, (theta, detector) -> possible flag)."""
+    in_psi, in_phi, bits = config
+    return {PREP_SPLIT: in_psi, PREP_UPPER: in_phi}, dict(zip(_FLAG_KEYS, bits))
+
+
+def _broken_constraints(config: tuple, zero_facts: Sequence[ZeroFact],
+                        enforce_invar: bool) -> list:
+    """The constraints a per-state configuration violates: "totality", every
+    zero fact whose preparation's support holds the state while the state
+    flags that detector possible, and "invariance"."""
+    member, flag = _unpack(config)
+    broken = []
+    if not all(any(flag[(theta, d)] for d in DETECTORS) for theta in THETAS):
+        broken.append("totality")
+    broken.extend(f for f in zero_facts
+                  if member[f.preparation] and flag[(f.theta, f.detector)])
+    if enforce_invar and member[PREP_UPPER] and any(
+            flag[("0", d)] != flag[("pi", d)] for d in DETECTORS):
+        broken.append("invariance")
+    return broken
 
 
 def _valid_configs(facts: Sequence[ZeroFact], enforce_invar: bool) -> tuple:
-    zero = {(f.preparation, f.theta, f.detector) for f in facts if f.is_zero}
-    configs = []
-    for in_psi, in_phi in itertools.product((False, True), repeat=2):
-        for bits in itertools.product((False, True), repeat=4):
-            flag = dict(zip(_FLAG_KEYS, bits))
-            ok = True
-            for theta in THETAS:
-                if not any(flag[(theta, d)] for d in DETECTORS):
-                    ok = False  # totality
-            for prep, member in ((PREP_SPLIT, in_psi), (PREP_UPPER, in_phi)):
-                if not member:
-                    continue
-                for theta, d in _FLAG_KEYS:
-                    if (prep, theta, d) in zero and flag[(theta, d)]:
-                        ok = False
-            if enforce_invar and in_phi:
-                for d in DETECTORS:
-                    if flag[("0", d)] != flag[("pi", d)]:
-                        ok = False
-            if ok:
-                configs.append((in_psi, in_phi, bits))
-    return tuple(configs)
+    zero_facts = [f for f in facts if f.is_zero]
+    return tuple(c for c in _CONFIGS
+                 if not _broken_constraints(c, zero_facts, enforce_invar))
 
 
-def _requirements(facts: Sequence[ZeroFact], require_overlap: bool) -> tuple:
-    """Existential demands on an assignment: the overlap itself plus exact
-    reproduction of every nonzero triple (some state must allow it)."""
-    reqs = []
-    if require_overlap:
-        reqs.append(("overlap",))
-    for f in facts:
-        if not f.is_zero:
-            reqs.append(("nonzero", f.preparation, f.theta, f.detector))
-    return tuple(reqs)
+_COUNT_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven", "eight")
 
 
-def _config_covers(config: tuple, req: tuple) -> bool:
-    in_psi, in_phi, bits = config
-    flag = dict(zip(_FLAG_KEYS, bits))
-    if req[0] == "overlap":
-        return in_psi and in_phi
-    _, prep, theta, det = req
-    member = in_psi if prep == PREP_SPLIT else in_phi
-    return member and flag[(theta, det)]
+def overlap_certificate(facts: Sequence[ZeroFact],
+                        enforce_invar: bool) -> dict | None:
+    """Why no ontic state may lie in both supports; None if one may.
+
+    Every overlap configuration must break a constraint.  The certificate
+    names state 1 as the representative (every state admits the same
+    configurations) and the zero facts that reject some overlap
+    configuration.  The configurations that keep those facts (and
+    invariance) are left with no possible detector, so totality is the
+    violated row.
+    """
+    zero_facts = [f for f in facts if f.is_zero]
+    broken = [_broken_constraints(c, zero_facts, enforce_invar)
+              for c in _CONFIGS if c[0] and c[1]]
+    if not all(broken):
+        return None
+    blockers = [f for f in zero_facts if any(f in b for b in broken)]
+    invariance = "flag invariance plus " if enforce_invar else ""
+    return {
+        "lambda": 1,
+        "facts": [str(f) for f in blockers],
+        "violated": f"totality: {invariance}the {_COUNT_WORDS[len(blockers)]} "
+                    "zero facts leave no possible detector at either setting",
+    }
+
+
+def _demands_met(config: tuple, facts: Sequence[ZeroFact],
+                 require_overlap: bool) -> list:
+    """Which existential demands on an assignment one state meets: the
+    overlap itself (if required), then exact reproduction of each nonzero
+    triple (some state in the preparation's support must allow it)."""
+    member, flag = _unpack(config)
+    met = [member[PREP_SPLIT] and member[PREP_UPPER]] if require_overlap else []
+    return met + [member[f.preparation] and flag[(f.theta, f.detector)]
+                  for f in facts if not f.is_zero]
 
 
 def search_assignment(lambda_size: int, facts: Sequence[ZeroFact],
@@ -221,15 +185,9 @@ def search_assignment(lambda_size: int, facts: Sequence[ZeroFact],
     configuration tuples tractable without skipping any of them.
     """
     configs = _valid_configs(facts, enforce_invar)
-    reqs = _requirements(facts, require_overlap)
-    full = (1 << len(reqs)) - 1
-    masks = []
-    for config in configs:
-        m = 0
-        for i, r in enumerate(reqs):
-            if _config_covers(config, r):
-                m |= 1 << i
-        masks.append(m)
+    met = [_demands_met(c, facts, require_overlap) for c in configs]
+    masks = [sum(1 << i for i, hit in enumerate(m) if hit) for m in met]
+    full = (1 << len(met[0])) - 1
 
     # BFS over coverage masks, remembering one witness path per mask.
     frontier = {0: ()}
@@ -246,23 +204,15 @@ def search_assignment(lambda_size: int, facts: Sequence[ZeroFact],
     if full not in frontier:
         return None
     path = frontier[full]
-    # pad with a neutral config (outside both supports, everything possible)
-    neutral = (False, False, (True, True, True, True))
-    if neutral not in configs:  # pragma: no cover - neutral is always valid
-        neutral = configs[0]
-    path = path + (neutral,) * (lambda_size - len(path))
+    # pad with a neutral config (outside both supports, everything possible),
+    # which breaks no constraint
+    path = path + ((False, False, (True,) * 4),) * (lambda_size - len(path))
     labels = tuple(range(1, lambda_size + 1))
-    flags = {}
-    psi_support, phi_support = set(), set()
-    for lam, (in_psi, in_phi, bits) in zip(labels, path):
-        if in_psi:
-            psi_support.add(lam)
-        if in_phi:
-            phi_support.add(lam)
-        for (theta, d), b in zip(_FLAG_KEYS, bits):
-            flags[(lam, theta, d)] = b
-    return PossibilisticAssignment(labels, frozenset(psi_support),
-                                   frozenset(phi_support), flags)
+    flags = {(lam, theta, d): b for lam, (_, _, bits) in zip(labels, path)
+             for (theta, d), b in zip(_FLAG_KEYS, bits)}
+    return PossibilisticAssignment(
+        labels, frozenset(lam for lam, c in zip(labels, path) if c[0]),
+        frozenset(lam for lam, c in zip(labels, path) if c[1]), flags)
 
 
 def replay_zero_facts(assignment: PossibilisticAssignment,
@@ -319,14 +269,7 @@ def hardy_verdict(lambda_size: int, drop_invar: bool = False,
     assignment = search_assignment(lambda_size, facts,
                                    enforce_invar=not drop_invar,
                                    require_overlap=require_overlap)
-    certificate = None
-    if assignment is None and require_overlap and not drop_invar:
-        zero_facts = [f for f in facts if f.is_zero and f.preparation == PREP_SPLIT]
-        certificate = {
-            "lambda": 1,  # representative; every overlap state is blocked alike
-            "facts": [str(f) for f in zero_facts],
-            "violated": "totality: flag invariance plus the two zero facts "
-                        "leave no possible detector at either setting",
-        }
+    certificate = (overlap_certificate(facts, enforce_invar=not drop_invar)
+                   if require_overlap else None)
     return HardyReport(lambda_size, drop_invar, require_overlap,
                        assignment is not None, assignment, certificate, facts)

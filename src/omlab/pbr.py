@@ -139,7 +139,8 @@ class FeasibilityProblem:
     first ontic state (the forced overlap).  ``relax_product`` swaps the
     product-form joints for a family of non-product joints that keep only
     the positive shared diagonal cell, the weakest reading under which the
-    argument still bites.
+    argument still bites.  ``null_budget`` adds the no-show outcome and caps
+    each preparation's unconditioned no-show rate; zero means no escape.
     """
 
     lambda_size: int = 4
@@ -162,9 +163,12 @@ class FeasibilityProblem:
             if not 0 < self.q <= 1:
                 raise PbrError("q must lie in (0, 1]")
         if self.null_budget is not None:
-            object.__setattr__(self, "null_budget", Fraction(self.null_budget))
-            if not 0 <= self.null_budget < 1:
+            budget = Fraction(self.null_budget)
+            if not 0 <= budget < 1:
                 raise PbrError("null budget must lie in [0, 1)")
+            # a zero budget is the plain problem: with no no-show rate allowed
+            # the post-selected constraints are the direct Born constraints
+            object.__setattr__(self, "null_budget", budget or None)
 
     @property
     def labels(self) -> tuple:
@@ -231,15 +235,15 @@ def relaxed_joints(p0: Sequence[Fraction], pplus: Sequence[Fraction],
     if base <= 0:
         # no shared positive cell: the positivity reading has nothing to add
         return families
-    # concentrated: rest of the mass on one private off-diagonal cell each
-    private = {}
+    # concentrated: rest of the mass on one private off-diagonal cell each;
+    # a one-state space has no such cell, and there base is 1
     spare = [c for c in cells if c != (star, star)]
+    concentrated = {}
     for i, prep in enumerate(PREP_LABELS):
-        private[prep] = spare[i % len(spare)]
-    families.append({
-        prep: {(star, star): base, private[prep]: 1 - base}
-        for prep in PREP_LABELS
-    })
+        concentrated[prep] = {(star, star): base}
+        if spare:
+            concentrated[prep][spare[i % len(spare)]] = 1 - base
+    families.append(concentrated)
     # spread: rest of the mass uniform over all other cells
     if len(cells) > 1:
         share = (1 - base) / (len(cells) - 1)
@@ -470,27 +474,6 @@ def _grid_note(problem: FeasibilityProblem) -> str:
     return (f"all weight vectors with step 1/{problem.grid_denominator} on "
             f"{problem.lambda_size} ontic states, forced overlap q={q}, "
             f"relax_product={problem.relax_product}")
-
-
-def null_outcome_extension(problem: FeasibilityProblem,
-                           null_budget: Fraction) -> FeasibilityVerdict:
-    """Re-run the search with the no-show outcome and a rate budget.
-
-    A budget of zero collapses to the plain verdict: the post-selected
-    constraints then coincide with the direct Born constraints.
-    """
-    null_budget = Fraction(null_budget)
-    if not 0 <= null_budget < 1:
-        raise PbrError("null budget must lie in [0, 1)")
-    amended = FeasibilityProblem(
-        lambda_size=problem.lambda_size,
-        grid_denominator=problem.grid_denominator,
-        q=problem.q,
-        relax_product=problem.relax_product,
-        null_budget=null_budget if null_budget > 0 else None,
-        star_index=problem.star_index,
-    )
-    return solve_feasibility(amended)
 
 
 # --------------------------------------------------------------------------

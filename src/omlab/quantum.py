@@ -346,27 +346,25 @@ def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
     source="upper_arm": the first splitter is removed and the photon is
     emitted directly into the upper arm, so the leading H is omitted.
     """
+    return _mz_run(phase_shift_exact(4) if phase_in else None, source)  # theta = pi
+
+
+def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
+    """Detector probabilities (d1, d2) for an arbitrary float phase theta."""
+    up, down = _mz_run(phase_shift(theta), source).amplitudes
+    return abs(up) ** 2, abs(down) ** 2
+
+
+def _mz_run(phase: UnitaryGate | None, source: str) -> Ket:
     if source not in ("first_splitter", "upper_arm"):
         raise QuantumError(f"unknown source {source!r}")
     psi = KET_UP
     if source == "first_splitter":
         psi = apply_gate(hadamard(), psi)
     psi = apply_gate(pauli_x(), psi)
-    if phase_in:
-        psi = apply_gate(phase_shift_exact(4), psi)  # theta = pi
+    if phase is not None:
+        psi = apply_gate(phase, psi)
     return apply_gate(hadamard(), psi)
-
-
-def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
-    """Detector probabilities (d1, d2) for an arbitrary float phase theta."""
-    psi = (1 + 0j, 0j)
-    h = (((0.5) ** 0.5 + 0j,) * 2, ((0.5) ** 0.5 + 0j, -((0.5) ** 0.5) + 0j))
-    if source == "first_splitter":
-        psi = mat_vec(h, psi)
-    psi = mat_vec(((0j, 1 + 0j), (1 + 0j, 0j)), psi)
-    psi = mat_vec(((cmath.exp(1j * theta), 0j), (0j, 1 + 0j)), psi)
-    psi = mat_vec(h, psi)
-    return abs(psi[0]) ** 2, abs(psi[1]) ** 2
 
 
 def combine_kets(terms: Sequence[tuple]) -> Ket:

@@ -9,6 +9,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -100,7 +101,7 @@ def test_criterion_4_pbr_feasibility_suite():
         replay = pbr.replay_witness(free.witness)
         assert replay["post_selected_match"] and replay["unconditioned_match"]
 
-        null = pbr.null_outcome_extension(problem, HALF)
+        null = pbr.solve_feasibility(replace(problem, null_budget=HALF))
         assert null.status == "feasible"
         null_replay = pbr.replay_witness(null.witness)
         assert null_replay["post_selected_match"]

@@ -7,7 +7,6 @@ import pytest
 from omlab import hardy
 from omlab.hardy import (
     DETECTORS,
-    HardyContradiction,
     HardyError,
     PREP_SPLIT,
     PREP_UPPER,
@@ -32,36 +31,28 @@ def test_zero_facts_match_the_interferometer():
             assert facts[(PREP_UPPER, theta, det)] is False
 
 
-# ------------------------------------------------------- ontic indifference
+# ------------------------------------------------------- certificate
 
-def test_indifference_without_facts_equates_flags():
-    a = hardy.unconstrained_assignment((1, 2, 3, 4), psi_support=(),
-                                       phi_support=(1, 2, 3, 4))
-    out = hardy.apply_ontic_indifference(a)
-    for lam in out.labels:
-        for d in DETECTORS:
-            assert out.flags[(lam, "0", d)] == out.flags[(lam, "pi", d)]
-
-
-def test_indifference_contradiction_on_shared_state():
-    a = hardy.unconstrained_assignment((1, 2, 3, 4), psi_support=(1, 2),
-                                       phi_support=(1, 3))
+def test_certificate_names_the_facts_that_block_the_shared_state():
+    cert = hardy.hardy_verdict(4).certificate
+    assert cert["lambda"] == 1
     facts = hardy.derive_zero_probability_facts()
-    with pytest.raises(HardyContradiction) as err:
-        hardy.apply_ontic_indifference(a, facts)
-    assert err.value.lam == 1  # the state in both supports
-    assert len(err.value.facts) == 2
-    blocked = {(f.theta, f.detector) for f in err.value.facts}
-    assert blocked == {("pi", "d1"), ("0", "d2")}
+    blockers = [f for f in facts if str(f) in cert["facts"]]
+    assert [(f.preparation, f.theta, f.detector) for f in blockers] == \
+        [(PREP_SPLIT, "0", "d2"), (PREP_SPLIT, "pi", "d1")]
+    assert cert["violated"].startswith("totality")
 
 
-def test_indifference_spares_phi_only_states():
-    a = hardy.unconstrained_assignment((1, 2, 3, 4), psi_support=(1, 2),
-                                       phi_support=(3, 4))
-    out = hardy.apply_ontic_indifference(a, hardy.derive_zero_probability_facts())
-    for lam in (3, 4):
-        for d in DETECTORS:
-            assert out.flags[(lam, "0", d)] and out.flags[(lam, "pi", d)]
+@pytest.mark.parametrize("dropped", [(PREP_SPLIT, "0", "d2"), (PREP_SPLIT, "pi", "d1")])
+def test_certificate_follows_the_facts(dropped):
+    facts = [f for f in hardy.derive_zero_probability_facts()
+             if (f.preparation, f.theta, f.detector) != dropped]
+    assert len(facts) == 7
+    assert hardy.overlap_certificate(facts, enforce_invar=True) is None
+    assignment = hardy.search_assignment(4, facts, enforce_invar=True,
+                                         require_overlap=True)
+    assert assignment.psi_support & assignment.phi_support
+    assert hardy.replay_zero_facts(assignment, facts)
 
 
 # ------------------------------------------------------- verdicts

@@ -2,6 +2,7 @@
 feasibility search, the no-show escape and the CHSH gap."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -216,7 +217,7 @@ def test_inner_lp_agrees_with_float_lp_on_grid_points():
 # ------------------------------------------------------------- null escape
 
 def test_null_extension_budget_half_is_feasible_and_post_selected():
-    verdict = pbr.null_outcome_extension(default_problem(), F(1, 2))
+    verdict = pbr.solve_feasibility(replace(default_problem(), null_budget=F(1, 2)))
     assert verdict.status == "feasible"
     replay = pbr.replay_witness(verdict.witness)
     assert replay["post_selected_match"]
@@ -224,7 +225,9 @@ def test_null_extension_budget_half_is_feasible_and_post_selected():
 
 
 def test_null_extension_zero_budget_reduces_to_plain_verdict():
-    verdict = pbr.null_outcome_extension(default_problem(), F(0))
+    problem = replace(default_problem(), null_budget=F(0))
+    assert problem.null_budget is None
+    verdict = pbr.solve_feasibility(problem)
     plain = pbr.solve_feasibility(default_problem())
     assert verdict.status == plain.status == "infeasible"
 
@@ -232,7 +235,8 @@ def test_null_extension_zero_budget_reduces_to_plain_verdict():
 def test_null_extension_budget_sweep_converges_to_plain_verdict():
     statuses = []
     for budget in (F(1, 2), F(1, 4), F(1, 8), F(0)):
-        statuses.append(pbr.null_outcome_extension(default_problem(), budget).status)
+        problem = replace(default_problem(), null_budget=budget)
+        statuses.append(pbr.solve_feasibility(problem).status)
     assert statuses[0] == "feasible"
     assert statuses[-1] == "infeasible"
     # once the budget is too small the verdict stays infeasible
@@ -246,7 +250,7 @@ def test_null_extension_budget_sweep_converges_to_plain_verdict():
 
 def test_null_budget_validation():
     with pytest.raises(pbr.PbrError):
-        pbr.null_outcome_extension(default_problem(), F(3, 2))
+        replace(default_problem(), null_budget=F(3, 2))
 
 
 # ------------------------------------------------------------- CHSH

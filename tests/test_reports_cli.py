@@ -175,3 +175,32 @@ def test_exit_status_reflects_failures(monkeypatch, capsys):
                                                  "TRIVIAL", False)])
     assert cli.main(["verify", "toy-born"]) == 1
     capsys.readouterr()
+
+
+def test_gaussian_json_reports_are_schema_valid(capsys):
+    assert cli.main(["gaussian", "suite", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(c["passed"] is True for c in doc["checks"])
+
+
+def test_relaxed_pbr_on_one_ontic_state(capsys):
+    code = cli.main(["nogo", "pbr", "--lambda-size", "1", "--relax-product",
+                     "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    verdict = next(c for c in doc["checks"] if c["name"].startswith("pbr verdict"))
+    assert verdict["observed"] == "infeasible" and verdict["passed"]
+    # one grid point, two joint families: product and concentrated
+    assert verdict["detail"]["tested_points"] == 2
+
+
+COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [
+    ("simulate", "mz"), ("nogo", "pbr"), ("nogo", "hardy"), ("nogo", "chsh"),
+    ("gaussian", "suite"), ("gaussian", "epr")]
+
+
+@pytest.mark.parametrize("verb, target", COMMANDS)
+def test_omitted_args_take_the_cli_defaults(verb, target):
+    bare = cli.run(cli.config_from_args(cli.build_parser().parse_args([verb, target])))
+    omitted = cli.run(RunConfig(command=f"{verb} {target}"))
+    assert [c.to_json() for c in omitted.checks] == [c.to_json() for c in bare.checks]
