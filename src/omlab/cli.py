@@ -221,25 +221,33 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
 # --------------------------------------------------------------------------
 # nogo targets
 
+def gram_check(kets) -> CheckResult:
+    """The measurement kets' exact Gram matrix is the identity; the detail
+    names the label pairs where it is not."""
+    defects = pbr.gram_defects(kets)
+    return _check("pbr measurement basis Gram = identity", True, not defects, "DERIVED",
+                  detail={"defects": [f"<{a}|{b}>" for a, b in defects]} if defects else None)
+
+
 def pbr_checks(q, lambda_size: int, grid_denominator: int,
                relax_product: bool, null_budget) -> list:
     """``q`` and ``null_budget`` are fractions or fraction strings; None
     means no forced overlap and no no-show escape respectively."""
     checks = []
     scenario = pbr.build_pbr_scenario(q if q is not None else Fraction(1, 4))
+    born = scenario.born_table()
     for j in range(1, 5):
         ov = quantum.inner(scenario.measurement_kets[f"phi{j}"],
                            scenario.preparations[f"Psi{j}"])
         checks.append(_check(f"pbr <phi{j}|Psi{j}>", "0",
                              "0" if ov.is_zero() else repr(ov), "PAPER"))
-    checks.append(_check("pbr measurement basis Gram = identity", True, True,
-                         "DERIVED", detail={"note": "verified during construction"}))
+    checks.append(gram_check(scenario.measurement_kets))
     problem = pbr.FeasibilityProblem(lambda_size=lambda_size,
                                      grid_denominator=grid_denominator,
                                      q=q, relax_product=relax_product,
                                      null_budget=null_budget)
     escape = problem.null_budget is not None
-    verdict = pbr.solve_feasibility(problem)
+    verdict = pbr.solve_feasibility(problem, born)
     expected_status = "feasible" if escape or problem.q is None else "infeasible"
     checks.append(_check(f"pbr verdict ({verdict.grid_note})", expected_status,
                          verdict.status, "DERIVED",
@@ -249,7 +257,7 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
                              verdict.certificate is not None, "DERIVED",
                              detail=verdict.certificate))
     else:
-        replay = pbr.replay_witness(verdict.witness)
+        replay = pbr.replay_witness(verdict.witness, born)
         checks.append(_check("pbr witness reproduces Born (post-selected)", True,
                              replay["post_selected_match"], "DERIVED"))
         if escape:
@@ -258,14 +266,17 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
     return checks
 
 
-def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
-    checks = []
-    facts = hardy.derive_zero_probability_facts()
+def zero_facts_check(facts) -> CheckResult:
+    """The zero-probability facts are exactly the paper's two."""
     zero_names = sorted(str(f) for f in facts if f.is_zero)
-    checks.append(_check("hardy zero facts",
-                         "P(d1 | psi, theta=pi) is zero; P(d2 | psi, theta=0) is zero",
-                         "; ".join(n for n in zero_names), "PAPER",
-                         passed=len(zero_names) == 2))
+    return _check("hardy zero facts",
+                  "P(d1 | psi, theta=pi) is zero; P(d2 | psi, theta=0) is zero",
+                  "; ".join(zero_names), "PAPER")
+
+
+def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
+    facts = hardy.derive_zero_probability_facts()
+    checks = [zero_facts_check(facts)]
     report = hardy.hardy_verdict(lambda_size, drop_invar=drop_invar)
     expected = drop_invar  # overlap survives only without flag invariance
     checks.append(_check(

@@ -70,17 +70,21 @@ def _measurement_kets() -> dict:
 class PbrScenario:
     preparations: Mapping[str, quantum.Ket]
     measurement_kets: Mapping[str, quantum.Ket]
-    measurement: quantum.ProjectiveMeasurement
     q: Fraction
 
     def born_table(self) -> dict:
-        """Exact Born probabilities, (prep, outcome) -> Fraction."""
-        out = {}
-        for p, psi in self.preparations.items():
-            rho = quantum.projector(psi)
-            for k in OUTCOME_LABELS:
-                out[(p, k)] = quantum.born_probability(rho, self.measurement, k)
-        return out
+        """Exact Born probabilities, (prep, outcome) -> Fraction: the rank-one
+        effect |phi_k><phi_k| gives Tr(E_k rho) = |<phi_k|Psi>|^2."""
+        return {(p, k): quantum.inner(self.measurement_kets[k], psi).abs2().real_fraction()
+                for p, psi in self.preparations.items() for k in OUTCOME_LABELS}
+
+
+def gram_defects(kets: Mapping[str, quantum.Ket]) -> list:
+    """The label pairs (a, b) whose exact <a|b> differs from the identity's
+    entry; empty iff the kets are orthonormal."""
+    return [(a, b) for a, b in itertools.product(kets, repeat=2)
+            if not (quantum.inner(kets[a], kets[b])
+                    - quantum.ExactComplex.of(Fraction(int(a == b)))).is_zero()]
 
 
 def build_pbr_scenario(q: Fraction = Fraction(1, 4)) -> PbrScenario:
@@ -90,19 +94,14 @@ def build_pbr_scenario(q: Fraction = Fraction(1, 4)) -> PbrScenario:
         raise PbrError("overlap floor q must lie in (0, 1]")
     preps = _preparations()
     kets = _measurement_kets()
-    # Orthonormality of the measurement basis, exact.
-    for a, b in itertools.product(OUTCOME_LABELS, repeat=2):
-        ov = quantum.inner(kets[a], kets[b])
-        want = Fraction(1) if a == b else Fraction(0)
-        if not (ov - quantum.ExactComplex.of(want)).is_zero():
-            raise PbrError("measurement basis failed the Gram check")
+    if gram_defects(kets):  # orthonormality of the measurement basis, exact
+        raise PbrError("measurement basis failed the Gram check")
     # The one-by-one orthogonality that drives the argument.
     for j in range(1, 5):
         ov = quantum.inner(kets[f"phi{j}"], preps[f"Psi{j}"])
         if not ov.is_zero():
             raise PbrError(f"<phi{j}|Psi{j}> != 0")
-    meas = quantum.basis_measurement(kets)
-    return PbrScenario(preps, kets, meas, q)
+    return PbrScenario(preps, kets, q)
 
 
 @dataclass(frozen=True)
@@ -432,17 +431,19 @@ def _witness_payload(p0, pplus, joints, xi, labels, outcomes) -> dict:
     }
 
 
-def solve_feasibility(problem: FeasibilityProblem) -> FeasibilityVerdict:
+def solve_feasibility(problem: FeasibilityProblem,
+                      born: Mapping | None = None) -> FeasibilityVerdict:
     """Search the weight grid for a reproducing model; exact throughout.
 
     Returns "feasible" with the first witness found, or "infeasible" with a
     contradiction certificate when every tested weight assignment (and, in
     relaxed mode, every joint family) admits no response function.  The
     universal statement for arbitrary weights is the analytic theorem; the
-    verdict covers the grid stated in ``grid_note``.
+    verdict covers the grid stated in ``grid_note``.  ``born`` is the
+    scenario's Born table, built here when not given.
     """
-    scenario = build_pbr_scenario(problem.q if problem.q is not None else Fraction(1, 4))
-    born = scenario.born_table()
+    if born is None:
+        born = build_pbr_scenario().born_table()
     labels = problem.labels
     cells = problem.cells
     outcomes = list(OUTCOME_LABELS) + ([NULL] if problem.null_budget is not None else [])
@@ -502,15 +503,16 @@ def witness_to_model(witness: dict) -> OntologicalModel:
     return OntologicalModel(space, preparations, measurements)
 
 
-def replay_witness(witness: dict) -> dict:
+def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     """Check a witness against the exact Born table.
 
     Without a null outcome the unconditioned statistics must match; with
     one, the post-selected statistics must match while the raw ones are
-    flagged as doing the post-selection work.
+    flagged as doing the post-selection work.  ``born`` is the scenario's
+    Born table, built here when not given.
     """
-    scenario = build_pbr_scenario()
-    born = scenario.born_table()
+    if born is None:
+        born = build_pbr_scenario().born_table()
     model = witness_to_model(witness)
     has_null = NULL in witness["outcomes"]
     if not has_null:

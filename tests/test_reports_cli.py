@@ -1,10 +1,11 @@
 """Report documents, serialization determinism and the CLI surface."""
 
+import dataclasses
 import json
 
 import pytest
 
-from omlab import cli
+from omlab import cli, hardy, pbr
 from omlab.reports import (
     CheckResult,
     ReportDocument,
@@ -192,6 +193,29 @@ def test_relaxed_pbr_on_one_ontic_state(capsys):
     assert verdict["observed"] == "infeasible" and verdict["passed"]
     # one grid point, two joint families: product and concentrated
     assert verdict["detail"]["tested_points"] == 2
+
+
+def test_gram_check_fails_on_a_non_orthonormal_ket():
+    kets = dict(pbr.build_pbr_scenario().measurement_kets)
+    assert cli.gram_check(kets).passed
+    kets["phi2"] = kets["phi1"]  # normalized, but not orthogonal to phi1
+    check = cli.gram_check(kets)
+    assert not check.passed and check.observed == "false"
+    assert check.detail == {"defects": ["<phi1|phi2>", "<phi2|phi1>"]}
+
+
+def test_zero_facts_check_fails_on_a_flipped_fact():
+    facts = hardy.derive_zero_probability_facts()
+    assert cli.zero_facts_check(facts).passed
+
+    def flip(*indices):
+        return [dataclasses.replace(f, is_zero=not f.is_zero) if i in indices else f
+                for i, f in enumerate(facts)]
+
+    assert [f.is_zero for f in facts[:2]] == [False, True]
+    assert not cli.zero_facts_check(flip(0)).passed
+    # two flips keep two zero facts, but not the paper's two
+    assert not cli.zero_facts_check(flip(0, 1)).passed
 
 
 COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [

@@ -1,5 +1,6 @@
 """Exact LP feasibility: known instances, random cross-checks, monotonicity."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -109,3 +110,92 @@ def test_adding_constraints_preserves_infeasibility():
         found += 1
         extra = eqs + _random_instance(rng, 3, 1)
         assert not find_feasible(3, extra).feasible
+
+
+# --------------------------------------------------------------------------
+# results pinned from the Fraction-tableau simplex; the integer tableau must
+# take the same pivots and so return the same points and residuals
+
+def _digest(results) -> str:
+    return hashlib.sha256(repr([
+        (r.feasible, None if r.solution is None else tuple(map(str, r.solution)),
+         str(r.phase1_value)) for r in results]).encode()).hexdigest()
+
+
+def _rational_instance(rng: random.Random):
+    """Non-integer coefficients and right-hand sides of both signs, so that
+    rows are sign-flipped and scaled by different denominators."""
+    n, m, k = rng.randint(2, 6), rng.randint(1, 4), rng.randint(0, 3)
+
+    def rows(count):
+        return [({j: F(rng.randint(-9, 9), rng.randint(1, 7)) for j in range(n)},
+                 F(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(count)]
+
+    return n, rows(m), rows(k)
+
+
+def test_rational_instances_match_pinned_results():
+    rng = random.Random(1968)
+    lps = [_rational_instance(rng) for _ in range(20)]
+    assert sum(1 for _, eqs, ineqs in lps for _, b in eqs + ineqs if b < 0) == 43
+    results = [find_feasible(*lp) for lp in lps]
+    assert [(r.feasible, str(r.phase1_value)) for r in results] == [
+        (False, "32/3"), (True, "0"), (False, "83/12"), (True, "0"), (False, "59/16"),
+        (False, "1481/270"), (True, "0"), (True, "0"), (False, "113/20"),
+        (False, "2632/345"), (False, "25"), (False, "141/14"), (True, "0"),
+        (False, "88603/24490"), (False, "221/60"), (True, "0"), (False, "968/315"),
+        (False, "19/4"), (False, "7363/699"), (False, "2704/865")]
+    assert _digest(results) == \
+        "3757bb59c6775b6998b949b327a3e393bebac82a660b0cf7d6f32c159b6b9d6b"
+    for (n, eqs, ineqs), r in zip(lps, results):
+        if r.feasible:
+            assert check_solution(n, r.solution, eqs, ineqs)
+
+
+def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
+    from omlab import pbr
+
+    solved = []
+
+    def record(*args):
+        solved.append(find_feasible(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(pbr, "find_feasible", record)
+    verdict = pbr.solve_feasibility(pbr.FeasibilityProblem(
+        lambda_size=4, grid_denominator=3, q=F(1, 4), null_budget=F(3, 8)))
+    assert (verdict.status, verdict.tested_points, len(solved)) == ("feasible", 48, 18)
+    assert [str(r.phase1_value) for r in solved] == (
+        ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2
+        + ["5/72"] * 5 + ["0"])
+    assert _digest(solved) == \
+        "152c462ad089e9af71943b5a9e246bb17a590fbbde05df5b5e6cdef509d118b8"
+
+
+# Beale's LP (1955), the classic example on which the largest-coefficient
+# rule cycles: min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 under three inequalities,
+# two of them with a zero right-hand side, so the start is degenerate.  The
+# optimum is -5/4 at x = (1, 0, 1, 0); capping the objective there turns it
+# into a feasibility question.
+BEALE = [({0: F(1, 4), 1: F(-8), 2: F(-1), 3: F(9)}, F(0)),
+         ({0: F(1, 2), 1: F(-12), 2: F(-1, 2), 3: F(3)}, F(0)),
+         ({2: F(1)}, F(1))]
+BEALE_OBJECTIVE = {0: F(-3, 4), 1: F(20), 2: F(-1, 2), 3: F(6)}
+
+
+def test_bland_terminates_on_beales_cycling_lp():
+    at_optimum = BEALE + [(BEALE_OBJECTIVE, F(-5, 4))]
+    res = find_feasible(4, (), at_optimum)
+    assert res.feasible and res.solution == (F(1), F(0), F(1), F(0))
+    assert check_solution(4, res.solution, (), at_optimum)
+    assert res.pivots == 6
+    below = find_feasible(4, (), BEALE + [(BEALE_OBJECTIVE, F(-5, 4) - F(1, 100))])
+    assert not below.feasible
+    assert below.phase1_value == F(1, 100)
+
+
+def test_pivots_are_counted():
+    assert find_feasible(3).pivots == 0
+    res = find_feasible(2, [({0: F(1), 1: F(1)}, F(1)),
+                            ({0: F(1), 1: F(-1)}, F(0))])
+    assert res.pivots == 2
