@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Time ``pbr.solve_feasibility`` on every ``nogo pbr`` op of the ``pbr-grid``
+and ``pbr-lp`` benchmark passes at seed 1, before and after a change, and
+write the numbers to a BENCH json file.
+
+Each op's argv is turned into a ``FeasibilityProblem`` by the tree's own CLI
+parser.  Both trees then decide every op in fresh interpreters, alternating
+base and change; the Born table is built before the clock starts, so only
+the verdict is timed.  Next to each op's median time the script records the
+counters that tell a speed-up from skipped work: the grid points the verdict
+covers (``tested_points``), the exact LPs it solved and their pivots, and
+its status, which must agree between the two sides.  The base tree is
+extracted from git as ``scripts/bench_lp.py`` does.
+
+    python3 scripts/bench_pbr.py --base 462921a --runs 5 --out BENCH_7.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_lp import ROOT, SRC, extract_src, machine  # noqa: E402
+
+WORKLOADS = ("pbr-grid", "pbr-lp")
+
+# Decides every op of the json argv list once, with the omlab on sys.path,
+# and prints one json line per op.
+WORKER = r"""
+import json, sys, time
+from fractions import Fraction
+from omlab import cli, pbr
+ops = json.loads(open(sys.argv[1]).read())
+born = pbr.build_pbr_scenario().born_table()
+solve, lps = pbr.find_feasible, []
+
+def record(*args, **kwargs):
+    lps.append(solve(*args, **kwargs))
+    return lps[-1]
+
+pbr.find_feasible = record
+for argv in ops:
+    a = cli.config_from_args(cli.build_parser().parse_args(argv)).args
+    problem = pbr.FeasibilityProblem(
+        lambda_size=a["lambda_size"], grid_denominator=a["grid_denominator"],
+        q=None if a["q"] is None else Fraction(a["q"]), relax_product=a["relax_product"],
+        null_budget=None if a["null_budget"] is None else Fraction(a["null_budget"]))
+    lps.clear()
+    start = time.perf_counter()
+    verdict = pbr.solve_feasibility(problem, born)
+    wall = time.perf_counter() - start
+    print(json.dumps({"wall_s": wall, "status": verdict.status,
+                      "points": verdict.tested_points, "lps": len(lps),
+                      "pivots": sum(r.pivots for r in lps)}))
+"""
+
+
+def seed_one_ops() -> list:
+    """(workload, argv) for every nogo pbr op of the benchmark passes at seed 1."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import workloads
+    return [(name, argv) for name in WORKLOADS for argv in workloads.generate(name, 1)
+            if argv[2:4] == ["nogo", "pbr"]]
+
+
+def decide_once(src: Path, ops_path: Path) -> list:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", WORKER, str(ops_path)],
+                         check=True, capture_output=True, text=True, env=env).stdout
+    return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--runs", type=int, default=5, help="timed runs per side (>= 5)")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    args = ap.parse_args()
+    if args.runs < 5:
+        ap.error("a median for a BENCH file needs at least 5 runs per side")
+
+    ops = seed_one_ops()
+    with tempfile.TemporaryDirectory() as tmp:
+        ops_path = Path(tmp) / "ops.json"
+        ops_path.write_text(json.dumps([argv for _, argv in ops]))
+        sides = {"base": extract_src(args.base, Path(tmp) / "base"), "change": SRC}
+        runs = {side: [] for side in sides}
+        for i in range(args.runs):
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            for side in order:
+                runs[side].append(decide_once(sides[side], ops_path))
+                print(f"run {i + 1}/{args.runs} {side}: "
+                      f"{sum(r['wall_s'] for r in runs[side][-1]):.3f} s", file=sys.stderr)
+
+    rows, same = [], True
+    for j, (workload, argv) in enumerate(ops):
+        row = {"workload": workload, "argv": " ".join(argv[2:])}
+        for side, side_runs in runs.items():
+            first = side_runs[0][j]
+            same &= all({k: r[j][k] for k in first if k != "wall_s"}
+                        == {k: v for k, v in first.items() if k != "wall_s"} for r in side_runs)
+            row[side] = {"median_ms": round(1000 * statistics.median(r[j]["wall_s"]
+                                                                     for r in side_runs), 3),
+                         **{k: first[k] for k in ("status", "points", "lps", "pivots")}}
+        same &= row["base"]["status"] == row["change"]["status"]
+        rows.append(row)
+    totals = {}
+    for workload in WORKLOADS:
+        idx = [j for j, (w, _) in enumerate(ops) if w == workload]
+        med = {side: statistics.median(sum(r[j]["wall_s"] for j in idx) for r in side_runs)
+               for side, side_runs in runs.items()}
+        totals[workload] = {
+            "median_pass_s": {side: round(m, 4) for side, m in med.items()},
+            "speedup": round(med["base"] / med["change"], 2),
+            **{f"{k}_total": {side: sum(rows[j][side][k] for j in idx) for side in runs}
+               for k in ("points", "lps", "pivots")}}
+    doc = {
+        "what": "pbr.solve_feasibility on every nogo pbr op of the pbr-grid and pbr-lp "
+                "passes at seed 1 (perfbench/workloads.py), Born table built beforehand; "
+                "each run decides every op once in a fresh interpreter, base and change "
+                "alternating; per-op and per-pass medians over the runs",
+        "machine": machine(),
+        "base_rev": args.base,
+        "runs_per_side": args.runs,
+        "statuses_identical": same,
+        "totals": totals,
+        "ops": rows,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(totals))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,10 @@ import math
 import os
 import random
 import sys
+import traceback
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -248,7 +251,10 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
                                      null_budget=null_budget)
     escape = problem.null_budget is not None
     verdict = pbr.solve_feasibility(problem, born)
-    expected_status = "feasible" if escape or problem.q is None else "infeasible"
+    # the escape's price; None where no budget below 1 admits a model
+    price = Fraction(0) if problem.q is None else pbr.no_show_price(problem)
+    expected_status = ("feasible" if price is not None and (problem.null_budget or 0) >= price
+                       else "infeasible")
     checks.append(_check(f"pbr verdict ({verdict.grid_note})", expected_status,
                          verdict.status, "DERIVED",
                          detail=verdict.to_json()))
@@ -263,6 +269,13 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
         if escape:
             checks.append(_check("pbr null witness: raw statistics differ from Born",
                                  True, not replay["unconditioned_match"], "TRIVIAL"))
+    if escape and price:
+        at_price = (verdict if problem.null_budget == price else
+                    pbr.solve_feasibility(replace(problem, null_budget=price), born))
+        replay = pbr.replay_witness(at_price.witness, born)
+        checks.append(_check("pbr minimal no-show budget = f^2", price,
+                             replay["no_show_rate"] if replay["post_selected_match"]
+                             else "no reproducing witness", "DERIVED"))
     return checks
 
 
@@ -450,8 +463,17 @@ def run(config: RunConfig) -> ReportDocument:
             checks = _dispatch(config)
         except Exception as exc:  # surface module errors as failed checks
             checks = [CheckResult("run completed without errors", "no exception",
-                                  f"{type(exc).__name__}: {exc}", "TRIVIAL", False)]
+                                  f"{type(exc).__name__}: {exc}", "TRIVIAL", False,
+                                  {"type": type(exc).__name__, "origin": _origin(exc)})]
     return ReportDocument(config, tuple(checks), watch.elapsed)
+
+
+def _origin(exc: Exception) -> str:
+    """Package-relative ``file:line`` of the innermost omlab frame of ``exc``."""
+    package = Path(__file__).resolve().parent
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if Path(f.filename).resolve().is_relative_to(package)][-1]
+    return f"{Path(frame.filename).resolve().relative_to(package.parent).as_posix()}:{frame.lineno}"
 
 
 def _dispatch(config: RunConfig) -> list:

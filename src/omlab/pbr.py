@@ -1,23 +1,25 @@
 """The product-preparation no-go scenario as exact constraint satisfaction.
 
 The scenario pairs the four product preparations over {|0>, |+>} with the
-entangled four-outcome basis that is orthogonal to them one by one.  Asking
-for a response function that reproduces the Born table while the single
-system epistemic states overlap is a linear feasibility question once the
-epistemic weights are fixed, so the search runs in two stages: an outer
-grid over rational weight vectors (step 1/D) and an exact inner LP over the
-joint response entries.  Infeasibility comes with an explicit contradiction
-chain: the zero-Born pairs force the response to vanish on the shared
-overlap cell, which starves the outcome-completeness row there.
-
-A null-outcome escape hatch is also provided: the outcome set gains an
-"absorbed" outcome, Born statistics are matched after post-selecting on
-real outcomes, and a budget caps the per-preparation no-show rate.
+entangled four-outcome basis that is orthogonal to them one by one.  A
+forced overlap q is decided at the support level, with no grid: on the grid
+of step 1/D the shared ontic state * carries f = ceil(qD)/D or more, so the
+cell (*, *) carries >= f^2 in all four preparations, where the zero-Born
+pairs force every real outcome to 0.  That chain starves outcome
+completeness; with a no-show outcome it puts every no-show rate at >= f^2,
+so budgets below f^2 fail, and from f^2 up (three or more ontic states) one
+exact LP at p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) gives the witness.
+The rest (no forced overlap, or a budget on one or two ontic states) is a
+two-stage search: an outer grid over weight vectors and an exact inner LP
+over the joint response entries, whose presolve finds the same chains.
+The no-show outcome is "absorbed": Born statistics are matched after
+post-selecting on real outcomes, and a budget caps each no-show rate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -88,41 +90,13 @@ def gram_defects(kets: Mapping[str, quantum.Ket]) -> list:
 
 
 def build_pbr_scenario(q: Fraction = Fraction(1, 4)) -> PbrScenario:
-    """Construct the scenario in exact arithmetic and verify its invariants."""
+    """Construct the scenario in exact arithmetic.  Its invariants (an
+    orthonormal measurement basis, <phi_j|Psi_j> = 0) are verified by the
+    tests and by the report's checks, not on every construction."""
     q = Fraction(q)
     if not 0 < q <= 1:
         raise PbrError("overlap floor q must lie in (0, 1]")
-    preps = _preparations()
-    kets = _measurement_kets()
-    if gram_defects(kets):  # orthonormality of the measurement basis, exact
-        raise PbrError("measurement basis failed the Gram check")
-    # The one-by-one orthogonality that drives the argument.
-    for j in range(1, 5):
-        ov = quantum.inner(kets[f"phi{j}"], preps[f"Psi{j}"])
-        if not ov.is_zero():
-            raise PbrError(f"<phi{j}|Psi{j}> != 0")
-    return PbrScenario(preps, kets, q)
-
-
-@dataclass(frozen=True)
-class DeltaLemmaResult:
-    holds: bool
-    lambda_star: object | None
-    joint_bound: Fraction | None  # guaranteed mass of every product at (l*, l*)
-
-
-def check_delta_lemma(p0: EpistemicState, pplus: EpistemicState, q: Fraction) -> DeltaLemmaResult:
-    """Search for a single ontic state carrying weight >= q under both
-    epistemic states; product weights then put >= q^2 on the diagonal cell."""
-    q = Fraction(q)
-    if q <= 0:
-        raise PbrError("q must be positive")
-    if p0.space != pplus.space:
-        raise PbrError("epistemic states live on different ontic spaces")
-    for lam, w0, wp in zip(p0.space.labels, p0.weights, pplus.weights):
-        if w0 >= q and wp >= q:
-            return DeltaLemmaResult(True, lam, min(w0, wp) ** 2)
-    return DeltaLemmaResult(False, None, None)
+    return PbrScenario(_preparations(), _measurement_kets(), q)
 
 
 # --------------------------------------------------------------------------
@@ -193,10 +167,7 @@ def weight_grid(n: int, denominator: int, floor: Fraction | None = None,
             for rest in rec(remaining - k, slots - 1):
                 yield (k,) + rest
 
-    min_floor = 0
-    if floor is not None:
-        # smallest multiple of 1/d that is >= floor
-        min_floor = -((-floor.numerator * d) // floor.denominator)
+    min_floor = 0 if floor is None else math.ceil(floor * d)
     for combo in rec(d, n):
         if combo[floor_index] < min_floor:
             continue
@@ -325,13 +296,7 @@ def _inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
                 const += fx
             else:
                 coeffs[v] = coeffs.get(v, Fraction(0)) + 1
-        if not coeffs:
-            if const != 1:
-                return InnerResult(False, None, {
-                    "lambda": list(cell), "pair": None,
-                    "violated_equation": "outcome completeness row fixed to "
-                                         f"{frac_str(const)} != 1",
-                })
+        if not coeffs:  # every real outcome forced to 0 and the no-show to 1
             continue
         equalities.append((coeffs, Fraction(1) - const))
     # Born reproduction; with a null outcome the match is post-selected:
@@ -405,12 +370,13 @@ class FeasibilityVerdict:
     status: str                 # "feasible" | "infeasible"
     witness: dict | None
     certificate: dict | None
-    tested_points: int
+    tested_points: int          # grid points (times joint families) covered
     grid_note: str
+    decided_by: str             # "support" | "grid"
 
     def to_json(self) -> dict:
         doc = {"status": self.status, "tested_points": self.tested_points,
-               "grid_note": self.grid_note}
+               "grid_note": self.grid_note, "decided_by": self.decided_by}
         if self.witness is not None:
             doc["witness"] = self.witness
         if self.certificate is not None:
@@ -431,19 +397,70 @@ def _witness_payload(p0, pplus, joints, xi, labels, outcomes) -> dict:
     }
 
 
+def _star_floor(problem: FeasibilityProblem) -> Fraction:
+    """f = ceil(qD)/D: the least grid weight on the shared ontic state."""
+    return Fraction(math.ceil(problem.q * problem.grid_denominator), problem.grid_denominator)
+
+
+def no_show_price(problem: FeasibilityProblem) -> Fraction | None:
+    """The least no-show budget that admits a model under the forced overlap:
+    f^2 on three or more ontic states; None where no budget below 1 does
+    (one or two ontic states, or f = 1)."""
+    f = _star_floor(problem)
+    return f * f if problem.lambda_size >= 3 and f < 1 else None
+
+
 def solve_feasibility(problem: FeasibilityProblem,
                       born: Mapping | None = None) -> FeasibilityVerdict:
-    """Search the weight grid for a reproducing model; exact throughout.
+    """Decide whether a reproducing model exists; exact throughout.
 
-    Returns "feasible" with the first witness found, or "infeasible" with a
-    contradiction certificate when every tested weight assignment (and, in
-    relaxed mode, every joint family) admits no response function.  The
-    universal statement for arbitrary weights is the analytic theorem; the
-    verdict covers the grid stated in ``grid_note``.  ``born`` is the
-    scenario's Born table, built here when not given.
+    Returns "feasible" with a witness, or "infeasible" with a contradiction
+    certificate.  A forced overlap is decided at the support level (see the
+    module docstring); the rest searches the weight grid.  The universal
+    statement for arbitrary weights is the analytic theorem; the verdict
+    covers the grid stated in ``grid_note``.  ``born`` is the scenario's Born
+    table, built here when not given.
     """
     if born is None:
         born = build_pbr_scenario().born_table()
+    budget, labels, s = problem.null_budget, problem.labels, problem.star_index
+    if problem.q is None or (budget is not None and problem.lambda_size <= 2):
+        return _grid_search(problem, born)
+    f, star = _star_floor(problem), labels[s]
+    if budget is None or budget < f * f:
+        # every preparation puts >= f^2 on (*, *): the presolve's zero chain
+        chain = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(star, star): f * f}),
+                                   born, [(star, star)], None).certificate
+        if budget is not None:
+            chain.update(bound=frac_str(f * f), budget=frac_str(budget), violated_equation=
+                         "no-show rate >= bound in every preparation, above the budget")
+        return FeasibilityVerdict("infeasible", None, chain, _grid_size(problem),
+                                  _grid_note(problem), "support")
+    # p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) rotated to the star: one LP
+    # on the 3x3 block of cells they weigh
+    block = [labels[(s + i) % len(labels)] for i in range(3)]
+    p0, pplus = ([f if lam == star else 1 - f if lam == other else Fraction(0)
+                  for lam in labels] for other in block[1:])
+    joints = product_joint(p0, pplus, labels)
+    inner = _inner_feasibility(joints, born, tuple(itertools.product(block, repeat=2)), budget)
+    if not inner.feasible:
+        raise PbrError(f"no model at the closed-form point for budget {frac_str(budget)}")
+    witness = _witness_payload(p0, pplus, joints, inner.xi, labels, OUTCOME_LABELS + (NULL,))
+    return FeasibilityVerdict("feasible", witness, None, 1, _grid_note(problem), "support")
+
+
+def _grid_size(problem: FeasibilityProblem) -> int:
+    """Grid points times joint families under the forced overlap: C(D-k+L-2,
+    L-2) weight vectors put k >= ceil(qD) units on the star."""
+    n, d = problem.lambda_size, problem.grid_denominator
+    side = 1 if n == 1 else sum(math.comb(d - k + n - 2, n - 2)
+                                for k in range(math.ceil(problem.q * d), d + 1))
+    return side * side * ((3 if n > 1 else 2) if problem.relax_product else 1)
+
+
+def _grid_search(problem: FeasibilityProblem, born: Mapping) -> FeasibilityVerdict:
+    """The weight enumeration: the first witness found, or the certificate of
+    the last point once every point (and joint family) is infeasible."""
     labels = problem.labels
     cells = problem.cells
     outcomes = list(OUTCOME_LABELS) + ([NULL] if problem.null_budget is not None else [])
@@ -451,8 +468,6 @@ def solve_feasibility(problem: FeasibilityProblem,
     last_certificate = None
     grid = list(weight_grid(problem.lambda_size, problem.grid_denominator,
                             floor=problem.q, floor_index=problem.star_index))
-    if not grid:
-        raise PbrError("weight grid is empty; lower q or raise the denominator")
     for p0 in grid:
         for pplus in grid:
             families = (relaxed_joints(p0, pplus, labels, problem.star_index)
@@ -464,10 +479,10 @@ def solve_feasibility(problem: FeasibilityProblem,
                 if inner.feasible:
                     witness = _witness_payload(p0, pplus, joints, inner.xi, labels, outcomes)
                     return FeasibilityVerdict("feasible", witness, None, tested,
-                                              _grid_note(problem))
+                                              _grid_note(problem), "grid")
                 last_certificate = inner.certificate
     return FeasibilityVerdict("infeasible", None, last_certificate, tested,
-                              _grid_note(problem))
+                              _grid_note(problem), "grid")
 
 
 def _grid_note(problem: FeasibilityProblem) -> str:
@@ -508,8 +523,9 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
 
     Without a null outcome the unconditioned statistics must match; with
     one, the post-selected statistics must match while the raw ones are
-    flagged as doing the post-selection work.  ``born`` is the scenario's
-    Born table, built here when not given.
+    flagged as doing the post-selection work, and ``no_show_rate`` is the
+    largest per-preparation no-show rate.  ``born`` is the scenario's Born
+    table, built here when not given.
     """
     if born is None:
         born = build_pbr_scenario().born_table()
@@ -521,9 +537,10 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
         return {"post_selected_match": report.ok, "unconditioned_match": report.ok,
                 "rows": len(report.rows)}
     from .models import predicted_probability
-    post_ok, raw_ok = True, True
+    post_ok, raw_ok, null_rates = True, True, []
     for p in PREP_LABELS:
         null_rate = predicted_probability(model, p, "R", NULL)
+        null_rates.append(null_rate)
         for k in OUTCOME_LABELS:
             raw = predicted_probability(model, p, "R", k)
             if raw != born[(p, k)]:
@@ -532,7 +549,7 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
             if detected == 0 or raw / detected != born[(p, k)]:
                 post_ok = False
     return {"post_selected_match": post_ok, "unconditioned_match": raw_ok,
-            "rows": 16}
+            "rows": 16, "no_show_rate": max(null_rates)}
 
 
 # --------------------------------------------------------------------------

@@ -56,28 +56,109 @@ def test_scenario_rejects_bad_q():
         pbr.build_pbr_scenario(F(0))
 
 
-# ------------------------------------------------------------- delta lemma
+# ------------------------------------------------------------- support decision
 
 def make_state(weights):
     return EpistemicState(OnticSpace((1, 2, 3, 4)), tuple(F(w) for w in weights))
 
 
-def test_delta_lemma_toy_states():
-    res = pbr.check_delta_lemma(make_state(("1/2", "1/2", 0, 0)),
-                                make_state(("1/2", 0, "1/2", 0)), F(1, 2))
-    assert res.holds and res.lambda_star == 1 and res.joint_bound == F(1, 4)
+def test_support_decision_prices_the_toy_states():
+    # q=1/2 on the step-1/2 grid: state 1 carries 1/2 under both (1/2, 1/2, 0, 0)
+    # and (1/2, 0, 1/2, 0), so every product puts 1/4 on the cell (1, 1)
+    problem = pbr.FeasibilityProblem(lambda_size=4, grid_denominator=2, q=F(1, 2),
+                                     null_budget=F(1, 8))
+    below = pbr.solve_feasibility(problem)
+    assert (below.status, below.decided_by) == ("infeasible", "support")
+    assert below.certificate["lambda"] == [1, 1]
+    assert (below.certificate["bound"], below.certificate["budget"]) == ("1/4", "1/8")
+    at = pbr.solve_feasibility(replace(problem, null_budget=F(1, 4)))
+    assert (at.status, at.decided_by, at.tested_points) == ("feasible", "support", 1)
+    assert at.witness["p0"] == ["1/2", "1/2", "0/1", "0/1"]
+    assert at.witness["pplus"] == ["1/2", "0/1", "1/2", "0/1"]
+    replay = pbr.replay_witness(at.witness)
+    assert replay["post_selected_match"] and replay["no_show_rate"] == F(1, 4)
 
 
-def test_delta_lemma_disjoint():
-    res = pbr.check_delta_lemma(make_state((1, 0, 0, 0)),
-                                make_state((0, 1, 0, 0)), F(1, 100))
-    assert not res.holds
+def test_support_decision_needs_a_forced_overlap():
+    # without q no ontic state is shared: the grid finds disjoint point masses
+    verdict = pbr.solve_feasibility(pbr.FeasibilityProblem(lambda_size=4, grid_denominator=2,
+                                                           q=None))
+    assert (verdict.status, verdict.decided_by) == ("feasible", "grid")
+    assert verdict.to_json()["decided_by"] == "grid"
+    s0, sp = (make_state(verdict.witness[side]) for side in ("p0", "pplus"))
+    assert overlap_witness(s0, sp) is None
 
 
-def test_delta_lemma_rejects_zero_q():
+def test_support_decision_rejects_zero_q():
     with pytest.raises(pbr.PbrError):
-        pbr.check_delta_lemma(make_state((1, 0, 0, 0)),
-                              make_state((1, 0, 0, 0)), F(0))
+        pbr.FeasibilityProblem(q=F(0))
+
+
+def test_support_verdict_matches_the_grid_search():
+    born = pbr.build_pbr_scenario().born_table()
+    for n, d in itertools.product(range(1, 5), range(2, 5)):
+        for units, relax in itertools.product(range(1, d + 1), (False, True)):
+            # the grid's last relaxed family spreads over every cell, so its
+            # certificate sits at (1, 1) whatever the star; compare at star 0
+            for star in range(n) if not relax else (0,):
+                problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
+                                                 q=F(units, d), relax_product=relax,
+                                                 star_index=star)
+                support = pbr.solve_feasibility(problem, born)
+                grid = pbr._grid_search(problem, born)
+                assert (support.decided_by, grid.decided_by) == ("support", "grid")
+                assert support.to_json()["decided_by"] == "support"
+                assert ((support.status, support.tested_points, support.certificate)
+                        == (grid.status, grid.tested_points, grid.certificate)), problem
+
+
+def candidate_lp(n, d, units, budget, born):
+    """The inner LP at p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) on the
+    3x3 block of states 1..3, built here from the formula."""
+    f = F(units, d)
+    p0 = (f, 1 - f) + (F(0),) * (n - 2)
+    pplus = (f, F(0), 1 - f) + (F(0),) * (n - 3)
+    joints = pbr.product_joint(p0, pplus, tuple(range(1, n + 1)))
+    cells = tuple(itertools.product((1, 2, 3), repeat=2))
+    return pbr._inner_feasibility(joints, born, cells, budget)
+
+
+def test_candidate_lp_is_feasible_exactly_from_f_squared():
+    born = pbr.build_pbr_scenario().born_table()
+    for n, d in itertools.product(range(3, 6), range(2, 7)):
+        for units in range(1, d):
+            price = F(units, d) ** 2
+            assert candidate_lp(n, d, units, price, born).feasible, (n, d, units)
+            assert not candidate_lp(n, d, units, price - F(1, d ** 3), born).feasible
+            problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
+                                             q=F(units, d), null_budget=price)
+            assert pbr.no_show_price(problem) == price
+            verdict = pbr.solve_feasibility(problem, born)
+            assert verdict.status == "feasible"
+            assert pbr.replay_witness(verdict.witness, born)["no_show_rate"] == price
+
+
+def test_enumeration_confirms_the_price_without_the_bound():
+    born = pbr.build_pbr_scenario().born_table()
+    # one or two ontic states: no budget below 1 admits a model, in either mode
+    for n, d, relax in itertools.product((1, 2), (2, 3), (False, True)):
+        for units, budget in itertools.product(range(1, d + 1), (F(1, 2), F(3, 4), F(15, 16))):
+            problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
+                                             q=F(units, d), relax_product=relax,
+                                             null_budget=budget)
+            assert pbr.no_show_price(problem) is None
+            assert pbr._grid_search(problem, born).status == "infeasible", problem
+    # three ontic states: every grid point fails just below f^2, as the
+    # support decision says without enumerating
+    for d, relax in itertools.product((2, 3), (False, True)):
+        for units in range(1, d):
+            problem = pbr.FeasibilityProblem(
+                lambda_size=3, grid_denominator=d, q=F(units, d), relax_product=relax,
+                null_budget=F(units, d) ** 2 - F(1, d ** 3))
+            grid = pbr._grid_search(problem, born)
+            support = pbr.solve_feasibility(problem, born)
+            assert grid.status == support.status == "infeasible", problem
+            assert grid.tested_points == support.tested_points
 
 
 # ------------------------------------------------------------- feasibility

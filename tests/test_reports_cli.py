@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_module_error_is_captured():
     assert not report.all_passed
 
 
+def test_failed_run_keeps_the_exception_type_and_origin():
+    report = cli.run(RunConfig(command="nogo pbr", args={"q": "7/2"}))
+    detail = report.checks[0].detail
+    assert detail["type"] == "PbrError"
+    path, _, line = detail["origin"].rpartition(":")
+    assert path == "omlab/pbr.py"
+    source = (Path(pbr.__file__).parent / "pbr.py").read_text().splitlines()
+    assert "raise PbrError" in source[int(line) - 1]
+    validate_report(report.to_json())
+
+
 # ------------------------------------------------------------- main()
 
 def test_main_exit_zero_and_writes_output(tmp_path, capsys):
@@ -193,6 +205,35 @@ def test_relaxed_pbr_on_one_ontic_state(capsys):
     assert verdict["observed"] == "infeasible" and verdict["passed"]
     # one grid point, two joint families: product and concentrated
     assert verdict["detail"]["tested_points"] == 2
+
+
+def pbr_report(capsys, *argv):
+    code = cli.main(["nogo", "pbr", "--format", "json", *argv])
+    doc = json.loads(capsys.readouterr().out)
+    return code, {c["name"].split(" (")[0]: c for c in doc["checks"]}
+
+
+def test_budget_below_the_price_is_an_expected_infeasible(capsys):
+    # f = 1/2 puts 1/4 on (*, *) in every preparation, above the budget 1/8
+    code, checks = pbr_report(capsys, "--q", "1/2", "--grid-denominator", "2",
+                              "--null-budget", "1/8")
+    assert code == 0
+    verdict = checks["pbr verdict"]
+    assert verdict["expected"] == verdict["observed"] == "infeasible"
+    assert verdict["detail"]["decided_by"] == "support"
+    assert verdict["detail"]["certificate"]["bound"] == "1/4"
+    price = checks["pbr minimal no-show budget = f^2"]
+    assert price["expected"] == price["observed"] == "1/4" and price["passed"]
+
+
+def test_two_state_budget_is_an_expected_infeasible(capsys):
+    code, checks = pbr_report(capsys, "--q", "1/2", "--lambda-size", "2",
+                              "--grid-denominator", "2", "--null-budget", "1/2")
+    assert code == 0
+    verdict = checks["pbr verdict"]
+    assert verdict["expected"] == verdict["observed"] == "infeasible"
+    assert verdict["detail"]["decided_by"] == "grid"
+    assert "pbr minimal no-show budget = f^2" not in checks
 
 
 def test_gram_check_fails_on_a_non_orthonormal_ket():

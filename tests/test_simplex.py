@@ -162,8 +162,11 @@ def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(pbr, "find_feasible", record)
-    verdict = pbr.solve_feasibility(pbr.FeasibilityProblem(
-        lambda_size=4, grid_denominator=3, q=F(1, 4), null_budget=F(3, 8)))
+    # the weight enumeration's LPs; the verdict itself is decided at the
+    # support level with one LP
+    verdict = pbr._grid_search(pbr.FeasibilityProblem(
+        lambda_size=4, grid_denominator=3, q=F(1, 4), null_budget=F(3, 8)),
+        pbr.build_pbr_scenario().born_table())
     assert (verdict.status, verdict.tested_points, len(solved)) == ("feasible", 48, 18)
     assert [str(r.phase1_value) for r in solved] == (
         ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2
