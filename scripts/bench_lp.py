@@ -2,15 +2,19 @@
 """Time the exact simplex on the LPs of the PBR no-show verdicts, before and
 after a change, and write the numbers to a BENCH json file.
 
-The corpus is every LP that ``pbr.solve_feasibility`` hands to
-``simplex.find_feasible`` while it decides
+The corpus is every LP that the weight-grid search ``pbr._grid_search``
+hands to ``simplex.find_feasible`` while it decides, once each,
 
-* every ``nogo pbr`` op of the ``pbr-lp`` and ``lab-mix`` benchmark passes
-  at seed 1 (``perfbench/workloads.py``), and
+* the ``FeasibilityProblem`` of every ``nogo pbr`` op of the ``pbr-lp`` and
+  ``lab-mix`` benchmark passes at seed 1 (``perfbench/workloads.py``), built
+  from the op's ``cli.config_from_args``, and
 * the default problem with no forced overlap, and with no-show budgets 1/8
   and 1/2.
 
-It is regenerated from this checkout on every run.  Both trees then solve
+The grid search is called directly because ``pbr.solve_feasibility`` decides
+most of these problems at the support level, with one LP or none.  The
+corpus is the 212 LPs that ``BENCH_4.json`` describes; it is regenerated
+from this checkout on every run.  Both trees then solve
 the whole corpus in fresh interpreters, alternating base and change, and the
 script records each side's median wall time, the LP count, the pivots the
 change's simplex takes and one digest of every result (feasibility, solution
@@ -60,12 +64,20 @@ print(json.dumps({"wall_s": wall, "digest": digest,
 
 
 def build_corpus() -> list:
-    """Every (n_vars, equalities, inequalities) the corpus verdicts solve."""
+    """Every (n_vars, equalities, inequalities) the corpus grid searches solve."""
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT))
     from omlab import cli, pbr
     from perfbench import workloads
 
+    problems = [pbr.FeasibilityProblem(**cli.config_from_args(
+                    cli.build_parser().parse_args(argv)).args)
+                for name in ("pbr-lp", "lab-mix") for argv in workloads.generate(name, 1)
+                if argv[2:4] == ["nogo", "pbr"]]
+    problems += [pbr.FeasibilityProblem(q=None),
+                 pbr.FeasibilityProblem(null_budget=Fraction(1, 8)),
+                 pbr.FeasibilityProblem(null_budget=Fraction(1, 2))]
+    born = pbr.build_pbr_scenario().born_table()
     corpus = []
     solve = pbr.find_feasible
 
@@ -75,14 +87,8 @@ def build_corpus() -> list:
 
     pbr.find_feasible = record
     try:
-        for name in ("pbr-lp", "lab-mix"):
-            for argv in workloads.generate(name, 1):
-                if argv[2:4] == ["nogo", "pbr"]:
-                    cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
-        for problem in (pbr.FeasibilityProblem(q=None),
-                        pbr.FeasibilityProblem(null_budget=Fraction(1, 8)),
-                        pbr.FeasibilityProblem(null_budget=Fraction(1, 2))):
-            pbr.solve_feasibility(problem)
+        for problem in problems:
+            pbr._grid_search(problem, born)
     finally:
         pbr.find_feasible = solve
     return corpus
@@ -141,7 +147,7 @@ def main() -> int:
     same = digests["base"] == digests["change"] and len(digests["base"]) == 1
     medians = {side: statistics.median(r["wall_s"] for r in rs) for side, rs in runs.items()}
     doc = {
-        "what": "exact phase-1 simplex over the LP corpus of the PBR no-show verdicts "
+        "what": "exact phase-1 simplex over the LPs of the PBR weight-grid search "
                 "(pbr-lp and lab-mix nogo pbr ops at seed 1; default problems with "
                 "q=none, null budget 1/8 and 1/2); each run solves every LP once in a "
                 "fresh interpreter, base and change alternating",

@@ -9,33 +9,33 @@ import sys
 
 import jsonschema
 
-from omlab.cli import run
-from omlab.reports import RunConfig, emit
+from omlab.cli import build_parser, config_from_args, run
+from omlab.reports import emit
 
+# Each run is an omlab command line; the CLI supplies every default.
 RUNS = [
-    RunConfig(command="verify toy-born"),
-    RunConfig(command="verify noncomm", seed=7),
-    RunConfig(command="verify combine-table"),
-    RunConfig(command="verify steering"),
-    RunConfig(command="verify no-signaling"),
-    RunConfig(command="simulate mz",
-              args={"phase_in": True, "model": "both", "source": "first_splitter"}),
-    RunConfig(command="simulate mz",
-              args={"phase_in": False, "model": "both", "source": "first_splitter"}),
-    RunConfig(command="nogo pbr",
-              args={"q": "1/4", "lambda_size": 4, "grid_denominator": 4}),
-    RunConfig(command="nogo pbr", args={"q": None}),
-    RunConfig(command="nogo pbr", args={"q": "1/4", "null_budget": "1/2"}),
-    RunConfig(command="nogo hardy", args={"lambda_size": 4}),
-    RunConfig(command="nogo hardy", args={"lambda_size": 4, "drop_invar": True}),
-    RunConfig(command="nogo chsh"),
-    RunConfig(command="gaussian suite", number_mode="float"),
+    ["verify", "toy-born"],
+    ["verify", "noncomm", "--seed", "7"],
+    ["verify", "combine-table"],
+    ["verify", "steering"],
+    ["verify", "no-signaling"],
+    ["simulate", "mz"],
+    ["simulate", "mz", "--phase", "0"],
+    ["nogo", "pbr"],
+    ["nogo", "pbr", "--q", "none"],
+    ["nogo", "pbr", "--null-budget", "1/2"],
+    ["nogo", "hardy"],
+    ["nogo", "hardy", "--drop-invar"],
+    ["nogo", "chsh"],
+    ["gaussian", "suite"],
+    ["gaussian", "epr"],
 ]
 
 
 def main() -> int:
     worst = 0
-    for config in RUNS:
+    for argv in RUNS:
+        config = config_from_args(build_parser().parse_args(argv))
         report = run(config)
         ok = report.all_passed
         try:
@@ -47,7 +47,7 @@ def main() -> int:
         n_pass = sum(1 for c in report.checks if c.passed)
         print(f"{'PASS' if ok else 'FAIL'}  {config.command:24s} "
               f"{n_pass}/{len(report.checks)} checks  "
-              f"{report.wall_clock_s:6.2f}s  args={config.args}{schema}")
+              f"{report.wall_clock_s:6.2f}s  omlab {' '.join(argv)}{schema}")
         worst = max(worst, 0 if ok else 1)
     return worst
 

@@ -195,9 +195,8 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
     final = None
     if model in ("quantum", "both"):
         final = quantum.mz_evolve(phase_in, source)
-        rho = quantum.projector(final)
-        p1 = quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d1")
-        p2 = quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d2")
+        # d1 and d2 catch the up and down arms: P(d) = |amplitude|^2 on d's arm
+        p1, p2 = (a.abs2().real_fraction() for a in final.amplitudes)
         checks.append(_check(f"mz quantum P(d1), P(d2) [{source}, phase={phase_in}]",
                              f"({_fmt(d1)}, {_fmt(d2)})", f"({_fmt(p1)}, {_fmt(p2)})",
                              "PAPER"))
@@ -237,13 +236,13 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
     """``q`` and ``null_budget`` are fractions or fraction strings; None
     means no forced overlap and no no-show escape respectively."""
     checks = []
-    scenario = pbr.build_pbr_scenario(q if q is not None else Fraction(1, 4))
+    scenario = pbr.build_pbr_scenario()
     born = scenario.born_table()
     for j in range(1, 5):
-        ov = quantum.inner(scenario.measurement_kets[f"phi{j}"],
-                           scenario.preparations[f"Psi{j}"])
+        # <phi_j|Psi_j> = 0 iff its Born table entry |<phi_j|Psi_j>|^2 is 0
+        p = born[(f"Psi{j}", f"phi{j}")]
         checks.append(_check(f"pbr <phi{j}|Psi{j}>", "0",
-                             "0" if ov.is_zero() else repr(ov), "PAPER"))
+                             "0" if p == 0 else f"|<phi{j}|Psi{j}>|^2 = {_fmt(p)}", "PAPER"))
     checks.append(gram_check(scenario.measurement_kets))
     problem = pbr.FeasibilityProblem(lambda_size=lambda_size,
                                      grid_denominator=grid_denominator,
@@ -288,9 +287,8 @@ def zero_facts_check(facts) -> CheckResult:
 
 
 def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
-    facts = hardy.derive_zero_probability_facts()
-    checks = [zero_facts_check(facts)]
     report = hardy.hardy_verdict(lambda_size, drop_invar=drop_invar)
+    checks = [zero_facts_check(report.facts)]
     expected = drop_invar  # overlap survives only without flag invariance
     checks.append(_check(
         f"hardy overlap possible (size {lambda_size}, drop_invar={drop_invar})",
@@ -298,7 +296,7 @@ def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
         detail=report.to_json()))
     if report.assignment is not None:
         checks.append(_check("hardy escape assignment replays zero facts", True,
-                             hardy.replay_zero_facts(report.assignment, facts),
+                             hardy.replay_zero_facts(report.assignment, report.facts),
                              "DERIVED"))
     return checks
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import quantum
@@ -45,15 +44,15 @@ class ZeroFact:
 
 def derive_zero_probability_facts() -> tuple:
     """Which (preparation, theta, detector) triples have Born probability
-    exactly zero, evaluated from the exact interferometer runs."""
+    exactly zero, evaluated from the exact interferometer runs: d1 and d2
+    catch the up and down arms, so P(d) is |amplitude|^2 on d's arm, zero
+    iff that amplitude is exactly 0."""
     facts = []
     for prep, source in ((PREP_SPLIT, "first_splitter"), (PREP_UPPER, "upper_arm")):
         for theta in THETAS:
             final = quantum.mz_evolve(theta == "pi", source)
-            rho = quantum.projector(final)
-            for det in DETECTORS:
-                p = quantum.born_probability(rho, quantum.MEAS_DETECTORS, det)
-                facts.append(ZeroFact(prep, theta, det, p == Fraction(0)))
+            for det, amp in zip(DETECTORS, final.amplitudes):
+                facts.append(ZeroFact(prep, theta, det, amp.is_zero()))
     return tuple(facts)
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import quantum
-from .exact import INV_SQRT2
+from .exact import HALF, INV_SQRT2, ONE, ZERO
 from .models import (
     EpistemicState,
     OnticSpace,
@@ -46,33 +46,26 @@ class PbrError(ValueError):
     pass
 
 
-def _preparations() -> dict:
-    k0, kp = quantum.KET_0, quantum.KET_PLUS
-    return {
-        "Psi1": quantum.tensor(k0, k0),
-        "Psi2": quantum.tensor(k0, kp),
-        "Psi3": quantum.tensor(kp, k0),
-        "Psi4": quantum.tensor(kp, kp),
-    }
-
-
-def _measurement_kets() -> dict:
-    k0, k1 = quantum.KET_0, quantum.KET_1
-    kp, km = quantum.KET_PLUS, quantum.KET_MINUS
-    s = INV_SQRT2
-    return {
-        "phi1": quantum.combine_kets([(s, quantum.tensor(k0, k1)), (s, quantum.tensor(k1, k0))]),
-        "phi2": quantum.combine_kets([(s, quantum.tensor(k0, km)), (s, quantum.tensor(k1, kp))]),
-        "phi3": quantum.combine_kets([(s, quantum.tensor(kp, k1)), (s, quantum.tensor(km, k0))]),
-        "phi4": quantum.combine_kets([(s, quantum.tensor(kp, km)), (s, quantum.tensor(km, kp))]),
-    }
+# Amplitudes over |00>, |01>, |10>, |11>; the tests rebuild them as sums of
+# tensor products of |0>, |1>, |+> and |->.
+_PREPARATIONS = {
+    "Psi1": (ONE, ZERO, ZERO, ZERO),               # |0>|0>
+    "Psi2": (INV_SQRT2, INV_SQRT2, ZERO, ZERO),    # |0>|+>
+    "Psi3": (INV_SQRT2, ZERO, INV_SQRT2, ZERO),    # |+>|0>
+    "Psi4": (HALF, HALF, HALF, HALF),              # |+>|+>
+}
+_MEASUREMENT_KETS = {
+    "phi1": (ZERO, INV_SQRT2, INV_SQRT2, ZERO),    # (|0>|1> + |1>|0>)/sqrt2
+    "phi2": (HALF, -HALF, HALF, HALF),             # (|0>|-> + |1>|+>)/sqrt2
+    "phi3": (HALF, HALF, -HALF, HALF),             # (|+>|1> + |->|0>)/sqrt2
+    "phi4": (INV_SQRT2, ZERO, ZERO, -INV_SQRT2),   # (|+>|-> + |->|+>)/sqrt2
+}
 
 
 @dataclass(frozen=True)
 class PbrScenario:
     preparations: Mapping[str, quantum.Ket]
     measurement_kets: Mapping[str, quantum.Ket]
-    q: Fraction
 
     def born_table(self) -> dict:
         """Exact Born probabilities, (prep, outcome) -> Fraction: the rank-one
@@ -89,18 +82,20 @@ def gram_defects(kets: Mapping[str, quantum.Ket]) -> list:
                     - quantum.ExactComplex.of(Fraction(int(a == b)))).is_zero()]
 
 
-def build_pbr_scenario(q: Fraction = Fraction(1, 4)) -> PbrScenario:
-    """Construct the scenario in exact arithmetic.  Its invariants (an
-    orthonormal measurement basis, <phi_j|Psi_j> = 0) are verified by the
-    tests and by the report's checks, not on every construction."""
-    q = Fraction(q)
-    if not 0 < q <= 1:
-        raise PbrError("overlap floor q must lie in (0, 1]")
-    return PbrScenario(_preparations(), _measurement_kets(), q)
+def build_pbr_scenario() -> PbrScenario:
+    """Construct the scenario in exact arithmetic; each ket checks its norm.
+    Its invariants (an orthonormal measurement basis, <phi_j|Psi_j> = 0) are
+    verified by the tests and by the report's checks, not on every
+    construction."""
+    return PbrScenario({p: quantum.Ket(a) for p, a in _PREPARATIONS.items()},
+                       {k: quantum.Ket(a) for k, a in _MEASUREMENT_KETS.items()})
 
 
 # --------------------------------------------------------------------------
 # feasibility problems
+
+MAX_LAMBDA_SIZE = 8
+
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
@@ -108,12 +103,12 @@ class FeasibilityProblem:
 
     The single-system ontic space has ``lambda_size`` states; epistemic
     weights range over the grid of multiples of 1/grid_denominator.  With
-    ``q`` set, both weight vectors must put at least q on the designated
-    first ontic state (the forced overlap).  ``relax_product`` swaps the
-    product-form joints for a family of non-product joints that keep only
-    the positive shared diagonal cell, the weakest reading under which the
-    argument still bites.  ``null_budget`` adds the no-show outcome and caps
-    each preparation's unconditioned no-show rate; zero means no escape.
+    ``q`` set, both weight vectors must put at least q on the first ontic
+    state (the forced overlap).  ``relax_product`` swaps the product-form
+    joints for a family of non-product joints that keep only the positive
+    shared diagonal cell, the weakest reading under which the argument still
+    bites.  ``null_budget`` adds the no-show outcome and caps each
+    preparation's unconditioned no-show rate; zero means no escape.
     """
 
     lambda_size: int = 4
@@ -121,14 +116,10 @@ class FeasibilityProblem:
     q: Fraction | None = Fraction(1, 4)
     relax_product: bool = False
     null_budget: Fraction | None = None
-    star_index: int = 0  # which ontic state carries the forced overlap
-    max_lambda_size: int = field(default=8, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.lambda_size <= self.max_lambda_size:
-            raise PbrError(f"lambda size must be in 1..{self.max_lambda_size}")
-        if not 0 <= self.star_index < self.lambda_size:
-            raise PbrError("star index out of range")
+        if not 1 <= self.lambda_size <= MAX_LAMBDA_SIZE:
+            raise PbrError(f"lambda size must be in 1..{MAX_LAMBDA_SIZE}")
         if self.grid_denominator < 1:
             raise PbrError("grid denominator must be >= 1")
         if self.q is not None:
@@ -152,10 +143,9 @@ class FeasibilityProblem:
         return tuple(itertools.product(self.labels, repeat=2))
 
 
-def weight_grid(n: int, denominator: int, floor: Fraction | None = None,
-                floor_index: int = 0) -> Iterator[tuple]:
+def weight_grid(n: int, denominator: int, floor: Fraction | None = None) -> Iterator[tuple]:
     """All length-n vectors of multiples of 1/denominator summing to 1,
-    optionally with a floor on one designated entry.  Mass-concentrated
+    optionally with a floor on the first entry.  Mass-concentrated
     vectors come first so that delta-style witnesses are found early."""
     d = denominator
 
@@ -169,7 +159,7 @@ def weight_grid(n: int, denominator: int, floor: Fraction | None = None,
 
     min_floor = 0 if floor is None else math.ceil(floor * d)
     for combo in rec(d, n):
-        if combo[floor_index] < min_floor:
+        if combo[0] < min_floor:
             continue
         yield tuple(Fraction(k, d) for k in combo)
 
@@ -190,7 +180,7 @@ def product_joint(p0: Sequence[Fraction], pplus: Sequence[Fraction],
 
 
 def relaxed_joints(p0: Sequence[Fraction], pplus: Sequence[Fraction],
-                   labels: Sequence, star_index: int = 0) -> list:
+                   labels: Sequence) -> list:
     """Non-product joint families keeping only the shared positive diagonal
     cell that the positivity reading guarantees.
 
@@ -198,8 +188,8 @@ def relaxed_joints(p0: Sequence[Fraction], pplus: Sequence[Fraction],
     redistributes the rest without any product structure: concentrated on a
     preparation-specific private cell, or spread uniformly.
     """
-    star = labels[star_index]
-    base = min(p0[star_index], pplus[star_index]) ** 2
+    star = labels[0]
+    base = min(p0[0], pplus[0]) ** 2
     cells = list(itertools.product(labels, repeat=2))
     families = [product_joint(p0, pplus, labels)]
     if base <= 0:
@@ -423,26 +413,25 @@ def solve_feasibility(problem: FeasibilityProblem,
     """
     if born is None:
         born = build_pbr_scenario().born_table()
-    budget, labels, s = problem.null_budget, problem.labels, problem.star_index
-    if problem.q is None or (budget is not None and problem.lambda_size <= 2):
+    budget, n, labels = problem.null_budget, problem.lambda_size, problem.labels
+    if problem.q is None or (budget is not None and n <= 2):
         return _grid_search(problem, born)
-    f, star = _star_floor(problem), labels[s]
+    f = _star_floor(problem)
     if budget is None or budget < f * f:
-        # every preparation puts >= f^2 on (*, *): the presolve's zero chain
-        chain = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(star, star): f * f}),
-                                   born, [(star, star)], None).certificate
+        # every preparation puts >= f^2 on (*, *) = (1, 1): the presolve's zero chain
+        chain = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(1, 1): f * f}),
+                                   born, [(1, 1)], None).certificate
         if budget is not None:
             chain.update(bound=frac_str(f * f), budget=frac_str(budget), violated_equation=
                          "no-show rate >= bound in every preparation, above the budget")
         return FeasibilityVerdict("infeasible", None, chain, _grid_size(problem),
                                   _grid_note(problem), "support")
-    # p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) rotated to the star: one LP
-    # on the 3x3 block of cells they weigh
-    block = [labels[(s + i) % len(labels)] for i in range(3)]
-    p0, pplus = ([f if lam == star else 1 - f if lam == other else Fraction(0)
-                  for lam in labels] for other in block[1:])
+    # p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...): one LP on the 3x3 block
+    # of cells they weigh
+    rest = [Fraction(0)] * (n - 3)
+    p0, pplus = [f, 1 - f, Fraction(0)] + rest, [f, Fraction(0), 1 - f] + rest
     joints = product_joint(p0, pplus, labels)
-    inner = _inner_feasibility(joints, born, tuple(itertools.product(block, repeat=2)), budget)
+    inner = _inner_feasibility(joints, born, tuple(itertools.product(labels[:3], repeat=2)), budget)
     if not inner.feasible:
         raise PbrError(f"no model at the closed-form point for budget {frac_str(budget)}")
     witness = _witness_payload(p0, pplus, joints, inner.xi, labels, OUTCOME_LABELS + (NULL,))
@@ -466,12 +455,10 @@ def _grid_search(problem: FeasibilityProblem, born: Mapping) -> FeasibilityVerdi
     outcomes = list(OUTCOME_LABELS) + ([NULL] if problem.null_budget is not None else [])
     tested = 0
     last_certificate = None
-    grid = list(weight_grid(problem.lambda_size, problem.grid_denominator,
-                            floor=problem.q, floor_index=problem.star_index))
+    grid = list(weight_grid(problem.lambda_size, problem.grid_denominator, floor=problem.q))
     for p0 in grid:
         for pplus in grid:
-            families = (relaxed_joints(p0, pplus, labels, problem.star_index)
-                        if problem.relax_product
+            families = (relaxed_joints(p0, pplus, labels) if problem.relax_product
                         else [product_joint(p0, pplus, labels)])
             for joints in families:
                 tested += 1
@@ -595,6 +582,22 @@ def _toy_kb_composites():
     return states
 
 
+def _toy_chsh_maximum(state: CompositeToyState, observables: Sequence[dict]) -> Fraction:
+    """max |S| over the settings (a1, a2, b1, b2), with S = c[a1][b1] +
+    c[a1][b2] + c[a2][b1] - c[a2][b2] and c the correlations as integer
+    numerators over |support|.  For fixed (a1, a2), S = u[b1] + v[b2] with
+    u = c[a1] + c[a2] and v = c[a1] - c[a2], so |S| peaks at max u + max v
+    or at -(min u + min v)."""
+    corr = [[sum(oa[a] * ob[b] for a, b in state.support) for ob in observables]
+            for oa in observables]
+    best = 0
+    for c1, c2 in itertools.product(corr, repeat=2):
+        u = [x + y for x, y in zip(c1, c2)]
+        v = [x - y for x, y in zip(c1, c2)]
+        best = max(best, max(u) + max(v), -(min(u) + min(v)))
+    return Fraction(best, len(state.support))
+
+
 def chsh_gap_demo() -> ChshReport:
     """Quantum singlet value at the maximal-violation angles vs the local
     deterministic bound and the best any toy composite state can do."""
@@ -610,20 +613,8 @@ def chsh_gap_demo() -> ChshReport:
         for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4)
     )
 
-    toy_best = Fraction(0)
     observables = _toy_observables()
-    for state in _toy_kb_composites():
-        n = len(state.support)
-        corr = [[Fraction(0)] * len(observables) for _ in observables]
-        for i, oa in enumerate(observables):
-            for j, ob in enumerate(observables):
-                corr[i][j] = Fraction(
-                    sum(oa[a] * ob[b] for a, b in state.support), n)
-        for a1, a2 in itertools.product(range(len(observables)), repeat=2):
-            for b1, b2 in itertools.product(range(len(observables)), repeat=2):
-                val = abs(corr[a1][b1] + corr[a1][b2] + corr[a2][b1] - corr[a2][b2])
-                if val > toy_best:
-                    toy_best = val
+    toy_best = max(_toy_chsh_maximum(state, observables) for state in _toy_kb_composites())
     return ChshReport(
         quantum_value=s_val,
         quantum_value_exact="2*sqrt2",

@@ -228,12 +228,6 @@ def projector(psi: Ket) -> DensityMatrix:
     )
 
 
-def apply_gate(gate: UnitaryGate, psi: Ket) -> Ket:
-    if gate.dim != psi.dim:
-        raise QuantumError("gate/ket dimension mismatch")
-    return Ket(mat_vec(gate.entries, psi.amplitudes))
-
-
 def scale(psi: Ket, factor) -> Ket:
     """Multiply a ket by a phase factor (|factor| must be 1)."""
     return Ket(tuple(factor * a for a in psi.amplitudes))
@@ -303,12 +297,18 @@ KET_UP = KET_0
 KET_DOWN = KET_1
 
 
+# Literal gate entries; the tests check that they pass UnitaryGate.
+_HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+_PAULI_X = ((ZERO, ONE), (ONE, ZERO))
+_PHASE_PI = ((-ONE, ZERO), (ZERO, ONE))  # diag(e^{i pi}, 1)
+
+
 def hadamard() -> UnitaryGate:
-    return UnitaryGate(((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2)))
+    return UnitaryGate(_HADAMARD)
 
 
 def pauli_x() -> UnitaryGate:
-    return UnitaryGate(((ZERO, ONE), (ONE, ZERO)))
+    return UnitaryGate(_PAULI_X)
 
 
 def pauli_z() -> UnitaryGate:
@@ -318,11 +318,6 @@ def pauli_z() -> UnitaryGate:
 def phase_shift_exact(k_eighths: int) -> UnitaryGate:
     """diag(e^{i theta}, 1) with theta = k * pi/4, exact."""
     return UnitaryGate(((phase_eighth(k_eighths), ZERO), (ZERO, ONE)))
-
-
-def phase_shift(theta: float) -> UnitaryGate:
-    """diag(e^{i theta}, 1) in float mode for arbitrary angles."""
-    return UnitaryGate(((cmath.exp(1j * theta), 0j), (0j, 1 + 0j)))
 
 
 def basis_measurement(states: Mapping[str, Ket]) -> ProjectiveMeasurement:
@@ -346,41 +341,27 @@ def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
     source="upper_arm": the first splitter is removed and the photon is
     emitted directly into the upper arm, so the leading H is omitted.
     """
-    return _mz_run(phase_shift_exact(4) if phase_in else None, source)  # theta = pi
+    return _mz_run(_PHASE_PI if phase_in else None, source)
 
 
 def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
     """Detector probabilities (d1, d2) for an arbitrary float phase theta."""
-    up, down = _mz_run(phase_shift(theta), source).amplitudes
+    phase = ((cmath.exp(1j * theta), 0j), (0j, 1 + 0j))  # diag(e^{i theta}, 1)
+    up, down = _mz_run(phase, source).amplitudes
     return abs(up) ** 2, abs(down) ** 2
 
 
-def _mz_run(phase: UnitaryGate | None, source: str) -> Ket:
+def _mz_run(phase: tuple | None, source: str) -> Ket:
+    """The gate sequence on raw amplitudes; one Ket checks the final norm."""
     if source not in ("first_splitter", "upper_arm"):
         raise QuantumError(f"unknown source {source!r}")
-    psi = KET_UP
+    amps = KET_UP.amplitudes
     if source == "first_splitter":
-        psi = apply_gate(hadamard(), psi)
-    psi = apply_gate(pauli_x(), psi)
+        amps = mat_vec(_HADAMARD, amps)
+    amps = mat_vec(_PAULI_X, amps)
     if phase is not None:
-        psi = apply_gate(phase, psi)
-    return apply_gate(hadamard(), psi)
-
-
-def combine_kets(terms: Sequence[tuple]) -> Ket:
-    """sum of coeff * ket over (coeff, ket) terms; the result must come out
-    normalized (raises otherwise via the Ket invariant)."""
-    dims = {k.dim for _, k in terms}
-    if len(dims) != 1:
-        raise QuantumError("cannot combine kets of different dimensions")
-    d = dims.pop()
-    amps = []
-    for i in range(d):
-        acc = terms[0][0] * terms[0][1].amplitudes[i]
-        for c, k in terms[1:]:
-            acc = acc + c * k.amplitudes[i]
-        amps.append(acc)
-    return Ket(tuple(amps))
+        amps = mat_vec(phase, amps)
+    return Ket(mat_vec(_HADAMARD, amps))
 
 
 def superpose(a: Ket, b: Ket, phase: ExactComplex) -> Ket:

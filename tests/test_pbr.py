@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from omlab import pbr, quantum
+from omlab.exact import INV_SQRT2
 from omlab.models import EpistemicState, OnticSpace, overlap_witness, reproduction_check
 
 F = Fraction
@@ -51,9 +52,16 @@ def test_preparations_are_products_of_zero_and_plus():
         assert sc.preparations[name].amplitudes == quantum.tensor(a, b).amplitudes
 
 
-def test_scenario_rejects_bad_q():
-    with pytest.raises(pbr.PbrError):
-        pbr.build_pbr_scenario(F(0))
+def test_measurement_kets_are_the_entangled_sums():
+    sc = pbr.build_pbr_scenario()
+    k0, k1, kp, km = quantum.KET_0, quantum.KET_1, quantum.KET_PLUS, quantum.KET_MINUS
+    pattern = {"phi1": ((k0, k1), (k1, k0)), "phi2": ((k0, km), (k1, kp)),
+               "phi3": ((kp, k1), (km, k0)), "phi4": ((kp, km), (km, kp))}
+    for name, (a, b) in pattern.items():
+        first, second = quantum.tensor(*a), quantum.tensor(*b)
+        want = tuple(INV_SQRT2 * (x + y)
+                     for x, y in zip(first.amplitudes, second.amplitudes))
+        assert sc.measurement_kets[name].amplitudes == want
 
 
 # ------------------------------------------------------------- support decision
@@ -98,18 +106,14 @@ def test_support_verdict_matches_the_grid_search():
     born = pbr.build_pbr_scenario().born_table()
     for n, d in itertools.product(range(1, 5), range(2, 5)):
         for units, relax in itertools.product(range(1, d + 1), (False, True)):
-            # the grid's last relaxed family spreads over every cell, so its
-            # certificate sits at (1, 1) whatever the star; compare at star 0
-            for star in range(n) if not relax else (0,):
-                problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
-                                                 q=F(units, d), relax_product=relax,
-                                                 star_index=star)
-                support = pbr.solve_feasibility(problem, born)
-                grid = pbr._grid_search(problem, born)
-                assert (support.decided_by, grid.decided_by) == ("support", "grid")
-                assert support.to_json()["decided_by"] == "support"
-                assert ((support.status, support.tested_points, support.certificate)
-                        == (grid.status, grid.tested_points, grid.certificate)), problem
+            problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
+                                             q=F(units, d), relax_product=relax)
+            support = pbr.solve_feasibility(problem, born)
+            grid = pbr._grid_search(problem, born)
+            assert (support.decided_by, grid.decided_by) == ("support", "grid")
+            assert support.to_json()["decided_by"] == "support"
+            assert ((support.status, support.tested_points, support.certificate)
+                    == (grid.status, grid.tested_points, grid.certificate)), problem
 
 
 def candidate_lp(n, d, units, budget, born):
@@ -224,14 +228,6 @@ def test_relaxed_product_still_infeasible():
     verdict = pbr.solve_feasibility(default_problem(relax_product=True))
     assert verdict.status == "infeasible"
     assert verdict.tested_points == 1200  # three joint families per grid point
-
-
-def test_verdict_stable_under_overlap_relabeling():
-    verdicts = set()
-    for star in range(4):
-        v = pbr.solve_feasibility(default_problem(star_index=star))
-        verdicts.add(v.status)
-    assert verdicts == {"infeasible"}
 
 
 def test_lambda_size_bound_enforced():
@@ -350,3 +346,13 @@ def test_chsh_singlet_correlations_are_minus_cosine():
     for ka, kb in itertools.product((0, 1, 2, 7), repeat=2):
         val = pbr._singlet_correlation(ka, kb).to_complex().real
         assert val == pytest.approx(-math.cos((ka - kb) * math.pi / 4), abs=1e-12)
+
+
+def test_toy_chsh_maximum_matches_brute_force():
+    observables = pbr._toy_observables()
+    for state in pbr._toy_kb_composites():
+        corr = [[F(sum(oa[a] * ob[b] for a, b in state.support), len(state.support))
+                 for ob in observables] for oa in observables]
+        brute = max(abs(corr[a1][b1] + corr[a1][b2] + corr[a2][b1] - corr[a2][b2])
+                    for a1, a2, b1, b2 in itertools.product(range(len(observables)), repeat=4))
+        assert pbr._toy_chsh_maximum(state, observables) == brute, state

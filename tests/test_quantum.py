@@ -125,7 +125,13 @@ def test_gates_are_unitary_and_preserve_norm():
         [q.phase_shift_exact(k) for k in range(8)]
     for gate in gates:
         for ket in q.PM_STATES.values():
-            q.apply_gate(gate, ket)  # norm re-checked by Ket
+            q.Ket(q.mat_vec(gate.entries, ket.amplitudes))  # norm re-checked by Ket
+
+
+def test_literal_gate_entries_are_unitary():
+    for entries in (q._HADAMARD, q._PAULI_X, q._PHASE_PI):
+        assert q.UnitaryGate(entries).entries == entries
+    assert q._PHASE_PI == q.phase_shift_exact(4).entries  # theta = pi
 
 
 def test_nonunitary_rejected():

@@ -1,18 +1,21 @@
 """Report documents, serialization determinism and the CLI surface."""
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from omlab import cli, hardy, pbr
+from omlab import cli, hardy, pbr, quantum
 from omlab.reports import (
     CheckResult,
     ReportDocument,
     ReportError,
     RunConfig,
     emit,
+    load_schema,
     report_from_json,
     validate_report,
 )
@@ -43,6 +46,33 @@ def test_empty_report_is_schema_valid():
     doc = ReportDocument(config, (), 0.0).to_json()
     validate_report(doc)
     assert doc["checks"] == []
+
+
+def test_package_schema_passes_its_meta_schema():
+    schema = load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_invalid_report_raises_what_jsonschema_validate_raises():
+    def broken(edit):
+        doc = small_report().to_json()
+        edit(doc)
+        return doc
+
+    invalid = [
+        broken(lambda d: d.pop("version")),
+        broken(lambda d: d.update(wall_clock_s=-1.0)),
+        broken(lambda d: d["config"].update(number_mode="decimal")),
+        broken(lambda d: d["checks"][0].update(provenance="GUESSED", passed="yes")),
+        broken(lambda d: d["checks"].append({"name": "x"})),
+    ]
+    for doc in invalid:
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_report(doc)
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(doc, load_schema())
+        assert ours.value.message == reference.value.message
+        assert ours.value.json_path == reference.value.json_path
 
 
 def test_json_round_trip():
@@ -257,6 +287,31 @@ def test_zero_facts_check_fails_on_a_flipped_fact():
     assert not cli.zero_facts_check(flip(0)).passed
     # two flips keep two zero facts, but not the paper's two
     assert not cli.zero_facts_check(flip(0, 1)).passed
+
+
+def test_nogo_hardy_derives_the_zero_facts_once(monkeypatch, capsys):
+    calls = []
+    derive = hardy.derive_zero_probability_facts
+
+    def counted():
+        calls.append(1)
+        return derive()
+
+    monkeypatch.setattr(hardy, "derive_zero_probability_facts", counted)
+    assert cli.main(["--format", "json", "nogo", "hardy", "--lambda-size", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_mz_and_hardy_facts_build_no_gate_or_density_matrix(monkeypatch):
+    def forbidden(self):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    monkeypatch.setattr(quantum.UnitaryGate, "__post_init__", forbidden)
+    monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", forbidden)
+    assert cli.zero_facts_check(hardy.derive_zero_probability_facts()).passed
+    for phase_in, source in itertools.product((False, True), ("first_splitter", "upper_arm")):
+        assert all(c.passed for c in cli.mz_checks(phase_in, "both", source, 1.0))
 
 
 COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [
