@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Which omlab code the lab's own command lines reach.
+
+The command lines are the ones the benchmark and the scripts issue: every op
+of ``perfbench/workloads.generate(w, s)`` for the three workloads at seeds
+1-3, the benchmark's warm-up ops, ``scripts/run_all_checks.RUNS`` with
+``--format json`` and with ``--format text``, and the edge cases in
+``EDGE_ARGVS``.  Each runs in process through ``cli.main`` under
+``sys.settrace``, with its output discarded and ``OMLAB_OUTPUT_DIR`` unset;
+omlab is imported under the same trace, so module-level code counts as
+reached.
+
+For each module the script prints its statements (``ast`` statements,
+docstrings left out) and how many of them the trace reached.  Then it lists
+every function, method or class whose body no command line enters.  A
+function is entered when it is called.  A class is entered when one of its
+own functions is, when a method runs on one of its instances, or when one of
+its instances is raised.
+
+    python3 scripts/reach.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import os
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # the script writes nothing
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "omlab"
+for path in (ROOT / "src", ROOT / "perfbench", ROOT / "scripts"):
+    sys.path.insert(0, str(path))
+
+EDGE_ARGVS = [
+    ["nogo", "pbr", "--q", "none", "--relax-product"],
+    ["nogo", "pbr", "--q", "none", "--relax-product", "--null-budget", "1/2"],
+    ["nogo", "pbr", "--lambda-size", "1"],
+    ["nogo", "pbr", "--q", "1"],
+    ["nogo", "hardy", "--lambda-size", "8", "--drop-invar"],
+    ["simulate", "mz", "--theta", "1.0"],
+    ["verify", "noncomm", "--seed", "54"],
+    ["gaussian", "epr", "--squeeze", "10"],
+]
+
+
+class Reach:
+    """The trace: omlab lines hit, omlab code objects entered, and the
+    classes of the instances methods ran on or that were raised."""
+
+    def __init__(self):
+        self.prefix = str(PACKAGE) + os.sep
+        self.lines = defaultdict(set)   # file -> line numbers of line events
+        self.entered = set()            # (file, co_firstlineno)
+        self.types = set()
+
+    def call(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(self.prefix):
+            self.entered.add((code.co_filename, code.co_firstlineno))
+            self._note_self(frame)
+            return self.local
+        if code.co_filename == "<string>":  # dataclass-generated methods
+            self._note_self(frame)
+        return None
+
+    def local(self, frame, event, arg):
+        if event == "line":
+            self.lines[frame.f_code.co_filename].add(frame.f_lineno)
+        elif event == "exception":
+            self.types.update(arg[0].__mro__)
+        return self.local
+
+    def _note_self(self, frame):
+        code = frame.f_code
+        if code.co_argcount and code.co_varnames[0] == "self":
+            self.types.update(type(frame.f_locals["self"]).__mro__)
+
+
+def argvs() -> list:
+    import run_all_checks
+    import workloads
+
+    runs = [argv for w in workloads.WORKLOADS for s in (1, 2, 3)
+            for argv in workloads.generate(w, s)]
+    runs += [argv for ops in workloads.WARMUP.values() for argv in ops]
+    runs += [["--format", fmt] + argv for fmt in ("json", "text")
+             for argv in run_all_checks.RUNS]
+    return runs + EDGE_ARGVS
+
+
+def _is_docstring(stmt) -> bool:
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _children(stmt) -> list:
+    kids = [s for name in ("body", "orelse", "finalbody") for s in getattr(stmt, name, [])]
+    for clause in getattr(stmt, "handlers", []) + getattr(stmt, "cases", []):
+        kids += clause.body
+    return kids
+
+
+def _first_line(node) -> int:
+    return min([d.lineno for d in getattr(node, "decorator_list", [])] + [node.lineno])
+
+
+def module_reach(tree, hits: set) -> tuple:
+    """(statements, reached): a simple statement is reached when a line event
+    fell on one of its lines, a compound one when one fell on its header or
+    a statement under it was reached."""
+    memo = {}
+
+    def reached(stmt) -> bool:
+        if stmt not in memo:
+            kids = _children(stmt)
+            last = kids[0].lineno - 1 if kids and kids[0].lineno > stmt.lineno else stmt.end_lineno
+            own = any(line in hits for line in range(_first_line(stmt), last + 1))
+            memo[stmt] = own or any(reached(k) for k in kids if not _is_docstring(k))
+        return memo[stmt]
+
+    stmts = [s for s in ast.walk(tree) if isinstance(s, ast.stmt) and not _is_docstring(s)]
+    return len(stmts), sum(reached(s) for s in stmts)
+
+
+def _resolve(module, qualname: str):
+    """The class a qualified name names in ``module``; None when it is local
+    to a function."""
+    obj = module
+    for part in qualname.split("."):
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def unentered(path: Path, tree, reach: Reach, module) -> list:
+    """(line, qualified name) of each definition no command line enters."""
+    found = []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if (str(path), _first_line(child)) in reach.entered:
+                    entered_defs.add(owner)
+                else:
+                    found.append((child.lineno, name))
+                visit(child, name + ".<locals>.", None)
+            elif isinstance(child, ast.ClassDef):
+                name = prefix + child.name
+                visit(child, name + ".", name)
+                if name not in entered_defs and _resolve(module, name) not in reach.types:
+                    found.append((child.lineno, name))
+            else:
+                visit(child, prefix, owner)
+
+    entered_defs = set()
+    visit(tree, "", None)
+    return sorted(found)
+
+
+def main() -> int:
+    os.environ.pop("OMLAB_OUTPUT_DIR", None)
+    reach = Reach()
+    sys.settrace(reach.call)
+    try:
+        from omlab import cli
+
+        runs = argvs()
+        codes = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.main(argv))
+    finally:
+        sys.settrace(None)
+    print(f"{len(runs)} command lines: {codes.count(0)} exit 0, "
+          f"{len(codes) - codes.count(0)} exit 1")
+    print(f"{'module':14s} {'statements':>10s} {'reached':>8s}")
+    total = [0, 0]
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        n, hit = module_reach(tree, reach.lines[str(path)])
+        total = [total[0] + n, total[1] + hit]
+        print(f"{path.name:14s} {n:10d} {hit:8d}")
+        module = sys.modules["omlab" if path.stem == "__init__" else f"omlab.{path.stem}"]
+        dead += [f"{path.name}:{line} {name}"
+                 for line, name in unentered(path, tree, reach, module)]
+    print(f"{'total':14s} {total[0]:10d} {total[1]:8d}")
+    print(f"definitions no command line enters ({len(dead)}):")
+    for entry in dead:
+        print(f"  {entry}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

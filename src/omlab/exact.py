@@ -2,7 +2,7 @@
 
 Every amplitude appearing in the qubit models lives in the field extension
 Q(i, sqrt2): numbers of the form (a + b*sqrt2) + (c + d*sqrt2)*i with
-rational a, b, c, d.  Addition, multiplication and division are closed, so
+rational a, b, c, d.  Addition and multiplication are closed, so
 all probabilities come out as exact rationals and equality checks need no
 tolerances.  Arbitrary-angle phases fall back to plain ``complex``.
 """
@@ -55,11 +55,6 @@ class ExactComplex:
             return self.to_complex() - complex(other)
         return self + (-ExactComplex.of(other))
 
-    def __rsub__(self, other):
-        if _is_float_mode(other):
-            return complex(other) - self.to_complex()
-        return ExactComplex.of(other) + (-self)
-
     def __mul__(self, other):
         if _is_float_mode(other):
             # mixing number modes demotes the computation to float
@@ -80,22 +75,6 @@ class ExactComplex:
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.ra, self.rb, -self.ia, -self.ib)
-
-    def inverse(self) -> "ExactComplex":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero ExactComplex")
-        # 1/z = conj(z) / |z|^2, with |z|^2 = a + b*sqrt2 real;
-        # 1/(a + b s) = (a - b s) / (a^2 - 2 b^2).
-        n = self * self.conjugate()
-        a, b = n.ra, n.rb
-        den = a * a - 2 * b * b
-        inv_a, inv_b = a / den, -b / den
-        return self.conjugate() * ExactComplex(inv_a, inv_b)
-
-    def __truediv__(self, other):
-        if _is_float_mode(other):
-            return self.to_complex() / complex(other)
-        return self * ExactComplex.of(other).inverse()
 
     def is_zero(self) -> bool:
         return not (self.ra or self.rb or self.ia or self.ib)

@@ -81,12 +81,6 @@ class GaussianEpistemicState:
         }
 
 
-def state_from_json(doc: dict) -> GaussianEpistemicState:
-    return GaussianEpistemicState(np.array(doc["mean"]),
-                                  np.array(doc["covariance"]),
-                                  float(doc["hbar_analogue"]))
-
-
 @dataclass(frozen=True)
 class ValidityResult:
     valid: bool

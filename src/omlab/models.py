@@ -8,7 +8,6 @@ out of scope here; they live in :mod:`omlab.gaussian`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -57,9 +56,6 @@ class EpistemicState:
             raise ModelError("negative epistemic weight")
         if sum(ws) != 1:
             raise ModelError(f"epistemic weights sum to {sum(ws)}, not 1")
-
-    def weight(self, label) -> Fraction:
-        return self.weights[self.space.index(label)]
 
     @property
     def support(self) -> tuple:
@@ -222,38 +218,6 @@ def classify(model: OntologicalModel) -> str:
     return PSI_SUPPLEMENTED
 
 
-def merge_labels(model: OntologicalModel, a, b) -> OntologicalModel:
-    """Coarse-grain two ontic labels into one (weights add, responses average).
-
-    Used to probe classification stability; the merged model need not
-    reproduce the original statistics.
-    """
-    ia, ib = model.space.index(a), model.space.index(b)
-    if ia == ib:
-        raise ModelError("cannot merge a label with itself")
-    keep = [k for k in range(model.space.size) if k != ib]
-    new_space = OnticSpace(tuple(model.space.labels[k] for k in keep))
-
-    def merge_weights(ws):
-        merged = list(ws)
-        merged[ia] = merged[ia] + merged[ib]
-        return tuple(merged[k] for k in keep)
-
-    preparations = {
-        name: EpistemicState(new_space, merge_weights(p.weights))
-        for name, p in model.preparations.items()
-    }
-    measurements = {}
-    for name, xi in model.measurements.items():
-        rows = []
-        for row in xi.table:
-            merged = list(row)
-            merged[ia] = (row[ia] + row[ib]) / 2
-            rows.append(tuple(merged[k] for k in keep))
-        measurements[name] = ResponseFunction(new_space, xi.outcomes, tuple(rows))
-    return OntologicalModel(new_space, preparations, measurements)
-
-
 def permute_labels(model: OntologicalModel, new_order: Sequence) -> OntologicalModel:
     """Relabel the ontic space by the given ordering of existing labels."""
     if sorted(map(str, new_order)) != sorted(map(str, model.space.labels)):
@@ -273,52 +237,7 @@ def permute_labels(model: OntologicalModel, new_order: Sequence) -> OntologicalM
 
 
 # --------------------------------------------------------------------------
-# JSON wire format; rationals serialize as "p/q" strings to stay exact.
+# rationals serialize as "p/q" strings to stay exact
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def model_to_json(model: OntologicalModel) -> dict:
-    return {
-        "lambda": list(model.space.labels),
-        "preparations": {
-            name: [frac_str(w) for w in p.weights] for name, p in model.preparations.items()
-        },
-        "measurements": {
-            name: {
-                "outcomes": list(xi.outcomes),
-                "table": [[frac_str(x) for x in row] for row in xi.table],
-            }
-            for name, xi in model.measurements.items()
-        },
-    }
-
-
-def model_from_json(doc: dict) -> OntologicalModel:
-    space = OnticSpace(tuple(doc["lambda"]))
-    preparations = {
-        name: EpistemicState(space, tuple(parse_frac(w) for w in ws))
-        for name, ws in doc["preparations"].items()
-    }
-    measurements = {
-        name: ResponseFunction(
-            space,
-            tuple(m["outcomes"]),
-            tuple(tuple(parse_frac(x) for x in row) for row in m["table"]),
-        )
-        for name, m in doc["measurements"].items()
-    }
-    return OntologicalModel(space, preparations, measurements)
-
-
-def model_dumps(model: OntologicalModel) -> str:
-    return json.dumps(model_to_json(model), sort_keys=True)
-
-
-def model_loads(text: str) -> OntologicalModel:
-    return model_from_json(json.loads(text))

@@ -309,16 +309,11 @@ def _inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
                         const += b * w * fxn
                     else:
                         coeffs[vn] = coeffs.get(vn, Fraction(0)) + b * w
-            rhs = b - const
-            if not coeffs:
-                if rhs != 0:
-                    return InnerResult(False, None, {
-                        "lambda": None, "pair": [PREP_LABELS.index(prep) + 1,
-                                                 OUTCOME_LABELS.index(k) + 1],
-                        "violated_equation": "Born row fully forced yet unbalanced",
-                    })
-                continue
-            equalities.append((coeffs, rhs))
+            # A row with every entry forced balances.  Without a budget the
+            # completeness chain has returned unless b = 0; with one, the
+            # forced no-shows make its rhs b - b * sum(w) = 0.
+            if coeffs:
+                equalities.append((coeffs, b - const))
     inequalities = []
     if null_budget is not None:
         # per-preparation cap on the unconditioned no-show rate

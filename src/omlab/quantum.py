@@ -1,5 +1,5 @@
-"""Exact small-dimension quantum toolkit: qubit states, Born rule, Lueders
-updates, tensor products and the Mach-Zehnder gate sequence.
+"""Exact small-dimension quantum toolkit: qubit states, Born rule, tensor
+products and the Mach-Zehnder gate sequence.
 
 All canned states and gates carry ``ExactComplex`` amplitudes, so the six
 single-qubit reference states, the interferometer runs and the two-qubit
@@ -23,7 +23,6 @@ from .exact import (
     ZERO,
     as_probability,
     conj,
-    phase_eighth,
 )
 
 FLOAT_TOL = 1e-12
@@ -31,10 +30,6 @@ FLOAT_TOL = 1e-12
 
 class QuantumError(ValueError):
     """Malformed state, gate or measurement."""
-
-
-class ImpossibleOutcome(QuantumError):
-    """A Lueders update was requested for an outcome of probability zero."""
 
 
 def _close_to(x, target: Fraction, tol: float = FLOAT_TOL) -> bool:
@@ -109,10 +104,6 @@ class UnitaryGate:
                 if not _close_to(prod[i][j], want):
                     raise QuantumError("gate is not unitary")
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
@@ -139,10 +130,6 @@ class ProjectiveMeasurement:
             for j in range(d):
                 if not _close_to(total[i][j], Fraction(1) if i == j else Fraction(0)):
                     raise QuantumError("effects do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return len(next(iter(self._mats.values())))
 
     @property
     def outcomes(self) -> tuple:
@@ -228,11 +215,6 @@ def projector(psi: Ket) -> DensityMatrix:
     )
 
 
-def scale(psi: Ket, factor) -> Ket:
-    """Multiply a ket by a phase factor (|factor| must be 1)."""
-    return Ket(tuple(factor * a for a in psi.amplitudes))
-
-
 def equal_up_to_global_phase(a: Ket, b: Ket, tol: float = FLOAT_TOL) -> bool:
     ov = inner(a, b)
     mag2 = ov * conj(ov)
@@ -245,29 +227,6 @@ def born_probability(rho: DensityMatrix, meas: ProjectiveMeasurement, outcome: s
     if len(eff) != rho.dim:
         raise QuantumError(f"dimension mismatch: effect {len(eff)} vs state {rho.dim}")
     return as_probability(trace(mat_mul(eff, rho.entries)))
-
-
-def apply_lueders(rho: DensityMatrix, kraus, normalize: bool = True):
-    """Lueders update rho -> M rho M~ / Tr(M rho M~); returns (state, prob).
-
-    Signals ImpossibleOutcome instead of dividing when the outcome
-    probability is zero.  With ``normalize=False`` the unnormalized operator
-    M rho M~ is returned as a raw grid together with the probability.
-    """
-    m = kraus.entries if isinstance(kraus, UnitaryGate) else tuple(map(tuple, kraus))
-    if len(m) != rho.dim:
-        raise QuantumError("Kraus operator dimension mismatch")
-    updated = mat_mul(mat_mul(m, rho.entries), mat_dagger(m))
-    prob = as_probability(trace(updated))
-    zero = prob == 0 if isinstance(prob, Fraction) else prob <= FLOAT_TOL
-    if zero:
-        raise ImpossibleOutcome("outcome has probability zero")
-    if not normalize:
-        return updated, prob
-    inv = (ExactComplex.of(prob).inverse() if isinstance(prob, Fraction)
-           else 1.0 / prob)
-    d = rho.dim
-    return DensityMatrix(tuple(tuple(updated[i][j] * inv for j in range(d)) for i in range(d))), prob
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -301,23 +260,6 @@ KET_DOWN = KET_1
 _HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
 _PAULI_X = ((ZERO, ONE), (ONE, ZERO))
 _PHASE_PI = ((-ONE, ZERO), (ZERO, ONE))  # diag(e^{i pi}, 1)
-
-
-def hadamard() -> UnitaryGate:
-    return UnitaryGate(_HADAMARD)
-
-
-def pauli_x() -> UnitaryGate:
-    return UnitaryGate(_PAULI_X)
-
-
-def pauli_z() -> UnitaryGate:
-    return UnitaryGate(((ONE, ZERO), (ZERO, -ONE)))
-
-
-def phase_shift_exact(k_eighths: int) -> UnitaryGate:
-    """diag(e^{i theta}, 1) with theta = k * pi/4, exact."""
-    return UnitaryGate(((phase_eighth(k_eighths), ZERO), (ZERO, ONE)))
 
 
 def basis_measurement(states: Mapping[str, Ket]) -> ProjectiveMeasurement:

@@ -135,20 +135,6 @@ def emit(report: ReportDocument, fmt: str = "json") -> str:
     raise ReportError(f"unknown format {fmt!r}")
 
 
-def report_from_json(doc: dict) -> ReportDocument:
-    validate_report(doc)
-    cfg = doc["config"]
-    config = RunConfig(command=cfg["command"], args=cfg.get("args", {}),
-                       seed=cfg["seed"], number_mode=cfg["number_mode"],
-                       tolerance=cfg["tolerance"], output=cfg.get("output"))
-    checks = tuple(
-        CheckResult(c["name"], c["expected"], c["observed"], c["provenance"],
-                    c["passed"], c.get("detail"))
-        for c in doc["checks"]
-    )
-    return ReportDocument(config, checks, doc["wall_clock_s"], doc["version"])
-
-
 class Stopwatch:
     def __enter__(self):
         self._t0 = time.perf_counter()

@@ -260,21 +260,11 @@ def ontic_simulate_measurement(lam: int, meas: ToyMeasurement,
     return block, rng.choice(sorted(block))
 
 
-def apply_permutation(state, perm: ToyPermutation, party: int | None = None):
-    """Map a state's support elementwise through a permutation.
-
-    For composite states, ``party`` (0 or 1) selects which subsystem's
-    coordinate the permutation acts on.
-    """
-    if isinstance(state, ToyEpistemicState):
-        return ToyEpistemicState(frozenset(perm(s) for s in state.support))
-    if isinstance(state, CompositeToyState):
-        if party not in (0, 1):
-            raise ToyError("composite permutation needs party 0 or 1")
-        if party == 0:
-            return CompositeToyState(frozenset((perm(a), b) for a, b in state.support))
-        return CompositeToyState(frozenset((a, perm(b)) for a, b in state.support))
-    raise ToyError(f"cannot permute {state!r}")
+def apply_permutation(state: ToyEpistemicState, perm: ToyPermutation) -> ToyEpistemicState:
+    """Map a state's support elementwise through a permutation."""
+    if not isinstance(state, ToyEpistemicState):
+        raise ToyError(f"cannot permute {state!r}")
+    return ToyEpistemicState(frozenset(perm(s) for s in state.support))
 
 
 # --------------------------------------------------------------------------
@@ -302,10 +292,6 @@ class CombinationRule(Enum):
     def phase(self) -> ExactComplex:
         return {1: phase_eighth(0), 2: phase_eighth(4),
                 3: phase_eighth(2), 4: phase_eighth(6)}[self.value]
-
-    @property
-    def phase_name(self) -> str:
-        return {1: "e^{i0}", 2: "e^{i pi}", 3: "e^{i pi/2}", 4: "e^{i 3pi/2}"}[self.value]
 
 
 def combine(a: ToyEpistemicState, b: ToyEpistemicState,
@@ -555,12 +541,6 @@ class SteeringTranscript:
     steps: tuple
     retrodicted_state: int
 
-    def to_json(self) -> list:
-        return [dict(s) for s in self.steps] + [
-            {"conclusion": f"both systems were in state {self.retrodicted_state} "
-                           f"during the first measurement"}
-        ]
-
 
 def steering_retrodiction_demo() -> SteeringTranscript:
     """The two-measurement protocol on the identity-correlated state.
@@ -640,18 +620,6 @@ class NoncommutativityTranscript:
         """The A statistics depend on whether B intervened."""
         return self.a_outcome_when_first != self.b_then_a
 
-    def to_json(self) -> list:
-        def dist(d):
-            return {"v".join(map(str, sorted(b))): f"{p.numerator}/{p.denominator}"
-                    for b, p in d.items()}
-
-        return [
-            {"step": "A on 1v2", "distribution": dist(self.a_outcome_when_first)},
-            {"step": "A then B", "distribution": dist(self.a_then_b)},
-            {"step": "B then A", "distribution": dist(self.b_then_a)},
-            {"step": "A then A", "distribution": dist(self.a_then_a)},
-        ]
-
 
 def _two_stage_distribution(initial: ToyEpistemicState, first: ToyMeasurement,
                             second: ToyMeasurement) -> dict:
@@ -675,21 +643,3 @@ def noncommutativity_demo() -> NoncommutativityTranscript:
         b_then_a=_two_stage_distribution(initial, MEAS_X_TOY, MEAS_Z_TOY),
         a_then_a=_two_stage_distribution(initial, MEAS_Z_TOY, MEAS_Z_TOY),
     )
-
-
-# --------------------------------------------------------------------------
-# serialization
-
-def state_to_json(state) -> dict:
-    if isinstance(state, ToyEpistemicState):
-        return {"support": sorted(state.support)}
-    if isinstance(state, CompositeToyState):
-        return {"support": sorted(map(list, state.support))}
-    raise ToyError(f"cannot serialize {state!r}")
-
-
-def state_from_json(doc: dict):
-    supp = doc["support"]
-    if supp and isinstance(supp[0], list):
-        return CompositeToyState(frozenset(tuple(p) for p in supp))
-    return ToyEpistemicState(frozenset(supp))

@@ -37,16 +37,6 @@ def test_conjugation_involution(x):
     assert (x * x.conjugate()).is_real()
 
 
-@settings(max_examples=200, deadline=None)
-@given(scalars)
-def test_inverse(x):
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-    else:
-        assert x * x.inverse() == ONE
-
-
 def test_constants():
     assert SQRT2 * SQRT2 == ExactComplex.of(2)
     assert I * I == -ONE

@@ -1,5 +1,6 @@
 """Restricted Liouville mechanics: validity, entropy, the correlated pair."""
 
+import json
 import math
 
 import numpy as np
@@ -276,7 +277,8 @@ def test_inference_input_validation():
 
 def test_state_json_round_trip():
     epr = g.epr_correlated(2.0, 0.7)
-    doc = epr.to_json()
-    back = g.state_from_json(doc)
-    assert np.allclose(back.covariance, epr.covariance)
-    assert back.hbar_like == epr.hbar_like
+    doc = json.loads(json.dumps(epr.to_json()))
+    assert sorted(doc) == ["covariance", "hbar_analogue", "mean"]
+    assert doc["mean"] == [0.0] * 4
+    assert np.allclose(doc["covariance"], epr.covariance)
+    assert doc["hbar_analogue"] == epr.hbar_like

@@ -1,7 +1,6 @@
 """Ontological-model framework: reproduction, overlap, classification."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +17,6 @@ from omlab.models import (
     PSI_EPISTEMIC,
     PSI_SUPPLEMENTED,
     classify,
-    merge_labels,
-    model_dumps,
-    model_loads,
     overlap_witness,
     permute_labels,
     predicted_probability,
@@ -217,15 +213,6 @@ def test_classify_invariant_under_relabeling(order):
     assert classify(permute_labels(model, tuple(order))) == classify(model)
 
 
-def test_complete_model_loses_completeness_under_any_merge():
-    labels = ("0", "1", "+", "-", "+i", "-i")
-    model = delta_model(6, {name: i + 1 for i, name in enumerate(labels)})
-    assert classify(model) == PSI_COMPLETE
-    for a, b in itertools.combinations(model.space.labels, 2):
-        merged = merge_labels(model, a, b)
-        assert classify(merged) != PSI_COMPLETE
-
-
 # ------------------------------------------------------------- validation
 
 def test_epistemic_state_validation():
@@ -252,26 +239,3 @@ def test_ontic_space_validation():
         OnticSpace(())
     with pytest.raises(ModelError):
         OnticSpace((1, 1))
-
-
-# ------------------------------------------------------------- wire format
-
-def test_json_round_trip():
-    model = build_toy_model()
-    text = model_dumps(model)
-    back = model_loads(text)
-    assert back.space == model.space
-    assert back.preparations == model.preparations
-    for name in model.measurements:
-        assert back.measurements[name].table == model.measurements[name].table
-    assert '"1/2"' in text  # rationals stay p/q strings
-
-
-def test_json_round_trip_random_relabelings():
-    rng = random.Random(3)
-    model = build_toy_model()
-    for _ in range(5):
-        order = list(model.space.labels)
-        rng.shuffle(order)
-        m = permute_labels(model, tuple(order))
-        assert model_loads(model_dumps(m)).preparations == m.preparations

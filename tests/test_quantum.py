@@ -1,4 +1,4 @@
-"""Born rule, Lueders updates, tensor products and the interferometer."""
+"""Born rule, tensor products and the interferometer."""
 
 import itertools
 from fractions import Fraction
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlab import quantum as q
-from omlab.exact import ExactComplex, ONE, ZERO, phase_eighth
+from omlab.exact import ONE, ZERO, phase_eighth
 
 HALF = Fraction(1, 2)
 
@@ -58,49 +58,11 @@ def test_global_phase_invariance():
     # alpha in {pi/4, pi/2, pi} as exact eighth phases 1, 2, 4
     for k in (1, 2, 4):
         for label, ket in q.PM_STATES.items():
-            shifted = q.scale(ket, phase_eighth(k))
+            shifted = q.Ket(tuple(phase_eighth(k) * a for a in ket.amplitudes))
             for meas in q.MEAS_BY_NAME.values():
                 for o in meas.outcomes:
                     assert q.born_probability(q.projector(shifted), meas, o) == \
                         q.born_probability(q.projector(ket), meas, o)
-
-
-# ---------------------------------------------------------------- Lueders
-
-def test_lueders_reference_cases():
-    proj0 = q.projector(q.KET_0).entries
-    state, prob = q.apply_lueders(q.projector(q.KET_PLUS), proj0)
-    assert prob == HALF
-    assert state.entries == q.projector(q.KET_0).entries
-
-    state, prob = q.apply_lueders(q.projector(q.KET_0), proj0)
-    assert prob == 1
-    assert state.entries == q.projector(q.KET_0).entries
-
-
-def test_lueders_impossible_outcome():
-    proj1 = q.projector(q.KET_1).entries
-    with pytest.raises(q.ImpossibleOutcome):
-        q.apply_lueders(q.projector(q.KET_0), proj1)
-
-
-def test_lueders_output_is_valid_density():
-    # over all reference states and rank-1 projectors with prob > 0
-    for ket, onto in itertools.product(q.PM_STATES.values(), q.PM_STATES.values()):
-        try:
-            state, prob = q.apply_lueders(q.projector(ket), q.projector(onto).entries)
-        except q.ImpossibleOutcome:
-            continue
-        assert prob > 0
-        # constructor re-validates Hermiticity/trace/PSD
-        assert isinstance(state, q.DensityMatrix)
-
-
-def test_lueders_unnormalized_mode():
-    proj0 = q.projector(q.KET_0).entries
-    raw, prob = q.apply_lueders(q.projector(q.KET_PLUS), proj0, normalize=False)
-    assert prob == HALF
-    assert raw[0][0] == ExactComplex.of(HALF)
 
 
 # ---------------------------------------------------------------- tensor
@@ -121,9 +83,9 @@ def test_tensor_keeps_normalization():
 # ---------------------------------------------------------------- gates
 
 def test_gates_are_unitary_and_preserve_norm():
-    gates = [q.hadamard(), q.pauli_x(), q.pauli_z()] + \
-        [q.phase_shift_exact(k) for k in range(8)]
-    for gate in gates:
+    phase_gates = [((phase_eighth(k), ZERO), (ZERO, ONE)) for k in range(8)]
+    for entries in [q._HADAMARD, q._PAULI_X, q._PHASE_PI] + phase_gates:
+        gate = q.UnitaryGate(entries)
         for ket in q.PM_STATES.values():
             q.Ket(q.mat_vec(gate.entries, ket.amplitudes))  # norm re-checked by Ket
 
@@ -131,7 +93,7 @@ def test_gates_are_unitary_and_preserve_norm():
 def test_literal_gate_entries_are_unitary():
     for entries in (q._HADAMARD, q._PAULI_X, q._PHASE_PI):
         assert q.UnitaryGate(entries).entries == entries
-    assert q._PHASE_PI == q.phase_shift_exact(4).entries  # theta = pi
+    assert q._PHASE_PI == ((phase_eighth(4), ZERO), (ZERO, ONE))  # theta = pi
 
 
 def test_nonunitary_rejected():
@@ -180,7 +142,8 @@ def test_mz_float_mode_cosine_law():
 # ---------------------------------------------------------------- helpers
 
 def test_identify_pm_state():
-    assert q.identify_pm_state(q.scale(q.KET_PLUS_I, phase_eighth(3))) == "+i"
+    shifted = q.Ket(tuple(phase_eighth(3) * a for a in q.KET_PLUS_I.amplitudes))
+    assert q.identify_pm_state(shifted) == "+i"
     assert q.identify_pm_state(q.mz_evolve(True)) == "1"
 
 

@@ -16,7 +16,6 @@ from omlab.reports import (
     RunConfig,
     emit,
     load_schema,
-    report_from_json,
     validate_report,
 )
 
@@ -77,11 +76,7 @@ def test_invalid_report_raises_what_jsonschema_validate_raises():
 
 def test_json_round_trip():
     report = small_report()
-    text = emit(report, "json")
-    back = report_from_json(json.loads(text))
-    assert back.config == report.config
-    assert back.checks == report.checks
-    assert back.all_passed
+    assert json.loads(emit(report, "json")) == report.to_json()
 
 
 def test_text_format_mentions_every_check():
