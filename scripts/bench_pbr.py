@@ -9,8 +9,8 @@ base and change; the Born table is built before the clock starts, so only
 the verdict is timed.  Next to each op's median time the script records the
 counters that tell a speed-up from skipped work: the grid points the verdict
 covers (``tested_points``), the exact LPs it solved and their pivots, and
-its status, which must agree between the two sides.  The base tree is
-extracted from git as ``scripts/bench_lp.py`` does.
+its status, which must agree between the two sides.  The base tree's
+``src/`` is extracted from git with ``git archive``.
 
     python3 scripts/bench_pbr.py --base 462921a --runs 5 --out BENCH_7.json
 """
@@ -18,16 +18,19 @@ extracted from git as ``scripts/bench_lp.py`` does.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_lp import ROOT, SRC, extract_src, machine  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 WORKLOADS = ("pbr-grid", "pbr-lp")
 
@@ -68,6 +71,27 @@ def seed_one_ops() -> list:
     from perfbench import workloads
     return [(name, argv) for name in WORKLOADS for argv in workloads.generate(name, 1)
             if argv[2:4] == ["nogo", "pbr"]]
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    """``src/`` of git revision ``rev``, unpacked under ``dest``."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def machine() -> dict:
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "platform": platform.platform(),
+            "nproc": os.cpu_count(), "cpu": cpu}
 
 
 def decide_once(src: Path, ops_path: Path) -> list:

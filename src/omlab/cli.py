@@ -142,9 +142,8 @@ def steering_checks() -> list:
         _check("steering: Bob marginal uniform", "1/2",
                _fmt(r1.bob_marginal[1]), "PAPER"),
     ]
-    transcript = toy.steering_retrodiction_demo()
     checks.append(_check("steering retrodiction singles out state", 1,
-                         transcript.retrodicted_state, "PAPER"))
+                         toy.steering_retrodiction_demo(), "PAPER"))
     product = toy.product_composite(toy.toy_state(1, 2), toy.toy_state(3, 4))
     before = toy.marginal(product, 1)
     r2 = toy.steering_inference(product, toy.MEAS_X_TOY, frozenset({1, 3}))
@@ -251,7 +250,7 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
     escape = problem.null_budget is not None
     verdict = pbr.solve_feasibility(problem, born)
     # the escape's price; None where no budget below 1 admits a model
-    price = Fraction(0) if problem.q is None else pbr.no_show_price(problem)
+    price = pbr.no_show_price(problem)
     expected_status = ("feasible" if price is not None and (problem.null_budget or 0) >= price
                        else "infeasible")
     checks.append(_check(f"pbr verdict ({verdict.grid_note})", expected_status,

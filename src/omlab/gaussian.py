@@ -11,7 +11,9 @@ parameter r: the normalized difference and sum quadratures
 (q_A - q_B)/sqrt2 and (p_A + p_B)/sqrt2 have variance lam*e^{-2r}, the
 single-system marginals blow up as lam*cosh(2r), and the delta-correlated
 limit is approached as r grows.  All states in the family sit exactly on
-the uncertainty boundary.
+the uncertainty boundary.  The family keeps its normal modes (variances
+lam*e^{-2r}, lam*e^{2r}) as a factored form, exact where the covariance's
+smallest eigenvalue and Schur complements fall below float64 rounding.
 """
 
 from __future__ import annotations
@@ -36,9 +38,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianEpistemicState:
+    """``modes`` is the factored form, arrays (variances, basis) with the
+    normal modes as the basis columns: covariance = basis @ diag(variances)
+    @ basis.T.  Worked out from the covariance unless given, it gives the
+    positivity, validity, entropy, quadrature variances and conditioned
+    covariances, where large terms would cancel in the covariance."""
+
     mean: np.ndarray
     covariance: np.ndarray
     hbar_like: float = 1.0
+    modes: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -52,8 +61,12 @@ class GaussianEpistemicState:
             raise GaussianError("covariance shape does not match the mean")
         if not np.allclose(cov, cov.T, atol=VALIDITY_TOL):
             raise GaussianError("covariance must be symmetric")
-        if float(np.linalg.eigvalsh(cov).min()) <= 0.0:
+        variances, basis = np.linalg.eigh(cov) if self.modes is None else self.modes
+        if np.abs((basis * variances) @ basis.T - cov).max() > VALIDITY_TOL * np.abs(cov).max():
+            raise GaussianError("normal modes do not factor the covariance")
+        if float(variances.min()) <= 0.0:
             raise GaussianError("covariance must be positive definite")
+        object.__setattr__(self, "modes", (variances, basis))
         if self.hbar_like <= 0:
             raise GaussianError("the uncertainty parameter must be positive")
 
@@ -88,26 +101,26 @@ class ValidityResult:
 
 
 def validity_check(state: GaussianEpistemicState) -> ValidityResult:
-    """Spectrum test of the Hermitian matrix gamma + i*lam*Sigma.
-
-    The zero threshold scales with the spectral norm: boundary states at
-    large squeezing otherwise trip on machine-epsilon noise.
-    """
+    """Williamson test: gamma + i*lam*Sigma >= 0 iff no symplectic eigenvalue
+    of gamma, a modulus of an eigenvalue of i*D B^T Sigma B D with D the root
+    mode variances, is below lam; relative to lam at any squeezing.
+    ``min_eigenvalue`` is that of gamma + i*lam*Sigma, as float64 has it."""
+    variances, basis = state.modes
     sigma = symplectic_form(state.n_modes)
+    # B^T Sigma B with each product rounded before the sum, so zeros stay 0
+    coupling = (basis[:, :, None] * (sigma @ basis)[:, None, :]).sum(axis=0)
+    root = np.sqrt(variances)
+    nu = np.abs(np.linalg.eigvalsh(1j * root[:, None] * coupling * root)).min()
     h = state.covariance.astype(complex) + 1j * state.hbar_like * sigma
-    eig = np.linalg.eigvalsh(h)
-    mn = float(eig.min().real)
-    tol = VALIDITY_TOL * max(1.0, float(np.abs(eig).max()))
-    return ValidityResult(mn >= -tol, mn)
+    mn = float(np.linalg.eigvalsh(h).min().real)
+    return ValidityResult(bool(nu >= state.hbar_like * (1 - VALIDITY_TOL)), mn)
 
 
 def entropy(state: GaussianEpistemicState) -> float:
-    """Differential entropy, closed form 0.5*ln((2 pi e)^N det gamma)."""
-    sign, logdet = np.linalg.slogdet(state.covariance)
-    if sign <= 0:
-        raise GaussianError("covariance is singular or indefinite")
+    """Differential entropy, closed form 0.5*ln((2 pi e)^N det gamma), with
+    ln det gamma the sum of the logs of the normal-mode variances."""
     n = state.dim
-    return 0.5 * (n * math.log(2 * math.pi * math.e) + logdet)
+    return 0.5 * (n * math.log(2 * math.pi * math.e) + float(np.sum(np.log(state.modes[0]))))
 
 
 def entropy_by_quadrature(state: GaussianEpistemicState,
@@ -140,7 +153,9 @@ def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemi
 
     Var((q_A-q_B)/sqrt2) = Var((p_A+p_B)/sqrt2) = lam*e^{-2r}; marginal
     variances are lam*cosh(2r); r -> 0 decouples into two boundary states
-    and r -> infinity approaches the delta-correlated pair.
+    and r -> infinity approaches the delta-correlated pair.  The state
+    carries these normal modes and their sum-quadrature partners, with
+    variance lam*e^{2r}, as its factored form.
     """
     if squeeze_r < 0:
         raise GaussianError("squeezing must be nonnegative")
@@ -152,9 +167,14 @@ def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemi
         [s, 0.0, c, 0.0],
         [0.0, -s, 0.0, c],
     ])
-    state = GaussianEpistemicState(np.zeros(4), cov, lam)
+    h = math.sqrt(0.5)
+    # columns: (q_A-q_B, p_A+p_B, q_A+q_B, p_A-p_B)/sqrt2 over (q_A, p_A, q_B, p_B)
+    basis = np.array([[h, 0.0, h, 0.0], [0.0, h, 0.0, h], [-h, 0.0, h, 0.0], [0.0, h, 0.0, -h]])
+    squeezed, stretched = lam * math.exp(-2 * squeeze_r), lam * math.exp(2 * squeeze_r)
+    variances = np.array([squeezed, squeezed, stretched, stretched])
+    state = GaussianEpistemicState(np.zeros(4), cov, lam, (variances, basis))
     check = validity_check(state)
-    if not check.valid:  # pragma: no cover - boundary family is valid for all r
+    if not check.valid:
         raise GaussianError(f"correlated state failed validity: {check.min_eigenvalue}")
     return state
 
@@ -165,8 +185,11 @@ def epr_quadrature_variances(state: GaussianEpistemicState) -> dict:
         raise GaussianError("joint quadratures need a two-system state")
     d = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2)   # (q_A - q_B)/sqrt2
     s = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2)    # (p_A + p_B)/sqrt2
-    g = state.covariance
-    return {"var_q_diff": float(d @ g @ d), "var_p_sum": float(s @ g @ s)}
+    variances, basis = state.modes
+    # sum_j v_j (b_j . u)^2, each product rounded before the sum (no fused
+    # multiply-add), so a mode orthogonal to u projects to exactly 0
+    return {name: float(np.sum(variances * (basis * u[:, None]).sum(axis=0) ** 2))
+            for name, u in (("var_q_diff", d), ("var_p_sum", s))}
 
 
 def marginalize(state: GaussianEpistemicState, keep) -> GaussianEpistemicState:
@@ -195,7 +218,10 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
 
     Returns raw (mean, covariance) over the remaining coordinates; the
     result is one coordinate short of a phase-space state, so callers pick
-    out the (q, p) blocks they need.
+    out the (q, p) blocks they need.  The covariance, the Schur complement
+    g_rr - g_ri g_ir / g_ii, is summed over pairs of normal modes in
+    Lagrange's form sum_jk v_j v_k w_jk w_jk^T / (2 g_ii), with
+    w_jk = b_ij b_rk - b_ik b_rj, so no large terms cancel.
     """
     n = state.dim
     if not 0 <= index < n:
@@ -207,7 +233,10 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
         raise GaussianError("conditioning block is singular")
     k = g[np.ix_(rest, [index])] / var
     mean = state.mean[rest] + (k * (value - state.mean[index])).ravel()
-    cov = g[np.ix_(rest, rest)] - k @ g[np.ix_([index], rest)]
+    variances, basis = state.modes
+    b_i, b_r = basis[index], basis[rest]
+    w = np.einsum("j,rk->jkr", b_i, b_r) - np.einsum("k,rj->jkr", b_i, b_r)
+    cov = np.einsum("j,k,jka,jkb->ab", variances, variances, w, w) / (2 * var)
     return mean, cov
 
 

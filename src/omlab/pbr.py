@@ -1,17 +1,30 @@
 """The product-preparation no-go scenario as exact constraint satisfaction.
 
 The scenario pairs the four product preparations over {|0>, |+>} with the
-entangled four-outcome basis that is orthogonal to them one by one.  A
-forced overlap q is decided at the support level, with no grid: on the grid
-of step 1/D the shared ontic state * carries f = ceil(qD)/D or more, so the
-cell (*, *) carries >= f^2 in all four preparations, where the zero-Born
-pairs force every real outcome to 0.  That chain starves outcome
-completeness; with a no-show outcome it puts every no-show rate at >= f^2,
-so budgets below f^2 fail, and from f^2 up (three or more ontic states) one
-exact LP at p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) gives the witness.
-The rest (no forced overlap, or a budget on one or two ontic states) is a
-two-stage search: an outer grid over weight vectors and an exact inner LP
-over the joint response entries, whose presolve finds the same chains.
+entangled four-outcome basis that is orthogonal to them one by one.  Every
+verdict is decided at the support level, from which preparations weigh
+which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
+
+* No forced overlap on two or more ontic states: the psi-ontic point
+  p0 = e1, p+ = e2 weighs (1,1), (1,2), (2,1), (2,2), one preparation
+  each, so each cell answers with its preparation's Born row, times 1 - b
+  next to a no-show rate b under a budget b.  One ontic state is one cell.
+* A forced overlap q: on the grid of step 1/D the shared ontic state *
+  carries f = ceil(qD)/D or more, so (*, *) carries >= f^2 in all four
+  preparations, where the zero-Born pairs force every real outcome to 0.
+  That chain starves outcome completeness; with a no-show outcome every
+  no-show rate is >= f^2, so budgets below f^2 fail, and from f^2 up (three
+  or more ontic states) one exact LP at p0 = (f, 1-f, 0, ...),
+  p+ = (f, 0, 1-f, ...) gives the witness.
+* A budget on one or two ontic states: at every grid point a preparation
+  weighs only cells where the zero-Born pairs leave it no real outcome, so
+  its no-show rate is 1.  Product joints: if S0 = S+ = {1, 2} every cell
+  lies in all four supports; if S0 = {1}, Psi1 weighs only (1,1); if
+  S+ = {1}, Psi4 does.  Relaxed joints: the spread family weighs every cell
+  in every preparation (only (1,1) if f = 1); in the concentrated one Psi1
+  weighs (1,1) and a cell shared with Psi4, so phi4 (Born value 1/2 for
+  Psi1) is forced on both.  The certificate is the grid's last point's.
+
 The no-show outcome is "absorbed": Born statistics are matched after
 post-selecting on real outcomes, and a budget caps each no-show rate.
 """
@@ -22,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO
@@ -32,7 +45,7 @@ from .models import (
     OntologicalModel,
     ResponseFunction,
     frac_str,
-    reproduction_check,
+    predicted_probability,
 )
 from .simplex import find_feasible
 from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, make_correlated, product_composite, toy_state
@@ -99,7 +112,7 @@ MAX_LAMBDA_SIZE = 8
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Two-stage search space for a reproducing response function.
+    """The question whether a reproducing response function exists.
 
     The single-system ontic space has ``lambda_size`` states; epistemic
     weights range over the grid of multiples of 1/grid_denominator.  With
@@ -138,31 +151,6 @@ class FeasibilityProblem:
     def labels(self) -> tuple:
         return tuple(range(1, self.lambda_size + 1))
 
-    @property
-    def cells(self) -> tuple:
-        return tuple(itertools.product(self.labels, repeat=2))
-
-
-def weight_grid(n: int, denominator: int, floor: Fraction | None = None) -> Iterator[tuple]:
-    """All length-n vectors of multiples of 1/denominator summing to 1,
-    optionally with a floor on the first entry.  Mass-concentrated
-    vectors come first so that delta-style witnesses are found early."""
-    d = denominator
-
-    def rec(remaining: int, slots: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for k in range(remaining, -1, -1):
-            for rest in rec(remaining - k, slots - 1):
-                yield (k,) + rest
-
-    min_floor = 0 if floor is None else math.ceil(floor * d)
-    for combo in rec(d, n):
-        if combo[0] < min_floor:
-            continue
-        yield tuple(Fraction(k, d) for k in combo)
-
 
 def product_joint(p0: Sequence[Fraction], pplus: Sequence[Fraction],
                   labels: Sequence) -> dict:
@@ -177,41 +165,6 @@ def product_joint(p0: Sequence[Fraction], pplus: Sequence[Fraction],
             if singles[k][a] * singles[l][b] > 0
         }
     return joints
-
-
-def relaxed_joints(p0: Sequence[Fraction], pplus: Sequence[Fraction],
-                   labels: Sequence) -> list:
-    """Non-product joint families keeping only the shared positive diagonal
-    cell that the positivity reading guarantees.
-
-    Every family places the guaranteed q^2-style mass on (l*, l*) and
-    redistributes the rest without any product structure: concentrated on a
-    preparation-specific private cell, or spread uniformly.
-    """
-    star = labels[0]
-    base = min(p0[0], pplus[0]) ** 2
-    cells = list(itertools.product(labels, repeat=2))
-    families = [product_joint(p0, pplus, labels)]
-    if base <= 0:
-        # no shared positive cell: the positivity reading has nothing to add
-        return families
-    # concentrated: rest of the mass on one private off-diagonal cell each;
-    # a one-state space has no such cell, and there base is 1
-    spare = [c for c in cells if c != (star, star)]
-    concentrated = {}
-    for i, prep in enumerate(PREP_LABELS):
-        concentrated[prep] = {(star, star): base}
-        if spare:
-            concentrated[prep][spare[i % len(spare)]] = 1 - base
-    families.append(concentrated)
-    # spread: rest of the mass uniform over all other cells
-    if len(cells) > 1:
-        share = (1 - base) / (len(cells) - 1)
-        families.append({
-            prep: {c: (base if c == (star, star) else share) for c in cells}
-            for prep in PREP_LABELS
-        })
-    return families
 
 
 BORN_ZERO_PAIRS = tuple((p, k) for p, k in zip(PREP_LABELS, OUTCOME_LABELS))
@@ -231,7 +184,8 @@ def _inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
     Presolve propagates the zero-Born equalities (all coefficients are
     nonnegative, so positive-weight cells force zero entries); if that
     starves an outcome-completeness row the contradiction chain is returned
-    directly, otherwise the reduced system goes to the simplex.
+    directly, otherwise the reduced system goes to the simplex, whose
+    infeasible answer carries no certificate.
     """
     outcomes = list(OUTCOME_LABELS) + ([NULL] if null_budget is not None else [])
     forced: dict = {}
@@ -339,11 +293,7 @@ def _inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
 
     res = find_feasible(len(var_index), equalities, inequalities)
     if not res.feasible:
-        return InnerResult(False, None, {
-            "lambda": None, "pair": None,
-            "violated_equation": "exact LP phase-1 certifies infeasibility "
-                                 f"(residual {frac_str(res.phase1_value)})",
-        })
+        return InnerResult(False, None, None)
     xi = dict(forced)
     for key, idx in var_index.items():
         xi[key] = res.solution[idx]
@@ -357,7 +307,7 @@ class FeasibilityVerdict:
     certificate: dict | None
     tested_points: int          # grid points (times joint families) covered
     grid_note: str
-    decided_by: str             # "support" | "grid"
+    decided_by: str             # the deciding stage: always "support" now
 
     def to_json(self) -> dict:
         doc = {"status": self.status, "tested_points": self.tested_points,
@@ -388,9 +338,11 @@ def _star_floor(problem: FeasibilityProblem) -> Fraction:
 
 
 def no_show_price(problem: FeasibilityProblem) -> Fraction | None:
-    """The least no-show budget that admits a model under the forced overlap:
-    f^2 on three or more ontic states; None where no budget below 1 does
-    (one or two ontic states, or f = 1)."""
+    """The least no-show budget that admits a model: 0 without a forced
+    overlap, f^2 under one on three or more ontic states; None where no
+    budget below 1 does (one ontic state, two under an overlap, or f = 1)."""
+    if problem.q is None:
+        return Fraction(0) if problem.lambda_size >= 2 else None
     f = _star_floor(problem)
     return f * f if problem.lambda_size >= 3 and f < 1 else None
 
@@ -400,18 +352,35 @@ def solve_feasibility(problem: FeasibilityProblem,
     """Decide whether a reproducing model exists; exact throughout.
 
     Returns "feasible" with a witness, or "infeasible" with a contradiction
-    certificate.  A forced overlap is decided at the support level (see the
-    module docstring); the rest searches the weight grid.  The universal
-    statement for arbitrary weights is the analytic theorem; the verdict
-    covers the grid stated in ``grid_note``.  ``born`` is the scenario's Born
-    table, built here when not given.
+    certificate, by the support-level cases of the module docstring: without
+    a forced overlap, the psi-ontic witness p0 = e1, p+ = e2 (no LP); with a
+    budget on one or two ontic states, Psi1's forced no-show rate 1, as every
+    grid point leaves a preparation no real outcome on the cells it weighs.
+    The verdict covers the grid in ``grid_note``, the analytic theorem all
+    weights; ``born``, the Born table, is built here when not given.
     """
     if born is None:
         born = build_pbr_scenario().born_table()
     budget, n, labels = problem.null_budget, problem.lambda_size, problem.labels
-    if problem.q is None or (budget is not None and n <= 2):
-        return _grid_search(problem, born)
-    f = _star_floor(problem)
+    if problem.q is None and n >= 2:
+        # each weighed cell answers with its one preparation's Born row
+        p0, pplus = ([Fraction(int(a == j)) for a in labels] for j in (1, 2))
+        joints = product_joint(p0, pplus, labels)
+        xi = {(k, cell): (1 - (budget or 0)) * born[(prep, k)]
+              for prep, (cell,) in joints.items() for k in OUTCOME_LABELS}
+        outcomes = OUTCOME_LABELS
+        if budget is not None:
+            xi.update({(NULL, cell): budget for (cell,) in joints.values()})
+            outcomes += (NULL,)
+        witness = _witness_payload(p0, pplus, joints, xi, labels, outcomes)
+        return FeasibilityVerdict("feasible", witness, None, 1, _grid_note(problem), "support")
+    if budget is not None and n <= 2:
+        # Psi1 weighing only the fully forced (1, 1) is the grid's last point
+        certificate = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(1, 1): 1}),
+                                         born, [(1, 1)], budget).certificate
+        return FeasibilityVerdict("infeasible", None, certificate, _grid_size(problem),
+                                  _grid_note(problem), "support")
+    f = Fraction(1) if problem.q is None else _star_floor(problem)
     if budget is None or budget < f * f:
         # every preparation puts >= f^2 on (*, *) = (1, 1): the presolve's zero chain
         chain = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(1, 1): f * f}),
@@ -434,37 +403,12 @@ def solve_feasibility(problem: FeasibilityProblem,
 
 
 def _grid_size(problem: FeasibilityProblem) -> int:
-    """Grid points times joint families under the forced overlap: C(D-k+L-2,
-    L-2) weight vectors put k >= ceil(qD) units on the star."""
+    """Grid points times joint families: C(D-k+L-2, L-2) weight vectors put
+    k >= ceil(qD) units on the star; one ontic state has one vector."""
     n, d = problem.lambda_size, problem.grid_denominator
     side = 1 if n == 1 else sum(math.comb(d - k + n - 2, n - 2)
                                 for k in range(math.ceil(problem.q * d), d + 1))
     return side * side * ((3 if n > 1 else 2) if problem.relax_product else 1)
-
-
-def _grid_search(problem: FeasibilityProblem, born: Mapping) -> FeasibilityVerdict:
-    """The weight enumeration: the first witness found, or the certificate of
-    the last point once every point (and joint family) is infeasible."""
-    labels = problem.labels
-    cells = problem.cells
-    outcomes = list(OUTCOME_LABELS) + ([NULL] if problem.null_budget is not None else [])
-    tested = 0
-    last_certificate = None
-    grid = list(weight_grid(problem.lambda_size, problem.grid_denominator, floor=problem.q))
-    for p0 in grid:
-        for pplus in grid:
-            families = (relaxed_joints(p0, pplus, labels) if problem.relax_product
-                        else [product_joint(p0, pplus, labels)])
-            for joints in families:
-                tested += 1
-                inner = _inner_feasibility(joints, born, cells, problem.null_budget)
-                if inner.feasible:
-                    witness = _witness_payload(p0, pplus, joints, inner.xi, labels, outcomes)
-                    return FeasibilityVerdict("feasible", witness, None, tested,
-                                              _grid_note(problem), "grid")
-                last_certificate = inner.certificate
-    return FeasibilityVerdict("infeasible", None, last_certificate, tested,
-                              _grid_note(problem), "grid")
 
 
 def _grid_note(problem: FeasibilityProblem) -> str:
@@ -503,25 +447,19 @@ def witness_to_model(witness: dict) -> OntologicalModel:
 def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     """Check a witness against the exact Born table.
 
-    Without a null outcome the unconditioned statistics must match; with
-    one, the post-selected statistics must match while the raw ones are
-    flagged as doing the post-selection work, and ``no_show_rate`` is the
-    largest per-preparation no-show rate.  ``born`` is the scenario's Born
-    table, built here when not given.
+    The statistics post-selected on a real outcome and the raw ones are each
+    compared with Born; without a null outcome the two are the same.  With
+    one, the raw ones show whether post-selection does work, and
+    ``no_show_rate`` is the largest per-preparation no-show rate (0 without
+    one).  ``born`` is the scenario's Born table, built here when not given.
     """
     if born is None:
         born = build_pbr_scenario().born_table()
     model = witness_to_model(witness)
     has_null = NULL in witness["outcomes"]
-    if not has_null:
-        table = {(p, "R", k): born[(p, k)] for p in PREP_LABELS for k in OUTCOME_LABELS}
-        report = reproduction_check(model, table)
-        return {"post_selected_match": report.ok, "unconditioned_match": report.ok,
-                "rows": len(report.rows)}
-    from .models import predicted_probability
     post_ok, raw_ok, null_rates = True, True, []
     for p in PREP_LABELS:
-        null_rate = predicted_probability(model, p, "R", NULL)
+        null_rate = predicted_probability(model, p, "R", NULL) if has_null else Fraction(0)
         null_rates.append(null_rate)
         for k in OUTCOME_LABELS:
             raw = predicted_probability(model, p, "R", k)
@@ -531,7 +469,7 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
             if detected == 0 or raw / detected != born[(p, k)]:
                 post_ok = False
     return {"post_selected_match": post_ok, "unconditioned_match": raw_ok,
-            "rows": 16, "no_show_rate": max(null_rates)}
+            "no_show_rate": max(null_rates)}
 
 
 # --------------------------------------------------------------------------
@@ -597,10 +535,8 @@ def chsh_gap_demo() -> ChshReport:
     """Quantum singlet value at the maximal-violation angles vs the local
     deterministic bound and the best any toy composite state can do."""
     # settings: A at 0 and pi/2, B at pi/4 and -pi/4 (in eighths of pi)
-    e = {}
-    for ka, kb in itertools.product((0, 2), (1, 7)):
-        e[(ka, kb)] = _singlet_correlation(ka, kb)
-    s_exact = e[(0, 1)] + e[(0, 7)] + e[(2, 1)] - e[(2, 7)]
+    e = _singlet_correlation
+    s_exact = e(0, 1) + e(0, 7) + e(2, 1) - e(2, 7)
     s_val = abs(s_exact.to_complex().real)
 
     best_local = max(

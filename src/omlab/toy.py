@@ -536,39 +536,24 @@ def steering_inference(state: CompositeToyState, alice_meas: ToyMeasurement,
     return SteeringResult(prob, updated, bob, conditioned)
 
 
-@dataclass(frozen=True)
-class SteeringTranscript:
-    steps: tuple
-    retrodicted_state: int
-
-
-def steering_retrodiction_demo() -> SteeringTranscript:
+def steering_retrodiction_demo(second_outcome: frozenset = frozenset({1, 2})) -> int:
     """The two-measurement protocol on the identity-correlated state.
 
-    First measurement {{1,3},{2,4}} with outcome {1,3} shows both systems
-    shared a state in {1,3}; the follow-up {{1,2},{3,4}} with outcome {1,2}
-    intersects the knowledge chain down to state 1.  The disturbance of the
-    first measurement stays inside its outcome block, so the intersection
-    pins Alice's state at the second measurement; the protocol reads the
-    chain as the shared state the pair occupied at the first one.
+    First measurement {{1,3},{2,4}} with outcome {1,3}: the pairs at that
+    moment share a state in {1,3}.  The follow-up {{1,2},{3,4}} with
+    ``second_outcome`` leaves Alice's states at its own moment.  The first
+    measurement's disturbance stays inside its outcome block, so the first
+    run's pairs whose Alice state the second run keeps pin the shared state
+    the pair occupied at the first measurement; it is returned.
     """
     state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
-    first_block = frozenset({1, 3})
-    r1 = steering_inference(state, MEAS_X_TOY, first_block)
-    second_block = frozenset({1, 2})
-    r2 = steering_inference(r1.updated, MEAS_Z_TOY, second_block)
-    chain = first_block & second_block
-    if len(chain) != 1:
+    r1 = steering_inference(state, MEAS_X_TOY, frozenset({1, 3}))
+    r2 = steering_inference(r1.updated, MEAS_Z_TOY, frozenset(second_outcome))
+    alice_at_second = {a for a, _ in r2.joint_at_measurement}
+    shared = {a for a, _ in r1.joint_at_measurement if a in alice_at_second}
+    if len(shared) != 1:
         raise ToyError("retrodiction chain did not single out one state")
-    steps = (
-        (("measurement", "X"), ("outcome", sorted(first_block)),
-         ("joint_at_measurement", sorted(map(list, r1.joint_at_measurement))),
-         ("bob_marginal_support", sorted(s for s, w in r1.bob_marginal.items() if w > 0))),
-        (("measurement", "Z"), ("outcome", sorted(second_block)),
-         ("joint_at_measurement", sorted(map(list, r2.joint_at_measurement))),
-         ("bob_marginal_support", sorted(s for s, w in r2.bob_marginal.items() if w > 0))),
-    )
-    return SteeringTranscript(steps, next(iter(chain)))
+    return shared.pop()
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,54 @@ def test_epr_validity_across_squeezings():
         assert g.validity_check(g.epr_correlated(r)).valid
 
 
+def relative_error(got, want) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+def test_epr_stays_accurate_at_high_squeeze():
+    # from r ~ 9.5 the plain covariance's smallest eigenvalue and Bob's
+    # conditioned q variance fall below float64 rounding of cosh 2r; the
+    # normal modes keep every quantity to a few ulps
+    rs = [k / 20 for k in range(401)] + [1e-9, 1e-6, 1e-4, 9.5, 10.0, 11.99]
+    for r, lam in ((r, lam) for r in rs for lam in (0.25, 1.0, 4.0)):
+        epr = g.epr_correlated(r, lam)
+        assert g.validity_check(epr).valid, r
+        var = g.epr_quadrature_variances(epr)
+        assert relative_error(var["var_q_diff"], lam * math.exp(-2 * r)) <= 1e-12, r
+        assert relative_error(var["var_p_sum"], lam * math.exp(-2 * r)) <= 1e-12, r
+        # a pure two-mode state: det gamma = lam^4 at every squeezing
+        assert relative_error(g.entropy(epr), 2 * math.log(2 * math.pi * math.e * lam)) <= 1e-12
+        for measure, value, sign in (("q", 1.3, 1.0), ("p", -0.7, -1.0)):
+            res = g.epr_inference(epr, measure, value)
+            i = "qp".index(measure)
+            assert res.bob_validity.valid, (r, measure)
+            assert relative_error(res.bob.mean[i], sign * math.tanh(2 * r) * value) <= 1e-12
+            assert relative_error(res.bob.covariance[i, i], lam / math.cosh(2 * r)) <= 1e-12
+            assert relative_error(res.bob.covariance[1 - i, 1 - i],
+                                  lam * math.cosh(2 * r)) <= 1e-12
+            assert res.bob.covariance[0, 1] == res.bob.covariance[1, 0] == 0.0
+
+
+def test_validity_threshold_does_not_grow_with_the_squeeze():
+    # one mode diag(a/cosh 2r, cosh 2r) at lam = 1 is valid iff a >= 1; from
+    # r ~ 10 the spectrum of gamma + i*Sigma puts a = 1/2 within rounding of 0
+    for r in (0.0, 3.0, 10.0, 20.0):
+        c = math.cosh(2 * r)
+        for a, valid in ((1.0, True), (0.99, False), (0.5, False)):
+            state = g.GaussianEpistemicState(np.zeros(2), np.diag([a / c, c]), 1.0)
+            assert g.validity_check(state).valid == valid, (r, a)
+
+
+def test_normal_modes_must_factor_the_covariance():
+    epr = g.epr_correlated(1.0)
+    variances, basis = epr.modes
+    assert np.allclose((basis * variances) @ basis.T, epr.covariance, rtol=1e-12, atol=0)
+    with pytest.raises(g.GaussianError, match="normal modes"):
+        g.GaussianEpistemicState(epr.mean, epr.covariance, 1.0, (variances[::-1], basis))
+    with pytest.raises(g.GaussianError, match="positive definite"):
+        g.GaussianEpistemicState(np.zeros(2), np.diag([1.0, 0.0]), 1.0)
+
+
 def test_epr_decoupling_limit():
     tiny = g.epr_correlated(0.0)
     assert np.allclose(tiny.covariance, np.eye(4), atol=1e-12)

@@ -1,13 +1,14 @@
-"""Product-preparation scenario: construction invariants, the two-stage
-feasibility search, the no-show escape and the CHSH gap."""
+"""Product-preparation scenario: construction invariants, the support-level
+verdicts against an enumeration oracle, the no-show escape and the CHSH gap."""
 
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from pbr_oracle import grid_search
 
-from omlab import pbr, quantum
+from omlab import cli, pbr, quantum
 from omlab.exact import INV_SQRT2
 from omlab.models import EpistemicState, OnticSpace, overlap_witness, reproduction_check
 
@@ -88,18 +89,42 @@ def test_support_decision_prices_the_toy_states():
 
 
 def test_support_decision_needs_a_forced_overlap():
-    # without q no ontic state is shared: the grid finds disjoint point masses
+    # without q no ontic state is shared: disjoint point masses, with no LP
     verdict = pbr.solve_feasibility(pbr.FeasibilityProblem(lambda_size=4, grid_denominator=2,
                                                            q=None))
-    assert (verdict.status, verdict.decided_by) == ("feasible", "grid")
-    assert verdict.to_json()["decided_by"] == "grid"
+    assert (verdict.status, verdict.decided_by, verdict.tested_points) == (
+        "feasible", "support", 1)
+    assert verdict.to_json()["decided_by"] == "support"
     s0, sp = (make_state(verdict.witness[side]) for side in ("p0", "pplus"))
     assert overlap_witness(s0, sp) is None
+    assert sorted(verdict.witness["xi"]) == sorted(
+        f"{k}|{cell}" for k in pbr.OUTCOME_LABELS for cell in ("1,1", "1,2", "2,1", "2,2"))
 
 
 def test_support_decision_rejects_zero_q():
     with pytest.raises(pbr.PbrError):
         pbr.FeasibilityProblem(q=F(0))
+
+
+def compare_with_the_oracle(problem, born) -> bool:
+    """The verdict agrees with the enumeration oracle in status; an infeasible
+    one also in tested points and certificate, and a feasible one replays.
+    Returns whether the certificates differ because the oracle's last point
+    was decided by the simplex, which leaves no certificate."""
+    verdict = pbr.solve_feasibility(problem, born)
+    status, tested, found = grid_search(problem, born)
+    assert (verdict.status, verdict.decided_by) == (status, "support"), problem
+    assert verdict.to_json()["decided_by"] == "support"
+    if status == "feasible":
+        replay = pbr.replay_witness(verdict.witness, born)
+        assert replay["post_selected_match"], problem
+        assert replay["unconditioned_match"] == (problem.null_budget is None), problem
+        return False
+    assert verdict.tested_points == tested, problem
+    if found is None:
+        return True
+    assert verdict.certificate == found, problem
+    return False
 
 
 def test_support_verdict_matches_the_grid_search():
@@ -108,12 +133,60 @@ def test_support_verdict_matches_the_grid_search():
         for units, relax in itertools.product(range(1, d + 1), (False, True)):
             problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
                                              q=F(units, d), relax_product=relax)
-            support = pbr.solve_feasibility(problem, born)
-            grid = pbr._grid_search(problem, born)
-            assert (support.decided_by, grid.decided_by) == ("support", "grid")
-            assert support.to_json()["decided_by"] == "support"
-            assert ((support.status, support.tested_points, support.certificate)
-                    == (grid.status, grid.tested_points, grid.certificate)), problem
+            assert not compare_with_the_oracle(problem, born)
+
+
+def test_unforced_verdict_matches_the_grid_search():
+    born = pbr.build_pbr_scenario().born_table()
+    for n, d, budget, relax in itertools.product(range(1, 5), range(1, 5), (None, F(1, 2)),
+                                                 (False, True)):
+        problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d, q=None,
+                                         relax_product=relax, null_budget=budget)
+        assert not compare_with_the_oracle(problem, born)
+        verdict = pbr.solve_feasibility(problem, born)
+        assert verdict.status == ("infeasible" if n == 1 else "feasible")
+        assert pbr.no_show_price(problem) == (None if n == 1 else 0)
+        if n >= 2:
+            # the psi-ontic point; on two ontic states it is the oracle's witness
+            assert (verdict.witness["p0"][:2], verdict.witness["pplus"][:2]) == (
+                ["1/1", "0/1"], ["0/1", "1/1"])
+            if n == 2:
+                assert grid_search(problem, born)[2] == tuple(
+                    tuple(F(x) for x in verdict.witness[side]) for side in ("p0", "pplus"))
+
+
+def test_small_budget_verdict_matches_the_grid_search():
+    # one or two ontic states with a budget: 30 of these 360 problems end the
+    # enumeration on a relaxed spread family with zero-weight cells, decided
+    # by the simplex; the verdict names Psi1's forced no-show rate there too
+    born = pbr.build_pbr_scenario().born_table()
+    qs = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1))
+    lp_decided = []
+    for n, d, q, budget, relax in itertools.product(
+            (1, 2), range(1, 7), qs, (F(1, 16), F(1, 2), F(7, 8)), (False, True)):
+        problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d, q=q,
+                                         relax_product=relax, null_budget=budget)
+        if compare_with_the_oracle(problem, born):
+            lp_decided.append(problem)
+        verdict = pbr.solve_feasibility(problem, born)
+        assert verdict.certificate["violated_equation"] == (
+            f"forced no-show rate 1/1 exceeds budget {pbr.frac_str(budget)} for Psi1")
+    assert len(lp_decided) == 30
+    assert all((p.lambda_size, p.relax_product, pbr._star_floor(p)) == (2, True, 1)
+               for p in lp_decided)
+
+
+def test_unforced_budget_witness_keeps_raw_statistics_apart():
+    # every q=none budget op: the no-show rate stays b > 0, so the raw
+    # statistics differ from Born and only the post-selected ones match
+    for n, relax, budget in itertools.product(range(2, 9), (False, True),
+                                              ("1/16", "1/2", "7/8")):
+        argv = ["nogo", "pbr", "--q", "none", "--lambda-size", str(n), "--null-budget", budget]
+        report = cli.run(cli.config_from_args(cli.build_parser().parse_args(
+            argv + ["--relax-product"] * relax)))
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["pbr null witness: raw statistics differ from Born"], argv
+        assert passed["pbr witness reproduces Born (post-selected)"] and report.all_passed
 
 
 def candidate_lp(n, d, units, budget, born):
@@ -151,7 +224,7 @@ def test_enumeration_confirms_the_price_without_the_bound():
                                              q=F(units, d), relax_product=relax,
                                              null_budget=budget)
             assert pbr.no_show_price(problem) is None
-            assert pbr._grid_search(problem, born).status == "infeasible", problem
+            assert grid_search(problem, born)[0] == "infeasible", problem
     # three ontic states: every grid point fails just below f^2, as the
     # support decision says without enumerating
     for d, relax in itertools.product((2, 3), (False, True)):
@@ -159,10 +232,10 @@ def test_enumeration_confirms_the_price_without_the_bound():
             problem = pbr.FeasibilityProblem(
                 lambda_size=3, grid_denominator=d, q=F(units, d), relax_product=relax,
                 null_budget=F(units, d) ** 2 - F(1, d ** 3))
-            grid = pbr._grid_search(problem, born)
+            status, tested, _ = grid_search(problem, born)
             support = pbr.solve_feasibility(problem, born)
-            assert grid.status == support.status == "infeasible", problem
-            assert grid.tested_points == support.tested_points
+            assert status == support.status == "infeasible", problem
+            assert tested == support.tested_points
 
 
 # ------------------------------------------------------------- feasibility

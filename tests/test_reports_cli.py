@@ -232,6 +232,17 @@ def test_relaxed_pbr_on_one_ontic_state(capsys):
     assert verdict["detail"]["tested_points"] == 2
 
 
+def test_unforced_pbr_on_one_ontic_state_is_an_expected_infeasible(capsys):
+    # one cell weighed by all four preparations: no model at any budget below 1
+    for budget in ((), ("--null-budget", "1/2")):
+        code = cli.main(["nogo", "pbr", "--q", "none", "--lambda-size", "1",
+                         "--format", "json", *budget])
+        doc = json.loads(capsys.readouterr().out)
+        verdict = next(c for c in doc["checks"] if c["name"].startswith("pbr verdict"))
+        assert verdict["expected"] == verdict["observed"] == "infeasible"
+        assert code == 0
+
+
 def pbr_report(capsys, *argv):
     code = cli.main(["nogo", "pbr", "--format", "json", *argv])
     doc = json.loads(capsys.readouterr().out)
@@ -257,7 +268,9 @@ def test_two_state_budget_is_an_expected_infeasible(capsys):
     assert code == 0
     verdict = checks["pbr verdict"]
     assert verdict["expected"] == verdict["observed"] == "infeasible"
-    assert verdict["detail"]["decided_by"] == "grid"
+    assert verdict["detail"]["decided_by"] == "support"
+    assert verdict["detail"]["certificate"]["violated_equation"] == (
+        "forced no-show rate 1/1 exceeds budget 1/2 for Psi1")
     assert "pbr minimal no-show budget = f^2" not in checks
 
 

@@ -153,6 +153,8 @@ def test_rational_instances_match_pinned_results():
 
 
 def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
+    from pbr_oracle import grid_search
+
     from omlab import pbr
 
     solved = []
@@ -162,12 +164,12 @@ def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
         return solved[-1]
 
     monkeypatch.setattr(pbr, "find_feasible", record)
-    # the weight enumeration's LPs; the verdict itself is decided at the
+    # the enumeration oracle's LPs; the verdict itself is decided at the
     # support level with one LP
-    verdict = pbr._grid_search(pbr.FeasibilityProblem(
+    status, tested, _ = grid_search(pbr.FeasibilityProblem(
         lambda_size=4, grid_denominator=3, q=F(1, 4), null_budget=F(3, 8)),
         pbr.build_pbr_scenario().born_table())
-    assert (verdict.status, verdict.tested_points, len(solved)) == ("feasible", 48, 18)
+    assert (status, tested, len(solved)) == ("feasible", 48, 18)
     assert [str(r.phase1_value) for r in solved] == (
         ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2 + ["5/72"] * 3 + ["5/18"] * 2
         + ["5/72"] * 5 + ["0"])

@@ -278,8 +278,15 @@ def test_steering_reference_sequence():
 
     r2 = toy.steering_inference(r1.updated, MEAS_Z_TOY, frozenset({1, 2}))
     assert r2.joint_at_measurement == {(1, 1), (1, 3)}
-    transcript = toy.steering_retrodiction_demo()
-    assert transcript.retrodicted_state == 1
+    assert toy.steering_retrodiction_demo() == 1
+
+
+def test_steering_retrodiction_follows_the_second_outcome():
+    # the other Z outcome keeps Alice in {3, 4} at the second measurement,
+    # which singles out the other pair the first one left: (3, 3)
+    assert toy.steering_retrodiction_demo(frozenset({3, 4})) == 3
+    with pytest.raises(ToyError):
+        toy.steering_retrodiction_demo(frozenset({1, 3}))  # not a Z outcome
 
 
 def test_steering_product_state_leaves_bob_alone():
