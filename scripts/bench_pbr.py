@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Time ``pbr.solve_feasibility`` on every ``nogo pbr`` op of the ``pbr-grid``
-and ``pbr-lp`` benchmark passes at seed 1, before and after a change, and
-write the numbers to a BENCH json file.
+"""Time every ``nogo pbr`` op of the ``pbr-grid`` and ``pbr-lp`` benchmark
+passes at seed 1, before and after a change, and write the numbers to a BENCH
+json file.
 
-Each op's argv is turned into a ``FeasibilityProblem`` by the tree's own CLI
-parser.  Both trees then decide every op in fresh interpreters, alternating
-base and change; the Born table is built before the clock starts, so only
-the verdict is timed.  Next to each op's median time the script records the
-counters that tell a speed-up from skipped work: the grid points the verdict
-covers (``tested_points``), the exact LPs it solved and their pivots, and
-its status, which must agree between the two sides.  The base tree's
-``src/`` is extracted from git with ``git archive``.
+Both trees run every op in fresh interpreters, alternating base and change,
+after the workloads' warm-up ops.  Each op is timed twice: the verdict alone,
+``pbr.solve_feasibility`` on a ``FeasibilityProblem`` parsed by the tree's own
+CLI with the Born table built before the clock starts (``solve``), and the
+whole in-process op as ``perfbench`` times it, ``cli.build_parser`` ->
+``cli.config_from_args`` -> ``cli.run`` -> ``reports.emit`` (``op``).  Next to
+each op's median times the script records the counters that tell a speed-up
+from skipped work: the grid points the verdict covers (``tested_points``), the
+exact LPs it solved and their pivots, its status, and, from a separate untimed
+pass of the whole op, the ``ExactComplex`` products and the ``Fraction``
+products it computed.  Statuses and ``ExactComplex`` products must agree
+between the two sides.  The base tree's ``src/`` is extracted from git with
+``git archive``.
 
-    python3 scripts/bench_pbr.py --base 462921a --runs 5 --out BENCH_7.json
+    python3 scripts/bench_pbr.py --base 1bbb6f6 --runs 9 --out BENCH_15.json
 """
 
 from __future__ import annotations
@@ -33,14 +38,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 WORKLOADS = ("pbr-grid", "pbr-lp")
+TIMES = ("solve", "op")  # seconds under the keys solve_s and op_s
+COUNTERS = ("status", "points", "lps", "pivots", "exact_products", "fraction_products")
 
-# Decides every op of the json argv list once, with the omlab on sys.path,
-# and prints one json line per op.
+# Runs the warm-up ops, then times every op of the json argv list once, with
+# the omlab on sys.path, and prints one json line per op.
 WORKER = r"""
 import json, sys, time
 from fractions import Fraction
-from omlab import cli, pbr
-ops = json.loads(open(sys.argv[1]).read())
+from omlab import cli, pbr, reports
+from omlab.exact import ExactComplex
+ops, warmups = json.loads(open(sys.argv[1]).read())
 born = pbr.build_pbr_scenario().born_table()
 solve, lps = pbr.find_feasible, []
 
@@ -48,7 +56,14 @@ def record(*args, **kwargs):
     lps.append(solve(*args, **kwargs))
     return lps[-1]
 
+def whole_op(argv):
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    reports.emit(cli.run(config), "json")
+
 pbr.find_feasible = record
+for argv in warmups:
+    whole_op(argv)
+rows = []
 for argv in ops:
     a = cli.config_from_args(cli.build_parser().parse_args(argv)).args
     problem = pbr.FeasibilityProblem(
@@ -58,19 +73,42 @@ for argv in ops:
     lps.clear()
     start = time.perf_counter()
     verdict = pbr.solve_feasibility(problem, born)
-    wall = time.perf_counter() - start
-    print(json.dumps({"wall_s": wall, "status": verdict.status,
-                      "points": verdict.tested_points, "lps": len(lps),
-                      "pivots": sum(r.pivots for r in lps)}))
+    solve_s = time.perf_counter() - start
+    row = {"solve_s": solve_s, "status": verdict.status, "points": verdict.tested_points,
+           "lps": len(lps), "pivots": sum(r.pivots for r in lps)}
+    start = time.perf_counter()
+    whole_op(argv)
+    rows.append(dict(row, op_s=time.perf_counter() - start))
+
+# untimed: count the products each whole op computes
+counts = {}
+
+def counting(cls, name, key):
+    product = getattr(cls, name)
+
+    def counted(*args):
+        counts[key] += 1
+        return product(*args)
+    setattr(cls, name, counted)
+
+for name in ("__mul__", "__rmul__"):
+    counting(ExactComplex, name, "exact_products")
+    counting(Fraction, name, "fraction_products")
+for argv, row in zip(ops, rows):
+    counts.update(exact_products=0, fraction_products=0)
+    whole_op(argv)
+    print(json.dumps(dict(row, **counts)))
 """
 
 
-def seed_one_ops() -> list:
-    """(workload, argv) for every nogo pbr op of the benchmark passes at seed 1."""
+def seed_one_ops() -> tuple:
+    """(workload, argv) for every nogo pbr op of the benchmark passes at seed 1,
+    and the workloads' warm-up argvs."""
     sys.path.insert(0, str(ROOT))
     from perfbench import workloads
-    return [(name, argv) for name in WORKLOADS for argv in workloads.generate(name, 1)
-            if argv[2:4] == ["nogo", "pbr"]]
+    ops = [(name, argv) for name in WORKLOADS for argv in workloads.generate(name, 1)
+           if argv[2:4] == ["nogo", "pbr"]]
+    return ops, [argv for name in WORKLOADS for argv in workloads.WARMUP[name]]
 
 
 def extract_src(rev: str, dest: Path) -> Path:
@@ -105,15 +143,15 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--runs", type=int, default=5, help="timed runs per side (>= 5)")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
+    ap.add_argument("--out", required=True, help="BENCH json file to write")
     args = ap.parse_args()
     if args.runs < 5:
         ap.error("a median for a BENCH file needs at least 5 runs per side")
 
-    ops = seed_one_ops()
+    ops, warmups = seed_one_ops()
     with tempfile.TemporaryDirectory() as tmp:
         ops_path = Path(tmp) / "ops.json"
-        ops_path.write_text(json.dumps([argv for _, argv in ops]))
+        ops_path.write_text(json.dumps([[argv for _, argv in ops], warmups]))
         sides = {"base": extract_src(args.base, Path(tmp) / "base"), "change": SRC}
         runs = {side: [] for side in sides}
         for i in range(args.runs):
@@ -121,39 +159,44 @@ def main() -> int:
             for side in order:
                 runs[side].append(decide_once(sides[side], ops_path))
                 print(f"run {i + 1}/{args.runs} {side}: "
-                      f"{sum(r['wall_s'] for r in runs[side][-1]):.3f} s", file=sys.stderr)
+                      f"{sum(r['op_s'] for r in runs[side][-1]):.3f} s", file=sys.stderr)
 
     rows, same = [], True
     for j, (workload, argv) in enumerate(ops):
         row = {"workload": workload, "argv": " ".join(argv[2:])}
         for side, side_runs in runs.items():
-            first = side_runs[0][j]
-            same &= all({k: r[j][k] for k in first if k != "wall_s"}
-                        == {k: v for k, v in first.items() if k != "wall_s"} for r in side_runs)
-            row[side] = {"median_ms": round(1000 * statistics.median(r[j]["wall_s"]
-                                                                     for r in side_runs), 3),
-                         **{k: first[k] for k in ("status", "points", "lps", "pivots")}}
-        same &= row["base"]["status"] == row["change"]["status"]
+            first = {k: side_runs[0][j][k] for k in COUNTERS}
+            same &= all({k: r[j][k] for k in COUNTERS} == first for r in side_runs)
+            row[side] = {**{f"{t}_median_ms": round(1000 * statistics.median(
+                r[j][f"{t}_s"] for r in side_runs), 3) for t in TIMES}, **first}
+        same &= all(row["base"][k] == row["change"][k] for k in ("status", "exact_products"))
         rows.append(row)
     totals = {}
     for workload in WORKLOADS:
         idx = [j for j, (w, _) in enumerate(ops) if w == workload]
-        med = {side: statistics.median(sum(r[j]["wall_s"] for j in idx) for r in side_runs)
-               for side, side_runs in runs.items()}
-        totals[workload] = {
-            "median_pass_s": {side: round(m, 4) for side, m in med.items()},
-            "speedup": round(med["base"] / med["change"], 2),
-            **{f"{k}_total": {side: sum(rows[j][side][k] for j in idx) for side in runs}
-               for k in ("points", "lps", "pivots")}}
+        totals[workload] = {"ops": len(idx)}
+        for t in TIMES:
+            med = {side: statistics.median(sum(r[j][f"{t}_s"] for j in idx) for r in side_runs)
+                   for side, side_runs in runs.items()}
+            totals[workload][f"{t}_median_pass_s"] = {
+                side: round(m, 4) for side, m in med.items()}
+            totals[workload][f"{t}_speedup"] = round(med["base"] / med["change"], 2)
+        totals[workload].update({f"{k}_total": {side: sum(rows[j][side][k] for j in idx)
+                                                for side in runs}
+                                 for k in COUNTERS if k != "status"})
     doc = {
-        "what": "pbr.solve_feasibility on every nogo pbr op of the pbr-grid and pbr-lp "
-                "passes at seed 1 (perfbench/workloads.py), Born table built beforehand; "
-                "each run decides every op once in a fresh interpreter, base and change "
-                "alternating; per-op and per-pass medians over the runs",
+        "what": "every nogo pbr op of the pbr-grid and pbr-lp passes at seed 1 "
+                "(perfbench/workloads.py), each run in a fresh interpreter after the "
+                "warm-up ops, base and change alternating; solve = pbr.solve_feasibility "
+                "with the Born table built beforehand, op = build_parser -> "
+                "config_from_args -> run -> emit as perfbench times it; per-op and "
+                "per-pass medians over the runs; exact_products (ExactComplex.__mul__ "
+                "and __rmul__ calls) and fraction_products (Fraction.__mul__ and "
+                "__rmul__ calls) are counted per whole op in a separate untimed pass",
         "machine": machine(),
         "base_rev": args.base,
         "runs_per_side": args.runs,
-        "statuses_identical": same,
+        "statuses_and_exact_products_identical": same,
         "totals": totals,
         "ops": rows,
     }

@@ -4,7 +4,10 @@ Every amplitude appearing in the qubit models lives in the field extension
 Q(i, sqrt2): numbers of the form (a + b*sqrt2) + (c + d*sqrt2)*i with
 rational a, b, c, d.  Addition and multiplication are closed, so
 all probabilities come out as exact rationals and equality checks need no
-tolerances.  Arbitrary-angle phases fall back to plain ``complex``.
+tolerances.  Arithmetic skips every term that is exactly zero (a product
+with a zero factor, a zero summand, the imaginary part of a real number);
+the four coefficients stay ``Fraction`` and the field element is the same.
+Arbitrary-angle phases fall back to plain ``complex``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,14 @@ from typing import Union
 Rational = Union[int, Fraction]
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _qmul(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> tuple:
+    """(a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2; a term with a
+    zero factor is that factor (``x and y and x * y``), never multiplied out."""
+    ac = a and c and a * c
+    bd = b and d and 2 * b * d
+    ad = a and d and a * d
+    bc = b and c and b * c
+    return (ac + bd if ac and bd else ac or bd), (ad + bc if ad and bc else ad or bc)
 
 
 def _is_float_mode(x) -> bool:
@@ -37,12 +46,16 @@ class ExactComplex:
     def of(x: "ExactComplex | Rational") -> "ExactComplex":
         if isinstance(x, ExactComplex):
             return x
-        return ExactComplex(_frac(x))
+        return ExactComplex(Fraction(x))
 
     def __add__(self, other):
         if _is_float_mode(other):
             return self.to_complex() + complex(other)
         o = ExactComplex.of(other)
+        if o.is_zero():
+            return self
+        if self.is_zero():
+            return o
         return ExactComplex(self.ra + o.ra, self.rb + o.rb, self.ia + o.ia, self.ib + o.ib)
 
     __radd__ = __add__
@@ -60,20 +73,20 @@ class ExactComplex:
             # mixing number modes demotes the computation to float
             return self.to_complex() * complex(other)
         o = ExactComplex.of(other)
-        # (R1 + I1 i)(R2 + I2 i) with R, I in Q(sqrt2);
-        # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s  since s^2 = 2.
-        def rmul(a, b, c, d):
-            return a * c + 2 * b * d, a * d + b * c
-
-        rr_a, rr_b = rmul(self.ra, self.rb, o.ra, o.rb)
-        ii_a, ii_b = rmul(self.ia, self.ib, o.ia, o.ib)
-        ri_a, ri_b = rmul(self.ra, self.rb, o.ia, o.ib)
-        ir_a, ir_b = rmul(self.ia, self.ib, o.ra, o.rb)
+        # (R1 + I1 i)(R2 + I2 i) with R, I in Q(sqrt2)
+        rr_a, rr_b = _qmul(self.ra, self.rb, o.ra, o.rb)
+        if self.is_real() and o.is_real():
+            return ExactComplex(rr_a, rr_b)
+        ii_a, ii_b = _qmul(self.ia, self.ib, o.ia, o.ib)
+        ri_a, ri_b = _qmul(self.ra, self.rb, o.ia, o.ib)
+        ir_a, ir_b = _qmul(self.ia, self.ib, o.ra, o.rb)
         return ExactComplex(rr_a - ii_a, rr_b - ii_b, ri_a + ir_a, ri_b + ir_b)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactComplex":
+        if self.is_real():
+            return self
         return ExactComplex(self.ra, self.rb, -self.ia, -self.ib)
 
     def is_zero(self) -> bool:

@@ -10,6 +10,10 @@ from omlab.exact import ExactComplex, I, ONE, SQRT2, INV_SQRT2, ZERO, phase_eigh
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 scalars = st.builds(ExactComplex, fracs, fracs, fracs, fracs)
+# each coefficient is zero about half the time, so real, rational, pure-sqrt2
+# and purely imaginary numbers all come up
+sparse_fracs = st.one_of(st.just(Fraction(0)), fracs)
+sparse_scalars = st.builds(ExactComplex, sparse_fracs, sparse_fracs, sparse_fracs, sparse_fracs)
 
 
 def close(a: ExactComplex, b: complex, tol=1e-12) -> bool:
@@ -35,6 +39,33 @@ def test_ring_laws(x, y, z):
 def test_conjugation_involution(x):
     assert x.conjugate().conjugate() == x
     assert (x * x.conjugate()).is_real()
+
+
+def reference_mul(x: ExactComplex, y: ExactComplex) -> tuple:
+    """All 16 coefficient products, none skipped."""
+    def qmul(a, b, c, d):
+        return a * c + 2 * b * d, a * d + b * c
+
+    rr, ii = qmul(x.ra, x.rb, y.ra, y.rb), qmul(x.ia, x.ib, y.ia, y.ib)
+    ri, ir = qmul(x.ra, x.rb, y.ia, y.ib), qmul(x.ia, x.ib, y.ra, y.rb)
+    return rr[0] - ii[0], rr[1] - ii[1], ri[0] + ir[0], ri[1] + ir[1]
+
+
+def fields(z: ExactComplex) -> tuple:
+    assert all(type(f) is Fraction for f in (z.ra, z.rb, z.ia, z.ib)), z
+    return z.ra, z.rb, z.ia, z.ib
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_scalars, sparse_scalars)
+def test_zero_skipping_matches_the_full_products(x, y):
+    assert fields(x * y) == reference_mul(x, y)
+    assert hash(x * y) == hash(ExactComplex(*reference_mul(x, y)))
+    assert fields(x + y) == (x.ra + y.ra, x.rb + y.rb, x.ia + y.ia, x.ib + y.ib)
+    assert fields(x - y) == (x.ra - y.ra, x.rb - y.rb, x.ia - y.ia, x.ib - y.ib)
+    assert fields(x.conjugate()) == (x.ra, x.rb, -x.ia, -x.ib)
+    assert fields(x * 3) == reference_mul(x, ExactComplex.of(3))
+    assert fields(0 + x) == fields(x)
 
 
 def test_constants():
