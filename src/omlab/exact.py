@@ -4,9 +4,10 @@ Every amplitude appearing in the qubit models lives in the field extension
 Q(i, sqrt2): numbers of the form (a + b*sqrt2) + (c + d*sqrt2)*i with
 rational a, b, c, d.  Addition and multiplication are closed, so
 all probabilities come out as exact rationals and equality checks need no
-tolerances.  Arithmetic skips every term that is exactly zero (a product
-with a zero factor, a zero summand, the imaginary part of a real number);
-the four coefficients stay ``Fraction`` and the field element is the same.
+tolerances.  A value is (a + b*sqrt2 + (c + d*sqrt2)*i)/den: four integers
+over one shared denominator den > 0, in lowest terms after one gcd per result.
+That form is canonical, so equality and hashing compare five integers, and a
+``Fraction`` is made only at the boundary (``ra``, ``rb``, ``ia``, ``ib``).
 Arbitrary-angle phases fall back to plain ``complex``.
 """
 
@@ -14,54 +15,56 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
-
-
-def _qmul(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> tuple:
-    """(a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2; a term with a
-    zero factor is that factor (``x and y and x * y``), never multiplied out."""
-    ac = a and c and a * c
-    bd = b and d and 2 * b * d
-    ad = a and d and a * d
-    bc = b and c and b * c
-    return (ac + bd if ac and bd else ac or bd), (ad + bc if ad and bc else ad or bc)
+from math import gcd, lcm
 
 
 def _is_float_mode(x) -> bool:
     return isinstance(x, (float, complex)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExactComplex:
-    """(ra + rb*sqrt2) + (ia + ib*sqrt2)*i with Fraction coefficients."""
+    """(a + b*sqrt2 + (c + d*sqrt2)*i)/den, kept as the canonical tuple ``_t``."""
 
-    ra: Fraction = Fraction(0)
-    rb: Fraction = Fraction(0)
-    ia: Fraction = Fraction(0)
-    ib: Fraction = Fraction(0)
+    __slots__ = ("_t",)
+    _t: tuple
+
+    def __new__(cls, ra: int | Fraction = 0, rb: int | Fraction = 0,
+                ia: int | Fraction = 0, ib: int | Fraction = 0):
+        parts = [Fraction(x) for x in (ra, rb, ia, ib)]
+        den = lcm(*(p.denominator for p in parts))
+        return _reduced(*(p.numerator * (den // p.denominator) for p in parts), den)
+
+    ra = property(lambda self: Fraction(self._t[0], self._t[4]))
+    rb = property(lambda self: Fraction(self._t[1], self._t[4]))
+    ia = property(lambda self: Fraction(self._t[2], self._t[4]))
+    ib = property(lambda self: Fraction(self._t[3], self._t[4]))
 
     @staticmethod
-    def of(x: "ExactComplex | Rational") -> "ExactComplex":
+    def of(x: ExactComplex | int | Fraction) -> ExactComplex:
         if isinstance(x, ExactComplex):
             return x
-        return ExactComplex(Fraction(x))
+        if type(x) is int:
+            return _make((x, 0, 0, 0, 1))
+        if type(x) is Fraction:
+            return _make((x.numerator, 0, 0, 0, x.denominator))
+        return ExactComplex(x)
 
     def __add__(self, other):
         if _is_float_mode(other):
             return self.to_complex() + complex(other)
-        o = ExactComplex.of(other)
-        if o.is_zero():
-            return self
-        if self.is_zero():
-            return o
-        return ExactComplex(self.ra + o.ra, self.rb + o.rb, self.ia + o.ia, self.ib + o.ib)
+        a1, b1, c1, d1, n1 = self._t
+        a2, b2, c2, d2, n2 = ExactComplex.of(other)._t
+        if n1 == n2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                        c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.ra, -self.rb, -self.ia, -self.ib)
+        a, b, c, d, n = self._t
+        return _make((-a, -b, -c, -d, n))
 
     def __sub__(self, other):
         if _is_float_mode(other):
@@ -72,31 +75,32 @@ class ExactComplex:
         if _is_float_mode(other):
             # mixing number modes demotes the computation to float
             return self.to_complex() * complex(other)
-        o = ExactComplex.of(other)
-        # (R1 + I1 i)(R2 + I2 i) with R, I in Q(sqrt2)
-        rr_a, rr_b = _qmul(self.ra, self.rb, o.ra, o.rb)
-        if self.is_real() and o.is_real():
-            return ExactComplex(rr_a, rr_b)
-        ii_a, ii_b = _qmul(self.ia, self.ib, o.ia, o.ib)
-        ri_a, ri_b = _qmul(self.ra, self.rb, o.ia, o.ib)
-        ir_a, ir_b = _qmul(self.ia, self.ib, o.ra, o.rb)
-        return ExactComplex(rr_a - ii_a, rr_b - ii_b, ri_a + ir_a, ri_b + ir_b)
+        a1, b1, c1, d1, n1 = self._t
+        a2, b2, c2, d2, n2 = ExactComplex.of(other)._t
+        if not (c1 or d1 or c2 or d2):
+            return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, 0, 0, n1 * n2)
+        # (R1 + I1 i)(R2 + I2 i) with R, I in Q(sqrt2): 16 coordinate products
+        return _reduced(a1 * a2 - c1 * c2 + 2 * (b1 * b2 - d1 * d2),
+                        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+                        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
+                        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2, n1 * n2)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactComplex":
-        if self.is_real():
+        a, b, c, d, n = self._t
+        if not (c or d):
             return self
-        return ExactComplex(self.ra, self.rb, -self.ia, -self.ib)
+        return _make((a, b, -c, -d, n))
 
     def is_zero(self) -> bool:
-        return not (self.ra or self.rb or self.ia or self.ib)
+        return self._t == (0, 0, 0, 0, 1)
 
     def is_real(self) -> bool:
-        return not (self.ia or self.ib)
+        return not (self._t[2] or self._t[3])
 
     def is_rational(self) -> bool:
-        return self.is_real() and not self.rb
+        return not (self._t[1] or self._t[2] or self._t[3])
 
     def real_fraction(self) -> Fraction:
         """The value as an exact Fraction; requires a purely rational number."""
@@ -109,9 +113,8 @@ class ExactComplex:
         return self * self.conjugate()
 
     def to_complex(self) -> complex:
-        s = 2 ** 0.5
-        return complex(float(self.ra) + float(self.rb) * s,
-                       float(self.ia) + float(self.ib) * s)
+        a, b, c, d, n = self._t  # a / n is float(Fraction(a, n)): both round once
+        return complex(a / n + b / n * 2 ** 0.5, c / n + d / n * 2 ** 0.5)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         def part(a, b):
@@ -123,6 +126,24 @@ class ExactComplex:
             return " + ".join(terms) if terms else "0"
 
         return f"({part(self.ra, self.rb)}) + ({part(self.ia, self.ib)})i"
+
+
+_set_t = ExactComplex._t.__set__  # the slot's own setter, past the frozen __setattr__
+
+
+def _make(t: tuple) -> ExactComplex:
+    """An ExactComplex from a tuple already in canonical form."""
+    z = object.__new__(ExactComplex)
+    _set_t(z, t)
+    return z
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
+    """The canonical (a + b*sqrt2 + (c + d*sqrt2)*i)/den for integers, den > 0."""
+    g = gcd(a, b, c, d, den)
+    if g == 1:
+        return _make((a, b, c, d, den))
+    return _make((a // g, b // g, c // g, d // g, den // g))
 
 
 ZERO = ExactComplex()
@@ -171,7 +192,7 @@ def as_probability(x, tol: float = 1e-12):
             if not 0 <= p <= 1:
                 raise ValueError(f"probability out of range: {p}")
             return p
-        val = float(x.ra) + float(x.rb) * 2 ** 0.5
+        val = x.to_complex().real
         if not -tol <= val <= 1 + tol:
             raise ValueError(f"probability out of range: {val}")
         return min(max(val, 0.0), 1.0)

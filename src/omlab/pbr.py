@@ -91,8 +91,7 @@ def gram_defects(kets: Mapping[str, quantum.Ket]) -> list:
     """The label pairs (a, b) whose exact <a|b> differs from the identity's
     entry; empty iff the kets are orthonormal."""
     return [(a, b) for a, b in itertools.product(kets, repeat=2)
-            if not (quantum.inner(kets[a], kets[b])
-                    - quantum.ExactComplex.of(Fraction(int(a == b)))).is_zero()]
+            if quantum.inner(kets[a], kets[b]) != quantum.ExactComplex.of(int(a == b))]
 
 
 def build_pbr_scenario() -> PbrScenario:

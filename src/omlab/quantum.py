@@ -34,13 +34,13 @@ class QuantumError(ValueError):
 
 def _close_to(x, target: Fraction, tol: float = FLOAT_TOL) -> bool:
     if isinstance(x, ExactComplex):
-        return (x - ExactComplex.of(target)).is_zero()
+        return x == ExactComplex.of(target)
     return abs(complex(x) - complex(target)) <= tol
 
 
 def _entries_equal(a, b, tol: float = FLOAT_TOL) -> bool:
     if isinstance(a, ExactComplex) and isinstance(b, ExactComplex):
-        return (a - b).is_zero()
+        return a == b
     az = a.to_complex() if isinstance(a, ExactComplex) else complex(a)
     bz = b.to_complex() if isinstance(b, ExactComplex) else complex(b)
     return abs(az - bz) <= tol

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omlab.exact import ExactComplex, I, ONE, SQRT2, INV_SQRT2, ZERO, phase_eighth
+from omlab.exact import (ExactComplex, HALF, I, ONE, SQRT2, INV_SQRT2, ZERO, as_probability,
+                         phase_eighth)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 scalars = st.builds(ExactComplex, fracs, fracs, fracs, fracs)
@@ -52,6 +53,7 @@ def reference_mul(x: ExactComplex, y: ExactComplex) -> tuple:
 
 
 def fields(z: ExactComplex) -> tuple:
+    """The four coordinates, each checked to be a Fraction."""
     assert all(type(f) is Fraction for f in (z.ra, z.rb, z.ia, z.ib)), z
     return z.ra, z.rb, z.ia, z.ib
 
@@ -59,6 +61,8 @@ def fields(z: ExactComplex) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(sparse_scalars, sparse_scalars)
 def test_zero_skipping_matches_the_full_products(x, y):
+    """Zero coordinates and the real-by-real product (4 of the 16 products)
+    give the full 16-product Fraction formula's fields and hashes."""
     assert fields(x * y) == reference_mul(x, y)
     assert hash(x * y) == hash(ExactComplex(*reference_mul(x, y)))
     assert fields(x + y) == (x.ra + y.ra, x.rb + y.rb, x.ia + y.ia, x.ib + y.ib)
@@ -95,3 +99,77 @@ def test_real_fraction_extraction():
         (SQRT2).real_fraction()
     with pytest.raises(ValueError):
         I.real_fraction()
+
+
+@pytest.mark.parametrize("left, right", [
+    (ExactComplex(Fraction(2, 4), Fraction(-6, 8)), ExactComplex(Fraction(1, 2), Fraction(-3, 4))),
+    (ExactComplex(1, 0, -2, 3), ExactComplex(Fraction(1), Fraction(0), Fraction(-2), Fraction(3))),
+    (ExactComplex(Fraction(3, -4), ib=Fraction(-5, -6)), ExactComplex(Fraction(-3, 4), ib=Fraction(5, 6))),
+    (ExactComplex.of(Fraction(4, 2)), ExactComplex.of(2)),
+    (ExactComplex.of(Fraction(0, 7)), ZERO),
+    (HALF + HALF, ONE),
+    (INV_SQRT2 * SQRT2 * I, I),
+    (ExactComplex(Fraction(1, 3)) * 3 - ONE, ZERO),
+])
+def test_equal_values_are_equal_objects_with_equal_hashes(left, right):
+    assert left == right
+    assert hash(left) == hash(right)
+    assert fields(left) == fields(right)
+
+
+def test_equality_with_other_types_is_not_implemented():
+    assert ONE.__eq__(1) is NotImplemented
+    assert ONE.__eq__(Fraction(1)) is NotImplemented
+    assert ONE != 1.0
+    assert ZERO != (0, 0, 0, 0, 1)
+
+
+def test_field_properties_are_fractions():
+    for z in (ZERO, ExactComplex(1, 2, 3, 4), ExactComplex.of(7), ExactComplex.of(Fraction(-1, 3)),
+              phase_eighth(3) * SQRT2 + HALF):
+        fields(z)
+    assert type(ExactComplex.of(7).real_fraction()) is Fraction
+
+
+def test_values_are_immutable():
+    x = ExactComplex(Fraction(1, 2), 3)
+    for name in ("ra", "rb", "ia", "ib", "_t", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert fields(x) == (Fraction(1, 2), Fraction(3), Fraction(0), Fraction(0))
+
+
+def float_reference(a: Fraction, b: Fraction) -> float:
+    """The float of a + b*sqrt2 as computed from the Fraction coordinates."""
+    return float(a) + float(b) * 2 ** 0.5
+
+
+wide_fracs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(ExactComplex, wide_fracs, wide_fracs, wide_fracs, wide_fracs))
+def test_floats_are_bit_identical_to_the_fraction_formula(x):
+    z = x.to_complex()
+    assert z.real.hex() == float_reference(x.ra, x.rb).hex()
+    assert z.imag.hex() == float_reference(x.ia, x.ib).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+       st.fractions(min_value=-1, max_value=1, max_denominator=10**6))
+def test_probability_floats_are_bit_identical_to_the_fraction_formula(a, b):
+    x = ExactComplex(a, b)
+    want = float_reference(a, b)
+    if not -1e-12 <= want <= 1 + 1e-12:
+        with pytest.raises(ValueError):
+            as_probability(x)
+        return
+    got = as_probability(x)
+    if b:
+        assert type(got) is float
+        assert got.hex() == min(max(want, 0.0), 1.0).hex()
+    else:
+        assert got == a and type(got) is Fraction
