@@ -11,9 +11,10 @@ whole in-process op as ``perfbench`` times it, ``cli.build_parser`` ->
 ``cli.config_from_args`` -> ``cli.run`` -> ``reports.emit`` (``op``).  Next to
 each op's median times the script records the counters that tell a speed-up
 from skipped work: the grid points the verdict covers (``tested_points``), the
-exact LPs it solved and their pivots, its status, and, from a separate untimed
-pass of the whole op, the ``ExactComplex`` products and the ``Fraction``
-products it computed.  Statuses and ``ExactComplex`` products must agree
+exact LPs it solved and their pivots (0 where omlab has no
+``pbr.find_feasible``), its status, and, from a separate untimed pass of the
+whole op, the ``ExactComplex`` products and the ``Fraction`` products it
+computed.  Statuses and ``ExactComplex`` products must agree
 between the two sides.  The base tree's ``src/`` is extracted from git with
 ``git archive``.
 
@@ -50,7 +51,8 @@ from omlab import cli, pbr, reports
 from omlab.exact import ExactComplex
 ops, warmups = json.loads(open(sys.argv[1]).read())
 born = pbr.build_pbr_scenario().born_table()
-solve, lps = pbr.find_feasible, []
+# a tree without an LP engine in omlab records 0 LPs and 0 pivots
+solve, lps = getattr(pbr, "find_feasible", None), []
 
 def record(*args, **kwargs):
     lps.append(solve(*args, **kwargs))
@@ -60,7 +62,8 @@ def whole_op(argv):
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     reports.emit(cli.run(config), "json")
 
-pbr.find_feasible = record
+if solve is not None:
+    pbr.find_feasible = record
 for argv in warmups:
     whole_op(argv)
 rows = []

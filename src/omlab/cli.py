@@ -390,7 +390,13 @@ def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
 # options and dispatch
 
 def _fraction_or_none(text):
-    return None if text in (None, "", "none", "None") else str(Fraction(text))
+    """An argparse type: a fraction in lowest terms, or None for 'none'."""
+    if text in ("", "none", "None"):
+        return None
+    try:
+        return str(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
 class Option:
@@ -419,11 +425,11 @@ VERBS = {
                help="extra float-mode run at an arbitrary phase"),
     )),
     "nogo": ("constraint-based no-go analyses", ["pbr", "hardy", "chsh"], (
-        Option("--q", "q", "1/4", _fraction_or_none,
+        Option("--q", "q", "1/4", type=_fraction_or_none,
                help="forced overlap floor as a fraction; 'none' disables"),
         Option("--lambda-size", "lambda_size", 4, type=int),
         Option("--grid-denominator", "grid_denominator", 4, type=int),
-        Option("--null-budget", "null_budget", None, _fraction_or_none,
+        Option("--null-budget", "null_budget", None, type=_fraction_or_none,
                help="no-show budget as a fraction; enables the escape"),
         Option("--relax-product", "relax_product", False, action="store_true"),
         Option("--drop-invar", "drop_invar", False, action="store_true"),

@@ -13,9 +13,10 @@ which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
   carries f = ceil(qD)/D or more, so (*, *) carries >= f^2 in all four
   preparations, where the zero-Born pairs force every real outcome to 0.
   That chain starves outcome completeness; with a no-show outcome every
-  no-show rate is >= f^2, so budgets below f^2 fail, and from f^2 up (three
-  or more ontic states) one exact LP at p0 = (f, 1-f, 0, ...),
-  p+ = (f, 0, 1-f, ...) gives the witness.
+  no-show rate is >= f^2, so budgets below f^2 fail.  From f^2 up (three or
+  more ontic states) p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) with the
+  closed-form response of ``_price_response`` is the witness: a no-show
+  only on (*, *), so every no-show rate is exactly f^2.
 * A budget on one or two ontic states: at every grid point a preparation
   weighs only cells where the zero-Born pairs leave it no real outcome, so
   its no-show rate is 1.  Product joints: if S0 = S+ = {1, 2} every cell
@@ -26,7 +27,9 @@ which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
   Psi1) is forced on both.  The certificate is the grid's last point's.
 
 The no-show outcome is "absorbed": Born statistics are matched after
-post-selecting on real outcomes, and a budget caps each no-show rate.
+post-selecting on real outcomes, and a budget caps each no-show rate.  No
+verdict solves an LP; every witness is checked by exact substitution
+(``replay_witness``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .models import (
     frac_str,
     predicted_probability,
 )
-from .simplex import find_feasible
 from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, make_correlated, product_composite, toy_state
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
@@ -120,7 +122,9 @@ class FeasibilityProblem:
     joints for a family of non-product joints that keep only the positive
     shared diagonal cell, the weakest reading under which the argument still
     bites.  ``null_budget`` adds the no-show outcome and caps each
-    preparation's unconditioned no-show rate; zero means no escape.
+    preparation's unconditioned no-show rate; zero means no escape.  The
+    unknowns are the response entries xi(k | cell); ``solve_feasibility``
+    fixes them in closed form or refutes them at the support level.
     """
 
     lambda_size: int = 4
@@ -169,134 +173,58 @@ def product_joint(p0: Sequence[Fraction], pplus: Sequence[Fraction],
 BORN_ZERO_PAIRS = tuple((p, k) for p, k in zip(PREP_LABELS, OUTCOME_LABELS))
 
 
-@dataclass(frozen=True)
-class InnerResult:
-    feasible: bool
-    xi: dict | None            # (outcome, cell) -> Fraction
-    certificate: dict | None   # contradiction chain for this joint family
+def _star_certificate(born: Mapping, budget: Fraction | None = None) -> dict:
+    """The contradiction at (*, *) = (1, 1) when every preparation weighs it.
 
-
-def _inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
-                       cells: Sequence, null_budget: Fraction | None) -> InnerResult:
-    """Exact LP over response entries for fixed joint weights.
-
-    Presolve propagates the zero-Born equalities (all coefficients are
-    nonnegative, so positive-weight cells force zero entries); if that
-    starves an outcome-completeness row the contradiction chain is returned
-    directly, otherwise the reduced system goes to the simplex, whose
-    infeasible answer carries no certificate.
+    Each zero-Born pair (Psi_j, phi_j) forces xi(phi_j | 1, 1) = 0, as every
+    weight is nonnegative, so outcome completeness starves there: the zero
+    chain.  With a no-show budget the chain forces xi(null | 1, 1) = 1
+    instead, so a Psi1 that weighs only (1, 1) has no-show rate 1 > budget.
     """
-    outcomes = list(OUTCOME_LABELS) + ([NULL] if null_budget is not None else [])
-    forced: dict = {}
-    forced_by: dict = {}
+    chain = []
     for prep, k in BORN_ZERO_PAIRS:
         if born[(prep, k)] != 0:
-            continue
-        for cell, w in joints[prep].items():
-            if w > 0 and (k, cell) not in forced:
-                forced[(k, cell)] = Fraction(0)
-                forced_by[(k, cell)] = prep
-    for cell in cells:
-        zeroed = [k for k in OUTCOME_LABELS if (k, cell) in forced]
-        if len(zeroed) == len(OUTCOME_LABELS):
-            if null_budget is None:
-                chain = [
-                    {"pair": [PREP_LABELS.index(forced_by[(k, cell)]) + 1,
-                              OUTCOME_LABELS.index(k) + 1],
-                     "lambda": list(cell),
-                     "violated_equation": "Born=0 vs model>0"}
-                    for k in zeroed
-                ]
-                return InnerResult(False, None, {
-                    "lambda": list(cell),
-                    "forced_zeros": chain,
-                    "pair": chain[0]["pair"],
-                    "violated_equation":
-                        "outcome completeness: sum_k xi(k) = 1 at this cell, "
-                        "but every xi(k) is forced to 0 by a zero-Born pair",
-                })
-            forced[(NULL, cell)] = Fraction(1)
+            raise PbrError(f"Born({prep}, {k}) is not 0: no zero chain at (1, 1)")
+        chain.append({"pair": [PREP_LABELS.index(prep) + 1, OUTCOME_LABELS.index(k) + 1],
+                      "lambda": [1, 1], "violated_equation": "Born=0 vs model>0"})
+    if budget is not None:
+        return {"lambda": None, "pair": None, "violated_equation":
+                f"forced no-show rate 1/1 exceeds budget {frac_str(budget)} for Psi1"}
+    return {
+        "lambda": [1, 1],
+        "forced_zeros": chain,
+        "pair": chain[0]["pair"],
+        "violated_equation":
+            "outcome completeness: sum_k xi(k) = 1 at this cell, "
+            "but every xi(k) is forced to 0 by a zero-Born pair",
+    }
 
-    var_index = {}
-    for k in outcomes:
-        for cell in cells:
-            if (k, cell) not in forced:
-                var_index[(k, cell)] = len(var_index)
 
-    def term(key):
-        """(var_id, fixed_value): one of the two is None."""
-        if key in forced:
-            return None, forced[key]
-        return var_index[key], None
+def _price_response(f: Fraction, t: Fraction) -> dict:
+    """(outcome, cell) -> xi on the 3x3 block that p0 = (f, 1-f, 0, ...),
+    p+ = (f, 0, 1-f, ...) weigh, all 45 entries, zeros included.
 
-    equalities = []
-    # outcome completeness per cell
-    for cell in cells:
-        coeffs, const = {}, Fraction(0)
-        for k in outcomes:
-            v, fx = term((k, cell))
-            if v is None:
-                const += fx
-            else:
-                coeffs[v] = coeffs.get(v, Fraction(0)) + 1
-        if not coeffs:  # every real outcome forced to 0 and the no-show to 1
-            continue
-        equalities.append((coeffs, Fraction(1) - const))
-    # Born reproduction; with a null outcome the match is post-selected:
-    # sum_cell p xi(k) = born * (1 - sum_cell p xi(null))
-    for prep in PREP_LABELS:
-        for k in OUTCOME_LABELS:
-            b = born[(prep, k)]
-            coeffs, const = {}, Fraction(0)
-            for cell, w in joints[prep].items():
-                if w == 0:
-                    continue
-                v, fx = term((k, cell))
-                if v is None:
-                    const += w * fx
-                else:
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + w
-                if null_budget is not None:
-                    vn, fxn = term((NULL, cell))
-                    if vn is None:
-                        const += b * w * fxn
-                    else:
-                        coeffs[vn] = coeffs.get(vn, Fraction(0)) + b * w
-            # A row with every entry forced balances.  Without a budget the
-            # completeness chain has returned unless b = 0; with one, the
-            # forced no-shows make its rhs b - b * sum(w) = 0.
-            if coeffs:
-                equalities.append((coeffs, b - const))
-    inequalities = []
-    if null_budget is not None:
-        # per-preparation cap on the unconditioned no-show rate
-        for prep in PREP_LABELS:
-            coeffs, const = {}, Fraction(0)
-            for cell, w in joints[prep].items():
-                v, fx = term((NULL, cell))
-                if v is None:
-                    const += w * fx
-                else:
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + w
-            rhs = null_budget - const
-            if not coeffs:
-                if const > null_budget:
-                    return InnerResult(False, None, {
-                        "lambda": None, "pair": None,
-                        "violated_equation":
-                            f"forced no-show rate {frac_str(const)} exceeds "
-                            f"budget {frac_str(Fraction(null_budget))} for {prep}",
-                    })
-                continue
-            inequalities.append((coeffs, rhs))
-
-    res = find_feasible(len(var_index), equalities, inequalities)
-    if not res.feasible:
-        return InnerResult(False, None, None)
-    xi = dict(forced)
-    for key, idx in var_index.items():
-        xi[key] = res.solution[idx]
-    return InnerResult(True, xi, None)
+    A one-parameter slice of the block's solutions: only (1, 1) has a
+    no-show, forced to 1, so each no-show rate is f^2, and the real outcomes
+    reproduce Born after post-selection for every t.  As a + c = 1, every
+    entry lies in [0, 1] iff max(0, (1 - 3f) / (4(1 - f))) <= t <=
+    min(1/2, (1 + f) / (4(1 - f))); ``solve_feasibility`` takes the least t,
+    at which this is the exact simplex's vertex at budget f^2.
+    """
+    h = Fraction(1, 2)
+    a = (3 * f - 1) / (4 * f) + t * (1 - f) / f
+    c = (1 + f) / (4 * f) - t * (1 - f) / f
+    columns = {
+        (1, 1): {NULL: 1},
+        (1, 2): {"phi2": a, "phi4": c}, (2, 1): {"phi3": a, "phi4": c},
+        (1, 3): {"phi1": a, "phi3": c}, (3, 1): {"phi1": a, "phi2": c},
+        (2, 2): {"phi2": h - t, "phi3": h - t, "phi4": 2 * t},
+        (2, 3): {"phi1": h - t, "phi3": h, "phi4": t},
+        (3, 2): {"phi1": h - t, "phi2": h, "phi4": t},
+        (3, 3): {"phi1": 1 - 2 * t, "phi2": t, "phi3": t},
+    }
+    return {(k, cell): Fraction(column.get(k, 0))
+            for cell, column in columns.items() for k in OUTCOME_LABELS + (NULL,)}
 
 
 @dataclass(frozen=True)
@@ -351,12 +279,14 @@ def solve_feasibility(problem: FeasibilityProblem,
     """Decide whether a reproducing model exists; exact throughout.
 
     Returns "feasible" with a witness, or "infeasible" with a contradiction
-    certificate, by the support-level cases of the module docstring: without
-    a forced overlap, the psi-ontic witness p0 = e1, p+ = e2 (no LP); with a
-    budget on one or two ontic states, Psi1's forced no-show rate 1, as every
-    grid point leaves a preparation no real outcome on the cells it weighs.
-    The verdict covers the grid in ``grid_note``, the analytic theorem all
-    weights; ``born``, the Born table, is built here when not given.
+    certificate, by the support-level cases of the module docstring, each in
+    closed form: without a forced overlap, the psi-ontic witness p0 = e1,
+    p+ = e2; with a budget on one or two ontic states, Psi1's forced no-show
+    rate 1, as every grid point leaves a preparation no real outcome on the
+    cells it weighs; under a forced overlap, the (*, *) zero chain below the
+    price f^2 and the ``_price_response`` witness from it.  The verdict
+    covers the grid in ``grid_note``, the analytic theorem all weights;
+    ``born``, the Born table, is built here when not given.
     """
     if born is None:
         born = build_pbr_scenario().born_table()
@@ -375,29 +305,23 @@ def solve_feasibility(problem: FeasibilityProblem,
         return FeasibilityVerdict("feasible", witness, None, 1, _grid_note(problem), "support")
     if budget is not None and n <= 2:
         # Psi1 weighing only the fully forced (1, 1) is the grid's last point
-        certificate = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(1, 1): 1}),
-                                         born, [(1, 1)], budget).certificate
-        return FeasibilityVerdict("infeasible", None, certificate, _grid_size(problem),
-                                  _grid_note(problem), "support")
+        return FeasibilityVerdict("infeasible", None, _star_certificate(born, budget),
+                                  _grid_size(problem), _grid_note(problem), "support")
     f = Fraction(1) if problem.q is None else _star_floor(problem)
     if budget is None or budget < f * f:
-        # every preparation puts >= f^2 on (*, *) = (1, 1): the presolve's zero chain
-        chain = _inner_feasibility(dict.fromkeys(PREP_LABELS, {(1, 1): f * f}),
-                                   born, [(1, 1)], None).certificate
+        # every preparation puts >= f^2 on (*, *) = (1, 1): the zero chain
+        chain = _star_certificate(born)
         if budget is not None:
             chain.update(bound=frac_str(f * f), budget=frac_str(budget), violated_equation=
                          "no-show rate >= bound in every preparation, above the budget")
         return FeasibilityVerdict("infeasible", None, chain, _grid_size(problem),
                                   _grid_note(problem), "support")
-    # p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...): one LP on the 3x3 block
-    # of cells they weigh
+    # p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) with the closed-form response
     rest = [Fraction(0)] * (n - 3)
     p0, pplus = [f, 1 - f, Fraction(0)] + rest, [f, Fraction(0), 1 - f] + rest
-    joints = product_joint(p0, pplus, labels)
-    inner = _inner_feasibility(joints, born, tuple(itertools.product(labels[:3], repeat=2)), budget)
-    if not inner.feasible:
-        raise PbrError(f"no model at the closed-form point for budget {frac_str(budget)}")
-    witness = _witness_payload(p0, pplus, joints, inner.xi, labels, OUTCOME_LABELS + (NULL,))
+    xi = _price_response(f, max(Fraction(0), (1 - 3 * f) / (4 * (1 - f))))
+    witness = _witness_payload(p0, pplus, product_joint(p0, pplus, labels), xi, labels,
+                               OUTCOME_LABELS + (NULL,))
     return FeasibilityVerdict("feasible", witness, None, 1, _grid_note(problem), "support")
 
 

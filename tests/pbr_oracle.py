@@ -1,5 +1,6 @@
 """Enumeration oracle for the PBR verdicts: the weight grid, the relaxed joint
-families and one exact inner LP per grid point.
+families and one exact inner LP per grid point, solved by the test-side
+simplex (``tests/simplex.py``).
 
 ``pbr.solve_feasibility`` decides every problem at the support level; this
 search decides the same problems point by point, so the tests can grade the
@@ -10,7 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
+
+from simplex import find_feasible
 
 from omlab import pbr
 
@@ -58,6 +63,136 @@ def relaxed_joints(p0, pplus, labels) -> list:
     return families
 
 
+@dataclass(frozen=True)
+class InnerResult:
+    feasible: bool
+    xi: dict | None            # (outcome, cell) -> Fraction
+    certificate: dict | None   # contradiction chain for this joint family
+
+
+def inner_feasibility(joints: Mapping[str, Mapping], born: Mapping,
+                      cells: Sequence, null_budget: Fraction | None) -> InnerResult:
+    """Exact LP over response entries for fixed joint weights.
+
+    Presolve propagates the zero-Born equalities (all coefficients are
+    nonnegative, so positive-weight cells force zero entries); if that
+    starves an outcome-completeness row the contradiction chain is returned
+    directly, otherwise the reduced system goes to the simplex, whose
+    infeasible answer carries no certificate.
+    """
+    outcomes = list(pbr.OUTCOME_LABELS) + ([pbr.NULL] if null_budget is not None else [])
+    forced: dict = {}
+    forced_by: dict = {}
+    for prep, k in pbr.BORN_ZERO_PAIRS:
+        if born[(prep, k)] != 0:
+            continue
+        for cell, w in joints[prep].items():
+            if w > 0 and (k, cell) not in forced:
+                forced[(k, cell)] = Fraction(0)
+                forced_by[(k, cell)] = prep
+    for cell in cells:
+        zeroed = [k for k in pbr.OUTCOME_LABELS if (k, cell) in forced]
+        if len(zeroed) == len(pbr.OUTCOME_LABELS):
+            if null_budget is None:
+                chain = [
+                    {"pair": [pbr.PREP_LABELS.index(forced_by[(k, cell)]) + 1,
+                              pbr.OUTCOME_LABELS.index(k) + 1],
+                     "lambda": list(cell),
+                     "violated_equation": "Born=0 vs model>0"}
+                    for k in zeroed
+                ]
+                return InnerResult(False, None, {
+                    "lambda": list(cell),
+                    "forced_zeros": chain,
+                    "pair": chain[0]["pair"],
+                    "violated_equation":
+                        "outcome completeness: sum_k xi(k) = 1 at this cell, "
+                        "but every xi(k) is forced to 0 by a zero-Born pair",
+                })
+            forced[(pbr.NULL, cell)] = Fraction(1)
+
+    var_index = {}
+    for k in outcomes:
+        for cell in cells:
+            if (k, cell) not in forced:
+                var_index[(k, cell)] = len(var_index)
+
+    def term(key):
+        """(var_id, fixed_value): one of the two is None."""
+        if key in forced:
+            return None, forced[key]
+        return var_index[key], None
+
+    equalities = []
+    # outcome completeness per cell
+    for cell in cells:
+        coeffs, const = {}, Fraction(0)
+        for k in outcomes:
+            v, fx = term((k, cell))
+            if v is None:
+                const += fx
+            else:
+                coeffs[v] = coeffs.get(v, Fraction(0)) + 1
+        if not coeffs:  # every real outcome forced to 0 and the no-show to 1
+            continue
+        equalities.append((coeffs, Fraction(1) - const))
+    # Born reproduction; with a null outcome the match is post-selected:
+    # sum_cell p xi(k) = born * (1 - sum_cell p xi(null))
+    for prep in pbr.PREP_LABELS:
+        for k in pbr.OUTCOME_LABELS:
+            b = born[(prep, k)]
+            coeffs, const = {}, Fraction(0)
+            for cell, w in joints[prep].items():
+                if w == 0:
+                    continue
+                v, fx = term((k, cell))
+                if v is None:
+                    const += w * fx
+                else:
+                    coeffs[v] = coeffs.get(v, Fraction(0)) + w
+                if null_budget is not None:
+                    vn, fxn = term((pbr.NULL, cell))
+                    if vn is None:
+                        const += b * w * fxn
+                    else:
+                        coeffs[vn] = coeffs.get(vn, Fraction(0)) + b * w
+            # A row with every entry forced balances.  Without a budget the
+            # completeness chain has returned unless b = 0; with one, the
+            # forced no-shows make its rhs b - b * sum(w) = 0.
+            if coeffs:
+                equalities.append((coeffs, b - const))
+    inequalities = []
+    if null_budget is not None:
+        # per-preparation cap on the unconditioned no-show rate
+        for prep in pbr.PREP_LABELS:
+            coeffs, const = {}, Fraction(0)
+            for cell, w in joints[prep].items():
+                v, fx = term((pbr.NULL, cell))
+                if v is None:
+                    const += w * fx
+                else:
+                    coeffs[v] = coeffs.get(v, Fraction(0)) + w
+            rhs = null_budget - const
+            if not coeffs:
+                if const > null_budget:
+                    return InnerResult(False, None, {
+                        "lambda": None, "pair": None,
+                        "violated_equation":
+                            f"forced no-show rate {pbr.frac_str(const)} exceeds "
+                            f"budget {pbr.frac_str(Fraction(null_budget))} for {prep}",
+                    })
+                continue
+            inequalities.append((coeffs, rhs))
+
+    res = find_feasible(len(var_index), equalities, inequalities)
+    if not res.feasible:
+        return InnerResult(False, None, None)
+    xi = dict(forced)
+    for key, idx in var_index.items():
+        xi[key] = res.solution[idx]
+    return InnerResult(True, xi, None)
+
+
 def grid_search(problem: pbr.FeasibilityProblem, born) -> tuple:
     """(status, tested points, witness p0/p+ or the last point's certificate):
     the first grid point whose inner LP is feasible, or the certificate of
@@ -71,7 +206,7 @@ def grid_search(problem: pbr.FeasibilityProblem, born) -> tuple:
                     else [pbr.product_joint(p0, pplus, labels)])
         for joints in families:
             tested += 1
-            inner = pbr._inner_feasibility(joints, born, cells, problem.null_budget)
+            inner = inner_feasibility(joints, born, cells, problem.null_budget)
             if inner.feasible:
                 return "feasible", tested, (p0, pplus)
             certificate = inner.certificate

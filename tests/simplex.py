@@ -1,4 +1,5 @@
-"""Exact rational linear feasibility via a phase-1 simplex.
+"""Exact rational linear feasibility via a phase-1 simplex: the tests' LP
+oracle for the PBR verdicts, which ``pbr_oracle`` runs at every grid point.
 
 Decides whether {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub} is nonempty with
 Bland's rule (no cycling, no floating point), and returns a basic feasible

@@ -1,16 +1,24 @@
 """Product-preparation scenario: construction invariants, the support-level
 verdicts against an enumeration oracle, the no-show escape and the CHSH gap."""
 
+import importlib.util
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from pbr_oracle import grid_search
+from pbr_oracle import grid_search, inner_feasibility
 
 from omlab import cli, pbr, quantum
 from omlab.exact import INV_SQRT2
-from omlab.models import EpistemicState, OnticSpace, overlap_witness, reproduction_check
+from omlab.models import (
+    EpistemicState,
+    ModelError,
+    OnticSpace,
+    overlap_witness,
+    reproduction_check,
+)
 
 F = Fraction
 
@@ -190,14 +198,19 @@ def test_unforced_budget_witness_keeps_raw_statistics_apart():
 
 
 def candidate_lp(n, d, units, budget, born):
-    """The inner LP at p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...) on the
-    3x3 block of states 1..3, built here from the formula."""
+    """The oracle's inner LP at p0 = (f, 1-f, 0, ...), p+ = (f, 0, 1-f, ...)
+    on the 3x3 block of states 1..3, built here from the formula."""
     f = F(units, d)
     p0 = (f, 1 - f) + (F(0),) * (n - 2)
     pplus = (f, F(0), 1 - f) + (F(0),) * (n - 3)
     joints = pbr.product_joint(p0, pplus, tuple(range(1, n + 1)))
     cells = tuple(itertools.product((1, 2, 3), repeat=2))
-    return pbr._inner_feasibility(joints, born, cells, budget)
+    return inner_feasibility(joints, born, cells, budget)
+
+
+def xi_payload(xi) -> dict:
+    """(outcome, cell) -> Fraction as a witness's "xi" strings."""
+    return {f"{k}|{a},{b}": pbr.frac_str(v) for (k, (a, b)), v in xi.items()}
 
 
 def test_candidate_lp_is_feasible_exactly_from_f_squared():
@@ -205,7 +218,8 @@ def test_candidate_lp_is_feasible_exactly_from_f_squared():
     for n, d in itertools.product(range(3, 6), range(2, 7)):
         for units in range(1, d):
             price = F(units, d) ** 2
-            assert candidate_lp(n, d, units, price, born).feasible, (n, d, units)
+            vertex = candidate_lp(n, d, units, price, born)
+            assert vertex.feasible, (n, d, units)
             assert not candidate_lp(n, d, units, price - F(1, d ** 3), born).feasible
             problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
                                              q=F(units, d), null_budget=price)
@@ -213,6 +227,77 @@ def test_candidate_lp_is_feasible_exactly_from_f_squared():
             verdict = pbr.solve_feasibility(problem, born)
             assert verdict.status == "feasible"
             assert pbr.replay_witness(verdict.witness, born)["no_show_rate"] == price
+            # at the price the closed form is the oracle LP's vertex
+            assert verdict.witness["xi"] == xi_payload(vertex.xi), (n, d, units)
+            above = pbr.solve_feasibility(replace(problem, null_budget=price + F(1, d ** 3)),
+                                          born)
+            replay = pbr.replay_witness(above.witness, born)
+            assert above.status == "feasible" and replay["post_selected_match"]
+            assert replay["no_show_rate"] == price, (n, d, units)
+
+
+def perfbench_checks():
+    """perfbench's checker, loaded from its file: it recomputes the Born
+    table with numpy and shares no code with omlab."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def budget_args(units, d, budget) -> dict:
+    """The report args perfbench's witness check reads."""
+    return {"q": pbr.frac_str(F(units, d)), "relax_product": False,
+            "null_budget": pbr.frac_str(budget)}
+
+
+def test_budget_witness_replays_over_the_documented_range():
+    # the closed form alone, no LP: every ontic-space size, D <= 12 and
+    # f = k/D < 1; the witness at the price serves every budget above it
+    born = pbr.build_pbr_scenario().born_table()
+    checks = perfbench_checks()
+    cases = 0
+    for n, d in itertools.product(range(3, 9), range(2, 13)):
+        for units in range(1, d):
+            price = F(units, d) ** 2
+            problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d,
+                                             q=F(units, d), null_budget=price)
+            witness = pbr.solve_feasibility(problem, born).witness
+            for budget in (price + F(1, d ** 3), F(99, 100)):
+                above = pbr.solve_feasibility(replace(problem, null_budget=budget), born)
+                assert above.witness == witness, (problem, budget)
+            assert len(witness["xi"]) == 45
+            replay = pbr.replay_witness(witness, born)
+            assert replay["post_selected_match"], problem
+            assert replay["no_show_rate"] == price, problem
+            assert checks._check_witness(budget_args(units, d, price), witness) == []
+            cases += 1
+    assert cases == 396
+
+
+def test_budget_witness_mutants_are_rejected():
+    # t below the least admissible value makes a = (3f - 1)/(4f) + t(1 - f)/f
+    # negative for f < 1/3; t above 1/2 makes 1/2 - t negative
+    born = pbr.build_pbr_scenario().born_table()
+    checks = perfbench_checks()
+    mutants = 0
+    for d in range(2, 13):
+        for units in range(1, d):
+            f, step = F(units, d), F(1, d ** 3)
+            problem = pbr.FeasibilityProblem(lambda_size=3, grid_denominator=d, q=f,
+                                             null_budget=f * f)
+            witness = pbr.solve_feasibility(problem, born).witness
+            least = max(F(0), (1 - 3 * f) / (4 * (1 - f)))
+            assert xi_payload(pbr._price_response(f, least)) == witness["xi"]
+            bad = [F(1, 2) + step] + ([least - step] if f < F(1, 3) else [])
+            for t in bad:
+                mutant = dict(witness, xi=xi_payload(pbr._price_response(f, t)))
+                with pytest.raises(ModelError, match="response entries must lie in"):
+                    pbr.replay_witness(mutant, born)
+                assert checks._check_witness(budget_args(units, d, f * f), mutant), (f, t)
+                mutants += 1
+    assert mutants == 66 + 18
 
 
 def test_enumeration_confirms_the_price_without_the_bound():
@@ -254,6 +339,11 @@ def test_forced_overlap_is_infeasible_with_certificate():
     assert cert["pair"] in [[j, j] for j in range(1, 5)]
     assert len(cert["forced_zeros"]) == 4
     assert all(fz["pair"][0] == fz["pair"][1] for fz in cert["forced_zeros"])
+    # the chain is read off the Born table: a nonzero diagonal entry breaks it
+    born = {**pbr.build_pbr_scenario().born_table(), ("Psi3", "phi3"): F(1, 4)}
+    for budget in (None, F(1, 8)):
+        with pytest.raises(pbr.PbrError, match="Born"):
+            pbr.solve_feasibility(default_problem(lambda_size=2, null_budget=budget), born)
 
 
 def brute_force_overlap_cell_infeasible(denominator: int) -> bool:
@@ -360,7 +450,7 @@ def test_inner_lp_agrees_with_float_lp_on_grid_points():
     ]
     for p0, pp in weight_pairs:
         joints = pbr.product_joint(p0, pp, labels)
-        exact = pbr._inner_feasibility(joints, born, cells, None)
+        exact = inner_feasibility(joints, born, cells, None)
         assert exact.feasible == scipy_inner_feasible(joints, born, cells), (p0, pp)
 
 

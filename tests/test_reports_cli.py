@@ -332,3 +332,13 @@ def test_omitted_args_take_the_cli_defaults(verb, target):
     bare = cli.run(cli.config_from_args(cli.build_parser().parse_args([verb, target])))
     omitted = cli.run(RunConfig(command=f"{verb} {target}"))
     assert [c.to_json() for c in omitted.checks] == [c.to_json() for c in bare.checks]
+
+
+@pytest.mark.parametrize("flag, value", [("--q", "abc"), ("--q", "1/0"),
+                                         ("--null-budget", "x")])
+def test_malformed_fraction_is_a_usage_error(flag, value, capsys):
+    # rejected as --lambda-size abc is: argparse names the flag, exit 2
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["nogo", "pbr", flag, value])
+    assert stop.value.code == 2
+    assert f"argument {flag}: invalid fraction value: '{value}'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Exact LP feasibility: known instances, random cross-checks, monotonicity."""
+"""The tests' exact LP oracle (`tests/simplex.py`): known instances, random
+cross-checks, monotonicity."""
 
 import hashlib
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from omlab.simplex import check_solution, find_feasible
+from simplex import check_solution, find_feasible
 
 F = Fraction
 
@@ -153,7 +154,7 @@ def test_rational_instances_match_pinned_results():
 
 
 def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
-    from pbr_oracle import grid_search
+    import pbr_oracle
 
     from omlab import pbr
 
@@ -163,10 +164,10 @@ def test_pbr_null_budget_lps_match_pinned_results(monkeypatch):
         solved.append(find_feasible(*args))
         return solved[-1]
 
-    monkeypatch.setattr(pbr, "find_feasible", record)
+    monkeypatch.setattr(pbr_oracle, "find_feasible", record)
     # the enumeration oracle's LPs; the verdict itself is decided at the
-    # support level with one LP
-    status, tested, _ = grid_search(pbr.FeasibilityProblem(
+    # support level with no LP
+    status, tested, _ = pbr_oracle.grid_search(pbr.FeasibilityProblem(
         lambda_size=4, grid_denominator=3, q=F(1, 4), null_budget=F(3, 8)),
         pbr.build_pbr_scenario().born_table())
     assert (status, tested, len(solved)) == ("feasible", 48, 18)
