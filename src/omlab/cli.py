@@ -268,9 +268,11 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
             checks.append(_check("pbr null witness: raw statistics differ from Born",
                                  True, not replay["unconditioned_match"], "TRIVIAL"))
     if escape and price:
-        at_price = (verdict if problem.null_budget == price else
-                    pbr.solve_feasibility(replace(problem, null_budget=price), born))
-        replay = pbr.replay_witness(at_price.witness, born)
+        # from the price up the verdict's witness is the price's own, whose
+        # no-show rate does not read the budget; below it, solve at the price
+        if verdict.status == "infeasible":
+            at_price = pbr.solve_feasibility(replace(problem, null_budget=price), born)
+            replay = pbr.replay_witness(at_price.witness, born)
         checks.append(_check("pbr minimal no-show budget = f^2", price,
                              replay["no_show_rate"] if replay["post_selected_match"]
                              else "no reproducing witness", "DERIVED"))

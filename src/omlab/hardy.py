@@ -6,9 +6,10 @@ ontic state carries flags saying which detector can fire at which phase
 setting; the zero-probability facts from the quantum run, the invariance of
 flags under the phase setting for the upper-arm support, and totality (some
 detector must fire) then decide whether the two supports may intersect.
-The search over flag assignments is exhaustive: per-state configurations
-are enumerated and folded over the ontic space with coverage memoization,
-which visits every assignment class.
+The decision runs per membership class (psi only, phi only, both): as a
+flag switched on only meets more nonzero facts, each class has one widest
+valid configuration, and these give the verdict, the witness and the
+certificate in one pass.
 """
 
 from __future__ import annotations
@@ -97,121 +98,31 @@ class PossibilisticAssignment:
 
 
 # --------------------------------------------------------------------------
-# exhaustive search
+# the decision
 
-# A per-state configuration: (in_psi, in_phi, flags for (theta, detector)).
+# A state's membership: the preparations whose supports hold it.
+_SHARED = (PREP_SPLIT, PREP_UPPER)
+_MEMBERSHIPS = (_SHARED, (PREP_SPLIT,), (PREP_UPPER,))
 _FLAG_KEYS = tuple(itertools.product(THETAS, DETECTORS))
-_CONFIGS = tuple((in_psi, in_phi, bits)
-                 for in_psi, in_phi in itertools.product((False, True), repeat=2)
-                 for bits in itertools.product((False, True), repeat=4))
-
-
-def _unpack(config: tuple) -> tuple:
-    """(preparation -> membership, (theta, detector) -> possible flag)."""
-    in_psi, in_phi, bits = config
-    return {PREP_SPLIT: in_psi, PREP_UPPER: in_phi}, dict(zip(_FLAG_KEYS, bits))
-
-
-def _broken_constraints(config: tuple, zero_facts: Sequence[ZeroFact],
-                        enforce_invar: bool) -> list:
-    """The constraints a per-state configuration violates: "totality", every
-    zero fact whose preparation's support holds the state while the state
-    flags that detector possible, and "invariance"."""
-    member, flag = _unpack(config)
-    broken = []
-    if not all(any(flag[(theta, d)] for d in DETECTORS) for theta in THETAS):
-        broken.append("totality")
-    broken.extend(f for f in zero_facts
-                  if member[f.preparation] and flag[(f.theta, f.detector)])
-    if enforce_invar and member[PREP_UPPER] and any(
-            flag[("0", d)] != flag[("pi", d)] for d in DETECTORS):
-        broken.append("invariance")
-    return broken
-
-
-def _valid_configs(facts: Sequence[ZeroFact], enforce_invar: bool) -> tuple:
-    zero_facts = [f for f in facts if f.is_zero]
-    return tuple(c for c in _CONFIGS
-                 if not _broken_constraints(c, zero_facts, enforce_invar))
-
-
 _COUNT_WORDS = ("no", "one", "two", "three", "four", "five", "six", "seven", "eight")
 
 
-def overlap_certificate(facts: Sequence[ZeroFact],
-                        enforce_invar: bool) -> dict | None:
-    """Why no ontic state may lie in both supports; None if one may.
+def _widest(member: tuple, facts: Sequence[ZeroFact], enforce_invar: bool) -> frozenset | None:
+    """The (theta, detector) flags of the widest valid configuration of a
+    state in the supports of ``member``; None if it breaks totality.
 
-    Every overlap configuration must break a constraint.  The certificate
-    names state 1 as the representative (every state admits the same
-    configurations) and the zero facts that reject some overlap
-    configuration.  The configurations that keep those facts (and
-    invariance) are left with no possible detector, so totality is the
-    violated row.
+    Every flag is on except those a member's zero fact turns off; under
+    invariance with the upper-arm preparation a member, a detector off at
+    one setting is off at both.  Every valid configuration of the
+    membership flags a subset of these.
     """
-    zero_facts = [f for f in facts if f.is_zero]
-    broken = [_broken_constraints(c, zero_facts, enforce_invar)
-              for c in _CONFIGS if c[0] and c[1]]
-    if not all(broken):
-        return None
-    blockers = [f for f in zero_facts if any(f in b for b in broken)]
-    invariance = "flag invariance plus " if enforce_invar else ""
-    return {
-        "lambda": 1,
-        "facts": [str(f) for f in blockers],
-        "violated": f"totality: {invariance}the {_COUNT_WORDS[len(blockers)]} "
-                    "zero facts leave no possible detector at either setting",
-    }
-
-
-def _demands_met(config: tuple, facts: Sequence[ZeroFact],
-                 require_overlap: bool) -> list:
-    """Which existential demands on an assignment one state meets: the
-    overlap itself (if required), then exact reproduction of each nonzero
-    triple (some state in the preparation's support must allow it)."""
-    member, flag = _unpack(config)
-    met = [member[PREP_SPLIT] and member[PREP_UPPER]] if require_overlap else []
-    return met + [member[f.preparation] and flag[(f.theta, f.detector)]
-                  for f in facts if not f.is_zero]
-
-
-def search_assignment(lambda_size: int, facts: Sequence[ZeroFact],
-                      enforce_invar: bool, require_overlap: bool):
-    """Exhaustive search for a satisfying assignment; None if there is none.
-
-    States are filled one by one from the valid per-state configurations;
-    memoizing on the set of covered requirements makes the walk over all
-    configuration tuples tractable without skipping any of them.
-    """
-    configs = _valid_configs(facts, enforce_invar)
-    met = [_demands_met(c, facts, require_overlap) for c in configs]
-    masks = [sum(1 << i for i, hit in enumerate(m) if hit) for m in met]
-    full = (1 << len(met[0])) - 1
-
-    # BFS over coverage masks, remembering one witness path per mask.
-    frontier = {0: ()}
-    for _ in range(lambda_size):
-        nxt = {}
-        for covered, path in frontier.items():
-            for config, m in zip(configs, masks):
-                new = covered | m
-                if new not in nxt:
-                    nxt[new] = path + (config,)
-        frontier = nxt
-        if full in frontier:
-            break
-    if full not in frontier:
-        return None
-    path = frontier[full]
-    # pad with a neutral config (outside both supports, everything possible),
-    # which breaks no constraint
-    path = path + ((False, False, (True,) * 4),) * (lambda_size - len(path))
-    labels = tuple(range(1, lambda_size + 1))
-    flags = {(lam, theta, d): b for lam, (_, _, bits) in zip(labels, path)
-             for (theta, d), b in zip(_FLAG_KEYS, bits)}
-    return PossibilisticAssignment(
-        labels, frozenset(lam for lam, c in zip(labels, path) if c[0]),
-        frozenset(lam for lam, c in zip(labels, path) if c[1]), flags)
+    off = {(f.theta, f.detector) for f in facts if f.is_zero and f.preparation in member}
+    if enforce_invar and PREP_UPPER in member:
+        off |= {(theta, d) for theta in THETAS for _, d in off}
+    on = frozenset(_FLAG_KEYS) - off
+    if all(any((theta, d) in on for d in DETECTORS) for theta in THETAS):
+        return on
+    return None
 
 
 def replay_zero_facts(assignment: PossibilisticAssignment,
@@ -230,17 +141,19 @@ def replay_zero_facts(assignment: PossibilisticAssignment,
 class HardyReport:
     lambda_size: int
     drop_invar: bool
-    overlap_required: bool
-    overlap_possible: bool
     assignment: PossibilisticAssignment | None
     certificate: dict | None
     facts: tuple
+
+    @property
+    def overlap_possible(self) -> bool:
+        return self.assignment is not None
 
     def to_json(self) -> dict:
         doc = {
             "lambda_size": self.lambda_size,
             "drop_invar": self.drop_invar,
-            "overlap_required": self.overlap_required,
+            "overlap_required": True,  # every verdict asks for a shared state
             "overlap_possible": self.overlap_possible,
             "facts": [str(f) for f in self.facts],
         }
@@ -252,23 +165,56 @@ class HardyReport:
 
 
 def hardy_verdict(lambda_size: int, drop_invar: bool = False,
-                  require_overlap: bool = True) -> HardyReport:
-    """Search for an overlapping possibilistic assignment.
+                  facts: Sequence[ZeroFact] | None = None) -> HardyReport:
+    """Decide whether the two supports may share an ontic state.
 
-    With invariance enforced no assignment exists at any size: a shared
-    state needs d1 impossible (the pi-setting zero fact) and d2 impossible
-    (the 0-setting zero fact), which empties its detector set.  Dropping
-    invariance exposes the escape assignment whose flags swing with the
-    setting, and dropping the overlap requirement splits the ontic space
-    between the preparations.
+    A shared state takes the widest configuration of its membership class,
+    as switching a flag on only meets more nonzero facts.  Without one the
+    verdict is infeasible at every size, and the certificate names the zero
+    facts that turned its flags off.  Otherwise the witness is the shared
+    state, then a psi-only and a phi-only state where the nonzero facts
+    still need them, padded with neutral states outside both supports that
+    flag every detector possible; it exists iff it fits in ``lambda_size``.
+
+    With invariance enforced the shared state needs d1 impossible (the
+    pi-setting zero fact) and d2 impossible (the 0-setting zero fact),
+    which empties its detector set.  Dropping invariance exposes the escape
+    whose flags swing with the setting.  ``facts`` are derived from the
+    interferometer when not given.
     """
     if lambda_size < 2:
         raise HardyError("need at least two ontic states")
-    facts = derive_zero_probability_facts()
-    assignment = search_assignment(lambda_size, facts,
-                                   enforce_invar=not drop_invar,
-                                   require_overlap=require_overlap)
-    certificate = (overlap_certificate(facts, enforce_invar=not drop_invar)
-                   if require_overlap else None)
-    return HardyReport(lambda_size, drop_invar, require_overlap,
-                       assignment is not None, assignment, certificate, facts)
+    if facts is None:
+        facts = derive_zero_probability_facts()
+    facts = tuple(facts)
+    widest = {member: _widest(member, facts, not drop_invar) for member in _MEMBERSHIPS}
+    if widest[_SHARED] is None:
+        blockers = [str(f) for f in facts if f.is_zero]
+        invariance = "" if drop_invar else "flag invariance plus "
+        certificate = {
+            "lambda": 1,
+            "facts": blockers,
+            "violated": f"totality: {invariance}the {_COUNT_WORDS[len(blockers)]} "
+                        "zero facts leave no possible detector at either setting",
+        }
+        return HardyReport(lambda_size, drop_invar, None, certificate, facts)
+    # the shared state first, then each class that meets a nonzero fact still
+    # unmet; a class's widest flags contain the shared state's
+    unmet = [f for f in facts if not f.is_zero]
+    states = []
+    for member, on in widest.items():
+        met = [f for f in unmet if f.preparation in member and (f.theta, f.detector) in on]
+        if member == _SHARED or met:
+            states.append((member, on))
+            unmet = [f for f in unmet if f not in met]
+    if unmet or len(states) > lambda_size:
+        return HardyReport(lambda_size, drop_invar, None, None, facts)
+    states += [((), frozenset(_FLAG_KEYS))] * (lambda_size - len(states))
+    labels = tuple(range(1, lambda_size + 1))
+    assignment = PossibilisticAssignment(
+        labels,
+        frozenset(lam for lam, (member, _) in zip(labels, states) if PREP_SPLIT in member),
+        frozenset(lam for lam, (member, _) in zip(labels, states) if PREP_UPPER in member),
+        {(lam, theta, d): (theta, d) in on
+         for lam, (_, on) in zip(labels, states) for theta, d in _FLAG_KEYS})
+    return HardyReport(lambda_size, drop_invar, assignment, None, facts)

@@ -29,12 +29,6 @@ class OnticSpace:
         if len(set(self.labels)) != len(self.labels):
             raise ModelError("ontic labels must be distinct")
 
-    def index(self, label) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ModelError(f"unknown ontic label {label!r}") from None
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -90,12 +84,12 @@ class ResponseFunction:
                     f"response column for {self.space.labels[l]!r} sums to {col}, not 1"
                 )
 
-    def probability(self, outcome, label) -> Fraction:
+    def row(self, outcome) -> tuple:
+        """xi(outcome | lambda) for every label, in the space's order."""
         try:
-            o = self.outcomes.index(outcome)
+            return self.table[self.outcomes.index(outcome)]
         except ValueError:
             raise ModelError(f"unknown outcome {outcome!r}") from None
-        return self.table[o][self.space.index(label)]
 
 
 @dataclass(frozen=True)
@@ -128,11 +122,8 @@ class OntologicalModel:
 def predicted_probability(model: OntologicalModel, prep, meas, outcome) -> Fraction:
     """sum_lambda p(lambda) xi(outcome | lambda), exact."""
     p = model.preparation(prep)
-    xi = model.measurement(meas)
-    return sum(
-        (p.weights[i] * xi.probability(outcome, lam) for i, lam in enumerate(model.space.labels)),
-        Fraction(0),
-    )
+    row = model.measurement(meas).row(outcome)
+    return sum((w * x for w, x in zip(p.weights, row)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -220,9 +211,9 @@ def classify(model: OntologicalModel) -> str:
 
 def permute_labels(model: OntologicalModel, new_order: Sequence) -> OntologicalModel:
     """Relabel the ontic space by the given ordering of existing labels."""
-    if sorted(map(str, new_order)) != sorted(map(str, model.space.labels)):
+    if len(new_order) != model.space.size or set(new_order) != set(model.space.labels):
         raise ModelError("new_order must be a permutation of the labels")
-    idx = [model.space.index(l) for l in new_order]
+    idx = [model.space.labels.index(l) for l in new_order]
     space = OnticSpace(tuple(new_order))
     preparations = {
         name: EpistemicState(space, tuple(p.weights[i] for i in idx))

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import quantum
 from .exact import ExactComplex, phase_eighth
@@ -456,9 +456,6 @@ def marginal(state: CompositeToyState, party: int) -> dict:
     return out
 
 
-DisturbanceRule = Callable[[frozenset], tuple]
-
-
 def _uniform_disturbance(block: frozenset) -> tuple:
     w = Fraction(1, len(block))
     return tuple((lam, w) for lam in sorted(block))
@@ -469,43 +466,6 @@ def _collapse_min_disturbance(block: frozenset) -> tuple:
 
 
 DISTURBANCES = {"uniform": _uniform_disturbance, "collapse_min": _collapse_min_disturbance}
-
-
-def composite_outcome_distribution(state: CompositeToyState, meas: ToyMeasurement,
-                                   party: int) -> dict:
-    n = len(state.support)
-    out = {b: Fraction(0) for b in meas.partition}
-    for pair in state.support:
-        out[meas.block_of(pair[party])] += Fraction(1, n)
-    return out
-
-
-def composite_measure(state: CompositeToyState, meas: ToyMeasurement, party: int,
-                      outcome_block: frozenset,
-                      disturbance: str = "uniform") -> CompositeToyState:
-    """Condition the joint support on one party's outcome and disturb only
-    that party's coordinate."""
-    block = frozenset(outcome_block)
-    if block not in meas.partition:
-        raise ToyError(f"{sorted(block)} is not a block of {meas!r}")
-    conditioned = [p for p in state.support if p[party] in block]
-    if not conditioned:
-        raise ImpossibleToyOutcome(f"block {sorted(block)} has zero prior probability")
-    resample = DISTURBANCES[disturbance]
-    new_pairs = set()
-    weights = {}
-    n = len(conditioned)
-    for pair in conditioned:
-        for lam, w in resample(block):
-            new = (lam, pair[1]) if party == 0 else (pair[0], lam)
-            new_pairs.add(new)
-            weights[new] = weights.get(new, Fraction(0)) + w * Fraction(1, n)
-    # Reachable toy states keep the post-measurement distribution uniform;
-    # anything else would leave the theory's state space.
-    values = set(weights.values())
-    if len(values) != 1:
-        raise ToyError("post-measurement joint distribution is not uniform")
-    return CompositeToyState(frozenset(new_pairs))
 
 
 @dataclass(frozen=True)
@@ -520,20 +480,28 @@ def steering_inference(state: CompositeToyState, alice_meas: ToyMeasurement,
                        alice_outcome: frozenset) -> SteeringResult:
     """Update the joint state on Alice's outcome and report Bob's marginal.
 
+    The joint support is conditioned on Alice's block, and her coordinate is
+    resampled uniformly within it while Bob's stays put.
     ``joint_at_measurement`` is the exact retrodiction: the set of ontic
     pairs the composite could have occupied at the moment of measurement.
     """
     block = frozenset(alice_outcome)
-    dist = composite_outcome_distribution(state, alice_meas, 0)
-    prob = dist.get(block)
-    if prob is None:
+    if block not in alice_meas.partition:
         raise ToyError(f"{sorted(block)} is not a block of {alice_meas!r}")
-    if prob == 0:
-        raise ImpossibleToyOutcome(f"block {sorted(block)} has zero prior probability")
     conditioned = frozenset(p for p in state.support if p[0] in block)
-    updated = composite_measure(state, alice_meas, 0, block)
-    bob = marginal(updated, 1)
-    return SteeringResult(prob, updated, bob, conditioned)
+    if not conditioned:
+        raise ImpossibleToyOutcome(f"block {sorted(block)} has zero prior probability")
+    weights = {}
+    for _, bob in conditioned:
+        for lam, w in _uniform_disturbance(block):
+            weights[(lam, bob)] = weights.get((lam, bob), Fraction(0)) + w / len(conditioned)
+    # Reachable toy states keep the post-measurement distribution uniform;
+    # anything else would leave the theory's state space.
+    if len(set(weights.values())) != 1:
+        raise ToyError("post-measurement joint distribution is not uniform")
+    updated = CompositeToyState(frozenset(weights))
+    prob = Fraction(len(conditioned), len(state.support))
+    return SteeringResult(prob, updated, marginal(updated, 1), conditioned)
 
 
 def steering_retrodiction_demo(second_outcome: frozenset = frozenset({1, 2})) -> int:

@@ -1,5 +1,6 @@
 """Possibilistic interferometer argument: facts, invariance, verdicts."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -48,9 +49,9 @@ def test_certificate_follows_the_facts(dropped):
     facts = [f for f in hardy.derive_zero_probability_facts()
              if (f.preparation, f.theta, f.detector) != dropped]
     assert len(facts) == 7
-    assert hardy.overlap_certificate(facts, enforce_invar=True) is None
-    assignment = hardy.search_assignment(4, facts, enforce_invar=True,
-                                         require_overlap=True)
+    report = hardy.hardy_verdict(4, facts=facts)
+    assert report.certificate is None
+    assignment = report.assignment
     assert assignment.psi_support & assignment.phi_support
     assert hardy.replay_zero_facts(assignment, facts)
 
@@ -74,12 +75,19 @@ def test_dropping_invariance_exposes_the_escape():
     assert hardy.replay_zero_facts(report.assignment, report.facts)
 
 
-def test_disjoint_assignment_exists_with_invariance():
-    report = hardy.hardy_verdict(4, require_overlap=False)
-    assert report.overlap_possible  # here: 'a satisfying assignment exists'
+def test_replay_rejects_a_shared_flag_against_a_zero_fact():
+    report = hardy.hardy_verdict(4, drop_invar=True)
     a = report.assignment
-    assert not (a.psi_support & a.phi_support)
-    assert hardy.replay_zero_facts(a, report.facts)
+    shared = min(a.psi_support & a.phi_support)
+    assert not a.flags[(shared, "pi", "d1")]  # P(d1 | psi, theta=pi) is zero
+    mutant = hardy.PossibilisticAssignment(
+        a.labels, a.psi_support, a.phi_support, {**a.flags, (shared, "pi", "d1"): True})
+    assert not hardy.replay_zero_facts(mutant, report.facts)
+
+
+def test_a_shared_state_is_placed_even_when_it_meets_no_fact():
+    report = hardy.hardy_verdict(2, facts=())
+    assert report.assignment.psi_support & report.assignment.phi_support
 
 
 def test_minimum_size_guard():
@@ -89,14 +97,13 @@ def test_minimum_size_guard():
 
 # ------------------------------------------------------- brute-force oracle
 
-def brute_force_search(lambda_size: int, enforce_invar: bool,
-                       require_overlap: bool):
-    """Literal enumeration over every per-state configuration tuple.
+def brute_force_search(lambda_size: int, facts, enforce_invar: bool) -> bool:
+    """Literal enumeration over every tuple of valid per-state configurations:
+    is there one whose supports intersect and that meets every nonzero fact?
 
     Per-configuration predicates are computed once up front; the loop still
-    visits every tuple of configurations.
+    visits every tuple of valid configurations.
     """
-    facts = hardy.derive_zero_probability_facts()
     zero = {(f.preparation, f.theta, f.detector) for f in facts if f.is_zero}
     nonzero = [(f.preparation, f.theta, f.detector) for f in facts if not f.is_zero]
     flag_keys = list(itertools.product(THETAS, DETECTORS))
@@ -119,42 +126,51 @@ def brute_force_search(lambda_size: int, enforce_invar: bool,
         return True
 
     def config_covers(config):
+        """Bit 0: the state is shared; bit i + 1: it meets nonzero fact i."""
         in_psi, in_phi, bits = config
         flag = dict(zip(flag_keys, bits))
-        cov = set()
-        if in_psi and in_phi:
-            cov.add("overlap")
-        for prep, theta, d in nonzero:
-            member = in_psi if prep == PREP_SPLIT else in_phi
-            if member and flag[(theta, d)]:
-                cov.add((prep, theta, d))
-        return cov
+        member = {PREP_SPLIT: in_psi, PREP_UPPER: in_phi}
+        return (in_psi and in_phi) | sum(
+            2 << i for i, (prep, theta, d) in enumerate(nonzero)
+            if member[prep] and flag[(theta, d)])
 
-    valid = [config_valid(c) for c in configs]
-    covers = [config_covers(c) for c in configs]
-    needed = set(nonzero)
-    if require_overlap:
-        needed.add("overlap")
-    for combo in itertools.product(range(len(configs)), repeat=lambda_size):
-        if not all(valid[i] for i in combo):
-            continue
-        got = set()
-        for i in combo:
-            got |= covers[i]
-        if needed <= got:
+    covers = [config_covers(c) for c in configs if config_valid(c)]
+    needed = (2 << len(nonzero)) - 1
+    for combo in itertools.product(covers, repeat=lambda_size):
+        got = 0
+        for mask in combo:
+            got |= mask
+        if got == needed:
             return True
     return False
 
 
-@pytest.mark.parametrize("size", [2, 3])
-@pytest.mark.parametrize("enforce_invar, require_overlap",
-                         [(True, True), (False, True), (True, False)])
-def test_search_matches_brute_force(size, enforce_invar, require_overlap):
-    fast = hardy.search_assignment(size, hardy.derive_zero_probability_facts(),
-                                   enforce_invar=enforce_invar,
-                                   require_overlap=require_overlap)
-    slow = brute_force_search(size, enforce_invar, require_overlap)
-    assert (fast is not None) == slow
+def every_pattern():
+    """All 256 zero/nonzero patterns of the eight facts."""
+    facts = hardy.derive_zero_probability_facts()
+    return [[dataclasses.replace(f, is_zero=z) for f, z in zip(facts, zeros)]
+            for zeros in itertools.product((False, True), repeat=len(facts))]
+
+
+def one_dropped():
+    """The eight interferometer fact sets with one fact left out."""
+    facts = hardy.derive_zero_probability_facts()
+    return [facts[:i] + facts[i + 1:] for i in range(len(facts))]
+
+
+@pytest.mark.parametrize("enforce_invar", [True, False])
+@pytest.mark.parametrize("size, fact_sets", [(2, every_pattern), (3, one_dropped)],
+                         ids=["2-every-pattern", "3-one-dropped"])
+def test_search_matches_brute_force(size, fact_sets, enforce_invar):
+    for facts in fact_sets():
+        report = hardy.hardy_verdict(size, drop_invar=not enforce_invar, facts=facts)
+        assert report.overlap_possible == brute_force_search(size, facts, enforce_invar)
+        if report.assignment is not None:
+            assert report.assignment.psi_support & report.assignment.phi_support
+            assert hardy.replay_zero_facts(report.assignment, facts)
+        # certified exactly when no single shared state is valid
+        assert (report.certificate is not None) == \
+            (not brute_force_search(1, [f for f in facts if f.is_zero], enforce_invar))
 
 
 # ------------------------------------------------------- assignment type
