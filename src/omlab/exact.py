@@ -181,21 +181,19 @@ def conj(x):
 def as_probability(x, tol: float = 1e-12):
     """Coerce a computed probability to Fraction (exact) or float (float mode).
 
-    Raises if the value has a non-negligible imaginary part or lies outside
-    [0, 1] beyond ``tol``.
+    Raises if the value has a non-negligible imaginary part (any, for an
+    ExactComplex) or lies outside [0, 1] beyond ``tol``.  An exact value
+    outside Q is rounded to float.
     """
     if isinstance(x, ExactComplex):
-        if not x.is_real():
+        a, b, c, d, den = x._t
+        if c or d:
             raise ValueError(f"probability has imaginary part: {x!r}")
-        if x.is_rational():
-            p = x.real_fraction()
-            if not 0 <= p <= 1:
-                raise ValueError(f"probability out of range: {p}")
-            return p
-        val = x.to_complex().real
-        if not -tol <= val <= 1 + tol:
-            raise ValueError(f"probability out of range: {val}")
-        return min(max(val, 0.0), 1.0)
+        if not b:
+            if not 0 <= a <= den:
+                raise ValueError(f"probability out of range: {Fraction(a, den)}")
+            return Fraction(a, den)
+        x = x.to_complex()
     z = complex(x)
     if abs(z.imag) > tol:
         raise ValueError(f"probability has imaginary part: {z}")

@@ -45,14 +45,14 @@ class ZeroFact:
 
 def derive_zero_probability_facts() -> tuple:
     """Which (preparation, theta, detector) triples have Born probability
-    exactly zero, evaluated from the exact interferometer runs: d1 and d2
-    catch the up and down arms, so P(d) is |amplitude|^2 on d's arm, zero
-    iff that amplitude is exactly 0."""
+    exactly zero, evaluated from the exact interferometer runs: P(d) =
+    |<e_d|final>|^2 is zero iff the amplitude <e_d|final> is exactly 0."""
     facts = []
     for prep, source in ((PREP_SPLIT, "first_splitter"), (PREP_UPPER, "upper_arm")):
         for theta in THETAS:
             final = quantum.mz_evolve(theta == "pi", source)
-            for det, amp in zip(DETECTORS, final.amplitudes):
+            for det in DETECTORS:
+                amp = quantum.inner(quantum.MEAS_DETECTORS.ket(det), final)
                 facts.append(ZeroFact(prep, theta, det, amp.is_zero()))
     return tuple(facts)
 

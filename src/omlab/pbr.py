@@ -83,17 +83,9 @@ class PbrScenario:
     measurement_kets: Mapping[str, quantum.Ket]
 
     def born_table(self) -> dict:
-        """Exact Born probabilities, (prep, outcome) -> Fraction: the rank-one
-        effect |phi_k><phi_k| gives Tr(E_k rho) = |<phi_k|Psi>|^2."""
-        return {(p, k): quantum.inner(self.measurement_kets[k], psi).abs2().real_fraction()
+        """Exact Born probabilities, (prep, outcome) -> |<phi_k|Psi>|^2."""
+        return {(p, k): quantum.transition_probability(self.measurement_kets[k], psi)
                 for p, psi in self.preparations.items() for k in OUTCOME_LABELS}
-
-
-def gram_defects(kets: Mapping[str, quantum.Ket]) -> list:
-    """The label pairs (a, b) whose exact <a|b> differs from the identity's
-    entry; empty iff the kets are orthonormal."""
-    return [(a, b) for a, b in itertools.product(kets, repeat=2)
-            if quantum.inner(kets[a], kets[b]) != quantum.ExactComplex.of(int(a == b))]
 
 
 def build_pbr_scenario() -> PbrScenario:

@@ -1,6 +1,9 @@
 """Exact small-dimension quantum toolkit: qubit states, Born rule, tensor
 products and the Mach-Zehnder gate sequence.
 
+States are pure kets and measurements are orthonormal ket bases, so every
+Born probability is the rank-one |<e|psi>|^2 of ``transition_probability``.
+
 All canned states and gates carry ``ExactComplex`` amplitudes, so the six
 single-qubit reference states, the interferometer runs and the two-qubit
 product/entangled constructions evaluate to exact rationals.  Operations
@@ -11,6 +14,7 @@ also accept builtin ``complex`` entries for arbitrary-angle work (tolerance
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,18 +36,30 @@ class QuantumError(ValueError):
     """Malformed state, gate or measurement."""
 
 
-def _close_to(x, target: Fraction, tol: float = FLOAT_TOL) -> bool:
+def _close_to(x, target: int, tol: float = FLOAT_TOL) -> bool:
+    """x == target: exactly for ExactComplex and Fraction values, within
+    ``tol`` for floats."""
     if isinstance(x, ExactComplex):
         return x == ExactComplex.of(target)
-    return abs(complex(x) - complex(target)) <= tol
+    if isinstance(x, Fraction):
+        return x == target
+    return abs(complex(x) - target) <= tol
 
 
-def _entries_equal(a, b, tol: float = FLOAT_TOL) -> bool:
-    if isinstance(a, ExactComplex) and isinstance(b, ExactComplex):
-        return a == b
-    az = a.to_complex() if isinstance(a, ExactComplex) else complex(a)
-    bz = b.to_complex() if isinstance(b, ExactComplex) else complex(b)
-    return abs(az - bz) <= tol
+def _dot(a: Sequence, b: Sequence):
+    """sum conj(a_i) b_i over two amplitude tuples."""
+    acc = conj(a[0]) * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + conj(x) * y
+    return acc
+
+
+def gram_defects(vectors: Mapping[str, Sequence]) -> list:
+    """The label pairs (a, b) whose <a|b> differs from the identity's entry,
+    exactly for ExactComplex amplitudes and beyond FLOAT_TOL for floats;
+    empty iff the amplitude tuples are orthonormal."""
+    return [(a, b) for a, b in itertools.product(vectors, repeat=2)
+            if not _close_to(_dot(vectors[a], vectors[b]), int(a == b))]
 
 
 @dataclass(frozen=True)
@@ -55,8 +71,8 @@ class Ket:
     def __post_init__(self):
         if not self.amplitudes:
             raise QuantumError("empty ket")
-        n = inner(self, self)
-        if not _close_to(n, Fraction(1)):
+        n = _dot(self.amplitudes, self.amplitudes)
+        if not _close_to(n, 1):
             raise QuantumError(f"ket is not normalized: <psi|psi> = {n!r}")
 
     @property
@@ -65,79 +81,39 @@ class Ket:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    entries: tuple  # tuple of row tuples
-
-    def __post_init__(self):
-        d = len(self.entries)
-        if any(len(row) != d for row in self.entries):
-            raise QuantumError("density matrix is not square")
-        for i in range(d):
-            for j in range(d):
-                if not _entries_equal(self.entries[i][j], conj(self.entries[j][i])):
-                    raise QuantumError("density matrix is not Hermitian")
-        tr = self.entries[0][0]
-        for i in range(1, d):
-            tr = tr + self.entries[i][i]
-        if not _close_to(tr, Fraction(1)):
-            raise QuantumError(f"density matrix trace is {tr!r}, not 1")
-        if min(_eigvals_real(self.entries)) < -FLOAT_TOL:
-            raise QuantumError("density matrix is not positive semidefinite")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class UnitaryGate:
+    """A square grid whose columns are orthonormal."""
+
     entries: tuple
 
     def __post_init__(self):
         d = len(self.entries)
-        prod = mat_mul(mat_dagger(self.entries), self.entries)
-        for i in range(d):
-            for j in range(d):
-                want = Fraction(1) if i == j else Fraction(0)
-                if not _close_to(prod[i][j], want):
-                    raise QuantumError("gate is not unitary")
+        if any(len(row) != d for row in self.entries) or gram_defects(
+                dict(enumerate(zip(*self.entries)))):
+            raise QuantumError("gate is not unitary")
 
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """POVM given as a label -> positive-operator map; effects sum to 1."""
+    """A rank-one projective measurement given by its orthonormal basis,
+    label -> Ket: outcome k has the effect |e_k><e_k|."""
 
-    effects: Mapping[str, DensityMatrix] | Mapping[str, tuple]
+    basis: Mapping[str, Ket]
 
     def __post_init__(self):
-        mats = {k: (e.entries if isinstance(e, DensityMatrix) else e) for k, e in self.effects.items()}
-        object.__setattr__(self, "_mats", mats)
-        dims = {len(m) for m in mats.values()}
-        if len(dims) != 1:
-            raise QuantumError("effects have mixed dimensions")
-        d = dims.pop()
-        zero = ZERO if _is_exact_grid(mats) else 0j
-        total = [[zero for _ in range(d)] for _ in range(d)]
-        for m in mats.values():
-            if min(_eigvals_real(m)) < -FLOAT_TOL:
-                raise QuantumError("effect is not positive semidefinite")
-            for i in range(d):
-                for j in range(d):
-                    total[i][j] = total[i][j] + m[i][j]
-        for i in range(d):
-            for j in range(d):
-                if not _close_to(total[i][j], Fraction(1) if i == j else Fraction(0)):
-                    raise QuantumError("effects do not sum to the identity")
+        dims = {e.dim for e in self.basis.values()}
+        if dims != {len(self.basis)}:
+            raise QuantumError("a basis needs one ket per dimension")
+        if gram_defects({k: e.amplitudes for k, e in self.basis.items()}):
+            raise QuantumError("basis kets are not orthonormal")
 
     @property
     def outcomes(self) -> tuple:
-        return tuple(self._mats.keys())
+        return tuple(self.basis)
 
-    def effect(self, outcome: str):
+    def ket(self, outcome: str) -> Ket:
         try:
-            return self._mats[outcome]
+            return self.basis[outcome]
         except KeyError:
             raise QuantumError(f"unknown outcome label {outcome!r}") from None
 
@@ -145,46 +121,9 @@ class ProjectiveMeasurement:
 # --------------------------------------------------------------------------
 # grid helpers (dimensions are <= 4, plain tuples are fine)
 
-def _is_exact_grid(mats) -> bool:
-    first = next(iter(mats.values()))
-    return isinstance(first[0][0], ExactComplex)
-
-
-def _eigvals_real(entries) -> list[float]:
-    import numpy as np
-
-    d = len(entries)
-    a = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = entries[i][j]
-            a[i, j] = e.to_complex() if isinstance(e, ExactComplex) else complex(e)
-    return list(np.linalg.eigvalsh(a).real)
-
-
-def mat_dagger(m) -> tuple:
-    d = len(m)
-    return tuple(tuple(conj(m[j][i]) for j in range(d)) for i in range(d))
-
-
-def mat_mul(a, b) -> tuple:
-    d = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(1, d)), a[i][0] * b[0][j]) for j in range(d))
-        for i in range(d)
-    )
-
-
 def mat_vec(m, v: Sequence) -> tuple:
     d = len(m)
     return tuple(sum((m[i][k] * v[k] for k in range(1, d)), m[i][0] * v[0]) for i in range(d))
-
-
-def trace(m):
-    t = m[0][0]
-    for i in range(1, len(m)):
-        t = t + m[i][i]
-    return t
 
 
 def kron(a, b) -> tuple:
@@ -202,31 +141,22 @@ def inner(a: Ket, b: Ket):
     """<a|b>; conjugates the left argument."""
     if a.dim != b.dim:
         raise QuantumError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    acc = conj(a.amplitudes[0]) * b.amplitudes[0]
-    for x, y in zip(a.amplitudes[1:], b.amplitudes[1:]):
-        acc = acc + conj(x) * y
-    return acc
+    return _dot(a.amplitudes, b.amplitudes)
 
 
-def projector(psi: Ket) -> DensityMatrix:
-    d = psi.dim
-    return DensityMatrix(
-        tuple(tuple(psi.amplitudes[i] * conj(psi.amplitudes[j]) for j in range(d)) for i in range(d))
-    )
+def transition_probability(e: Ket, psi: Ket):
+    """|<e|psi>|^2 as an exact Fraction (exact mode) or float in [0, 1]."""
+    amp = inner(e, psi)
+    return as_probability(amp * conj(amp))
 
 
 def equal_up_to_global_phase(a: Ket, b: Ket, tol: float = FLOAT_TOL) -> bool:
-    ov = inner(a, b)
-    mag2 = ov * conj(ov)
-    return _close_to(mag2, Fraction(1), tol)
+    return _close_to(transition_probability(a, b), 1, tol)
 
 
-def born_probability(rho: DensityMatrix, meas: ProjectiveMeasurement, outcome: str):
-    """Tr(E_k rho) as an exact Fraction (exact mode) or float in [0, 1]."""
-    eff = meas.effect(outcome)
-    if len(eff) != rho.dim:
-        raise QuantumError(f"dimension mismatch: effect {len(eff)} vs state {rho.dim}")
-    return as_probability(trace(mat_mul(eff, rho.entries)))
+def born_probability(psi: Ket, meas: ProjectiveMeasurement, outcome: str):
+    """P(outcome | psi) = |<e_k|psi>|^2 for the measurement's basis ket e_k."""
+    return transition_probability(meas.ket(outcome), psi)
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
@@ -262,18 +192,14 @@ _PAULI_X = ((ZERO, ONE), (ONE, ZERO))
 _PHASE_PI = ((-ONE, ZERO), (ZERO, ONE))  # diag(e^{i pi}, 1)
 
 
-def basis_measurement(states: Mapping[str, Ket]) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement({k: projector(v) for k, v in states.items()})
-
-
-MEAS_Z = basis_measurement({"0": KET_0, "1": KET_1})
-MEAS_X = basis_measurement({"+": KET_PLUS, "-": KET_MINUS})
-MEAS_Y = basis_measurement({"+i": KET_PLUS_I, "-i": KET_MINUS_I})
+MEAS_Z = ProjectiveMeasurement({"0": KET_0, "1": KET_1})
+MEAS_X = ProjectiveMeasurement({"+": KET_PLUS, "-": KET_MINUS})
+MEAS_Y = ProjectiveMeasurement({"+i": KET_PLUS_I, "-i": KET_MINUS_I})
 MEAS_BY_NAME = {"Z": MEAS_Z, "X": MEAS_X, "Y": MEAS_Y}
 
 # Detector measurement at the interferometer output: d1 catches the
 # upward-moving photon, d2 the downward-moving one.
-MEAS_DETECTORS = basis_measurement({"d1": KET_UP, "d2": KET_DOWN})
+MEAS_DETECTORS = ProjectiveMeasurement({"d1": KET_UP, "d2": KET_DOWN})
 
 
 def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
@@ -289,8 +215,8 @@ def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
 def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
     """Detector probabilities (d1, d2) for an arbitrary float phase theta."""
     phase = ((cmath.exp(1j * theta), 0j), (0j, 1 + 0j))  # diag(e^{i theta}, 1)
-    up, down = _mz_run(phase, source).amplitudes
-    return abs(up) ** 2, abs(down) ** 2
+    final = _mz_run(phase, source)
+    return tuple(born_probability(final, MEAS_DETECTORS, d) for d in MEAS_DETECTORS.outcomes)
 
 
 def _mz_run(phase: tuple | None, source: str) -> Ket:
@@ -308,7 +234,7 @@ def _mz_run(phase: tuple | None, source: str) -> Ket:
 
 def superpose(a: Ket, b: Ket, phase: ExactComplex) -> Ket:
     """(1/sqrt2)(|a> + phase |b>) for orthogonal a, b."""
-    if not _close_to(inner(a, b) * conj(inner(a, b)), Fraction(0)):
+    if not _close_to(transition_probability(a, b), 0):
         raise QuantumError("superpose expects orthogonal states")
     return Ket(tuple(INV_SQRT2 * (x + phase * y) for x, y in zip(a.amplitudes, b.amplitudes)))
 
@@ -323,11 +249,7 @@ def identify_pm_state(psi: Ket) -> str | None:
 
 def expectation(psi: Ket, observable) -> ExactComplex | complex:
     """<psi|O|psi> for an observable given as a grid."""
-    v = mat_vec(observable, psi.amplitudes)
-    acc = conj(psi.amplitudes[0]) * v[0]
-    for x, y in zip(psi.amplitudes[1:], v[1:]):
-        acc = acc + conj(x) * y
-    return acc
+    return _dot(psi.amplitudes, mat_vec(observable, psi.amplitudes))
 
 
 def spin_observable_eighth(k_eighths: int) -> tuple:

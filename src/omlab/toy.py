@@ -353,10 +353,9 @@ def toy_born_table() -> dict:
     """Exact Born probabilities for all 36 (prep, meas, outcome) triples."""
     table = {}
     for prep, ket in quantum.PM_STATES.items():
-        rho = quantum.projector(ket)
         for meas_name, meas in quantum.MEAS_BY_NAME.items():
             for outcome in meas.outcomes:
-                table[(prep, meas_name, outcome)] = quantum.born_probability(rho, meas, outcome)
+                table[(prep, meas_name, outcome)] = quantum.born_probability(ket, meas, outcome)
     return table
 
 

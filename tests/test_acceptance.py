@@ -57,9 +57,8 @@ def test_criterion_2_mach_zehnder_both_formalisms():
                 (True, (F(0), F(1)), {3, 4}),
                 (False, (F(1), F(0)), {1, 2})):
             final = quantum.mz_evolve(phase)
-            rho = quantum.projector(final)
-            assert quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d1") == want_d1
-            assert quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d2") == want_d2
+            assert quantum.born_probability(final, quantum.MEAS_DETECTORS, "d1") == want_d1
+            assert quantum.born_probability(final, quantum.MEAS_DETECTORS, "d2") == want_d2
             toy_final = toy.mz_toy_run(phase)
             assert toy_final.support == want_support
             label = quantum.identify_pm_state(final)
@@ -71,9 +70,9 @@ def test_criterion_3_hardy_instance():
     with criterion(3, "upper-arm runs are 1/2-1/2; no overlapping assignment "
                       "for sizes 2..8; escape exists without invariance", 10.0):
         for phase in (True, False):
-            rho = quantum.projector(quantum.mz_evolve(phase, "upper_arm"))
-            assert quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d1") == HALF
-            assert quantum.born_probability(rho, quantum.MEAS_DETECTORS, "d2") == HALF
+            final = quantum.mz_evolve(phase, "upper_arm")
+            assert quantum.born_probability(final, quantum.MEAS_DETECTORS, "d1") == HALF
+            assert quantum.born_probability(final, quantum.MEAS_DETECTORS, "d2") == HALF
         for size in range(2, 9):
             assert not hardy.hardy_verdict(size).overlap_possible
         escape = hardy.hardy_verdict(4, drop_invar=True)
@@ -192,8 +191,7 @@ def test_criterion_10_property_suites():
             if norm < 1e-6:
                 continue
             ket = quantum.Ket(tuple(a / norm for a in vec))
-            rho = quantum.projector(ket)
-            total = sum(quantum.born_probability(rho, quantum.MEAS_Z, o)
+            total = sum(quantum.born_probability(ket, quantum.MEAS_Z, o)
                         for o in ("0", "1"))
             assert abs(total - 1) <= 1e-9
 

@@ -173,3 +173,14 @@ def test_probability_floats_are_bit_identical_to_the_fraction_formula(a, b):
         assert got.hex() == min(max(want, 0.0), 1.0).hex()
     else:
         assert got == a and type(got) is Fraction
+
+
+@pytest.mark.parametrize("value", [
+    ExactComplex(Fraction(-1, 3)), ExactComplex(Fraction(4, 3)),    # exact, rational
+    ExactComplex(1, 1), ExactComplex(-1, Fraction(1, 2)),           # exact, in Q(sqrt2)
+    HALF + I * Fraction(1, 10**9), INV_SQRT2 * I,                   # exact, not real
+    -1e-9, 1 + 1e-9, 0.5 + 1e-9j, complex(0.5, -1e-6),              # float
+])
+def test_probability_rejects_out_of_range_and_complex_values(value):
+    with pytest.raises(ValueError):
+        as_probability(value)

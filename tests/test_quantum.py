@@ -8,49 +8,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omlab import quantum as q
-from omlab.exact import ONE, ZERO, phase_eighth
+from omlab.exact import ONE, ZERO, as_probability, conj, phase_eighth
 
 HALF = Fraction(1, 2)
+
+float_kets = st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=2, max_size=2)
+
+
+def _float_ket(amps):
+    """The normalized ket of ``amps``, or None if it is too short to scale."""
+    vec = [complex(re, im) for re, im in amps]
+    norm = sum(abs(a) ** 2 for a in vec) ** 0.5
+    return None if norm < 1e-6 else q.Ket(tuple(a / norm for a in vec))
+
+
+def trace_formula(e: q.Ket, psi: q.Ket):
+    """Tr(|e><e| |psi><psi|), summed entry by entry over the two projectors."""
+    effect = [[x * conj(y) for y in e.amplitudes] for x in e.amplitudes]
+    rho = [[x * conj(y) for y in psi.amplitudes] for x in psi.amplitudes]
+    d = e.dim
+    return as_probability(sum((effect[i][j] * rho[j][i] for i in range(d) for j in range(d)),
+                              ZERO))
 
 
 # ---------------------------------------------------------------- Born rule
 
 def test_born_reference_values():
-    rho0 = q.projector(q.KET_0)
-    assert q.born_probability(rho0, q.MEAS_X, "+") == HALF
-    assert q.born_probability(q.projector(q.KET_PLUS), q.MEAS_X, "+") == 1
-    assert q.born_probability(q.projector(q.KET_MINUS), q.MEAS_X, "+") == 0
+    assert q.born_probability(q.KET_0, q.MEAS_X, "+") == HALF
+    assert q.born_probability(q.KET_PLUS, q.MEAS_X, "+") == 1
+    assert q.born_probability(q.KET_MINUS, q.MEAS_X, "+") == 0
 
 
 def test_born_errors():
-    rho0 = q.projector(q.KET_0)
     with pytest.raises(q.QuantumError):
-        q.born_probability(rho0, q.MEAS_X, "bogus")
-    rho2 = q.projector(q.tensor(q.KET_0, q.KET_0))
+        q.born_probability(q.KET_0, q.MEAS_X, "bogus")
     with pytest.raises(q.QuantumError):
-        q.born_probability(rho2, q.MEAS_X, "+")
+        q.born_probability(q.tensor(q.KET_0, q.KET_0), q.MEAS_X, "+")
 
 
 def test_born_sums_to_one_exactly_over_reference_family():
     # every reference state against every canned measurement
     for ket in q.PM_STATES.values():
-        rho = q.projector(ket)
         for meas in q.MEAS_BY_NAME.values():
-            total = sum(q.born_probability(rho, meas, o) for o in meas.outcomes)
+            total = sum(q.born_probability(ket, meas, o) for o in meas.outcomes)
             assert total == 1
 
 
+def test_born_matches_the_trace_formula_exactly():
+    for ket in q.PM_STATES.values():
+        for meas in q.MEAS_BY_NAME.values():
+            for o in meas.outcomes:
+                want = trace_formula(meas.ket(o), ket)
+                assert isinstance(want, Fraction)
+                assert q.born_probability(ket, meas, o) == want
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
-                min_size=2, max_size=2))
-def test_born_sums_to_one_float_mode(amps):
-    vec = [complex(re, im) for re, im in amps]
-    norm = sum(abs(a) ** 2 for a in vec) ** 0.5
-    if norm < 1e-6:
+@given(float_kets)
+def test_born_matches_the_trace_formula_in_float_mode(amps):
+    ket = _float_ket(amps)
+    if ket is None:
         return
-    ket = q.Ket(tuple(a / norm for a in vec))
-    rho = q.projector(ket)
-    total = sum(q.born_probability(rho, q.MEAS_Z, o) for o in ("0", "1"))
+    for meas in q.MEAS_BY_NAME.values():
+        for o in meas.outcomes:
+            assert abs(q.born_probability(ket, meas, o) - trace_formula(meas.ket(o), ket)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_kets)
+def test_born_sums_to_one_float_mode(amps):
+    ket = _float_ket(amps)
+    if ket is None:
+        return
+    total = sum(q.born_probability(ket, q.MEAS_Z, o) for o in ("0", "1"))
     assert abs(total - 1) < 1e-9
 
 
@@ -61,8 +91,8 @@ def test_global_phase_invariance():
             shifted = q.Ket(tuple(phase_eighth(k) * a for a in ket.amplitudes))
             for meas in q.MEAS_BY_NAME.values():
                 for o in meas.outcomes:
-                    assert q.born_probability(q.projector(shifted), meas, o) == \
-                        q.born_probability(q.projector(ket), meas, o)
+                    assert q.born_probability(shifted, meas, o) == \
+                        q.born_probability(ket, meas, o)
 
 
 # ---------------------------------------------------------------- tensor
@@ -99,6 +129,8 @@ def test_literal_gate_entries_are_unitary():
 def test_nonunitary_rejected():
     with pytest.raises(q.QuantumError):
         q.UnitaryGate(((ONE, ONE), (ZERO, ONE)))
+    with pytest.raises(q.QuantumError):
+        q.UnitaryGate(((ONE,), (ZERO,)))  # one orthonormal column, but not square
 
 
 # ---------------------------------------------------------------- MZ runs
@@ -119,9 +151,8 @@ def test_mz_without_phase_returns_input():
 def test_mz_upper_arm_equiprobable_for_both_settings():
     for phase in (True, False):
         final = q.mz_evolve(phase, "upper_arm")
-        rho = q.projector(final)
-        assert q.born_probability(rho, q.MEAS_DETECTORS, "d1") == HALF
-        assert q.born_probability(rho, q.MEAS_DETECTORS, "d2") == HALF
+        assert q.born_probability(final, q.MEAS_DETECTORS, "d1") == HALF
+        assert q.born_probability(final, q.MEAS_DETECTORS, "d2") == HALF
 
 
 def test_mz_final_states_orthogonal_across_settings():
@@ -148,6 +179,18 @@ def test_identify_pm_state():
 
 
 def test_measurement_validation():
-    with pytest.raises(q.QuantumError):
-        q.ProjectiveMeasurement({"a": q.projector(q.KET_0).entries,
-                                 "b": q.projector(q.KET_PLUS).entries})
+    with pytest.raises(q.QuantumError, match="orthonormal"):
+        q.ProjectiveMeasurement({"a": q.KET_0, "b": q.KET_PLUS})
+
+
+def test_measurement_rejects_an_incomplete_basis():
+    with pytest.raises(q.QuantumError, match="one ket per dimension"):
+        q.ProjectiveMeasurement({"0": q.KET_0})
+    with pytest.raises(q.QuantumError, match="one ket per dimension"):
+        q.ProjectiveMeasurement({"0": q.KET_0, "00": q.tensor(q.KET_0, q.KET_0)})
+
+
+def test_gram_defects_flags_an_off_diagonal_1e_9():
+    e0, e1 = (1 + 0j, 0j), (0j, 1 + 0j)
+    assert q.gram_defects({"a": e0, "b": e1}) == []
+    assert q.gram_defects({"a": e0, "b": (1e-9 + 0j, 1 + 0j)}) == [("a", "b"), ("b", "a")]

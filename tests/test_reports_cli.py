@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -311,15 +314,34 @@ def test_nogo_hardy_derives_the_zero_facts_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_mz_and_hardy_facts_build_no_gate_or_density_matrix(monkeypatch):
+def test_mz_and_hardy_facts_build_no_gate(monkeypatch):
     def forbidden(self):
         raise AssertionError(f"built a {type(self).__name__}")
 
     monkeypatch.setattr(quantum.UnitaryGate, "__post_init__", forbidden)
-    monkeypatch.setattr(quantum.DensityMatrix, "__post_init__", forbidden)
     assert cli.zero_facts_check(hardy.derive_zero_probability_facts()).passed
     for phase_in, source in itertools.product((False, True), ("first_splitter", "upper_arm")):
         assert all(c.passed for c in cli.mz_checks(phase_in, "both", source, 1.0))
+
+
+# The Gaussian command comes last, as a control that the probe sees an import.
+NUMPY_PROBES = (["nogo", "pbr"], ["nogo", "hardy"], ["nogo", "chsh"], ["simulate", "mz"],
+                ["verify", "all"], ["gaussian", "suite"])
+
+
+def test_only_gaussian_commands_import_numpy():
+    script = ("import contextlib, io, sys\n"
+              "from omlab import cli\n"
+              f"for argv in {NUMPY_PROBES!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0\n"
+              "    print(' '.join(argv), 'numpy' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "OMLAB_OUTPUT_DIR"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == [f"{' '.join(argv)} {argv[0] == 'gaussian'}"
+                                for argv in NUMPY_PROBES]
 
 
 COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [
