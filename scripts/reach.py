@@ -45,6 +45,12 @@ EDGE_ARGVS = [
     ["simulate", "mz", "--theta", "1.0"],
     ["verify", "noncomm", "--seed", "54"],
     ["gaussian", "epr", "--squeeze", "10"],
+    # one rejected value per range-checked option: each exits 1 with a failed row
+    ["nogo", "pbr", "--lambda-size", "9"],
+    ["nogo", "pbr", "--grid-denominator", "0"],
+    ["nogo", "pbr", "--null-budget", "1"],
+    ["nogo", "hardy", "--lambda-size", "1"],
+    ["gaussian", "epr", "--squeeze", "-1"],
 ]
 
 

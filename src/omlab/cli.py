@@ -163,10 +163,6 @@ def no_signaling_checks() -> list:
     rep2 = toy.no_signaling_check(product, toy.ALL_TOY_MEASUREMENTS)
     checks.append(_check("no-signaling variation (product state)", Fraction(0),
                          rep2.max_variation, "TRIVIAL"))
-    rep3 = toy.no_signaling_check(state, toy.ALL_TOY_MEASUREMENTS,
-                                  disturbance="collapse_min")
-    checks.append(_check("no-signaling under broken disturbance", Fraction(0),
-                         rep3.max_variation, "DERIVED"))
     return checks
 
 

@@ -99,19 +99,6 @@ class ExactComplex:
     def is_real(self) -> bool:
         return not (self._t[2] or self._t[3])
 
-    def is_rational(self) -> bool:
-        return not (self._t[1] or self._t[2] or self._t[3])
-
-    def real_fraction(self) -> Fraction:
-        """The value as an exact Fraction; requires a purely rational number."""
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not a plain rational")
-        return self.ra
-
-    def abs2(self) -> "ExactComplex":
-        """|z|^2, a real element of Q(sqrt2)."""
-        return self * self.conjugate()
-
     def to_complex(self) -> complex:
         a, b, c, d, n = self._t  # a / n is float(Fraction(a, n)): both round once
         return complex(a / n + b / n * 2 ** 0.5, c / n + d / n * 2 ** 0.5)

@@ -50,7 +50,7 @@ from .models import (
     frac_str,
     predicted_probability,
 )
-from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, make_correlated, product_composite, toy_state
+from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, kb_composites
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
 OUTCOME_LABELS = ("phi1", "phi2", "phi3", "phi4")
@@ -319,10 +319,11 @@ def solve_feasibility(problem: FeasibilityProblem,
 
 def _grid_size(problem: FeasibilityProblem) -> int:
     """Grid points times joint families: C(D-k+L-2, L-2) weight vectors put
-    k >= ceil(qD) units on the star; one ontic state has one vector."""
+    k units on the star, and summed over k >= m = ceil(qD) that is
+    C(D-m+L-1, L-1) (the hockey-stick identity); one ontic state has one
+    vector."""
     n, d = problem.lambda_size, problem.grid_denominator
-    side = 1 if n == 1 else sum(math.comb(d - k + n - 2, n - 2)
-                                for k in range(math.ceil(problem.q * d), d + 1))
+    side = 1 if n == 1 else math.comb(d - math.ceil(problem.q * d) + n - 1, n - 1)
     return side * side * ((3 if n > 1 else 2) if problem.relax_product else 1)
 
 
@@ -419,17 +420,6 @@ def _toy_observables():
     return obs
 
 
-def _toy_kb_composites():
-    states = []
-    two_supports = [frozenset(c) for c in itertools.combinations(range(1, 5), 2)]
-    for sa, sb in itertools.product(two_supports, repeat=2):
-        states.append(product_composite(toy_state(*sa), toy_state(*sb)))
-    for image in itertools.permutations(range(1, 5)):
-        states.append(make_correlated(dict(zip(range(1, 5), image))))
-    states.append(CompositeToyState(frozenset(itertools.product(range(1, 5), repeat=2))))
-    return states
-
-
 def _toy_chsh_maximum(state: CompositeToyState, observables: Sequence[dict]) -> Fraction:
     """max |S| over the settings (a1, a2, b1, b2), with S = c[a1][b1] +
     c[a1][b2] + c[a2][b1] - c[a2][b2] and c the correlations as integer
@@ -460,7 +450,7 @@ def chsh_gap_demo() -> ChshReport:
     )
 
     observables = _toy_observables()
-    toy_best = max(_toy_chsh_maximum(state, observables) for state in _toy_kb_composites())
+    toy_best = max(_toy_chsh_maximum(state, observables) for state in kb_composites())
     return ChshReport(
         quantum_value=s_val,
         quantum_value_exact="2*sqrt2",

@@ -9,7 +9,11 @@ combination rules play the role of superposition with a relative phase.
 
 The disturbance rule is fixed here as uniform resampling inside the
 obtained outcome block: it is the unique choice that keeps repeated
-measurements reproducible and posteriors knowledge-balanced.
+measurements reproducible and posteriors knowledge-balanced.  On a
+composite, ``steering_inference`` is that one update applied to Alice's
+coordinate, and ``no_signaling_check`` derives Bob's statistics from it, so
+an update that leaked into Bob's coordinate would show up as signaling.
+``kb_composites`` lists the 61 knowledge-balanced composite states.
 """
 
 from __future__ import annotations
@@ -156,20 +160,6 @@ class CompositeToyState:
         for a, b in s:
             if a not in STATES or b not in STATES:
                 raise ToyError(f"pair ({a},{b}) is not in 1..4 x 1..4")
-
-    def kb_class(self) -> str | None:
-        """'product', 'correlated', 'ignorance', or None for other supports."""
-        if len(self.support) == 16:
-            return "ignorance"
-        if len(self.support) == 4:
-            a_side = {a for a, _ in self.support}
-            b_side = {b for _, b in self.support}
-            if len(a_side) == 4 and len(b_side) == 4:
-                return "correlated"
-            if len(a_side) == 2 and len(b_side) == 2 and \
-                    self.support == frozenset(itertools.product(a_side, b_side)):
-                return "product"
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -446,6 +436,17 @@ def product_composite(a: ToyEpistemicState, b: ToyEpistemicState) -> CompositeTo
     return CompositeToyState(frozenset(itertools.product(a.support, b.support)))
 
 
+def kb_composites() -> tuple:
+    """The 61 knowledge-balanced composite states: the 36 products of
+    2-element supports, the 24 correlated states (one per bijection) and
+    total ignorance."""
+    halves = [toy_state(*c) for c in itertools.combinations(STATES, 2)]
+    return (tuple(product_composite(a, b) for a, b in itertools.product(halves, repeat=2))
+            + tuple(make_correlated(dict(zip(STATES, image)))
+                    for image in itertools.permutations(STATES))
+            + (product_composite(IGNORANCE, IGNORANCE),))
+
+
 def marginal(state: CompositeToyState, party: int) -> dict:
     """Exact marginal distribution of one subsystem."""
     n = len(state.support)
@@ -453,18 +454,6 @@ def marginal(state: CompositeToyState, party: int) -> dict:
     for pair in state.support:
         out[pair[party]] += Fraction(1, n)
     return out
-
-
-def _uniform_disturbance(block: frozenset) -> tuple:
-    w = Fraction(1, len(block))
-    return tuple((lam, w) for lam in sorted(block))
-
-
-def _collapse_min_disturbance(block: frozenset) -> tuple:
-    return ((min(block), Fraction(1)),)
-
-
-DISTURBANCES = {"uniform": _uniform_disturbance, "collapse_min": _collapse_min_disturbance}
 
 
 @dataclass(frozen=True)
@@ -491,9 +480,10 @@ def steering_inference(state: CompositeToyState, alice_meas: ToyMeasurement,
     if not conditioned:
         raise ImpossibleToyOutcome(f"block {sorted(block)} has zero prior probability")
     weights = {}
+    w = Fraction(1, len(block) * len(conditioned))
     for _, bob in conditioned:
-        for lam, w in _uniform_disturbance(block):
-            weights[(lam, bob)] = weights.get((lam, bob), Fraction(0)) + w / len(conditioned)
+        for lam in block:
+            weights[(lam, bob)] = weights.get((lam, bob), Fraction(0)) + w
     # Reachable toy states keep the post-measurement distribution uniform;
     # anything else would leave the theory's state space.
     if len(set(weights.values())) != 1:
@@ -530,28 +520,29 @@ class NoSignalingReport:
 
 
 def no_signaling_check(state: CompositeToyState,
-                       alice_options: Sequence[ToyMeasurement],
-                       bob_options: Sequence[ToyMeasurement] = ALL_TOY_MEASUREMENTS,
-                       disturbance: str = "uniform") -> NoSignalingReport:
+                       alice_options: Sequence[ToyMeasurement]) -> NoSignalingReport:
     """Bob's outcome statistics under every choice Alice can make.
 
-    Enumerates ontic pairs and disturbance branches exactly: Alice measures
-    first (her coordinate is disturbed per the rule), then Bob's outcome is
-    read off his untouched coordinate.
+    No-signaling is derived from the steering update: for each of Alice's
+    measurements, Bob's distribution over his states is the sum, over her
+    possible outcomes, of the outcome's probability times the marginal that
+    ``steering_inference`` leaves him.  It is then read off for each of
+    Bob's three measurements.
     """
-    resample = DISTURBANCES[disturbance]
-    n = len(state.support)
     dists = {}
     for ai, alice_meas in enumerate(alice_options):
-        for bi, bob_meas in enumerate(bob_options):
-            acc = {b: Fraction(0) for b in bob_meas.partition}
-            for a, b in state.support:
-                a_block = alice_meas.block_of(a)
-                for _, w in resample(a_block):
-                    acc[bob_meas.block_of(b)] += w * Fraction(1, n)
-            dists[(ai, bi)] = acc
+        bob = {s: Fraction(0) for s in STATES}
+        for block in alice_meas.partition:
+            try:
+                r = steering_inference(state, alice_meas, block)
+            except ImpossibleToyOutcome:
+                continue
+            for s, w in r.bob_marginal.items():
+                bob[s] += r.probability * w
+        for bi, bob_meas in enumerate(ALL_TOY_MEASUREMENTS):
+            dists[(ai, bi)] = {b: sum(bob[s] for s in b) for b in bob_meas.partition}
     variation = Fraction(0)
-    for bi, bob_meas in enumerate(bob_options):
+    for bi, bob_meas in enumerate(ALL_TOY_MEASUREMENTS):
         for block in bob_meas.partition:
             vals = [dists[(ai, bi)][block] for ai in range(len(alice_options))]
             variation = max(variation, max(vals) - min(vals))

@@ -82,7 +82,7 @@ def test_constants():
 def test_eighth_phases_are_unit_roots():
     for k in range(8):
         p = phase_eighth(k)
-        assert p.abs2() == ONE
+        assert p * p.conjugate() == ONE
     assert phase_eighth(4) == -ONE
     assert phase_eighth(2) == I
     assert phase_eighth(1) * phase_eighth(7) == ONE
@@ -92,13 +92,13 @@ def test_eighth_phases_are_unit_roots():
     assert m * SQRT2 == ONE + (-I)
 
 
-def test_real_fraction_extraction():
+def test_rational_probabilities_come_out_as_fractions():
     x = ExactComplex.of(Fraction(3, 4))
-    assert x.real_fraction() == Fraction(3, 4)
+    assert as_probability(x) == Fraction(3, 4)
+    assert type(as_probability(x)) is Fraction
+    assert type(as_probability(HALF * HALF * SQRT2)) is float  # outside Q
     with pytest.raises(ValueError):
-        (SQRT2).real_fraction()
-    with pytest.raises(ValueError):
-        I.real_fraction()
+        as_probability(I)
 
 
 @pytest.mark.parametrize("left, right", [
@@ -128,7 +128,7 @@ def test_field_properties_are_fractions():
     for z in (ZERO, ExactComplex(1, 2, 3, 4), ExactComplex.of(7), ExactComplex.of(Fraction(-1, 3)),
               phase_eighth(3) * SQRT2 + HALF):
         fields(z)
-    assert type(ExactComplex.of(7).real_fraction()) is Fraction
+    assert type(as_probability(ExactComplex.of(Fraction(1, 7)))) is Fraction
 
 
 def test_values_are_immutable():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from pbr_oracle import grid_search, inner_feasibility
 
-from omlab import cli, pbr, quantum
+from omlab import cli, pbr, quantum, toy
 from omlab.exact import INV_SQRT2
 from omlab.models import (
     EpistemicState,
@@ -513,7 +513,7 @@ def test_chsh_singlet_correlations_are_minus_cosine():
 
 def test_toy_chsh_maximum_matches_brute_force():
     observables = pbr._toy_observables()
-    for state in pbr._toy_kb_composites():
+    for state in toy.kb_composites():
         corr = [[F(sum(oa[a] * ob[b] for a, b in state.support), len(state.support))
                  for ob in observables] for oa in observables]
         brute = max(abs(corr[a1][b1] + corr[a1][b2] + corr[a2][b1] - corr[a2][b2])

@@ -3,9 +3,11 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -250,6 +252,17 @@ def pbr_report(capsys, *argv):
     code = cli.main(["nogo", "pbr", "--format", "json", *argv])
     doc = json.loads(capsys.readouterr().out)
     return code, {c["name"].split(" (")[0]: c for c in doc["checks"]}
+
+
+def test_huge_grid_denominator_is_counted_in_closed_form(capsys):
+    # q = 1/4 of D = 10^9 forces m = 2.5 * 10^8 units onto the star on each
+    # side: C(D - m + 3, 3) weight vectors per side, counted without a loop
+    start = time.perf_counter()
+    code, checks = pbr_report(capsys, "--grid-denominator", "1000000000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert checks["pbr verdict"]["detail"]["tested_points"] == math.comb(750000003, 3) ** 2
+    assert elapsed < 1.0
 
 
 def test_budget_below_the_price_is_an_expected_infeasible(capsys):

@@ -242,7 +242,6 @@ def test_correspondence_antipodal_supports_are_complementary():
 def test_make_correlated_and_marginals():
     state = toy.make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
     assert state.support == {(1, 1), (2, 2), (3, 3), (4, 4)}
-    assert state.kb_class() == "correlated"
     for party in (0, 1):
         m = toy.marginal(state, party)
         assert all(w == QUARTER for w in m.values())
@@ -251,7 +250,6 @@ def test_make_correlated_and_marginals():
 def test_product_composite():
     prod = toy.product_composite(toy_state(1, 2), toy_state(1, 2))
     assert prod.support == {(a, b) for a in (1, 2) for b in (1, 2)}
-    assert prod.kb_class() == "product"
 
 
 def test_make_correlated_rejects_non_bijections():
@@ -274,7 +272,7 @@ def test_steering_reference_sequence():
     assert {s for s, w in r1.bob_marginal.items() if w > 0} == {1, 3}
     assert all(w in (Fraction(0), HALF) for w in r1.bob_marginal.values())
     assert r1.joint_at_measurement == {(1, 1), (3, 3)}
-    assert r1.updated.kb_class() == "product"
+    assert r1.updated == toy.product_composite(toy_state(1, 3), toy_state(1, 3))
 
     r2 = toy.steering_inference(r1.updated, MEAS_Z_TOY, frozenset({1, 2}))
     assert r2.joint_at_measurement == {(1, 1), (1, 3)}
@@ -309,27 +307,36 @@ def test_steering_impossible_outcome():
 
 # ----------------------------------------------------------------- signaling
 
-def all_kb_composites():
-    states = []
-    for sa, sb in itertools.product(ALL_KB_SINGLE, repeat=2):
-        states.append(toy.product_composite(sa, sb))
-    for image in itertools.permutations(range(1, 5)):
-        states.append(toy.make_correlated(dict(zip(range(1, 5), image))))
-    states.append(CompositeToyState(frozenset(itertools.product(range(1, 5), repeat=2))))
-    return states
+def test_kb_composites_are_61_distinct_states_with_legal_marginals():
+    composites = toy.kb_composites()
+    assert len(composites) == len(set(composites)) == 61
+    for state in composites:
+        for party in (0, 1):
+            m = toy.marginal(state, party)
+            legal = ToyEpistemicState(frozenset(s for s, w in m.items() if w > 0))
+            assert legal.probs == tuple(m[s] for s in toy.STATES), state
 
 
 def test_no_signaling_for_every_kb_composite():
-    for state in all_kb_composites():
+    for state in toy.kb_composites():
         rep = toy.no_signaling_check(state, ALL_TOY_MEASUREMENTS)
         assert rep.max_variation == 0
 
 
-def test_no_signaling_broken_disturbance_still_silent():
+def test_no_signaling_is_derived_from_the_steering_update(monkeypatch):
+    """An update that moves Bob's coordinate into Alice's block signals."""
+    honest = toy.steering_inference
+
+    def leaky(state, alice_meas, alice_outcome):
+        r = honest(state, alice_meas, alice_outcome)
+        bob = min(alice_outcome)
+        updated = CompositeToyState(frozenset((a, bob) for a, _ in r.updated.support))
+        return toy.SteeringResult(r.probability, updated, toy.marginal(updated, 1),
+                                  r.joint_at_measurement)
+
+    monkeypatch.setattr(toy, "steering_inference", leaky)
     state = toy.make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
-    rep = toy.no_signaling_check(state, ALL_TOY_MEASUREMENTS,
-                                 disturbance="collapse_min")
-    assert rep.max_variation == 0
+    assert toy.no_signaling_check(state, ALL_TOY_MEASUREMENTS).max_variation == HALF
 
 
 # ----------------------------------------------------------------- validation
