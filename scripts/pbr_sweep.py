@@ -31,12 +31,6 @@ def main() -> None:
             print(f"  q={q} step=1/{d}: {v.status} "
                   f"({v.tested_points} weight assignments, decided by {v.decided_by})")
 
-    print("relaxed positivity reading:")
-    v = pbr.solve_feasibility(pbr.FeasibilityProblem(
-        lambda_size=args.lambda_size, grid_denominator=4,
-        q=Fraction(1, 4), relax_product=True), born)
-    print(f"  q=1/4 step=1/4: {v.status} ({v.tested_points} joint families)")
-
     # b* = f^2 with f = ceil(qD)/D; each entry is the largest no-show rate of
     # the witness solved at b*, found by substitution ("-": no budget below 1)
     print("no-show price b*(q, D), product joints:")

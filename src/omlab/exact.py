@@ -99,6 +99,14 @@ class ExactComplex:
     def is_real(self) -> bool:
         return not (self._t[2] or self._t[3])
 
+    def is_positive(self) -> bool:
+        """self > 0: real with a + b*sqrt2 > 0, read off the signs of a and b
+        or, where they differ, off a^2 against 2 b^2."""
+        a, b, c, d, _ = self._t
+        if c or d or (a <= 0 and b <= 0):
+            return False
+        return (a >= 0 and b >= 0) or (a * a > 2 * b * b) == (a > 0)
+
     def to_complex(self) -> complex:
         a, b, c, d, n = self._t  # a / n is float(Fraction(a, n)): both round once
         return complex(a / n + b / n * 2 ** 0.5, c / n + d / n * 2 ** 0.5)

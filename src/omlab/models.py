@@ -1,9 +1,10 @@
 """Finite ontological models: ontic spaces, epistemic states, response
 functions, the Born-reproduction check and the epistemic/ontic classifier.
 
-Weights are exact ``Fraction``s throughout, so reproduction and overlap
-checks are equality tests, not tolerance tests.  Continuous ontic spaces are
-out of scope here; they live in :mod:`omlab.gaussian`.
+Weights and the Born tables they are checked against are exact
+``Fraction``s throughout, so reproduction and overlap checks are equality
+tests, not tolerance tests.  Continuous ontic spaces are out of scope here;
+they live in :mod:`omlab.gaussian`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-FLOAT_TOL = 1e-12
 
 
 class ModelError(ValueError):
@@ -132,7 +131,7 @@ class ReproductionRow:
     meas: str
     outcome: str
     model_value: Fraction
-    quantum_value: Fraction | float
+    quantum_value: Fraction
     match: bool
 
 
@@ -152,8 +151,7 @@ def reproduction_check(model: OntologicalModel, quantum_table: Mapping) -> Repro
     """Compare every (prep, meas, outcome) triple against a Born table.
 
     ``quantum_table`` maps (prep, meas, outcome) to the Born probability and
-    must cover the whole model.  Exact values are compared by equality,
-    floats within 1e-12.
+    must cover the whole model; values are compared by equality.
     """
     rows = []
     for prep in model.preparations:
@@ -164,11 +162,7 @@ def reproduction_check(model: OntologicalModel, quantum_table: Mapping) -> Repro
                     raise ModelError(f"quantum table is missing entry {key!r}")
                 qv = quantum_table[key]
                 mv = predicted_probability(model, prep, meas, outcome)
-                if isinstance(qv, Fraction) or isinstance(qv, int):
-                    match = mv == qv
-                else:
-                    match = abs(float(mv) - float(qv)) <= FLOAT_TOL
-                rows.append(ReproductionRow(prep, meas, outcome, mv, qv, match))
+                rows.append(ReproductionRow(prep, meas, outcome, mv, qv, mv == qv))
     return ReproductionReport(tuple(rows))
 
 

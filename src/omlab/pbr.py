@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import quantum
-from .exact import HALF, INV_SQRT2, ONE, ZERO
+from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
 from .models import (
     EpistemicState,
     OnticSpace,
@@ -110,13 +110,13 @@ class FeasibilityProblem:
     The single-system ontic space has ``lambda_size`` states; epistemic
     weights range over the grid of multiples of 1/grid_denominator.  With
     ``q`` set, both weight vectors must put at least q on the first ontic
-    state (the forced overlap).  ``relax_product`` swaps the product-form
-    joints for a family of non-product joints that keep only the positive
-    shared diagonal cell, the weakest reading under which the argument still
-    bites.  ``null_budget`` adds the no-show outcome and caps each
-    preparation's unconditioned no-show rate; zero means no escape.  The
-    unknowns are the response entries xi(k | cell); ``solve_feasibility``
-    fixes them in closed form or refutes them at the support level.
+    state (the forced overlap).  ``relax_product`` changes no verdict, as no
+    joint other than the product is built: it multiplies ``tested_points``
+    by the joint families per grid point and shows in the grid note.
+    ``null_budget`` adds the no-show outcome and caps each preparation's
+    unconditioned no-show rate; zero means no escape.  The unknowns are the
+    response entries xi(k | cell); ``solve_feasibility`` fixes them in
+    closed form or refutes them at the support level.
     """
 
     lambda_size: int = 4
@@ -393,11 +393,10 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
 
 @dataclass(frozen=True)
 class ChshReport:
-    quantum_value: float
-    quantum_value_exact: str
+    quantum_value: float  # |S|, rounded
+    s_exact: ExactComplex  # S itself
     local_bound: Fraction
     toy_maximum: Fraction
-    gap: float
 
 
 def _singlet_correlation(ka: int, kb: int):
@@ -442,7 +441,6 @@ def chsh_gap_demo() -> ChshReport:
     # settings: A at 0 and pi/2, B at pi/4 and -pi/4 (in eighths of pi)
     e = _singlet_correlation
     s_exact = e(0, 1) + e(0, 7) + e(2, 1) - e(2, 7)
-    s_val = abs(s_exact.to_complex().real)
 
     best_local = max(
         abs(a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2)
@@ -452,9 +450,8 @@ def chsh_gap_demo() -> ChshReport:
     observables = _toy_observables()
     toy_best = max(_toy_chsh_maximum(state, observables) for state in kb_composites())
     return ChshReport(
-        quantum_value=s_val,
-        quantum_value_exact="2*sqrt2",
+        quantum_value=abs(s_exact.to_complex().real),
+        s_exact=s_exact,
         local_bound=Fraction(best_local),
         toy_maximum=toy_best,
-        gap=s_val - float(best_local),
     )

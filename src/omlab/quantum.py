@@ -33,7 +33,7 @@ FLOAT_TOL = 1e-12
 
 
 class QuantumError(ValueError):
-    """Malformed state, gate or measurement."""
+    """Malformed state or measurement."""
 
 
 def _close_to(x, target: int, tol: float = FLOAT_TOL) -> bool:
@@ -78,19 +78,6 @@ class Ket:
     @property
     def dim(self) -> int:
         return len(self.amplitudes)
-
-
-@dataclass(frozen=True)
-class UnitaryGate:
-    """A square grid whose columns are orthonormal."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        d = len(self.entries)
-        if any(len(row) != d for row in self.entries) or gram_defects(
-                dict(enumerate(zip(*self.entries)))):
-            raise QuantumError("gate is not unitary")
 
 
 @dataclass(frozen=True)
@@ -186,7 +173,8 @@ KET_UP = KET_0
 KET_DOWN = KET_1
 
 
-# Literal gate entries; the tests check that they pass UnitaryGate.
+# Literal gate entries; the tests check that each is square with orthonormal
+# columns (empty ``gram_defects``).
 _HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
 _PAULI_X = ((ZERO, ONE), (ONE, ZERO))
 _PHASE_PI = ((-ONE, ZERO), (ZERO, ONE))  # diag(e^{i pi}, 1)

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-import time
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from . import __version__
 
@@ -108,7 +105,10 @@ def load_schema() -> dict:
 
 def validate_report(doc: dict) -> None:
     """Raise what ``jsonschema.validate`` raises, minus its meta-schema check
-    of the fixed package schema (the tests make that check once)."""
+    of the fixed package schema (the tests make that check once).
+    ``jsonschema`` is imported here, so text-format runs never load it."""
+    import jsonschema
+
     schema = load_schema()
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
@@ -134,12 +134,3 @@ def emit(report: ReportDocument, fmt: str = "json") -> str:
         return "\n".join(lines)
     raise ReportError(f"unknown format {fmt!r}")
 
-
-class Stopwatch:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False

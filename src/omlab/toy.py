@@ -3,9 +3,10 @@
 A single system has four true states {1,2,3,4}; what an observer may know
 is capped by the knowledge-balance rule, so legal epistemic states are
 uniform over a 2-element support (maximal knowledge) or over all four
-(total ignorance).  Measurements are 2+2 partitions with a Bayesian update
-plus an unknown disturbance, transformations are permutations, and the four
-combination rules play the role of superposition with a relative phase.
+(total ignorance); ``ToyEpistemicState`` enforces the rule when built.
+Measurements are 2+2 partitions with a Bayesian update plus an unknown
+disturbance, transformations are permutations given by their images, and
+the four combination rules act as superposition with a relative phase.
 
 The disturbance rule is fixed here as uniform resampling inside the
 obtained outcome block: it is the unique choice that keeps repeated
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import ExactComplex, phase_eighth
@@ -118,32 +119,11 @@ class ToyPermutation:
     def __call__(self, lam: int) -> int:
         return self.image[lam - 1]
 
-    def compose(self, other: "ToyPermutation") -> "ToyPermutation":
-        """self after other: (self . other)(x) = self(other(x))."""
-        return ToyPermutation(tuple(self(other(s)) for s in STATES))
-
     def inverse(self) -> "ToyPermutation":
         inv = [0] * 4
         for s in STATES:
             inv[self(s) - 1] = s
         return ToyPermutation(tuple(inv))
-
-    @staticmethod
-    def identity() -> "ToyPermutation":
-        return ToyPermutation(STATES)
-
-    @staticmethod
-    def transposition(j: int, k: int) -> "ToyPermutation":
-        img = list(STATES)
-        img[j - 1], img[k - 1] = k, j
-        return ToyPermutation(tuple(img))
-
-    @staticmethod
-    def from_transpositions(pairs: Iterable[tuple]) -> "ToyPermutation":
-        perm = ToyPermutation.identity()
-        for j, k in pairs:
-            perm = ToyPermutation.transposition(j, k).compose(perm)
-        return perm
 
 
 @dataclass(frozen=True)
@@ -163,7 +143,7 @@ class CompositeToyState:
 
 
 # --------------------------------------------------------------------------
-# knowledge measure and validation
+# knowledge measure
 
 def _question_subsets():
     for r in (1, 2, 3):
@@ -201,15 +181,6 @@ def knowledge_measure(probs: Sequence) -> int:
         return p == 0 or p == 1
 
     return max(sum(1 for q in cs if known(q)) for cs in _CANONICAL_SETS)
-
-
-def kb_validate(probs: Sequence) -> bool:
-    """True iff the vector is uniform over a 2-element or 4-element support."""
-    v = _as_prob_vector(probs)
-    support = [s for s in STATES if v[s - 1] > 0]
-    if len(support) not in (2, 4):
-        return False
-    return all(v[s - 1] == Fraction(1, len(support)) for s in support)
 
 
 # --------------------------------------------------------------------------
@@ -313,12 +284,8 @@ STATE_SUPPORT = {
 }
 SUPPORT_STATE = {v: k for k, v in STATE_SUPPORT.items()}
 
-# Outcome labels for the three partition measurements, block -> label.
-MEASUREMENT_TABLE = {
-    "Z": (MEAS_Z_TOY, {frozenset({1, 2}): "0", frozenset({3, 4}): "1"}),
-    "X": (MEAS_X_TOY, {frozenset({1, 3}): "+", frozenset({2, 4}): "-"}),
-    "Y": (MEAS_Y_TOY, {frozenset({2, 3}): "+i", frozenset({1, 4}): "-i"}),
-}
+# The three partition measurements; block b's outcome label is SUPPORT_STATE[b].
+MEASUREMENT_TABLE = {"Z": MEAS_Z_TOY, "X": MEAS_X_TOY, "Y": MEAS_Y_TOY}
 
 
 def build_toy_model() -> OntologicalModel:
@@ -329,8 +296,8 @@ def build_toy_model() -> OntologicalModel:
         for label, supp in STATE_SUPPORT.items()
     }
     measurements = {}
-    for name, (meas, labels) in MEASUREMENT_TABLE.items():
-        outcomes = tuple(labels[b] for b in meas.partition)
+    for name, meas in MEASUREMENT_TABLE.items():
+        outcomes = tuple(SUPPORT_STATE[b] for b in meas.partition)
         table = tuple(
             tuple(Fraction(1) if s in b else Fraction(0) for s in STATES)
             for b in meas.partition
@@ -400,23 +367,17 @@ def analogy_failure_check() -> AnalogyReport:
 # --------------------------------------------------------------------------
 # interferometry
 
-MZ_SPLITTER = ToyPermutation.transposition(2, 3)
-MZ_MIRRORS = ToyPermutation.transposition(1, 3)
-MZ_PHASE = ToyPermutation.from_transpositions([(1, 2), (3, 4)])
-
-
-def mz_toy_steps(phase_in: bool) -> tuple:
-    steps = [("splitter", MZ_SPLITTER), ("mirrors", MZ_MIRRORS)]
-    if phase_in:
-        steps.append(("phase", MZ_PHASE))
-    steps.append(("splitter", MZ_SPLITTER))
-    return tuple(steps)
+MZ_SPLITTER = ToyPermutation((1, 3, 2, 4))  # (2 3)
+MZ_MIRRORS = ToyPermutation((3, 2, 1, 4))   # (1 3)
+MZ_PHASE = ToyPermutation((2, 1, 4, 3))     # (1 2)(3 4)
 
 
 def mz_toy_run(phase_in: bool) -> ToyEpistemicState:
-    """Run the interferometer permutation sequence starting from 1v2."""
+    """Run the interferometer from 1v2: splitter, mirrors, the phase shifter
+    if ``phase_in``, splitter."""
     state = toy_state(1, 2)
-    for _, perm in mz_toy_steps(phase_in):
+    phase = (MZ_PHASE,) if phase_in else ()
+    for perm in (MZ_SPLITTER, MZ_MIRRORS, *phase, MZ_SPLITTER):
         state = apply_permutation(state, perm)
     return state
 

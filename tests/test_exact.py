@@ -72,6 +72,20 @@ def test_zero_skipping_matches_the_full_products(x, y):
     assert fields(0 + x) == fields(x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_scalars)
+def test_is_positive_is_the_sign_of_a_real_value(x):
+    assert x.is_positive() == (x.is_real() and x.to_complex().real > 0)
+
+
+def test_is_positive_near_zero():
+    # Pell pairs: 99^2 - 2*70^2 = 1 and 140^2 - 2*99^2 = -2, so a + b*sqrt2 is
+    # within 1/100 of 0 on the side that the larger square picks
+    assert not ExactComplex(-99, 70).is_positive() and ExactComplex(99, -70).is_positive()
+    assert ExactComplex(-140, 99).is_positive() and not ExactComplex(140, -99).is_positive()
+    assert not ZERO.is_positive() and not I.is_positive() and SQRT2.is_positive()
+
+
 def test_constants():
     assert SQRT2 * SQRT2 == ExactComplex.of(2)
     assert I * I == -ONE

@@ -11,7 +11,7 @@ import pytest
 from pbr_oracle import grid_search, inner_feasibility
 
 from omlab import cli, pbr, quantum, toy
-from omlab.exact import INV_SQRT2
+from omlab.exact import INV_SQRT2, SQRT2, ExactComplex
 from omlab.models import (
     EpistemicState,
     ModelError,
@@ -500,7 +500,29 @@ def test_chsh_quantum_value_and_bounds():
     assert rep.quantum_value == pytest.approx(2 * 2 ** 0.5, abs=1e-9)
     assert rep.local_bound == 2
     assert rep.toy_maximum == 2
-    assert rep.gap == pytest.approx(2 * 2 ** 0.5 - 2, abs=1e-9)
+    assert rep.s_exact == -2 * SQRT2
+
+
+def chsh_rows(monkeypatch, correlation) -> dict:
+    monkeypatch.setattr(pbr, "_singlet_correlation", correlation)
+    return {c.name: c.passed for c in cli.chsh_checks()}
+
+
+def test_chsh_rows_decide_s_exactly(monkeypatch):
+    exact = pbr._singlet_correlation
+
+    def rounded(ka, kb):  # the correlation as its nearest double, a rational
+        return ExactComplex.of(F(exact(ka, kb).to_complex().real))
+
+    # S is now rational and within 1e-9 of -2 sqrt2, which no tolerance tells apart
+    rows = chsh_rows(monkeypatch, rounded)
+    assert abs(pbr.chsh_gap_demo().quantum_value - 2 * 2 ** 0.5) <= 1e-9
+    assert rows == {"chsh quantum singlet value": False, "chsh local deterministic bound": True,
+                    "chsh toy composite maximum": True, "chsh gap positive": True}
+    # S = 1/2 + 1/2 + 1/2 + 1/2 = 2 meets the local bound: no gap
+    rows = chsh_rows(monkeypatch, lambda ka, kb: ExactComplex.of(F(1, 2) if ka == 0 or kb == 1
+                                                                  else F(-1, 2)))
+    assert not rows["chsh gap positive"]
 
 
 def test_chsh_singlet_correlations_are_minus_cosine():

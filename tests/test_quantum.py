@@ -112,25 +112,33 @@ def test_tensor_keeps_normalization():
 
 # ---------------------------------------------------------------- gates
 
+PHASE_GATES = [((phase_eighth(k), ZERO), (ZERO, ONE)) for k in range(8)]
+
+
+def is_unitary(entries) -> bool:
+    """Square, with orthonormal columns."""
+    return (all(len(row) == len(entries) for row in entries)
+            and not q.gram_defects(dict(enumerate(zip(*entries)))))
+
+
 def test_gates_are_unitary_and_preserve_norm():
-    phase_gates = [((phase_eighth(k), ZERO), (ZERO, ONE)) for k in range(8)]
-    for entries in [q._HADAMARD, q._PAULI_X, q._PHASE_PI] + phase_gates:
-        gate = q.UnitaryGate(entries)
+    for entries in [q._HADAMARD, q._PAULI_X, q._PHASE_PI] + PHASE_GATES:
+        assert is_unitary(entries)
         for ket in q.PM_STATES.values():
-            q.Ket(q.mat_vec(gate.entries, ket.amplitudes))  # norm re-checked by Ket
+            q.Ket(q.mat_vec(entries, ket.amplitudes))  # norm re-checked by Ket
 
 
 def test_literal_gate_entries_are_unitary():
     for entries in (q._HADAMARD, q._PAULI_X, q._PHASE_PI):
-        assert q.UnitaryGate(entries).entries == entries
+        assert is_unitary(entries)
     assert q._PHASE_PI == ((phase_eighth(4), ZERO), (ZERO, ONE))  # theta = pi
 
 
-def test_nonunitary_rejected():
-    with pytest.raises(q.QuantumError):
-        q.UnitaryGate(((ONE, ONE), (ZERO, ONE)))
-    with pytest.raises(q.QuantumError):
-        q.UnitaryGate(((ONE,), (ZERO,)))  # one orthonormal column, but not square
+def test_non_orthonormal_grid_has_gram_defects():
+    # columns (1, 0) and (1, 1): <0|1> = <1|0> = 1 and <1|1> = 2
+    assert q.gram_defects(dict(enumerate(zip(*((ONE, ONE), (ZERO, ONE)))))) == [
+        (0, 1), (1, 0), (1, 1)]
+    assert not is_unitary(((ONE,), (ZERO,)))  # one orthonormal column, but not square
 
 
 # ---------------------------------------------------------------- MZ runs

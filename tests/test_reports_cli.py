@@ -327,14 +327,31 @@ def test_nogo_hardy_derives_the_zero_facts_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_mz_and_hardy_facts_build_no_gate(monkeypatch):
-    def forbidden(self):
-        raise AssertionError(f"built a {type(self).__name__}")
+def test_mz_and_hardy_facts_check_no_basis(monkeypatch):
+    # every basis is checked once, when its module is imported; no op re-checks one
+    def forbidden(vectors):
+        raise AssertionError(f"re-checked the basis {list(vectors)}")
 
-    monkeypatch.setattr(quantum.UnitaryGate, "__post_init__", forbidden)
+    monkeypatch.setattr(quantum, "gram_defects", forbidden)
     assert cli.zero_facts_check(hardy.derive_zero_probability_facts()).passed
     for phase_in, source in itertools.product((False, True), ("first_splitter", "upper_arm")):
         assert all(c.passed for c in cli.mz_checks(phase_in, "both", source, 1.0))
+
+
+def modules_loaded(probes, module: str) -> list:
+    """Run each argv through ``cli.main`` in turn, in one fresh interpreter,
+    and say after each whether ``module`` has been imported."""
+    script = ("import contextlib, io, sys\n"
+              "from omlab import cli\n"
+              f"for argv in {probes!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0\n"
+              f"    print({module!r} in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "OMLAB_OUTPUT_DIR"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return [line == "True" for line in out.splitlines()]
 
 
 # The Gaussian command comes last, as a control that the probe sees an import.
@@ -343,18 +360,17 @@ NUMPY_PROBES = (["nogo", "pbr"], ["nogo", "hardy"], ["nogo", "chsh"], ["simulate
 
 
 def test_only_gaussian_commands_import_numpy():
-    script = ("import contextlib, io, sys\n"
-              "from omlab import cli\n"
-              f"for argv in {NUMPY_PROBES!r}:\n"
-              "    with contextlib.redirect_stdout(io.StringIO()):\n"
-              "        assert cli.main(argv) == 0\n"
-              "    print(' '.join(argv), 'numpy' in sys.modules)\n")
-    env = {k: v for k, v in os.environ.items() if k != "OMLAB_OUTPUT_DIR"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines() == [f"{' '.join(argv)} {argv[0] == 'gaussian'}"
-                                for argv in NUMPY_PROBES]
+    assert modules_loaded(NUMPY_PROBES, "numpy") == [argv[0] == "gaussian"
+                                                     for argv in NUMPY_PROBES]
+
+
+# Text is the default format; the JSON run comes last, as the control.
+JSONSCHEMA_PROBES = (["nogo", "pbr"], ["nogo", "hardy"], ["nogo", "chsh"], ["verify", "all"],
+                     ["--format", "json", "nogo", "chsh"])
+
+
+def test_only_json_reports_import_jsonschema():
+    assert modules_loaded(JSONSCHEMA_PROBES, "jsonschema") == [False] * 4 + [True]
 
 
 COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [

@@ -20,6 +20,7 @@ from omlab.toy import (
     MEAS_Y_TOY,
     MEAS_Z_TOY,
     STATE_SUPPORT,
+    STATES,
     ToyEpistemicState,
     ToyError,
     ToyMeasurement,
@@ -34,6 +35,20 @@ ALL_KB_SINGLE = [toy_state(*c) for c in itertools.combinations(range(1, 5), 2)]
 ALL_PERMS = [ToyPermutation(p) for p in itertools.permutations((1, 2, 3, 4))]
 
 
+def is_kb(probs) -> bool:
+    """The knowledge-balance rule on a probability vector over 1..4: uniform
+    on a 2- or 4-element support."""
+    n = sum(1 for p in probs if p > 0)
+    return len(probs) == 4 and n in (2, 4) and all(p in (0, Fraction(1, n)) for p in probs)
+
+
+def test_is_kb_rejects_what_knowledge_balance_forbids():
+    assert is_kb((HALF, 0, HALF, 0)) and is_kb((QUARTER,) * 4)
+    assert not is_kb((1, 0, 0, 0))
+    assert not is_kb((HALF, QUARTER, QUARTER, 0))
+    assert not is_kb((HALF, HALF, 0))
+
+
 # ----------------------------------------------------------------- knowledge
 
 def test_knowledge_measure_reference_values():
@@ -45,13 +60,6 @@ def test_knowledge_measure_reference_values():
 def test_knowledge_measure_all_kb_states():
     for s in ALL_KB_SINGLE:
         assert toy.knowledge_measure(s.probs) == 1
-
-
-def test_kb_validate():
-    assert toy.kb_validate((HALF, 0, HALF, 0))
-    assert not toy.kb_validate((1, 0, 0, 0))
-    assert not toy.kb_validate((HALF, QUARTER, QUARTER, 0))
-    assert toy.kb_validate((QUARTER,) * 4)
 
 
 def test_canonical_sets_pin_down_states():
@@ -78,8 +86,7 @@ def test_measure_update_outputs_are_kb_states():
         for meas in ALL_TOY_MEASUREMENTS:
             for block, p in toy.measurement_distribution(s, meas).items():
                 if p > 0:
-                    out = toy.measure_update(s, meas, block)
-                    assert toy.kb_validate(out.probs)
+                    assert toy.measure_update(s, meas, block) == ToyEpistemicState(block)
 
 
 def test_ontic_simulation_block_and_membership():
@@ -127,19 +134,33 @@ def test_noncommutativity_transcript_exact():
 
 def test_permutation_reference_cases():
     s12 = toy_state(1, 2)
-    assert toy.apply_permutation(s12, ToyPermutation.transposition(2, 3)).support == {1, 3}
+    assert toy.apply_permutation(s12, toy.MZ_SPLITTER).support == {1, 3}
     s13 = toy_state(1, 3)
-    assert toy.apply_permutation(s13, ToyPermutation.transposition(1, 3)).support == {1, 3}
-    assert toy.apply_permutation(s13, ToyPermutation.identity()).support == {1, 3}
+    assert toy.apply_permutation(s13, toy.MZ_MIRRORS).support == {1, 3}
+    assert toy.apply_permutation(s13, toy.MZ_PHASE).support == {2, 4}
+    assert toy.apply_permutation(s13, ToyPermutation(STATES)).support == {1, 3}
+
+
+def test_mz_permutations_are_their_cycles():
+    # (2 3), (1 3) and (1 2)(3 4): each swaps its pairs, fixes the rest and
+    # is its own inverse
+    for perm, pairs in ((toy.MZ_SPLITTER, [(2, 3)]), (toy.MZ_MIRRORS, [(1, 3)]),
+                        (toy.MZ_PHASE, [(1, 2), (3, 4)])):
+        swapped = {j: k for a, b in pairs for j, k in ((a, b), (b, a))}
+        assert [perm(s) for s in STATES] == [swapped.get(s, s) for s in STATES]
+        assert perm.inverse() == perm
 
 
 def test_permutations_form_a_group():
+    identity = ToyPermutation(STATES)
     for p, r in itertools.product(ALL_PERMS, repeat=2):
-        c = p.compose(r)
-        assert sorted(c.image) == [1, 2, 3, 4]
+        # closure: p after r is a bijection on 1..4, so the constructor takes it
+        assert ToyPermutation(tuple(p(r(s)) for s in STATES)) in ALL_PERMS
     for p in ALL_PERMS:
-        assert p.compose(p.inverse()).image == (1, 2, 3, 4)
-        assert p.inverse().compose(p).image == (1, 2, 3, 4)
+        assert all(identity(p(s)) == p(s) == p(identity(s)) for s in STATES)
+        # the inverse undoes p on both sides, and it is the only permutation that does
+        assert all(p(p.inverse()(s)) == s == p.inverse()(p(s)) for s in STATES)
+        assert [r for r in ALL_PERMS if all(p(r(s)) == s for s in STATES)] == [p.inverse()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,7 +176,8 @@ def test_permutation_then_inverse_is_identity_on_states(image, state):
 @given(st.permutations([1, 2, 3, 4]), st.sampled_from(ALL_KB_SINGLE))
 def test_permutations_preserve_kb_validity(image, state):
     out = toy.apply_permutation(state, ToyPermutation(tuple(image)))
-    assert toy.kb_validate(out.probs)
+    assert is_kb(out.probs)
+    assert out.support == {image[s - 1] for s in state.support}
 
 
 # ----------------------------------------------------------------- combine
@@ -188,7 +210,8 @@ def test_combine_closure_over_all_disjoint_pairs_and_rules():
             continue
         for rule in CombinationRule:
             out = toy.combine(a, b, rule)
-            assert toy.kb_validate(out.probs)
+            assert is_kb(out.probs)
+            assert len(out.support & a.support) == len(out.support & b.support) == 1
 
 
 def test_combination_rules_carry_the_four_phases():
@@ -230,6 +253,13 @@ def test_mz_toy_quantum_correspondence():
         assert STATE_SUPPORT[label] == toy_final.support
 
 
+def test_toy_model_outcome_labels_follow_the_partition_order():
+    # blocks are ordered by their smallest member, so Y's {1,4} ("-i") comes first
+    model = toy.build_toy_model()
+    assert {name: xi.outcomes for name, xi in model.measurements.items()} == {
+        "Z": ("0", "1"), "X": ("+", "-"), "Y": ("-i", "+i")}
+
+
 def test_correspondence_antipodal_supports_are_complementary():
     antipodes = {"0": "1", "1": "0", "+": "-", "-": "+", "+i": "-i", "-i": "+i"}
     for a, b in antipodes.items():
@@ -260,7 +290,7 @@ def test_make_correlated_rejects_non_bijections():
 def test_permutation_rejects_a_composite_state():
     state = toy.make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
     with pytest.raises(ToyError):
-        toy.apply_permutation(state, ToyPermutation.transposition(1, 2))
+        toy.apply_permutation(state, ToyPermutation((2, 1, 3, 4)))
 
 
 # ----------------------------------------------------------------- steering
