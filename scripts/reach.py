@@ -51,6 +51,8 @@ EDGE_ARGVS = [
     ["nogo", "pbr", "--null-budget", "1"],
     ["nogo", "hardy", "--lambda-size", "1"],
     ["gaussian", "epr", "--squeeze", "-1"],
+    ["gaussian", "suite", "--lambda", "0"],
+    ["gaussian", "epr", "--lambda", "-1"],
 ]
 
 

@@ -194,9 +194,8 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
                              "PAPER"))
     if model in ("toy", "both") and source == "first_splitter":
         toy_final = toy.mz_toy_run(phase_in)
-        want_support = toy.STATE_SUPPORT["1"] if phase_in else toy.STATE_SUPPORT["0"]
         checks.append(_check(f"mz toy final state [phase={phase_in}]",
-                             _support_name(want_support),
+                             _support_name(toy.STATE_SUPPORT[label]),
                              _support_name(toy_final.support), "PAPER"))
         if model == "both":
             ident = quantum.identify_pm_state(final)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+FLOAT_TOL = 1e-12  # the one tolerance of float-mode (arbitrary-angle) values
+
 
 def _is_float_mode(x) -> bool:
     return isinstance(x, (float, complex)) and not isinstance(x, bool)
@@ -173,11 +175,11 @@ def conj(x):
     return complex(x).conjugate()
 
 
-def as_probability(x, tol: float = 1e-12):
+def as_probability(x):
     """Coerce a computed probability to Fraction (exact) or float (float mode).
 
     Raises if the value has a non-negligible imaginary part (any, for an
-    ExactComplex) or lies outside [0, 1] beyond ``tol``.  An exact value
+    ExactComplex) or lies outside [0, 1] beyond ``FLOAT_TOL``.  An exact value
     outside Q is rounded to float.
     """
     if isinstance(x, ExactComplex):
@@ -190,9 +192,9 @@ def as_probability(x, tol: float = 1e-12):
             return Fraction(a, den)
         x = x.to_complex()
     z = complex(x)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > FLOAT_TOL:
         raise ValueError(f"probability has imaginary part: {z}")
     v = z.real
-    if not -tol <= v <= 1 + tol:
+    if not -FLOAT_TOL <= v <= 1 + FLOAT_TOL:
         raise ValueError(f"probability out of range: {v}")
     return min(max(v, 0.0), 1.0)

@@ -50,6 +50,8 @@ class GaussianEpistemicState:
     modes: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.hbar_like <= 0:
+            raise GaussianError("the uncertainty parameter must be positive")
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "mean", mean)
@@ -67,8 +69,6 @@ class GaussianEpistemicState:
         if float(variances.min()) <= 0.0:
             raise GaussianError("covariance must be positive definite")
         object.__setattr__(self, "modes", (variances, basis))
-        if self.hbar_like <= 0:
-            raise GaussianError("the uncertainty parameter must be positive")
 
     @property
     def dim(self) -> int:
@@ -77,14 +77,6 @@ class GaussianEpistemicState:
     @property
     def n_modes(self) -> int:
         return self.dim // 2
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        """Gaussian density evaluated at an array of phase-space points."""
-        pts = np.atleast_2d(points) - self.mean
-        inv = np.linalg.inv(self.covariance)
-        norm = (2 * math.pi) ** (self.dim / 2) * math.sqrt(np.linalg.det(self.covariance))
-        expo = -0.5 * np.einsum("ij,jk,ik->i", pts, inv, pts)
-        return np.exp(expo) / norm
 
     def to_json(self) -> dict:
         return {
@@ -123,29 +115,27 @@ def entropy(state: GaussianEpistemicState) -> float:
     return 0.5 * (n * math.log(2 * math.pi * math.e) + float(np.sum(np.log(state.modes[0]))))
 
 
-def entropy_by_quadrature(state: GaussianEpistemicState,
-                          half_width_sigmas: float = 10.0,
-                          points: int = 1201) -> float:
-    """Independent oracle: -integral(mu ln mu) on a trapezoid grid, N=2 only."""
+def entropy_by_quadrature(state: GaussianEpistemicState) -> float:
+    """Independent oracle, N=2 only: -integral(mu ln mu) by nested trapezoids
+    over 1201 x 1201 offsets spanning +-10 standard deviations per axis.
+    With [[a, b], [b, c]] = gamma^-1, -ln mu = (a dx^2 + 2b dx dy + c dy^2)/2
+    + ln(2 pi sqrt(det gamma)), so the integrand mu ln(1/mu) takes one exp.
+    Only the covariance is read, not the normal modes."""
     if state.dim != 2:
         raise GaussianError("quadrature oracle is implemented for N=2 only")
-    sds = np.sqrt(np.diag(state.covariance))
-    xs = np.linspace(state.mean[0] - half_width_sigmas * sds[0],
-                     state.mean[0] + half_width_sigmas * sds[0], points)
-    ys = np.linspace(state.mean[1] - half_width_sigmas * sds[1],
-                     state.mean[1] + half_width_sigmas * sds[1], points)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    mu = state.density(pts).reshape(points, points)
-    integrand = np.where(mu > 0, -mu * np.log(np.where(mu > 0, mu, 1.0)), 0.0)
+    gamma = state.covariance
+    dx, dy = (np.linspace(-10.0 * sd, 10.0 * sd, 1201) for sd in np.sqrt(np.diag(gamma)))
+    (a, b), (_, c) = np.linalg.inv(gamma)
+    x = dx[:, None]
+    neg_log_mu = (0.5 * (a * x * x + 2 * b * x * dy + c * dy * dy)
+                  + math.log(2 * math.pi * math.sqrt(np.linalg.det(gamma))))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(trapezoid(integrand, ys, axis=1), xs))
+    return float(trapezoid(trapezoid(np.exp(-neg_log_mu) * neg_log_mu, dy, axis=1), dx))
 
 
-def coherent_boundary(hbar_like: float = 1.0, n_modes: int = 1) -> GaussianEpistemicState:
+def coherent_boundary(hbar_like: float = 1.0) -> GaussianEpistemicState:
     """gamma = lam * identity: the minimal-uncertainty round state."""
-    n = 2 * n_modes
-    return GaussianEpistemicState(np.zeros(n), hbar_like * np.eye(n), hbar_like)
+    return GaussianEpistemicState(np.zeros(2), hbar_like * np.eye(2), hbar_like)
 
 
 def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemicState:
@@ -192,24 +182,13 @@ def epr_quadrature_variances(state: GaussianEpistemicState) -> dict:
             for name, u in (("var_q_diff", d), ("var_p_sum", s))}
 
 
-def marginalize(state: GaussianEpistemicState, keep) -> GaussianEpistemicState:
-    """Restrict to a subset of coordinates that respects (q, p) pairing."""
-    idx = sorted(int(i) for i in keep)
-    if not idx:
-        raise GaussianError("keep must be nonempty")
-    if len(idx) >= state.dim:
-        raise GaussianError("keep must be a proper subset")
-    if len(set(idx)) != len(idx) or not all(0 <= i < state.dim for i in idx):
-        raise GaussianError("keep contains invalid coordinate indices")
-    pairs = {i // 2 for i in idx}
-    if sorted(j for m in pairs for j in (2 * m, 2 * m + 1)) != idx:
-        raise GaussianError("keep breaks a (q, p) quadrature pair")
-    sub = np.ix_(idx, idx)
-    return GaussianEpistemicState(state.mean[idx], state.covariance[sub], state.hbar_like)
-
-
 def marginal_mode(state: GaussianEpistemicState, mode: int) -> GaussianEpistemicState:
-    return marginalize(state, (2 * mode, 2 * mode + 1))
+    """The (q, p) marginal of one mode: coordinates 2*mode and 2*mode + 1."""
+    if not 0 <= mode < state.n_modes:
+        raise GaussianError(f"mode {mode} is outside 0..{state.n_modes - 1}")
+    pair = [2 * mode, 2 * mode + 1]
+    return GaussianEpistemicState(state.mean[pair], state.covariance[np.ix_(pair, pair)],
+                                  state.hbar_like)
 
 
 def condition_on_coordinate(state: GaussianEpistemicState, index: int,

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .exact import (
+    FLOAT_TOL,
     ExactComplex,
     I,
     INV_SQRT2,
@@ -29,21 +30,19 @@ from .exact import (
     conj,
 )
 
-FLOAT_TOL = 1e-12
-
 
 class QuantumError(ValueError):
     """Malformed state or measurement."""
 
 
-def _close_to(x, target: int, tol: float = FLOAT_TOL) -> bool:
+def _close_to(x, target: int) -> bool:
     """x == target: exactly for ExactComplex and Fraction values, within
-    ``tol`` for floats."""
+    FLOAT_TOL for floats."""
     if isinstance(x, ExactComplex):
         return x == ExactComplex.of(target)
     if isinstance(x, Fraction):
         return x == target
-    return abs(complex(x) - target) <= tol
+    return abs(complex(x) - target) <= FLOAT_TOL
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -137,8 +136,8 @@ def transition_probability(e: Ket, psi: Ket):
     return as_probability(amp * conj(amp))
 
 
-def equal_up_to_global_phase(a: Ket, b: Ket, tol: float = FLOAT_TOL) -> bool:
-    return _close_to(transition_probability(a, b), 1, tol)
+def equal_up_to_global_phase(a: Ket, b: Ket) -> bool:
+    return _close_to(transition_probability(a, b), 1)
 
 
 def born_probability(psi: Ket, meas: ProjectiveMeasurement, outcome: str):

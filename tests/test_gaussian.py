@@ -74,6 +74,11 @@ def test_entropy_matches_quadrature_oracle():
                                          np.array([[2.0, 0.5], [0.5, 1.0]]), 1.0)
     assert g.entropy_by_quadrature(stretched) == pytest.approx(
         g.entropy(stretched), abs=1e-6)
+    # off-centre and correlated, at both ends of the lam range lab-mix draws from
+    for lam in (0.25, 4.0):
+        tilted = g.GaussianEpistemicState(np.array([1.5, -0.8]),
+                                          lam * np.array([[2.0, -0.7], [-0.7, 1.5]]), lam)
+        assert g.entropy_by_quadrature(tilted) == pytest.approx(g.entropy(tilted), abs=1e-6)
 
 
 def test_entropy_scaling_law():
@@ -233,23 +238,22 @@ def three_mode_state() -> g.GaussianEpistemicState:
     return g.GaussianEpistemicState(rng.normal(size=6), cov, 1.0)
 
 
-def test_marginal_of_marginal_is_marginal_over_intersection():
+def test_marginal_mode_is_the_mean_slice_and_covariance_block():
     state = three_mode_state()
-    step = g.marginalize(g.marginalize(state, (0, 1, 2, 3)), (0, 1))
-    direct = g.marginalize(state, (0, 1))
-    assert np.allclose(step.covariance, direct.covariance)
-    assert np.allclose(step.mean, direct.mean)
-    # keeping everything is not a proper marginal
-    with pytest.raises(g.GaussianError):
-        g.marginalize(state, tuple(range(6)))
+    for mode in range(3):
+        marg = g.marginal_mode(state, mode)
+        pair = slice(2 * mode, 2 * mode + 2)
+        assert np.array_equal(marg.mean, state.mean[pair])
+        assert np.array_equal(marg.covariance, state.covariance[pair, pair])
+        assert marg.hbar_like == state.hbar_like
 
 
-def test_marginalize_pairing_guard():
-    epr = g.epr_correlated(1.0)
-    with pytest.raises(g.GaussianError):
-        g.marginalize(epr, (0, 2))
-    with pytest.raises(g.GaussianError):
-        g.marginalize(epr, ())
+def test_marginal_mode_rejects_modes_out_of_range():
+    # without the check, -1 would wrap around to the last mode
+    state = three_mode_state()
+    for mode in (-1, state.n_modes):
+        with pytest.raises(g.GaussianError, match="outside 0..2"):
+            g.marginal_mode(state, mode)
 
 
 # ------------------------------------------------------------- inference
@@ -298,18 +302,15 @@ def test_inference_no_signaling_analogue():
                            prior.covariance, atol=1e-12)
 
 
-def test_condition_then_marginalize_commutes():
-    # conditioning on q of mode 0 and discarding mode 2 commutes with
-    # discarding mode 2 first, wherever both routes are defined
+def test_three_mode_conditioning_matches_the_precision_oracle():
+    # the Lagrange-form Schur complement on a generic correlated state, on
+    # every coordinate, against the precision-matrix route
     state = three_mode_state()
-    mean_a, cov_a = g.condition_on_coordinate(state, 0, 0.7)
-    # after conditioning, coordinates are [p0, q1, p1, q2, p2]; mode 1 block:
-    route_a = (mean_a[1:3], cov_a[1:3, 1:3])
-    reduced = g.marginalize(state, (0, 1, 2, 3))
-    mean_b, cov_b = g.condition_on_coordinate(reduced, 0, 0.7)
-    route_b = (mean_b[1:3], cov_b[1:3, 1:3])
-    assert np.allclose(route_a[0], route_b[0])
-    assert np.allclose(route_a[1], route_b[1])
+    for index in range(state.dim):
+        mean, cov = g.condition_on_coordinate(state, index, 0.7)
+        mean_o, cov_o = conditioning_oracle(state, index, 0.7)
+        assert np.allclose(mean, mean_o, rtol=1e-12, atol=1e-12)
+        assert np.allclose(cov, cov_o, rtol=1e-12, atol=1e-12)
 
 
 def test_inference_input_validation():

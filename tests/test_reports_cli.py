@@ -226,6 +226,31 @@ def test_gaussian_json_reports_are_schema_valid(capsys):
     assert all(c["passed"] is True for c in doc["checks"])
 
 
+def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
+    from omlab import gaussian
+
+    def entropy_row():
+        return next(c for c in cli.gaussian_suite_checks(1.0)
+                    if c.name == "gaussian entropy closed form vs quadrature")
+
+    assert entropy_row().passed
+    entropy = gaussian.entropy
+    monkeypatch.setattr(gaussian, "entropy", lambda state: entropy(state) + 1e-5)
+    assert not entropy_row().passed
+
+
+@pytest.mark.parametrize("argv", [["gaussian", "suite", "--lambda", "0"],
+                                  ["gaussian", "epr", "--lambda", "-1"]])
+def test_nonpositive_lambda_fails_naming_the_parameter(argv):
+    # lam * identity is not positive definite at lam <= 0 either; the
+    # parameter is checked first, so the failed row names it
+    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    (row,) = report.checks
+    assert not row.passed
+    assert row.observed == "GaussianError: the uncertainty parameter must be positive"
+    assert row.detail["origin"].startswith("omlab/gaussian.py:")
+
+
 def test_relaxed_pbr_on_one_ontic_state(capsys):
     code = cli.main(["nogo", "pbr", "--lambda-size", "1", "--relax-product",
                      "--format", "json"])
