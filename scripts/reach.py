@@ -53,6 +53,8 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--squeeze", "-1"],
     ["gaussian", "suite", "--lambda", "0"],
     ["gaussian", "epr", "--lambda", "-1"],
+    ["gaussian", "suite", "--lambda", "nan"],
+    ["gaussian", "epr", "--lambda", "inf"],
 ]
 
 

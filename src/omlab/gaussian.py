@@ -50,7 +50,7 @@ class GaussianEpistemicState:
     modes: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hbar_like <= 0:
+        if not math.isfinite(self.hbar_like) or self.hbar_like <= 0:
             raise GaussianError("the uncertainty parameter must be positive")
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)

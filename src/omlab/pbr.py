@@ -28,8 +28,8 @@ which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
 
 The no-show outcome is "absorbed": Born statistics are matched after
 post-selecting on real outcomes, and a budget caps each no-show rate.  No
-verdict solves an LP; every witness is checked by exact substitution
-(``replay_witness``).
+verdict solves an LP; ``replay_witness`` checks every witness by exact
+substitution, in integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
-from .models import (
-    EpistemicState,
-    OnticSpace,
-    OntologicalModel,
-    ResponseFunction,
-    frac_str,
-    predicted_probability,
-)
+from .models import ModelError, frac_str
 from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, kb_composites
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
@@ -59,6 +52,13 @@ NULL = "null"
 
 class PbrError(ValueError):
     pass
+
+
+def _over_lcm(strings) -> tuple:
+    """Exact rational strings as (numerators, their least common denominator)."""
+    values = [Fraction(s) for s in strings]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # Amplitudes over |00>, |01>, |10>, |11>; the tests rebuild them as sums of
@@ -149,17 +149,13 @@ class FeasibilityProblem:
 
 def product_joint(p0: Sequence[Fraction], pplus: Sequence[Fraction],
                   labels: Sequence) -> dict:
-    """(Prod. 2): joint weights for the four preparations as products."""
-    singles = {"0": dict(zip(labels, p0)), "+": dict(zip(labels, pplus))}
+    """(Prod. 2): joint weights for the four preparations as products, on the
+    product of the two supports, in label order."""
+    supports = {"0": [(a, w) for a, w in zip(labels, p0) if w > 0],
+                "+": [(a, w) for a, w in zip(labels, pplus) if w > 0]}
     pattern = {"Psi1": ("0", "0"), "Psi2": ("0", "+"), "Psi3": ("+", "0"), "Psi4": ("+", "+")}
-    joints = {}
-    for prep, (k, l) in pattern.items():
-        joints[prep] = {
-            (a, b): singles[k][a] * singles[l][b]
-            for a, b in itertools.product(labels, repeat=2)
-            if singles[k][a] * singles[l][b] > 0
-        }
-    return joints
+    return {prep: {(a, b): wa * wb for a, wa in supports[k] for b, wb in supports[l]}
+            for prep, (k, l) in pattern.items()}
 
 
 BORN_ZERO_PAIRS = tuple((p, k) for p, k in zip(PREP_LABELS, OUTCOME_LABELS))
@@ -245,8 +241,7 @@ def _witness_payload(p0, pplus, joints, xi, labels, outcomes) -> dict:
         "lambda": list(labels),
         "joints": {prep: {f"{a},{b}": frac_str(w) for (a, b), w in cells.items()}
                    for prep, cells in joints.items()},
-        "xi": {f"{k}|{a},{b}": frac_str(v) for (k, (a, b)), v in sorted(
-            xi.items(), key=lambda kv: (kv[0][0], kv[0][1]))},
+        "xi": {f"{k}|{a},{b}": frac_str(v) for (k, (a, b)), v in sorted(xi.items())},
         "outcomes": list(outcomes),
     }
 
@@ -335,33 +330,13 @@ def _grid_note(problem: FeasibilityProblem) -> str:
 
 
 # --------------------------------------------------------------------------
-# replaying witnesses through the ontological-models framework
-
-def witness_to_model(witness: dict) -> OntologicalModel:
-    """Rebuild a verdict witness as a joint-space ontological model with one
-    four-or-five outcome measurement, suitable for reproduction_check."""
-    all_cells = sorted({tuple(map(int, key.split(",")))
-                        for cells in witness["joints"].values() for key in cells})
-    space = OnticSpace(tuple(all_cells))
-    preparations = {}
-    for prep, cells in witness["joints"].items():
-        w = {tuple(map(int, key.split(","))): Fraction(v) for key, v in cells.items()}
-        preparations[prep] = EpistemicState(
-            space, tuple(w.get(c, Fraction(0)) for c in space.labels))
-    outcomes = tuple(witness["outcomes"])
-    table = []
-    for k in outcomes:
-        row = []
-        for cell in space.labels:
-            key = f"{k}|{cell[0]},{cell[1]}"
-            row.append(Fraction(witness["xi"].get(key, "0")))
-        table.append(tuple(row))
-    measurements = {"R": ResponseFunction(space, outcomes, tuple(table))}
-    return OntologicalModel(space, preparations, measurements)
-
+# replaying witnesses in exact integer arithmetic
 
 def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
-    """Check a witness against the exact Born table.
+    """Check a witness against the exact Born table, reading each of its
+    strings once.  The joint weights, and the response entries on the cells
+    the joints weigh, become integers over one common denominator each, so
+    every check and every prediction is an ``int`` sum over one support.
 
     The statistics post-selected on a real outcome and the raw ones are each
     compared with Born; without a null outcome the two are the same.  With
@@ -371,21 +346,44 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     """
     if born is None:
         born = build_pbr_scenario().born_table()
-    model = witness_to_model(witness)
-    has_null = NULL in witness["outcomes"]
-    post_ok, raw_ok, null_rates = True, True, []
+    joints = {prep: {tuple(map(int, key.split(","))): w for key, w in cells.items()}
+              for prep, cells in witness["joints"].items()}
+    cells = sorted({cell for weighed in joints.values() for cell in weighed})
+    weights, wden = _over_lcm(w for weighed in joints.values() for w in weighed.values())
+    supports, weights = {}, iter(weights)
+    for prep, weighed in joints.items():
+        supports[prep] = support = list(zip(weighed, weights))
+        mass = sum(w for _, w in support)
+        if any(w < 0 for _, w in support):
+            raise ModelError("negative epistemic weight")
+        if mass != wden:
+            raise ModelError(f"epistemic weights sum to {Fraction(mass, wden)}, not 1")
+    outcomes = witness["outcomes"]
+    keys = [(k, cell) for k in outcomes for cell in cells]
+    entries, xden = _over_lcm(witness["xi"].get(f"{k}|{a},{b}", "0") for k, (a, b) in keys)
+    if any(not 0 <= x <= xden for x in entries):
+        raise ModelError("response entries must lie in [0, 1]")
+    xi = dict(zip(keys, entries))
+    for cell in cells:
+        column = sum(xi[k, cell] for k in outcomes)
+        if column != xden:
+            raise ModelError(f"response column for {cell!r} sums to "
+                             f"{Fraction(column, xden)}, not 1")
+    missing = [f"preparation {p!r}" for p in PREP_LABELS if p not in supports]
+    missing += [f"outcome {k!r}" for k in OUTCOME_LABELS if k not in outcomes]
+    if missing:
+        raise ModelError(f"unknown {missing[0]}")
+    total = wden * xden  # the denominator of every prediction
+    post_ok, raw_ok, nulls = True, True, []
     for p in PREP_LABELS:
-        null_rate = predicted_probability(model, p, "R", NULL) if has_null else Fraction(0)
-        null_rates.append(null_rate)
+        null = sum(w * xi[NULL, cell] for cell, w in supports[p]) if NULL in outcomes else 0
+        nulls.append(null)
         for k in OUTCOME_LABELS:
-            raw = predicted_probability(model, p, "R", k)
-            if raw != born[(p, k)]:
-                raw_ok = False
-            detected = 1 - null_rate
-            if detected == 0 or raw / detected != born[(p, k)]:
-                post_ok = False
+            raw, b = sum(w * xi[k, cell] for cell, w in supports[p]), born[(p, k)]
+            raw_ok &= raw * b.denominator == b.numerator * total
+            post_ok &= null != total and raw * b.denominator == b.numerator * (total - null)
     return {"post_selected_match": post_ok, "unconditioned_match": raw_ok,
-            "no_show_rate": max(null_rates)}
+            "no_show_rate": Fraction(max(nulls), total)}
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Enumeration oracle for the PBR verdicts: the weight grid, the relaxed joint
 families and one exact inner LP per grid point, solved by the test-side
-simplex (``tests/simplex.py``).
+simplex (``tests/simplex.py``); and the ontological-models grader of the
+witnesses.
 
 ``pbr.solve_feasibility`` decides every problem at the support level; this
 search decides the same problems point by point, so the tests can grade the
 closed forms against an exhaustive run instead of against themselves.
+``witness_to_model`` rebuilds a witness as an ``OntologicalModel``, so
+``pbr.replay_witness``'s integer replay can be graded against
+``models.predicted_probability`` and ``models.reproduction_check``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ from typing import Mapping, Sequence
 from simplex import find_feasible
 
 from omlab import pbr
+from omlab.models import (
+    EpistemicState,
+    OnticSpace,
+    OntologicalModel,
+    ResponseFunction,
+    predicted_probability,
+)
 
 
 def weight_grid(n: int, denominator: int, floor: Fraction | None = None) -> list:
@@ -211,3 +222,48 @@ def grid_search(problem: pbr.FeasibilityProblem, born) -> tuple:
                 return "feasible", tested, (p0, pplus)
             certificate = inner.certificate
     return "infeasible", tested, certificate
+
+
+def witness_to_model(witness: dict) -> OntologicalModel:
+    """Rebuild a verdict witness as a joint-space ontological model with one
+    four-or-five outcome measurement "R", suitable for reproduction_check."""
+    all_cells = sorted({tuple(map(int, key.split(",")))
+                        for cells in witness["joints"].values() for key in cells})
+    space = OnticSpace(tuple(all_cells))
+    preparations = {}
+    for prep, cells in witness["joints"].items():
+        w = {tuple(map(int, key.split(","))): Fraction(v) for key, v in cells.items()}
+        preparations[prep] = EpistemicState(
+            space, tuple(w.get(c, Fraction(0)) for c in space.labels))
+    outcomes = tuple(witness["outcomes"])
+    table = []
+    for k in outcomes:
+        row = []
+        for cell in space.labels:
+            key = f"{k}|{cell[0]},{cell[1]}"
+            row.append(Fraction(witness["xi"].get(key, "0")))
+        table.append(tuple(row))
+    measurements = {"R": ResponseFunction(space, outcomes, tuple(table))}
+    return OntologicalModel(space, preparations, measurements)
+
+
+def model_replay(witness: dict, born: Mapping) -> dict:
+    """``pbr.replay_witness``'s dict, computed through the model: Fraction
+    predictions from ``predicted_probability``, compared with Born raw and
+    after post-selection on a real outcome."""
+    model = witness_to_model(witness)
+    has_null = pbr.NULL in witness["outcomes"]
+    post_ok, raw_ok, null_rates = True, True, []
+    for p in pbr.PREP_LABELS:
+        null_rate = (predicted_probability(model, p, "R", pbr.NULL) if has_null
+                     else Fraction(0))
+        null_rates.append(null_rate)
+        for k in pbr.OUTCOME_LABELS:
+            raw = predicted_probability(model, p, "R", k)
+            if raw != born[(p, k)]:
+                raw_ok = False
+            detected = 1 - null_rate
+            if detected == 0 or raw / detected != born[(p, k)]:
+                post_ok = False
+    return {"post_selected_match": post_ok, "unconditioned_match": raw_ok,
+            "no_show_rate": max(null_rates)}

@@ -3,12 +3,13 @@ verdicts against an enumeration oracle, the no-show escape and the CHSH gap."""
 
 import importlib.util
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from pbr_oracle import grid_search, inner_feasibility
+from pbr_oracle import grid_search, inner_feasibility, model_replay, witness_to_model
 
 from omlab import cli, pbr, quantum, toy
 from omlab.exact import INV_SQRT2, SQRT2, ExactComplex
@@ -300,6 +301,106 @@ def test_budget_witness_mutants_are_rejected():
     assert mutants == 66 + 18
 
 
+def emitted_witnesses(born):
+    """Every witness solve_feasibility emits over L = 1..8, D <= 12, every
+    floor k/D and q = none, with no budget and with the budgets in (0, 1)
+    among f^2 - 1/D^3, f^2 and f^2 + 1/D^3 (1/D^3 and 1/2 for q = none)."""
+    for n, d in itertools.product(range(1, 9), range(1, 13)):
+        step = F(1, d ** 3)
+        for q in [None] + [F(units, d) for units in range(1, d + 1)]:
+            price = None if q is None else F(math.ceil(q * d), d) ** 2
+            budgets = (step, F(1, 2)) if q is None else (price - step, price, price + step)
+            for budget in [None] + [b for b in budgets if 0 < b < 1]:
+                problem = pbr.FeasibilityProblem(lambda_size=n, grid_denominator=d, q=q,
+                                                 null_budget=budget)
+                witness = pbr.solve_feasibility(problem, born).witness
+                if witness is not None:
+                    yield problem, witness
+
+
+def test_replay_agrees_with_the_model_route_on_every_emitted_witness():
+    born = pbr.build_pbr_scenario().born_table()
+    table = {(p, "R", k): born[(p, k)] for p in pbr.PREP_LABELS for k in pbr.OUTCOME_LABELS}
+    replayed = with_null = 0
+    for problem, witness in emitted_witnesses(born):
+        replay = pbr.replay_witness(witness, born)
+        assert replay == model_replay(witness, born), problem
+        assert type(replay["no_show_rate"]) is F and replay["post_selected_match"], problem
+        if pbr.NULL in witness["outcomes"]:
+            with_null += 1
+        else:
+            assert reproduction_check(witness_to_model(witness), table).ok, problem
+        replayed += 1
+    # q = none on L >= 2: no budget, 1/D^3 for D > 1 and 1/2; forced overlaps
+    # on L >= 3: the 66 floors below 1, at and above f^2
+    assert (replayed, with_null) == (7 * (12 + 11 + 12) + 6 * 66 * 2, 7 * (11 + 12) + 6 * 66 * 2)
+
+
+def replace_entry(witness, key, value, prep=None) -> dict:
+    """A copy of the witness with ``prep``'s joint weight on the cell ``key``,
+    or without ``prep`` the response entry ``key``, set to the Fraction value."""
+    if prep is None:
+        return dict(witness, xi={**witness["xi"], key: pbr.frac_str(value)})
+    weights = {**witness["joints"][prep], key: pbr.frac_str(value)}
+    return dict(witness, joints={**witness["joints"], prep: weights})
+
+
+def same_model_error(witness, born) -> str:
+    """The ModelError message the replay raises, once the model route
+    (witness_to_model, predicted_probability) has raised the same one."""
+    with pytest.raises(ModelError) as by_model:
+        model_replay(witness, born)
+    with pytest.raises(ModelError) as by_replay:
+        pbr.replay_witness(witness, born)
+    assert str(by_replay.value) == str(by_model.value)
+    return str(by_replay.value)
+
+
+def test_replay_rejects_malformed_witnesses_as_the_model_route_does():
+    born = pbr.build_pbr_scenario().born_table()
+    mutants = 0
+    for d, units in ((d, u) for d in range(2, 13) for u in range(1, d)):
+        step = F(1, d ** 3)
+        for q, budget in ((F(units, d), F(units, d) ** 2), (None, None)):
+            witness = pbr.solve_feasibility(pbr.FeasibilityProblem(
+                lambda_size=3, grid_denominator=d, q=q, null_budget=budget), born).witness
+            cell, weight = next(iter(witness["joints"]["Psi2"].items()))
+            negative = replace_entry(witness, cell, -F(weight), prep="Psi2")
+            assert same_model_error(negative, born) == "negative epistemic weight"
+            heavy = replace_entry(witness, cell, F(weight) + step, prep="Psi2")
+            assert same_model_error(heavy, born) == (
+                f"epistemic weights sum to {1 + step}, not 1")
+            key = next(k for k, v in sorted(witness["xi"].items()) if F(v) > 0)
+            above = replace_entry(witness, key, 1 + step)
+            assert same_model_error(above, born) == "response entries must lie in [0, 1]"
+            short = replace_entry(witness, key, F(witness["xi"][key]) - step)
+            a, b = key.split("|")[1].split(",")
+            assert same_model_error(short, born) == (
+                f"response column for ({a}, {b}) sums to {1 - step}, not 1")
+            dropped = dict(witness, outcomes=[k for k in witness["outcomes"] if k != "phi3"])
+            assert same_model_error(dropped, born).startswith("response column for")
+            # phi3's entries moved onto phi4: every column still sums to 1
+            moved = dict(dropped, xi=dict(witness["xi"]))
+            for key3 in [k for k in moved["xi"] if k.startswith("phi3|")]:
+                key4 = "phi4|" + key3.split("|")[1]
+                moved["xi"][key4] = pbr.frac_str(F(moved["xi"].get(key4, "0"))
+                                                 + F(moved["xi"].pop(key3)))
+            assert same_model_error(moved, born) == "unknown outcome 'phi3'"
+            mutants += 6
+    assert mutants == 6 * 2 * 66
+    # a valid response that never detects anything on Psi1's one cell: Psi1
+    # has no rate to post-select on, and the others no no-show
+    witness = pbr.solve_feasibility(pbr.FeasibilityProblem(q=None), born).witness
+    (cell,) = witness["joints"]["Psi1"]
+    blind = dict(witness, outcomes=witness["outcomes"] + [pbr.NULL], xi={
+        **{k: v for k, v in witness["xi"].items() if not k.endswith(f"|{cell}")},
+        f"{pbr.NULL}|{cell}": "1/1"})
+    replay = pbr.replay_witness(blind, born)
+    assert replay == model_replay(blind, born)
+    assert replay == {"post_selected_match": False, "unconditioned_match": False,
+                      "no_show_rate": 1}
+
+
 def test_enumeration_confirms_the_price_without_the_bound():
     born = pbr.build_pbr_scenario().born_table()
     # one or two ontic states: no budget below 1 admits a model, in either mode
@@ -379,7 +480,7 @@ def test_no_overlap_gives_delta_witness():
 
 def test_witness_replays_through_reproduction_check():
     verdict = pbr.solve_feasibility(default_problem(q=None))
-    model = pbr.witness_to_model(verdict.witness)
+    model = witness_to_model(verdict.witness)
     born = pbr.build_pbr_scenario().born_table()
     table = {(p, "R", k): born[(p, k)]
              for p in pbr.PREP_LABELS for k in pbr.OUTCOME_LABELS}

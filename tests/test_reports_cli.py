@@ -240,9 +240,12 @@ def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["gaussian", "suite", "--lambda", "0"],
-                                  ["gaussian", "epr", "--lambda", "-1"]])
+                                  ["gaussian", "epr", "--lambda", "-1"],
+                                  ["gaussian", "suite", "--lambda", "nan"],
+                                  ["gaussian", "epr", "--lambda", "inf"]])
 def test_nonpositive_lambda_fails_naming_the_parameter(argv):
-    # lam * identity is not positive definite at lam <= 0 either; the
+    # lam * identity is not positive definite at lam <= 0 either, and not
+    # symmetric within tolerance at nan or inf (nan <= 0 is false); the
     # parameter is checked first, so the failed row names it
     report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     (row,) = report.checks
