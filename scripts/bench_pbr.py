@@ -114,10 +114,11 @@ def seed_one_ops() -> tuple:
     return ops, [argv for name in WORKLOADS for argv in workloads.WARMUP[name]]
 
 
-def extract_src(rev: str, dest: Path) -> Path:
-    """``src/`` of git revision ``rev``, unpacked under ``dest``."""
-    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                          check=True, capture_output=True).stdout
+def extract_src(rev: str, dest: Path, *also: str) -> Path:
+    """``src/`` of git revision ``rev``, and the paths in ``also``, unpacked
+    under ``dest``."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src",
+                           *also], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest, filter="data")
     return dest / "src"

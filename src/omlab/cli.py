@@ -498,6 +498,37 @@ def _dispatch(config: RunConfig) -> list:
                    else OPTIONS[k].to_arg(OPTIONS[k].default) for k in keys})
 
 
+class _OnDemandSubParsers(argparse._SubParsersAction):
+    """Subcommands that all show in usage, help and choice errors, but whose
+    parsers are built only when the command line names one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._builders = {}
+
+    def add_on_demand(self, name: str, help: str, build) -> None:
+        """List ``name`` now; ``build(prog)`` makes its parser when named."""
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None  # holds the name's place in choices
+        self._builders[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        build = self._builders.pop(name, None)
+        if build is not None:
+            self._name_parser_map[name] = build(f"{self._prog_prefix} {name}")
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _verb_parser(verb: str, prog: str, common) -> argparse.ArgumentParser:
+    _, targets, options = VERBS[verb]
+    p = argparse.ArgumentParser(prog=prog, parents=[common])
+    p.add_argument("target", choices=targets)
+    for opt in options:
+        p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Common flags live in a parent so they parse both before and after the
     # subcommand; SUPPRESS keeps subparser defaults from clobbering values.
@@ -510,12 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omlab", parents=[common],
         description="desk-scale checks for ontological models of quantum theory")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, targets, options) in VERBS.items():
-        p = sub.add_parser(verb, parents=[common], help=help_text)
-        p.add_argument("target", choices=targets)
-        for opt in options:
-            p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
+    # A command line names one verb, and building a parser for each of the
+    # others (an ArgumentParser, and a help formatter per add_argument) would
+    # be about half of every op's parse time, so only the named verb's parser
+    # is built.  Usage, help and errors still list every verb in VERBS order.
+    sub = parser.add_subparsers(dest="verb", required=True, action=_OnDemandSubParsers)
+    for verb, (help_text, _, _) in VERBS.items():
+        sub.add_on_demand(verb, help_text,
+                          lambda prog, verb=verb: _verb_parser(verb, prog, common))
     return parser
 
 

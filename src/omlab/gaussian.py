@@ -30,6 +30,13 @@ class GaussianError(ValueError):
     pass
 
 
+def _check_uncertainty_parameter(hbar_like: float) -> None:
+    """Reject lam before any arithmetic: at nan or inf a product with it
+    makes nan, and nan <= 0 is false."""
+    if not math.isfinite(hbar_like) or hbar_like <= 0:
+        raise GaussianError("the uncertainty parameter must be positive")
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal form with [[0,-1],[1,0]] per (q,p) pair."""
     block = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -50,8 +57,7 @@ class GaussianEpistemicState:
     modes: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.hbar_like) or self.hbar_like <= 0:
-            raise GaussianError("the uncertainty parameter must be positive")
+        _check_uncertainty_parameter(self.hbar_like)
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "mean", mean)
@@ -127,14 +133,16 @@ def entropy_by_quadrature(state: GaussianEpistemicState) -> float:
     dx, dy = (np.linspace(-10.0 * sd, 10.0 * sd, 1201) for sd in np.sqrt(np.diag(gamma)))
     (a, b), (_, c) = np.linalg.inv(gamma)
     x = dx[:, None]
+    # ln det gamma from slogdet: det itself goes subnormal near lam = 1e-160
     neg_log_mu = (0.5 * (a * x * x + 2 * b * x * dy + c * dy * dy)
-                  + math.log(2 * math.pi * math.sqrt(np.linalg.det(gamma))))
+                  + math.log(2 * math.pi) + 0.5 * np.linalg.slogdet(gamma)[1])
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(trapezoid(np.exp(-neg_log_mu) * neg_log_mu, dy, axis=1), dx))
 
 
 def coherent_boundary(hbar_like: float = 1.0) -> GaussianEpistemicState:
     """gamma = lam * identity: the minimal-uncertainty round state."""
+    _check_uncertainty_parameter(hbar_like)
     return GaussianEpistemicState(np.zeros(2), hbar_like * np.eye(2), hbar_like)
 
 
@@ -149,6 +157,7 @@ def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemi
     """
     if squeeze_r < 0:
         raise GaussianError("squeezing must be nonnegative")
+    _check_uncertainty_parameter(hbar_like)
     lam = float(hbar_like)
     c, s = math.cosh(2 * squeeze_r), math.sinh(2 * squeeze_r)
     cov = lam * np.array([

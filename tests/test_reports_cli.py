@@ -8,10 +8,12 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
+from lab_argvs import edge_argvs
 
 from omlab import cli, hardy, pbr, quantum
 from omlab.reports import (
@@ -239,6 +241,12 @@ def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
     assert not entropy_row().passed
 
 
+def test_entropy_row_passes_where_det_gamma_is_subnormal():
+    # det(1e-160 * I) = 1e-320 is subnormal: ln det gamma comes from slogdet
+    rows = {c.name: c for c in cli.gaussian_suite_checks(1e-160)}
+    assert rows["gaussian entropy closed form vs quadrature"].passed
+
+
 @pytest.mark.parametrize("argv", [["gaussian", "suite", "--lambda", "0"],
                                   ["gaussian", "epr", "--lambda", "-1"],
                                   ["gaussian", "suite", "--lambda", "nan"],
@@ -252,6 +260,15 @@ def test_nonpositive_lambda_fails_naming_the_parameter(argv):
     assert not row.passed
     assert row.observed == "GaussianError: the uncertainty parameter must be positive"
     assert row.detail["origin"].startswith("omlab/gaussian.py:")
+
+
+def test_edge_argvs_raise_no_warning():
+    # lam is checked before any arithmetic: inf * 0 warned of an invalid value
+    for argv in edge_argvs() + [["gaussian", "suite", "--lambda", "inf"]]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+        assert [str(w.message) for w in caught] == [], argv
 
 
 def test_relaxed_pbr_on_one_ontic_state(capsys):
