@@ -6,22 +6,23 @@ BENCH json file.
 Per verb, the argv is the first op of the benchmark passes at seed 1
 (``perfbench/workloads.py``, lab-mix first) that names it.  Each side builds
 and parses every verb's argv in fresh interpreters, base and change
-alternating: ``--warmups`` untimed calls, then ``--calls`` timed ones, whose
+alternating: ``WARMUPS`` untimed calls, then ``CALLS`` timed ones, whose
 median is that interpreter's time; the file gives the median over the
 interpreters.  Next to each time it records, from one untimed call, the
 counters that tell a speed-up from skipped work: the ``ArgumentParser``
 objects built and the ``add_argument`` calls made, and whether the namespace
 equals the other side's.
 
-Then each workload runs ``perfbench/run.py --trace 0`` for ``--seconds`` at
-seeds 1..``--pairs``, base and change alternating which goes first, each side
+Then each workload runs ``perfbench/run.py --trace 0`` for the benchmark's
+``run_seconds`` (read from each side's ``BENCHMARK.json``) at seeds
+1..``--pairs``, base and change alternating which goes first, each side
 from its own copy of ``src/``, ``perfbench/`` and ``BENCHMARK.json``, so no
 result lands in this checkout.  The file gives each end-to-end metric's
 median and quartiles per side, how many pairs the change won on
 ``ops_per_s`` and ``op_p50_ms``, and whether every run was correct.  The base
 tree is extracted from git with ``git archive``.
 
-    python3 scripts/bench_parser.py --base 6c1c1af --runs 9 --pairs 5 --out BENCH_24.json
+    python3 scripts/bench_parser.py --base 6c1c1af --runs 9 --pairs 10 --out BENCH_24.json
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import workloads  # noqa: E402
 
 METRICS = ("ops_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb", "ops_ok_frac")
 HIGHER_IS_BETTER = {"ops_per_s"}
+WARMUPS, CALLS = 5, 51  # untimed and timed build + parse calls per verb and interpreter
 
 # Prints one json line per verb: the median build + parse time of this
 # interpreter, the parsers and add_argument calls of one call, and the namespace.
@@ -90,9 +92,9 @@ def verb_argvs() -> dict:
     return found
 
 
-def parse_once(src: Path, argvs: dict, warmups: int, calls: int) -> dict:
-    out = subprocess.run([sys.executable, "-c", WORKER, json.dumps(argvs), str(warmups),
-                          str(calls)], check=True, capture_output=True, text=True,
+def parse_once(src: Path, argvs: dict) -> dict:
+    out = subprocess.run([sys.executable, "-c", WORKER, json.dumps(argvs), str(WARMUPS),
+                          str(CALLS)], check=True, capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     return {row["verb"]: row for row in map(json.loads, out.splitlines())}
 
@@ -124,10 +126,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
     ap.add_argument("--runs", type=int, default=9, help="fresh interpreters per side (>= 9)")
-    ap.add_argument("--warmups", type=int, default=5, help="untimed calls per verb")
-    ap.add_argument("--calls", type=int, default=51, help="timed calls per verb")
     ap.add_argument("--pairs", type=int, default=5, help="perfbench pairs per workload (>= 5)")
-    ap.add_argument("--seconds", type=float, default=8.0, help="perfbench run length")
     ap.add_argument("--out", required=True, help="BENCH json file to write")
     args = ap.parse_args()
     if args.runs < 9 or args.pairs < 5:
@@ -137,18 +136,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = extract_src(args.base, Path(tmp) / "base", "perfbench", "BENCHMARK.json").parent
         trees = {"base": base, "change": copy_tree(Path(tmp) / "change")}
+        seconds = {side: json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"]
+                   for side, tree in trees.items()}
         parses = {side: [] for side in trees}
         for i in range(args.runs):
             for side in (list(trees) if i % 2 == 0 else list(reversed(trees))):
-                parses[side].append(parse_once(trees[side] / "src", argvs,
-                                               args.warmups, args.calls))
+                parses[side].append(parse_once(trees[side] / "src", argvs))
         print("build + parse timed", file=sys.stderr)
         runs = {w: {side: [] for side in trees} for w in workloads.WORKLOADS}
         for workload in workloads.WORKLOADS:
             for seed in range(1, args.pairs + 1):
                 for side in (list(trees) if seed % 2 else list(reversed(trees))):
                     runs[workload][side].append(
-                        perfbench_once(trees[side], workload, seed, args.seconds))
+                        perfbench_once(trees[side], workload, seed, seconds[side]))
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {runs[workload][side][-1]['op_p50_ms']:.3f} ms p50"
                     for side in trees), file=sys.stderr)
@@ -179,13 +179,14 @@ def main() -> int:
         pairs[workload] = block
     doc = {
         "what": "build + parse: cli.build_parser().parse_args(argv) per verb, the median "
-                f"of {args.calls} calls after {args.warmups} warm-ups in each of "
+                f"of {CALLS} calls after {WARMUPS} warm-ups in each of "
                 f"{args.runs} fresh interpreters per side, base and change alternating, "
                 "with the ArgumentParser objects built and add_argument calls made by one "
-                f"call; perfbench: run.py --trace 0 for {args.seconds:g} s at seeds "
+                "call; perfbench: run.py --trace 0 for each side's run_seconds at seeds "
                 f"1-{args.pairs} per workload, base and change alternating which runs first",
         "machine": machine(),
         "base_rev": args.base,
+        "run_seconds": seconds,
         "namespaces_identical": same,
         "build_parse": verbs,
         "perfbench_pairs": pairs,

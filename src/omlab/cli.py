@@ -500,23 +500,26 @@ def _dispatch(config: RunConfig) -> list:
 
 class _OnDemandSubParsers(argparse._SubParsersAction):
     """Subcommands that all show in usage, help and choice errors, but whose
-    parsers are built only when the command line names one."""
+    parsers are built only when the command line names one.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._builders = {}
+    It relies on these internals of ``argparse._SubParsersAction``, which have
+    the same meaning in CPython 3.10 to 3.13: ``_name_parser_map`` (also the
+    action's ``choices``, so a name listed there with ``None`` passes the
+    choice check), ``_choices_actions`` and ``_ChoicesPseudoAction`` (the help
+    entries) and ``_prog_prefix``.  It bypasses ``add_parser``, so a verb
+    parser gets only what ``_verb_parser`` gives it."""
 
-    def add_on_demand(self, name: str, help: str, build) -> None:
-        """List ``name`` now; ``build(prog)`` makes its parser when named."""
+    common = None  # the parent parser of every verb's parser
+
+    def add_on_demand(self, name: str, help: str) -> None:
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
         self._name_parser_map[name] = None  # holds the name's place in choices
-        self._builders[name] = build
 
     def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        build = self._builders.pop(name, None)
-        if build is not None:
-            self._name_parser_map[name] = build(f"{self._prog_prefix} {name}")
+        name = values[0]  # argparse has checked it against choices
+        if self._name_parser_map[name] is None:
+            self._name_parser_map[name] = _verb_parser(
+                name, f"{self._prog_prefix} {name}", self.common)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -546,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     # be about half of every op's parse time, so only the named verb's parser
     # is built.  Usage, help and errors still list every verb in VERBS order.
     sub = parser.add_subparsers(dest="verb", required=True, action=_OnDemandSubParsers)
+    sub.common = common
     for verb, (help_text, _, _) in VERBS.items():
-        sub.add_on_demand(verb, help_text,
-                          lambda prog, verb=verb: _verb_parser(verb, prog, common))
+        sub.add_on_demand(verb, help_text)
     return parser
 
 
