@@ -45,6 +45,9 @@ EDGE_ARGVS = [
     ["simulate", "mz", "--theta", "1.0"],
     ["verify", "noncomm", "--seed", "54"],
     ["gaussian", "epr", "--squeeze", "10"],
+    # lambda far below 1, where products of two mode variances underflow
+    ["gaussian", "suite", "--lambda", "1e-160"],
+    ["gaussian", "epr", "--lambda", "1e-300"],
     # one rejected value per range-checked option: each exits 1 with a failed row
     ["nogo", "pbr", "--lambda-size", "9"],
     ["nogo", "pbr", "--grid-denominator", "0"],

@@ -30,7 +30,7 @@ from pathlib import Path
 sys.dont_write_bytecode = True  # the script writes nothing into the trees
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import reach  # noqa: E402  (puts perfbench/ and scripts/ on sys.path)
-from bench_pbr import SRC, extract_src  # noqa: E402
+from ab import SRC, extract_src  # noqa: E402
 
 # Prints one line per argv: its report JSON minus wall_clock_s, or what it raised.
 WORKER = r"""

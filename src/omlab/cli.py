@@ -525,7 +525,7 @@ class _OnDemandSubParsers(argparse._SubParsersAction):
 
 def _verb_parser(verb: str, prog: str, common) -> argparse.ArgumentParser:
     _, targets, options = VERBS[verb]
-    p = argparse.ArgumentParser(prog=prog, parents=[common])
+    p = argparse.ArgumentParser(prog=prog, parents=[common], allow_abbrev=False)
     p.add_argument("target", choices=targets)
     for opt in options:
         p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
@@ -541,8 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
+    # No prefix matching: --lambda must not silently mean --lambda-size.
     parser = argparse.ArgumentParser(
-        prog="omlab", parents=[common],
+        prog="omlab", parents=[common], allow_abbrev=False,
         description="desk-scale checks for ontological models of quantum theory")
     # A command line names one verb, and building a parser for each of the
     # others (an ArgumentParser, and a help formatter per add_argument) would

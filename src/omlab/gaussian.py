@@ -209,7 +209,10 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
     out the (q, p) blocks they need.  The covariance, the Schur complement
     g_rr - g_ri g_ir / g_ii, is summed over pairs of normal modes in
     Lagrange's form sum_jk v_j v_k w_jk w_jk^T / (2 g_ii), with
-    w_jk = b_ij b_rk - b_ik b_rj, so no large terms cancel.
+    w_jk = b_ij b_rk - b_ik b_rj, so no large terms cancel.  The variances
+    and g_ii enter divided by s = 2^round(log2 lambda), and the sum is
+    multiplied by s: a power of two scales exactly, and keeps the products
+    v_j v_k from underflowing when lambda is tiny.
     """
     n = state.dim
     if not 0 <= index < n:
@@ -224,7 +227,9 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
     variances, basis = state.modes
     b_i, b_r = basis[index], basis[rest]
     w = np.einsum("j,rk->jkr", b_i, b_r) - np.einsum("k,rj->jkr", b_i, b_r)
-    cov = np.einsum("j,k,jka,jkb->ab", variances, variances, w, w) / (2 * var)
+    s = 2.0 ** round(math.log2(state.hbar_like))
+    v = variances / s
+    cov = s * np.einsum("j,k,jka,jkb->ab", v, v, w, w) / (2 * (var / s))
     return mean, cov
 
 

@@ -145,25 +145,6 @@ class CompositeToyState:
 # --------------------------------------------------------------------------
 # knowledge measure
 
-def _question_subsets():
-    for r in (1, 2, 3):
-        yield from (frozenset(c) for c in itertools.combinations(STATES, r))
-
-
-def canonical_sets() -> tuple:
-    """All 2-question sets that pin down the true state uniquely."""
-    result = []
-    qs = list(_question_subsets())
-    for s1, s2 in itertools.combinations(qs, 2):
-        cells = [s1 & s2, s1 - s2, s2 - s1, set(STATES) - (s1 | s2)]
-        if all(len(c) <= 1 for c in cells):
-            result.append((s1, s2))
-    return tuple(result)
-
-
-_CANONICAL_SETS = canonical_sets()
-
-
 def _as_prob_vector(probs: Sequence) -> tuple:
     v = tuple(Fraction(p) for p in probs)
     if len(v) != 4 or any(p < 0 for p in v) or sum(v) != 1:
@@ -173,14 +154,15 @@ def _as_prob_vector(probs: Sequence) -> tuple:
 
 def knowledge_measure(probs: Sequence) -> int:
     """Number of canonical-set questions whose answer is certain, maximized
-    over all canonical sets."""
-    v = _as_prob_vector(probs)
+    over all canonical sets.
 
-    def known(question: frozenset) -> bool:
-        p = sum(v[s - 1] for s in question)
-        return p == 0 or p == 1
-
-    return max(sum(1 for q in cs if known(q)) for cs in _CANONICAL_SETS)
+    A canonical set is a pair of crossing 2-element questions ({1, 2} and
+    {1, 3}, say), so both answers are certain only on a single ontic state,
+    one on a 2-element support (ask the support itself), and none on a
+    larger one: the measure is 3 - |support|, floored at 0.
+    """
+    support = sum(1 for p in _as_prob_vector(probs) if p)
+    return max(0, 3 - support)
 
 
 # --------------------------------------------------------------------------

@@ -21,24 +21,26 @@ def eager_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
     parser = argparse.ArgumentParser(
-        prog="omlab", parents=[common],
+        prog="omlab", parents=[common], allow_abbrev=False,
         description="desk-scale checks for ontological models of quantum theory")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, targets, options) in cli.VERBS.items():
-        p = sub.add_parser(verb, parents=[common], help=help_text)
+        p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
         p.add_argument("target", choices=targets)
         for opt in options:
             p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
     return parser
 
 
+# prefixes of --lambda-size and --lambda, which must not stand for them
+ABBREVIATED = [["nogo", "pbr", "--lambda", "3"], ["gaussian", "epr", "--lam", "2"],
+               ["nogo", "pbr", "--l", "3"], ["gaussian", "epr", "--l", "2"]]
+
 MALFORMED = [
     ["-h"], *([verb, "-h"] for verb in cli.VERBS), ["nogo", "pbr", "-h"],
     [], ["frobnicate"], ["nogo"], ["nogo", "bell"],
     ["simulate", "mz", "--squeeze", "3"],
-    ["nogo", "pbr", "--lambda", "3"], ["gaussian", "epr", "--lam", "2"],
-    ["nogo", "pbr", "--l", "3"], ["gaussian", "epr", "--l", "2"],
-    ["--format", "xml", "nogo", "chsh"], ["nogo", "chsh", "--format", "xml"],
+    *ABBREVIATED, ["--format", "xml", "nogo", "chsh"], ["nogo", "chsh", "--format", "xml"],
     ["--seed", "1", "verify", "noncomm", "--seed", "2"], ["--seed", "x", "verify", "all"],
     ["nogo", "chsh", "--bogus"], ["nogo", "pbr", "--lambda-size", "four"],
 ]
@@ -60,11 +62,19 @@ def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     results = [(argv, outcome(cli.build_parser(), argv), outcome(eager_parser(), argv))
                for argv in reach_argvs() + MALFORMED]
     assert [argv for argv, new, old in results if new != old] == []
-    # the malformed cases reach help (exit 0), usage errors (exit 2) and
-    # abbreviations that parse
+    # the malformed cases reach help (exit 0), usage errors (exit 2, among
+    # them every abbreviated flag) and a repeated flag that parses
     kinds = {new[1] if new[0] == "exit" else "parsed"
              for argv, new, _ in results if argv in MALFORMED}
     assert kinds == {0, 2, "parsed"}
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED, ids=" ".join)
+def test_an_abbreviated_flag_is_an_error(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class Counter:

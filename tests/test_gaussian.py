@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omlab import cli
 from omlab import gaussian as g
 
 LN_2PIE = 2.8378770664093453  # ln(2 pi e), the N=2 boundary entropy at lam=1
@@ -258,20 +259,10 @@ def test_marginal_mode_rejects_modes_out_of_range():
 
 # ------------------------------------------------------------- inference
 
-def conditioning_oracle(state, index, value):
-    """Precision-matrix route; independent of the module's Schur route."""
-    prec = np.linalg.inv(state.covariance)
-    rest = [i for i in range(state.dim) if i != index]
-    cov = np.linalg.inv(prec[np.ix_(rest, rest)])
-    mean = state.mean[rest] - (cov @ prec[np.ix_(rest, [index])]).ravel() * (
-        value - state.mean[index])
-    return mean, cov
-
-
 def test_epr_inference_position():
     epr = g.epr_correlated(3.0)
     res = g.epr_inference(epr, "q", 1.0)
-    mean_o, cov_o = conditioning_oracle(epr, 0, 1.0)
+    mean_o, cov_o = cli._conditioning_oracle(epr, 0, 1.0)
     assert res.bob.mean == pytest.approx(mean_o[1:], abs=1e-6)
     assert np.allclose(res.bob.covariance, cov_o[1:, 1:], atol=1e-9)
     assert res.bob.mean[0] == pytest.approx(1.0, abs=1e-4)  # tanh(6) ~ 1
@@ -308,9 +299,21 @@ def test_three_mode_conditioning_matches_the_precision_oracle():
     state = three_mode_state()
     for index in range(state.dim):
         mean, cov = g.condition_on_coordinate(state, index, 0.7)
-        mean_o, cov_o = conditioning_oracle(state, index, 0.7)
+        mean_o, cov_o = cli._conditioning_oracle(state, index, 0.7)
         assert np.allclose(mean, mean_o, rtol=1e-12, atol=1e-12)
         assert np.allclose(cov, cov_o, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-170, 1e-200, 1e-300])
+def test_conditioning_keeps_its_scale_at_tiny_lambda(lam):
+    # the products of two mode variances underflow below ~1e-154 unless the
+    # Lagrange sum runs at a power-of-two scale near lambda
+    unit_mean, unit_cov = g.condition_on_coordinate(g.epr_correlated(3.0), 0, 1.0)
+    mean, cov = g.condition_on_coordinate(g.epr_correlated(3.0, lam), 0, 1.0)
+    assert np.allclose(mean, unit_mean, rtol=1e-12, atol=0)
+    assert np.allclose(cov / lam, unit_cov, rtol=1e-12, atol=0)
+    checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(3.0, lam, "q", 1.0)
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_inference_input_validation():

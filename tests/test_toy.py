@@ -62,10 +62,39 @@ def test_knowledge_measure_all_kb_states():
         assert toy.knowledge_measure(s.probs) == 1
 
 
+def canonical_sets() -> tuple:
+    """Every pair of 1- to 3-element questions that pins down the true state
+    uniquely: the enumeration the closed-form measure is graded against."""
+    questions = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(STATES, r)]
+    return tuple((s1, s2) for s1, s2 in itertools.combinations(questions, 2)
+                 if all(len(c) <= 1 for c in (s1 & s2, s1 - s2, s2 - s1,
+                                                set(STATES) - (s1 | s2))))
+
+
+def enumerated_knowledge_measure(probs) -> int:
+    """Certain answers, maximized over the enumerated canonical sets."""
+    def known(question):
+        return sum(probs[s - 1] for s in question) in (0, 1)
+
+    return max(sum(known(q) for q in cs) for cs in canonical_sets())
+
+
 def test_canonical_sets_pin_down_states():
-    for s1, s2 in toy.canonical_sets():
+    assert canonical_sets()
+    for s1, s2 in canonical_sets():
         cells = [s1 & s2, s1 - s2, s2 - s1, set(range(1, 5)) - (s1 | s2)]
         assert all(len(c) == 1 for c in cells)
+
+
+def test_knowledge_measure_equals_the_enumeration_on_every_support():
+    supports = [c for r in range(1, 5) for c in itertools.combinations(STATES, r)]
+    assert len(supports) == 15
+    for support in supports:
+        for weights in itertools.product((1, 2, 3), repeat=len(support)):
+            probs = [Fraction(0)] * 4
+            for s, w in zip(support, weights):
+                probs[s - 1] = Fraction(w, sum(weights))
+            assert toy.knowledge_measure(probs) == enumerated_knowledge_measure(probs), probs
 
 
 # ----------------------------------------------------------------- updates
