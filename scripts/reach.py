@@ -58,6 +58,11 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--lambda", "-1"],
     ["gaussian", "suite", "--lambda", "nan"],
     ["gaussian", "epr", "--lambda", "inf"],
+    # lambda outside the documented range, where the float arithmetic fails
+    ["gaussian", "suite", "--lambda", "1e-308"],
+    ["gaussian", "epr", "--lambda", "1e-320"],
+    ["gaussian", "suite", "--lambda", "1e305"],
+    ["gaussian", "epr", "--lambda", "1e308"],
 ]
 
 

@@ -298,7 +298,7 @@ def chsh_checks() -> list:
     rep = pbr.chsh_gap_demo()
     target = 2 * math.sqrt(2)
     s_squared = rep.s_exact * rep.s_exact
-    checks = [
+    return [
         _check("chsh quantum singlet value", f"{target:.12g}",
                f"{rep.quantum_value:.12g}", "DERIVED",
                passed=rep.s_exact.is_real() and (s_squared - 8).is_zero()),
@@ -309,7 +309,6 @@ def chsh_checks() -> list:
         _check("chsh gap positive", True,
                (s_squared - rep.local_bound ** 2).is_positive(), "DERIVED"),
     ]
-    return checks
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +439,8 @@ VERBS = {
     )),
     "gaussian": ("restricted Liouville suite", ["suite", "epr"], (
         Option("--squeeze", "squeeze", 3.0, type=float),
-        Option("--lambda", "hbar_like", 1.0, type=float),
+        Option("--lambda", "hbar_like", 1.0, type=float,
+               help="uncertainty parameter, in [1e-300, 1e+280]"),
         Option("--measure", "measure", "q", choices=("q", "p")),
         Option("--value", "value", 1.0, type=float),
     )),

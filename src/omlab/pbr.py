@@ -408,28 +408,25 @@ def _singlet_correlation(ka: int, kb: int):
 
 
 def _toy_observables():
-    """All +/-1 valued block observables on one toy system."""
-    obs = []
-    for meas in ALL_TOY_MEASUREMENTS:
-        pos, neg = meas.partition
-        obs.append({**{s: 1 for s in pos}, **{s: -1 for s in neg}})
-        obs.append({**{s: -1 for s in pos}, **{s: 1 for s in neg}})
-    return obs
+    """One +/-1 block observable per toy measurement; its negation is the other sign."""
+    return [{s: sign for block, sign in zip(meas.partition, (1, -1)) for s in block}
+            for meas in ALL_TOY_MEASUREMENTS]
 
 
 def _toy_chsh_maximum(state: CompositeToyState, observables: Sequence[dict]) -> Fraction:
-    """max |S| over the settings (a1, a2, b1, b2), with S = c[a1][b1] +
-    c[a1][b2] + c[a2][b1] - c[a2][b2] and c the correlations as integer
-    numerators over |support|.  For fixed (a1, a2), S = u[b1] + v[b2] with
-    u = c[a1] + c[a2] and v = c[a1] - c[a2], so |S| peaks at max u + max v
-    or at -(min u + min v)."""
+    """max |S| over the signed settings (a1, a2, b1, b2), with S = c[a1][b1]
+    + c[a1][b2] + c[a2][b1] - c[a2][b2] and c the correlations as integer
+    numerators over |support|.  Each setting is +-1 times one of the
+    ``observables``, and C is their correlation matrix.  For fixed (a1, a2),
+    S = u[b1] + v[b2] with u = c[a1] + c[a2] and v = c[a1] - c[a2]; a sign on
+    b1 or b2 is free, so the best |S| is max |u| + max |v| over the
+    unsigned observables.  With a1 = s1 C_i and a2 = s2 C_k, a common sign
+    s1 = s2 leaves |u| and |v| unchanged, and s1 = -s2 swaps them, so
+    S_max = max over (i, k) of max_j |C_i + C_k|_j + max_j |C_i - C_k|_j."""
     corr = [[sum(oa[a] * ob[b] for a, b in state.support) for ob in observables]
             for oa in observables]
-    best = 0
-    for c1, c2 in itertools.product(corr, repeat=2):
-        u = [x + y for x, y in zip(c1, c2)]
-        v = [x - y for x, y in zip(c1, c2)]
-        best = max(best, max(u) + max(v), -(min(u) + min(v)))
+    best = max(max(abs(x + y) for x, y in zip(c1, c2)) + max(abs(x - y) for x, y in zip(c1, c2))
+               for c1, c2 in itertools.product(corr, repeat=2))
     return Fraction(best, len(state.support))
 
 
@@ -440,16 +437,10 @@ def chsh_gap_demo() -> ChshReport:
     e = _singlet_correlation
     s_exact = e(0, 1) + e(0, 7) + e(2, 1) - e(2, 7)
 
-    best_local = max(
-        abs(a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2)
-        for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4)
-    )
+    best_local = max(abs(a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2)
+                     for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4))
 
     observables = _toy_observables()
     toy_best = max(_toy_chsh_maximum(state, observables) for state in kb_composites())
-    return ChshReport(
-        quantum_value=abs(s_exact.to_complex().real),
-        s_exact=s_exact,
-        local_bound=Fraction(best_local),
-        toy_maximum=toy_best,
-    )
+    return ChshReport(quantum_value=abs(s_exact.to_complex().real), s_exact=s_exact,
+                      local_bound=Fraction(best_local), toy_maximum=toy_best)

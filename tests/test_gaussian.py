@@ -82,6 +82,39 @@ def test_entropy_matches_quadrature_oracle():
         assert g.entropy_by_quadrature(tilted) == pytest.approx(g.entropy(tilted), abs=1e-6)
 
 
+def entropy_on_the_1201_point_grid(state) -> float:
+    """The quadrature at 1201 x 1201 offsets, +-10 sd per axis: the
+    reference for the 201-point grid that ``entropy_by_quadrature`` uses."""
+    gamma = state.covariance
+    dx, dy = (np.linspace(-10.0 * sd, 10.0 * sd, 1201) for sd in np.sqrt(np.diag(gamma)))
+    (a, b), (_, c) = np.linalg.inv(gamma)
+    x = dx[:, None]
+    neg_log_mu = (0.5 * (a * x * x + 2 * b * x * dy + c * dy * dy)
+                  + math.log(2 * math.pi) + 0.5 * np.linalg.slogdet(gamma)[1])
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return float(trapezoid(trapezoid(np.exp(-neg_log_mu) * neg_log_mu, dy, axis=1), dx))
+
+
+def reduced_grid_states():
+    low, high = (round(math.log10(end)) for end in g.LAMBDA_RANGE)
+    for k in range(low, high + 1, 20):
+        yield g.coherent_boundary(10.0 ** k)
+    yield g.GaussianEpistemicState(np.array([0.3, -0.2]), np.array([[2.0, 0.5], [0.5, 1.0]]))
+    for lam in (0.25, 4.0):
+        yield g.GaussianEpistemicState(np.array([1.5, -0.8]),
+                                       lam * np.array([[2.0, -0.7], [-0.7, 1.5]]), lam)
+    for rho in (0.99, -0.99):  # the narrowest conditional sd is 1.41 grid steps
+        yield g.GaussianEpistemicState(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
+    yield g.GaussianEpistemicState(np.zeros(2), np.diag([100.0, 0.01]))  # axis ratio 100
+
+
+def test_201_point_quadrature_matches_the_1201_point_grid():
+    for state in reduced_grid_states():
+        reference = entropy_on_the_1201_point_grid(state)
+        assert abs(g.entropy_by_quadrature(state) - reference) <= 1e-9, state.covariance
+        assert abs(g.entropy(state) - reference) <= 1e-9, state.covariance
+
+
 def test_entropy_scaling_law():
     base = g.coherent_boundary(1.0)
     for c in (2.0, 5.0):

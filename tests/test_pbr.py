@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from pbr_oracle import grid_search, inner_feasibility, model_replay, witness_to_model
 
@@ -634,11 +635,41 @@ def test_chsh_singlet_correlations_are_minus_cosine():
         assert val == pytest.approx(-math.cos((ka - kb) * math.pi / 4), abs=1e-12)
 
 
+def signed_toy_observables() -> list:
+    """The six +/-1 block observables, both signs of each toy measurement,
+    as value lists over the ontic states 1..4."""
+    return [[sign if s in meas.partition[0] else -sign for s in toy.STATES]
+            for meas in toy.ALL_TOY_MEASUREMENTS for sign in (1, -1)]
+
+
 def test_toy_chsh_maximum_matches_brute_force():
+    # every signed setting (a1, a2, b1, b2), 6^4 of them, in Fractions
+    signed = signed_toy_observables()
     observables = pbr._toy_observables()
     for state in toy.kb_composites():
-        corr = [[F(sum(oa[a] * ob[b] for a, b in state.support), len(state.support))
-                 for ob in observables] for oa in observables]
+        corr = [[F(sum(oa[a - 1] * ob[b - 1] for a, b in state.support), len(state.support))
+                 for ob in signed] for oa in signed]
         brute = max(abs(corr[a1][b1] + corr[a1][b2] + corr[a2][b1] - corr[a2][b2])
-                    for a1, a2, b1, b2 in itertools.product(range(len(observables)), repeat=4))
+                    for a1, a2, b1, b2 in itertools.product(range(len(signed)), repeat=4))
         assert pbr._toy_chsh_maximum(state, observables) == brute, state
+
+
+def test_toy_chsh_sign_reduction_holds_on_every_support():
+    # all 65,535 nonempty sets of ontic pairs, knowledge-balanced or not,
+    # against the 6^4 signed settings summed as integer numerators
+    signed = np.array(signed_toy_observables(), dtype=np.int8)
+    pairs = list(itertools.product(toy.STATES, repeat=2))
+    masks = np.arange(1, 1 << len(pairs))
+    cells = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(np.int8)
+    corr = np.einsum("ia,nab,jb->nij", signed, cells.reshape(-1, 4, 4), signed).astype(np.int8)
+    brute = np.zeros(len(masks), dtype=np.int8)
+    for a1, a2 in itertools.product(range(len(signed)), repeat=2):
+        # S[b1, b2] = c[a1, b1] + c[a1, b2] + c[a2, b1] - c[a2, b2]
+        s = (corr[:, a1, :, None] + corr[:, a1, None, :]
+             + corr[:, a2, :, None] - corr[:, a2, None, :])
+        brute = np.maximum(brute, np.abs(s).reshape(len(masks), -1).max(axis=1))
+    observables = pbr._toy_observables()
+    for mask, numerator, size in zip(masks.tolist(), brute.tolist(), cells.sum(axis=1).tolist()):
+        state = toy.CompositeToyState(frozenset(
+            pair for i, pair in enumerate(pairs) if mask >> i & 1))
+        assert pbr._toy_chsh_maximum(state, observables) == F(numerator, size), state

@@ -262,6 +262,37 @@ def test_nonpositive_lambda_fails_naming_the_parameter(argv):
     assert row.detail["origin"].startswith("omlab/gaussian.py:")
 
 
+OUT_OF_RANGE_LAMBDA = [["gaussian", "suite", "--lambda", "1e-308"],
+                       ["gaussian", "epr", "--lambda", "1e-320"],
+                       ["gaussian", "suite", "--lambda", "1e305"],
+                       ["gaussian", "epr", "--lambda", "1e308"]]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_LAMBDA)
+def test_out_of_range_lambda_fails_naming_the_range(argv):
+    # beyond the documented range the float arithmetic underflows or
+    # overflows; the parameter check names the range instead
+    assert argv in edge_argvs()
+    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    (row,) = report.checks
+    assert not row.passed
+    assert row.observed == "GaussianError: the uncertainty parameter must lie in [1e-300, 1e+280]"
+    assert row.detail["origin"].startswith("omlab/gaussian.py:")
+
+
+def test_lambda_help_states_the_checked_range():
+    from omlab import gaussian
+
+    low, high = gaussian.LAMBDA_RANGE
+    assert cli.OPTIONS["hbar_like"].spec["help"].endswith(f"[{low:g}, {high:g}]")
+    for lam in (low, high):  # both ends pass, at the widest squeeze swept
+        checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(12.0, lam, "p", 1.0)
+        assert [c.name for c in checks if not c.passed] == [], lam
+    for lam in (math.nextafter(low, 0), math.nextafter(high, math.inf)):
+        with pytest.raises(gaussian.GaussianError, match="must lie in"):
+            gaussian.coherent_boundary(lam)
+
+
 def test_edge_argvs_raise_no_warning():
     # lam is checked before any arithmetic: inf * 0 warned of an invalid value
     for argv in edge_argvs() + [["gaussian", "suite", "--lambda", "inf"]]:
