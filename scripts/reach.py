@@ -63,6 +63,11 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--lambda", "1e-320"],
     ["gaussian", "suite", "--lambda", "1e305"],
     ["gaussian", "epr", "--lambda", "1e308"],
+    # squeeze outside its documented range, where the float arithmetic fails
+    ["gaussian", "epr", "--squeeze", "20"],
+    ["gaussian", "epr", "--squeeze", "1e3"],
+    ["gaussian", "epr", "--squeeze", "nan"],
+    ["gaussian", "epr", "--squeeze", "inf"],
 ]
 
 

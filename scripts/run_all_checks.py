@@ -7,10 +7,8 @@ the schema counts as a failed run.
 
 import sys
 
-import jsonschema
-
 from omlab.cli import build_parser, config_from_args, run
-from omlab.reports import emit
+from omlab.reports import ReportError, emit
 
 # Each run is an omlab command line; the CLI supplies every default.
 RUNS = [
@@ -41,9 +39,9 @@ def main() -> int:
         try:
             emit(report, "json")
             schema = ""
-        except jsonschema.ValidationError as exc:
+        except ReportError as exc:
             ok = False
-            schema = f"  schema error: {exc.message}"
+            schema = f"  schema error: {exc}"
         n_pass = sum(1 for c in report.checks if c.passed)
         print(f"{'PASS' if ok else 'FAIL'}  {config.command:24s} "
               f"{n_pass}/{len(report.checks)} checks  "

@@ -374,6 +374,7 @@ def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
                         value: float) -> list:
     from . import gaussian
 
+    gaussian.check_squeeze(squeeze)
     epr = gaussian.epr_correlated(squeeze, hbar_like)
     res = gaussian.epr_inference(epr, measure, value)
     sign = 1.0 if measure == "q" else -1.0
@@ -438,7 +439,8 @@ VERBS = {
         Option("--drop-invar", "drop_invar", False, action="store_true"),
     )),
     "gaussian": ("restricted Liouville suite", ["suite", "epr"], (
-        Option("--squeeze", "squeeze", 3.0, type=float),
+        Option("--squeeze", "squeeze", 3.0, type=float,
+               help="EPR squeezing r, in [0, 13]"),
         Option("--lambda", "hbar_like", 1.0, type=float,
                help="uncertainty parameter, in [1e-300, 1e+280]"),
         Option("--measure", "measure", "q", choices=("q", "p")),
@@ -476,11 +478,13 @@ def run(config: RunConfig) -> ReportDocument:
 
 
 def _origin(exc: Exception) -> str:
-    """Package-relative ``file:line`` of the innermost omlab frame of ``exc``."""
+    """Package-relative ``file:function`` of the innermost omlab frame of
+    ``exc``: the function, not the line, so that an edit above the raise
+    leaves the report's bytes alone."""
     package = Path(__file__).resolve().parent
     frame = [f for f in traceback.extract_tb(exc.__traceback__)
              if Path(f.filename).resolve().is_relative_to(package)][-1]
-    return f"{Path(frame.filename).resolve().relative_to(package.parent).as_posix()}:{frame.lineno}"
+    return f"{Path(frame.filename).resolve().relative_to(package.parent).as_posix()}:{frame.name}"
 
 
 def _dispatch(config: RunConfig) -> list:

@@ -39,8 +39,18 @@ def _check_uncertainty_parameter(hbar_like: float) -> None:
         raise GaussianError("the uncertainty parameter must lie in [%g, %g]" % LAMBDA_RANGE)
 
 
-# Both Gaussian verbs pass throughout at every squeeze 0-12; past it floats under- or overflow.
+# Both Gaussian verbs pass throughout both ranges; past them floats under- or
+# overflow.  The first squeeze to fail is 13.753, at lambda = 1e-300.
 LAMBDA_RANGE = (1e-300, 1e280)
+SQUEEZE_RANGE = (0.0, 13.0)
+
+
+def check_squeeze(squeeze_r: float) -> None:
+    """Reject a squeeze outside SQUEEZE_RANGE, nan and inf included.
+    ``epr_correlated`` takes any r >= 0: away from the ends of LAMBDA_RANGE
+    it is accurate further out (to r = 20 at lambda 0.25-4)."""
+    if not SQUEEZE_RANGE[0] <= squeeze_r <= SQUEEZE_RANGE[1]:
+        raise GaussianError("squeezing must lie in [%g, %g]" % SQUEEZE_RANGE)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

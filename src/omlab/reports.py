@@ -5,13 +5,16 @@ per check (expected vs observed, a provenance tag and a pass flag), a
 version stamp and the wall clock.  JSON serialization is deterministic
 (sorted keys), so identical (config, seed) pairs emit byte-identical
 documents apart from the wall-clock field.  The document shape is pinned
-by ``schemas/report-v1.schema.json``.
+by ``schemas/report-v1.schema.json``.  ``validate_report`` checks each JSON
+report against it, interpreting the draft 2020-12 keywords it uses as
+jsonschema does, so the package needs no jsonschema at run time.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -103,17 +106,102 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def validate_report(doc: dict) -> None:
-    """Raise what ``jsonschema.validate`` raises, minus its meta-schema check
-    of the fixed package schema (the tests make that check once).
-    ``jsonschema`` is imported here, so text-format runs never load it."""
-    import jsonschema
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
+# The types of draft 2020-12 as jsonschema checks them: a bool is never a
+# number, an integral float is an integer, and a numpy scalar is a number
+# exactly when it is a numbers.Number (numpy.int64 is, numpy.bool_ is not).
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _type_names(v) -> list:
+    return [v] if isinstance(v, str) else v
+
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# keyword -> the forms of its value that _check interprets.  Consts and enums
+# are strings only: then == is the schema's equality, which never equates a
+# bool with a number.  Subschemas are checked by _check_form's recursion.
+_FORMS = {
+    "$schema": lambda v: v == _DRAFT,
+    "$id": _TYPES["string"],
+    "title": _TYPES["string"],
+    "type": lambda v: _strings(_type_names(v)) and set(_type_names(v)) <= _TYPES.keys(),
+    "const": _TYPES["string"],
+    "enum": _strings,
+    "required": _strings,
+    "properties": _TYPES["object"],
+    "additionalProperties": lambda v: v is False,
+    "items": _TYPES["object"],
+    "minimum": _TYPES["number"],
+    "exclusiveMinimum": _TYPES["number"],
+}
+
+
+def _check_form(schema) -> None:
+    """Raise ReportError naming the first keyword of ``schema`` or of one of
+    its subschemas that has no form in ``_FORMS``."""
+    if not isinstance(schema, dict):
+        raise ReportError(f"unsupported schema form {schema!r}")
+    for key, value in schema.items():
+        if key not in _FORMS or not _FORMS[key](value):
+            raise ReportError(f"unsupported schema keyword or form {key!r}: {value!r}")
+    items = [schema["items"]] if "items" in schema else []
+    for sub in [*schema.get("properties", {}).values(), *items]:
+        _check_form(sub)
+
+
+def _check(schema: dict, value, path: str) -> None:
+    """Raise ReportError("<path>: <reason>") at the first keyword of ``schema``
+    that ``value`` fails, descending into properties and items."""
+    if "type" in schema and not any(_TYPES[t](value) for t in _type_names(schema["type"])):
+        raise ReportError(f"{path}: {value!r} is not of type {schema['type']!r}")
+    if "const" in schema and value != schema["const"]:
+        raise ReportError(f"{path}: {schema['const']!r} was expected")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ReportError(f"{path}: {value!r} is not one of {schema['enum']!r}")
+    # the bounds apply to numbers only, and nan passes both
+    if "minimum" in schema and _TYPES["number"](value) and value < schema["minimum"]:
+        raise ReportError(f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}")
+    if ("exclusiveMinimum" in schema and _TYPES["number"](value)
+            and value <= schema["exclusiveMinimum"]):
+        raise ReportError(f"{path}: {value!r} is not above {schema['exclusiveMinimum']!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ReportError(f"{path}: {key!r} is a required property")
+        extra = [key for key in value if key not in properties]
+        if extra and "additionalProperties" in schema:  # whose one form is false
+            raise ReportError(f"{path}: additional properties {extra!r} are not allowed")
+        for key, sub in properties.items():
+            if key in value:
+                _check(sub, value[key], f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(schema["items"], item, f"{path}[{i}]")
+
+
+def validate_report(doc: dict) -> None:
+    """Check ``doc`` against the package schema, read afresh, as jsonschema
+    would.  A violation raises ReportError("<json_path>: <reason>"), the path
+    in jsonschema's ``json_path`` notation; a keyword or form of the schema
+    that ``_check`` does not interpret raises ReportError naming it."""
     schema = load_schema()
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise error
+    _check_form(schema)
+    _check(schema, doc, "$")
 
 
 def emit(report: ReportDocument, fmt: str = "json") -> str:

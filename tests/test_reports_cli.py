@@ -1,10 +1,15 @@
 """Report documents, serialization determinism and the CLI surface."""
 
+import ast
+import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import operator
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,10 +17,13 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy
 import pytest
-from lab_argvs import edge_argvs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lab_argvs import edge_argvs, reach_argvs
 
-from omlab import cli, hardy, pbr, quantum
+from omlab import cli, hardy, pbr, quantum, reports
 from omlab.reports import (
     CheckResult,
     ReportDocument,
@@ -59,26 +67,95 @@ def test_package_schema_passes_its_meta_schema():
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_invalid_report_raises_what_jsonschema_validate_raises():
-    def broken(edit):
-        doc = small_report().to_json()
-        edit(doc)
-        return doc
+def reference_paths(doc) -> set:
+    """The ``json_path`` of every error jsonschema finds in ``doc``."""
+    schema = load_schema()
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    return {error.json_path for error in validator.iter_errors(doc)}
 
-    invalid = [
-        broken(lambda d: d.pop("version")),
-        broken(lambda d: d.update(wall_clock_s=-1.0)),
-        broken(lambda d: d["config"].update(number_mode="decimal")),
-        broken(lambda d: d["checks"][0].update(provenance="GUESSED", passed="yes")),
-        broken(lambda d: d["checks"].append({"name": "x"})),
-    ]
-    for doc in invalid:
-        with pytest.raises(jsonschema.ValidationError) as ours:
-            validate_report(doc)
-        with pytest.raises(jsonschema.ValidationError) as reference:
-            jsonschema.validate(doc, load_schema())
-        assert ours.value.message == reference.value.message
-        assert ours.value.json_path == reference.value.json_path
+
+def our_path(doc):
+    """None if ``validate_report`` passes ``doc``, else the path it names."""
+    try:
+        validate_report(doc)
+    except ReportError as exc:
+        return str(exc).partition(": ")[0]
+    return None
+
+
+def test_every_lab_report_passes_both_checkers():
+    for argv in reach_argvs():
+        doc = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))).to_json()
+        assert (our_path(doc), reference_paths(doc)) == (None, set()), argv
+
+
+@functools.cache
+def base_reports() -> tuple:
+    """Reports with each optional field present and absent: a row without a
+    detail and one with a None detail, a failed run (a detail dict and an
+    output path), a verdict's rows, and no rows at all."""
+    config = RunConfig(command="nogo pbr", args={"q": "7/2"}, seed=3, output="out.json")
+    two_rows = small_report().to_json()
+    two_rows["checks"].append(dict(two_rows["checks"][0], detail=None))
+    return (two_rows, cli.run(config).to_json(), cli.run(RunConfig("nogo hardy")).to_json(),
+            ReportDocument(RunConfig(command="verify toy-born"), (), 0.0).to_json())
+
+
+def nodes(node, path=()):
+    """The path of ``node`` and of every value inside it, depth first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+MUTANT_VALUES = st.one_of(
+    st.sampled_from([None, 0, 3.0, 2.5, -1, math.nan, "s"]), st.booleans(),
+    st.builds(list), st.builds(dict), st.booleans().map(numpy.bool_),
+    st.sampled_from([3, 0, -1]).map(numpy.int64),
+    st.sampled_from([3.0, 2.5, -1.0, math.nan]).map(numpy.float64))
+
+
+@st.composite
+def single_point_mutants(draw):
+    """A base report with one key deleted, one key added, or one value set."""
+    doc = copy.deepcopy(draw(st.sampled_from(base_reports())))
+    path, node = draw(st.sampled_from(list(nodes(doc))))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    edit = draw(st.sampled_from(["add"] * isinstance(node, dict) + ["set"] * bool(path)
+                                + ["delete"] * (bool(path) and isinstance(parent, dict))))
+    if edit == "add":
+        node[draw(st.sampled_from(["extra", "name", "seed", "detail", "output"]))] = \
+            draw(MUTANT_VALUES)
+    elif edit == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(MUTANT_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(single_point_mutants())
+def test_single_point_mutants_get_jsonschemas_verdict_and_one_of_its_paths(doc):
+    ours, reference = our_path(doc), reference_paths(doc)
+    assert (ours is None) == (not reference)
+    assert ours is None or ours in reference
+
+
+@pytest.mark.parametrize("edit, keyword", [
+    (lambda schema: schema["properties"]["version"].update(pattern="^0"), "pattern"),
+    # detail is absent from the report: the schema is checked whole, not as reached
+    (lambda schema: schema["properties"]["checks"]["items"]["properties"]["detail"].update(
+        {"$ref": "#"}), "$ref"),
+    (lambda schema: schema.update(additionalProperties={}), "additionalProperties"),
+], ids=["pattern", "$ref", "additionalProperties {}"])
+def test_unsupported_schema_keyword_is_a_report_error(monkeypatch, edit, keyword):
+    schema = load_schema()
+    edit(schema)
+    monkeypatch.setattr(reports, "load_schema", lambda: schema)
+    with pytest.raises(ReportError, match=re.escape(repr(keyword))):
+        validate_report(small_report().to_json())
 
 
 def test_json_round_trip():
@@ -145,10 +222,12 @@ def test_failed_run_keeps_the_exception_type_and_origin():
     report = cli.run(RunConfig(command="nogo pbr", args={"q": "7/2"}))
     detail = report.checks[0].detail
     assert detail["type"] == "PbrError"
-    path, _, line = detail["origin"].rpartition(":")
+    path, _, function = detail["origin"].rpartition(":")
     assert path == "omlab/pbr.py"
-    source = (Path(pbr.__file__).parent / "pbr.py").read_text().splitlines()
-    assert "raise PbrError" in source[int(line) - 1]
+    source = Path(pbr.__file__).read_text()
+    bodies = [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    assert any('raise PbrError("q must lie in' in body for body in bodies)
     validate_report(report.to_json())
 
 
@@ -291,6 +370,38 @@ def test_lambda_help_states_the_checked_range():
     for lam in (math.nextafter(low, 0), math.nextafter(high, math.inf)):
         with pytest.raises(gaussian.GaussianError, match="must lie in"):
             gaussian.coherent_boundary(lam)
+
+
+OUT_OF_RANGE_SQUEEZE = [["gaussian", "epr", "--squeeze", "-1"],
+                        ["gaussian", "epr", "--squeeze", "20"],
+                        ["gaussian", "epr", "--squeeze", "1e3"],
+                        ["gaussian", "epr", "--squeeze", "nan"],
+                        ["gaussian", "epr", "--squeeze", "inf"]]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_SQUEEZE)
+def test_out_of_range_squeeze_fails_naming_the_range(argv):
+    # past the range the float arithmetic fails (at 20) or cosh overflows (at 1e3)
+    assert argv in edge_argvs()
+    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    (row,) = report.checks
+    assert not row.passed
+    assert row.observed == "GaussianError: squeezing must lie in [0, 13]"
+    assert row.detail["origin"] == "omlab/gaussian.py:check_squeeze"
+
+
+def test_squeeze_help_states_the_checked_range():
+    from omlab import gaussian
+
+    low, high = gaussian.SQUEEZE_RANGE
+    assert cli.OPTIONS["squeeze"].spec["help"].endswith(f"[{low:g}, {high:g}]")
+    for lam, measure in itertools.product(gaussian.LAMBDA_RANGE, "qp"):
+        # the widest squeeze passes at both ends of the lambda range
+        checks = cli.gaussian_epr_checks(high, lam, measure, 1.0)
+        assert [c.name for c in checks if not c.passed] == [], (lam, measure)
+    for squeeze in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+        with pytest.raises(gaussian.GaussianError, match="must lie in"):
+            cli.gaussian_epr_checks(squeeze, 1.0, "q", 1.0)
 
 
 def test_edge_argvs_raise_no_warning():
@@ -440,13 +551,14 @@ def test_only_gaussian_commands_import_numpy():
                                                      for argv in NUMPY_PROBES]
 
 
-# Text is the default format; the JSON run comes last, as the control.
-JSONSCHEMA_PROBES = (["nogo", "pbr"], ["nogo", "hardy"], ["nogo", "chsh"], ["verify", "all"],
-                     ["--format", "json", "nogo", "chsh"])
+# Text is the default format and JSON the schema-checked one; the numpy test
+# above is the control that the probe sees an import.
+JSONSCHEMA_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--format", "json", "nogo", "chsh"],
+                     ["--format", "json", "verify", "all"], ["--format", "json", "gaussian", "epr"])
 
 
-def test_only_json_reports_import_jsonschema():
-    assert modules_loaded(JSONSCHEMA_PROBES, "jsonschema") == [False] * 4 + [True]
+def test_no_command_text_or_json_loads_jsonschema():
+    assert modules_loaded(JSONSCHEMA_PROBES, "jsonschema") == [False] * len(JSONSCHEMA_PROBES)
 
 
 COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [
