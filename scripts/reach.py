@@ -5,7 +5,8 @@ The command lines are the ones the benchmark and the scripts issue: every op
 of ``perfbench/workloads.generate(w, s)`` for the three workloads at seeds
 1-3, the benchmark's warm-up ops, ``scripts/run_all_checks.RUNS`` with
 ``--format json`` and with ``--format text``, and the edge cases in
-``EDGE_ARGVS``.  Each runs in process through ``cli.main`` under
+``EDGE_ARGVS``; then the usage errors in ``USAGE_ARGVS``, which exit 2 with
+no report.  Each runs in process through ``cli.main`` under
 ``sys.settrace``, with its output discarded and ``OMLAB_OUTPUT_DIR`` unset;
 omlab is imported under the same trace, so module-level code counts as
 reached.
@@ -68,6 +69,17 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--squeeze", "1e3"],
     ["gaussian", "epr", "--squeeze", "nan"],
     ["gaussian", "epr", "--squeeze", "inf"],
+    # non-finite float readings, which fail naming the parameter
+    ["simulate", "mz", "--theta", "nan"],
+    ["gaussian", "epr", "--value", "nan"],
+]
+
+# One option per verb that has options, given to a target that does not take
+# it: each is a usage error (exit 2), so it yields no report and stays out of
+# ``argvs()``.
+USAGE_ARGVS = [
+    ["nogo", "chsh", "--q", "1/2"],
+    ["gaussian", "suite", "--squeeze", "9"],
 ]
 
 
@@ -197,10 +209,19 @@ def main() -> int:
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
+        usage_codes = []
+        for argv in USAGE_ARGVS:
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    usage_codes.append(cli.main(argv))
+            except SystemExit as stop:
+                usage_codes.append(stop.code)
     finally:
         sys.settrace(None)
     print(f"{len(runs)} command lines: {codes.count(0)} exit 0, "
           f"{len(codes) - codes.count(0)} exit 1")
+    print(f"{len(USAGE_ARGVS)} usage errors, exit "
+          + ", ".join(str(code) for code in sorted(set(usage_codes))))
     print(f"{'module':14s} {'statements':>10s} {'reached':>8s}")
     total = [0, 0]
     dead = []

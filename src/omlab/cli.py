@@ -21,7 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import hardy, pbr, quantum, toy
+from . import exact, hardy, pbr, quantum, toy
 from .models import frac_str, reproduction_check
 from .reports import CheckResult, ReportDocument, RunConfig, emit
 
@@ -165,15 +165,6 @@ def no_signaling_checks() -> list:
     return checks
 
 
-VERIFY_TARGETS = {
-    "toy-born": lambda cfg: toy_born_checks(),
-    "noncomm": lambda cfg: noncomm_checks(cfg.seed),
-    "combine-table": lambda cfg: combine_checks(),
-    "steering": lambda cfg: steering_checks(),
-    "no-signaling": lambda cfg: no_signaling_checks(),
-}
-
-
 # --------------------------------------------------------------------------
 # simulate mz
 
@@ -184,7 +175,6 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
               ("upper_arm", True): (None, Fraction(1, 2), Fraction(1, 2)),
               ("upper_arm", False): (None, Fraction(1, 2), Fraction(1, 2))}
     label, d1, d2 = want_q[(source, phase_in)]
-    final = None
     if model in ("quantum", "both"):
         final = quantum.mz_evolve(phase_in, source)
         p1, p2 = (quantum.born_probability(final, quantum.MEAS_DETECTORS, d)
@@ -207,7 +197,7 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
         want = math.cos(theta / 2) ** 2 if source == "first_splitter" else 0.5
         checks.append(_check(f"mz float-mode P(d1) at theta={theta:.6g}",
                              f"{want:.12g}", f"{p1f:.12g}", "PAPER",
-                             passed=abs(p1f - want) <= 1e-12))
+                             passed=abs(p1f - want) <= exact.FLOAT_TOL))
     return checks
 
 
@@ -405,8 +395,8 @@ def _fraction_or_none(text):
 
 class Option:
     """One CLI option, declared once: its flag, the ``RunConfig.args`` key it
-    fills, its default as typed on the command line, the conversion from a
-    command-line value to an args value, and the rest of its argparse spec."""
+    fills, its default as a parsed value, the conversion from a parsed value
+    to an args value, and the rest of its argparse spec."""
 
     def __init__(self, flag: str, key: str, default, to_arg=None, **spec):
         self.flag = flag
@@ -416,53 +406,54 @@ class Option:
         self.spec = spec
 
 
-# verb -> (help, target choices, options in --help order)
-VERBS = {
-    "verify": ("replay exact demonstrations", sorted(VERIFY_TARGETS) + ["all"], ()),
-    "simulate": ("run the interferometer", ["mz"], (
-        Option("--phase", "phase_in", "pi", lambda phase: phase == "pi",
-               choices=("0", "pi")),
+LAMBDA_SIZE = Option("--lambda-size", "lambda_size", 4, type=int)
+LAMBDA = Option("--lambda", "hbar_like", 1.0, type=float,
+                help="uncertainty parameter, in [1e-300, 1e+280]")
+
+# "verb target" -> (options in --help order, checks given their args and the seed).
+# A verb's targets are its commands here, in order; its options, theirs.
+COMMANDS = {
+    "verify toy-born": ((), lambda a, seed: toy_born_checks()),
+    "verify noncomm": ((), lambda a, seed: noncomm_checks(seed)),
+    "verify combine-table": ((), lambda a, seed: combine_checks()),
+    "verify steering": ((), lambda a, seed: steering_checks()),
+    "verify no-signaling": ((), lambda a, seed: no_signaling_checks()),
+    "simulate mz": ((
+        Option("--phase", "phase_in", "pi", lambda phase: phase == "pi", choices=("0", "pi")),
         Option("--model", "model", "both", choices=("quantum", "toy", "both")),
-        Option("--source", "source", "first_splitter",
-               choices=("first_splitter", "upper_arm")),
+        Option("--source", "source", "first_splitter", choices=("first_splitter", "upper_arm")),
         Option("--theta", "theta", None, type=float,
                help="extra float-mode run at an arbitrary phase"),
-    )),
-    "nogo": ("constraint-based no-go analyses", ["pbr", "hardy", "chsh"], (
+    ), lambda a, seed: mz_checks(**a)),
+    "nogo pbr": ((
         Option("--q", "q", "1/4", type=_fraction_or_none,
                help="forced overlap floor as a fraction; 'none' disables"),
-        Option("--lambda-size", "lambda_size", 4, type=int),
+        LAMBDA_SIZE,
         Option("--grid-denominator", "grid_denominator", 4, type=int),
         Option("--null-budget", "null_budget", None, type=_fraction_or_none,
                help="no-show budget as a fraction; enables the escape"),
         Option("--relax-product", "relax_product", False, action="store_true"),
+    ), lambda a, seed: pbr_checks(**a)),
+    "nogo hardy": ((
+        LAMBDA_SIZE,
         Option("--drop-invar", "drop_invar", False, action="store_true"),
-    )),
-    "gaussian": ("restricted Liouville suite", ["suite", "epr"], (
-        Option("--squeeze", "squeeze", 3.0, type=float,
-               help="EPR squeezing r, in [0, 13]"),
-        Option("--lambda", "hbar_like", 1.0, type=float,
-               help="uncertainty parameter, in [1e-300, 1e+280]"),
+    ), lambda a, seed: hardy_checks(**a)),
+    "nogo chsh": ((), lambda a, seed: chsh_checks()),
+    # its EPR rows are fixed at r = 3 and a q reading of 1
+    "gaussian suite": ((LAMBDA,), lambda a, seed: gaussian_suite_checks(a["hbar_like"])),
+    "gaussian epr": ((
+        Option("--squeeze", "squeeze", 3.0, type=float, help="EPR squeezing r, in [0, 13]"),
+        LAMBDA,
         Option("--measure", "measure", "q", choices=("q", "p")),
-        Option("--value", "value", 1.0, type=float),
-    )),
+        Option("--value", "value", 1.0, type=float, help="the quadrature reading, finite"),
+    ), lambda a, seed: gaussian_epr_checks(**a)),
 }
+_DEMONSTRATIONS = [checks for name, (_, checks) in COMMANDS.items() if name.startswith("verify ")]
+COMMANDS["verify all"] = ((), lambda a, seed: [c for f in _DEMONSTRATIONS for c in f(a, seed)])
 
-OPTIONS = {opt.key: opt for _, _, opts in VERBS.values() for opt in opts}
-
-_GAUSSIAN_ARGS = ("squeeze", "hbar_like", "measure", "value")
-
-# command -> (the args its report records, its checks given those args)
-COMMANDS = {
-    "simulate mz": (("phase_in", "model", "source", "theta"),
-                    lambda a: mz_checks(**a)),
-    "nogo pbr": (("q", "lambda_size", "grid_denominator", "null_budget",
-                  "relax_product"), lambda a: pbr_checks(**a)),
-    "nogo hardy": (("lambda_size", "drop_invar"), lambda a: hardy_checks(**a)),
-    "nogo chsh": ((), lambda a: chsh_checks()),
-    "gaussian suite": (_GAUSSIAN_ARGS, lambda a: gaussian_suite_checks(a["hbar_like"])),
-    "gaussian epr": (_GAUSSIAN_ARGS, lambda a: gaussian_epr_checks(**a)),
-}
+# verb -> help, in usage order
+VERBS = {"verify": "replay exact demonstrations", "simulate": "run the interferometer",
+         "nogo": "constraint-based no-go analyses", "gaussian": "restricted Liouville suite"}
 
 
 def run(config: RunConfig) -> ReportDocument:
@@ -488,23 +479,23 @@ def _origin(exc: Exception) -> str:
 
 
 def _dispatch(config: RunConfig) -> list:
-    verb, _, target = config.command.partition(" ")
-    if verb == "verify":
-        if target != "all" and target not in VERIFY_TARGETS:
-            raise ValueError(f"unknown verify target {target!r}")
-        names = list(VERIFY_TARGETS) if target == "all" else [target]
-        return [c for name in names for c in VERIFY_TARGETS[name](config)]
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    keys, checks = COMMANDS[config.command]
+    options, checks = COMMANDS[config.command]
+    keys = [opt.key for opt in options]
+    for key in config.args:
+        if key not in keys:
+            raise ValueError(f"{key!r} is not an arg of {config.command!r} "
+                             f"(its args: {', '.join(keys) or 'none'})")
     # an omitted arg takes the CLI default, converted as the CLI converts it
-    return checks({k: config.args[k] if k in config.args
-                   else OPTIONS[k].to_arg(OPTIONS[k].default) for k in keys})
+    return checks({opt.key: config.args[opt.key] if opt.key in config.args
+                   else opt.to_arg(opt.default) for opt in options}, config.seed)
 
 
 class _OnDemandSubParsers(argparse._SubParsersAction):
     """Subcommands that all show in usage, help and choice errors, but whose
-    parsers are built only when the command line names one.
+    parsers are built only when the command line names one.  An option the
+    named target does not take (options default to absent) is an error.
 
     It relies on these internals of ``argparse._SubParsersAction``, which have
     the same meaning in CPython 3.10 to 3.13: ``_name_parser_map`` (also the
@@ -525,14 +516,22 @@ class _OnDemandSubParsers(argparse._SubParsersAction):
             self._name_parser_map[name] = _verb_parser(
                 name, f"{self._prog_prefix} {name}", self.common)
         super().__call__(parser, namespace, values, option_string)
+        command = f"{name} {namespace.target}"
+        own = COMMANDS[command][0]
+        for opt in dict.fromkeys(o for options, _ in COMMANDS.values() for o in options):
+            if opt not in own and hasattr(namespace, opt.key):
+                self._name_parser_map[name].error(
+                    f"argument {opt.flag}: not an option of {command!r} "
+                    f"(its options: {', '.join(o.flag for o in own) or 'none'})")
 
 
 def _verb_parser(verb: str, prog: str, common) -> argparse.ArgumentParser:
-    _, targets, options = VERBS[verb]
+    targets = {c.partition(" ")[2]: options for c, (options, _) in COMMANDS.items()
+               if c.startswith(verb + " ")}
     p = argparse.ArgumentParser(prog=prog, parents=[common], allow_abbrev=False)
-    p.add_argument("target", choices=targets)
-    for opt in options:
-        p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
+    p.add_argument("target", choices=list(targets))
+    for opt in dict.fromkeys(o for options in targets.values() for o in options):
+        p.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)
     return p
 
 
@@ -555,21 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
     # is built.  Usage, help and errors still list every verb in VERBS order.
     sub = parser.add_subparsers(dest="verb", required=True, action=_OnDemandSubParsers)
     sub.common = common
-    for verb, (help_text, _, _) in VERBS.items():
+    for verb, help_text in VERBS.items():
         sub.add_on_demand(verb, help_text)
     return parser
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     command = f"{ns.verb} {ns.target}"
-    keys = COMMANDS[command][0] if command in COMMANDS else ()
-    args = {k: OPTIONS[k].to_arg(getattr(ns, k)) for k in keys}
-    number_mode = "float" if ns.verb == "gaussian" else "exact"
-    if ns.verb == "simulate":
-        if args["theta"] is None:
-            del args["theta"]  # recorded only when given
-        else:
-            number_mode = "float"
+    args = {opt.key: opt.to_arg(getattr(ns, opt.key, opt.default)) for opt in COMMANDS[command][0]}
+    if args.get("theta", 0) is None:
+        del args["theta"]  # recorded only when given
+    number_mode = "float" if ns.verb == "gaussian" or "theta" in args else "exact"
     return RunConfig(command=command, args=args, seed=getattr(ns, "seed", 0),
                      number_mode=number_mode, output=getattr(ns, "output", None))
 

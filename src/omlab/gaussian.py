@@ -274,6 +274,8 @@ def epr_inference(state: GaussianEpistemicState, alice_measures: str,
     index = {"q": 0, "p": 1}.get(alice_measures)
     if index is None:
         raise GaussianError("alice_measures must be 'q' or 'p'")
+    if not math.isfinite(alice_value):
+        raise GaussianError("alice_value must be finite")
     mean, cov = condition_on_coordinate(state, index, alice_value)
     # remaining coordinates: [p_A or q_A, q_B, p_B]; Bob occupies the tail
     bob = GaussianEpistemicState(mean[1:], cov[1:, 1:], state.hbar_like)

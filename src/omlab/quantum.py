@@ -201,6 +201,8 @@ def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
 
 def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
     """Detector probabilities (d1, d2) for an arbitrary float phase theta."""
+    if not cmath.isfinite(theta):
+        raise QuantumError("theta must be finite")
     phase = ((cmath.exp(1j * theta), 0j), (0j, 1 + 0j))  # diag(e^{i theta}, 1)
     final = _mz_run(phase, source)
     return tuple(born_probability(final, MEAS_DETECTORS, d) for d in MEAS_DETECTORS.outcomes)

@@ -31,3 +31,8 @@ def reach_argvs() -> list:
 def edge_argvs() -> list:
     with _reach() as reach:
         return [list(argv) for argv in reach.EDGE_ARGVS]
+
+
+def usage_argvs() -> list:
+    with _reach() as reach:
+        return [list(argv) for argv in reach.USAGE_ARGVS]

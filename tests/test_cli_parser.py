@@ -1,35 +1,65 @@
 """The command-line parser: ``cli.build_parser`` builds only the parser of the
 verb a command line names, and parses, helps and fails exactly as a parser
-built for every verb up front does."""
+built for every verb up front does; a command takes only its own options."""
 
 import argparse
 import contextlib
 import io
 
 import pytest
-from lab_argvs import reach_argvs
+from lab_argvs import reach_argvs, usage_argvs
 
 from omlab import cli
 
 
-def eager_parser() -> argparse.ArgumentParser:
+def targets(verb: str) -> dict:
+    """target -> declared options, for each command of ``verb`` in ``cli.COMMANDS``."""
+    return {command.split(" ")[1]: options for command, (options, _) in cli.COMMANDS.items()
+            if command.split(" ")[0] == verb}
+
+
+class EagerParser:
     """The reference: one parser per verb of ``cli.VERBS``, all built up front
-    with ``add_parser``, as argparse documents subcommands."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
-    parser = argparse.ArgumentParser(
-        prog="omlab", parents=[common], allow_abbrev=False,
-        description="desk-scale checks for ontological models of quantum theory")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, targets, options) in cli.VERBS.items():
-        p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
-        p.add_argument("target", choices=targets)
-        for opt in options:
-            p.add_argument(opt.flag, dest=opt.key, default=opt.default, **opt.spec)
-    return parser
+    with ``add_parser``, as argparse documents subcommands.  A verb's parser
+    declares every option of its targets, absent unless given; after parsing,
+    the first of them in declaration order that the named target does not take
+    is a usage error of the verb's parser, and then any unrecognized argument
+    is one of the top-level parser."""
+
+    def __init__(self):
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+        common.add_argument("--output", default=argparse.SUPPRESS,
+                            help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
+        self.parser = argparse.ArgumentParser(
+            prog="omlab", parents=[common], allow_abbrev=False,
+            description="desk-scale checks for ontological models of quantum theory")
+        sub = self.parser.add_subparsers(dest="verb", required=True)
+        self.verbs = {}
+        for verb, help_text in cli.VERBS.items():
+            p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
+            p.add_argument("target", choices=list(targets(verb)))
+            declared = []
+            for options in targets(verb).values():
+                declared += [opt for opt in options if opt not in declared]
+            for opt in declared:
+                p.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)
+            self.verbs[verb] = (p, declared)
+
+    def parse_args(self, argv) -> argparse.Namespace:
+        ns, unrecognized = self.parser.parse_known_args(argv)
+        verb_parser, declared = self.verbs[ns.verb]
+        own = targets(ns.verb)[ns.target]
+        given = vars(ns)
+        foreign = [opt for opt in declared if opt.key in given and opt not in own]
+        if foreign:
+            takes = ", ".join(opt.flag for opt in own) or "none"
+            verb_parser.error(f"argument {foreign[0].flag}: not an option of "
+                              f"'{ns.verb} {ns.target}' (its options: {takes})")
+        if unrecognized:
+            self.parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
+        return ns
 
 
 # prefixes of --lambda-size and --lambda, which must not stand for them
@@ -43,6 +73,11 @@ MALFORMED = [
     *ABBREVIATED, ["--format", "xml", "nogo", "chsh"], ["nogo", "chsh", "--format", "xml"],
     ["--seed", "1", "verify", "noncomm", "--seed", "2"], ["--seed", "x", "verify", "all"],
     ["nogo", "chsh", "--bogus"], ["nogo", "pbr", "--lambda-size", "four"],
+    # options of the verb that the named target does not take
+    ["gaussian", "suite", "--squeeze", "9"], ["nogo", "--q", "1/2", "chsh"],
+    ["nogo", "hardy", "--drop-invar", "--null-budget", "1/2", "--q", "1/2"],
+    ["gaussian", "suite", "--value", "nan", "--measure", "p"],
+    ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
 ]
 
 
@@ -59,7 +94,7 @@ def outcome(parser, argv) -> tuple:
 
 def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
-    results = [(argv, outcome(cli.build_parser(), argv), outcome(eager_parser(), argv))
+    results = [(argv, outcome(cli.build_parser(), argv), outcome(EagerParser(), argv))
                for argv in reach_argvs() + MALFORMED]
     assert [argv for argv, new, old in results if new != old] == []
     # the malformed cases reach help (exit 0), usage errors (exit 2, among
@@ -109,7 +144,7 @@ class Counter:
 @pytest.mark.parametrize("verb", list(cli.VERBS))
 def test_an_op_builds_only_the_named_verbs_parser(verb, monkeypatch):
     counter = Counter(monkeypatch)
-    argv = [verb, cli.VERBS[verb][1][0]]
+    argv = [verb, next(iter(targets(verb)))]
     ops = [counter.op(argv) for _ in range(2)]
     for parsers, arguments, _ in ops:
         # the common flags' parent, the top-level parser and the verb's parser
@@ -118,3 +153,49 @@ def test_an_op_builds_only_the_named_verbs_parser(verb, monkeypatch):
     # nothing is kept across ops: the second op uses none of the first's parsers
     (_, _, used), (_, _, used_again) = ops
     assert not any(a is b for a in used for b in used_again)
+
+
+def foreign_options() -> list:
+    """(command, option) for each option of a command's verb that the command
+    does not take."""
+    pairs = []
+    for command in cli.COMMANDS:
+        verb, target = command.split(" ")
+        siblings = [opt for options in targets(verb).values() for opt in options]
+        own = targets(verb)[target]
+        pairs += [(command, opt) for opt in dict.fromkeys(siblings) if opt not in own]
+    return pairs
+
+
+@pytest.mark.parametrize("command, opt", foreign_options(),
+                         ids=lambda x: x if isinstance(x, str) else x.flag)
+def test_a_foreign_option_is_a_usage_error(command, opt, capsys):
+    value = [] if opt.spec.get("action") == "store_true" else [str(opt.default)]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(command.split(" ") + [opt.flag] + value)
+    assert stop.value.code == 2
+    own = cli.COMMANDS[command][0]
+    takes = ", ".join(o.flag for o in own) or "none"
+    assert (f"error: argument {opt.flag}: not an option of '{command}' (its options: {takes})"
+            in capsys.readouterr().err)
+
+
+def test_every_command_records_exactly_its_declared_options():
+    for argv in reach_argvs():
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        declared = {opt.key for opt in cli.COMMANDS[config.command][0]}
+        if config.command == "simulate mz" and "--theta" not in argv:
+            declared.remove("theta")  # recorded only when given
+        assert set(config.args) == declared, argv
+
+
+def test_reach_runs_one_foreign_option_per_verb_outside_the_lab_argvs(capsys):
+    argvs, lab = usage_argvs(), reach_argvs()
+    assert sorted(argv[0] for argv in argvs) == sorted(
+        {command.split(" ")[0] for command, _ in foreign_options()})
+    for argv in argvs:
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+        assert f"argument {argv[2]}: not an option of" in capsys.readouterr().err
+        assert argv not in lab

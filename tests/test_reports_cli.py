@@ -35,6 +35,12 @@ from omlab.reports import (
 )
 
 
+def option(command, key):
+    """The ``cli.Option`` that fills ``key`` for ``command``."""
+    (opt,) = [o for o in cli.COMMANDS[command][0] if o.key == key]
+    return opt
+
+
 def small_report(passed=True):
     config = RunConfig(command="verify toy-born", seed=3)
     checks = (CheckResult("demo", "1", "1" if passed else "0", "TRIVIAL", passed),)
@@ -218,6 +224,19 @@ def test_module_error_is_captured():
     assert not report.all_passed
 
 
+def test_an_undeclared_arg_fails_naming_it_and_the_command():
+    # the library route takes the CLI's rule: a command reads only its own args
+    keys = {opt.key for options, _ in cli.COMMANDS.values() for opt in options}
+    for command, (options, _) in cli.COMMANDS.items():
+        own = [opt.key for opt in options]
+        for key in sorted(keys - set(own)):
+            (row,) = cli.run(RunConfig(command=command, args={key: "1"})).checks
+            assert not row.passed
+            assert row.observed == (f"ValueError: {key!r} is not an arg of {command!r} "
+                                    f"(its args: {', '.join(own) or 'none'})")
+            assert row.detail["origin"] == "omlab/cli.py:_dispatch"
+
+
 def test_failed_run_keeps_the_exception_type_and_origin():
     report = cli.run(RunConfig(command="nogo pbr", args={"q": "7/2"}))
     detail = report.checks[0].detail
@@ -294,9 +313,9 @@ def test_mz_float_theta_check(capsys):
 
 def test_exit_status_reflects_failures(monkeypatch, capsys):
     # square an impossible expectation through the dispatcher
-    monkeypatch.setitem(cli.VERIFY_TARGETS, "toy-born",
-                        lambda cfg: [CheckResult("forced", "1", "0",
-                                                 "TRIVIAL", False)])
+    monkeypatch.setitem(cli.COMMANDS, "verify toy-born",
+                        ((), lambda args, seed: [CheckResult("forced", "1", "0",
+                                                             "TRIVIAL", False)]))
     assert cli.main(["verify", "toy-born"]) == 1
     capsys.readouterr()
 
@@ -363,7 +382,8 @@ def test_lambda_help_states_the_checked_range():
     from omlab import gaussian
 
     low, high = gaussian.LAMBDA_RANGE
-    assert cli.OPTIONS["hbar_like"].spec["help"].endswith(f"[{low:g}, {high:g}]")
+    assert option("gaussian suite", "hbar_like") is option("gaussian epr", "hbar_like")
+    assert option("gaussian epr", "hbar_like").spec["help"].endswith(f"[{low:g}, {high:g}]")
     for lam in (low, high):  # both ends pass, at the widest squeeze swept
         checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(12.0, lam, "p", 1.0)
         assert [c.name for c in checks if not c.passed] == [], lam
@@ -394,7 +414,7 @@ def test_squeeze_help_states_the_checked_range():
     from omlab import gaussian
 
     low, high = gaussian.SQUEEZE_RANGE
-    assert cli.OPTIONS["squeeze"].spec["help"].endswith(f"[{low:g}, {high:g}]")
+    assert option("gaussian epr", "squeeze").spec["help"].endswith(f"[{low:g}, {high:g}]")
     for lam, measure in itertools.product(gaussian.LAMBDA_RANGE, "qp"):
         # the widest squeeze passes at both ends of the lambda range
         checks = cli.gaussian_epr_checks(high, lam, measure, 1.0)
@@ -402,6 +422,28 @@ def test_squeeze_help_states_the_checked_range():
     for squeeze in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
         with pytest.raises(gaussian.GaussianError, match="must lie in"):
             cli.gaussian_epr_checks(squeeze, 1.0, "q", 1.0)
+
+
+NON_FINITE = {"simulate mz --theta": ("QuantumError: theta must be finite",
+                                      "omlab/quantum.py:mz_detection_probabilities"),
+              "gaussian epr --value": ("GaussianError: alice_value must be finite",
+                                       "omlab/gaussian.py:epr_inference")}
+
+
+@pytest.mark.parametrize("flag, value", itertools.product(NON_FINITE, ("nan", "inf", "-inf")))
+def test_non_finite_reading_fails_naming_the_parameter(flag, value):
+    # before: nan amplitudes failed the ket's norm check, and a nan posterior
+    # mean failed its row as "expected nan, observed nan"
+    argv = f"{flag}={value}".split(" ")
+    assert value != "nan" or f"{flag} nan".split(" ") in edge_argvs()
+    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    (row,) = report.checks
+    assert not row.passed
+    assert (row.observed, row.detail["origin"]) == NON_FINITE[flag]
+
+
+def test_value_help_says_finite():
+    assert "finite" in option("gaussian epr", "value").spec["help"]
 
 
 def test_edge_argvs_raise_no_warning():
@@ -561,12 +603,7 @@ def test_no_command_text_or_json_loads_jsonschema():
     assert modules_loaded(JSONSCHEMA_PROBES, "jsonschema") == [False] * len(JSONSCHEMA_PROBES)
 
 
-COMMANDS = [("verify", t) for t in sorted(cli.VERIFY_TARGETS) + ["all"]] + [
-    ("simulate", "mz"), ("nogo", "pbr"), ("nogo", "hardy"), ("nogo", "chsh"),
-    ("gaussian", "suite"), ("gaussian", "epr")]
-
-
-@pytest.mark.parametrize("verb, target", COMMANDS)
+@pytest.mark.parametrize("verb, target", [command.split(" ") for command in cli.COMMANDS])
 def test_omitted_args_take_the_cli_defaults(verb, target):
     bare = cli.run(cli.config_from_args(cli.build_parser().parse_args([verb, target])))
     omitted = cli.run(RunConfig(command=f"{verb} {target}"))
