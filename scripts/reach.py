@@ -72,6 +72,8 @@ EDGE_ARGVS = [
     # non-finite float readings, which fail naming the parameter
     ["simulate", "mz", "--theta", "nan"],
     ["gaussian", "epr", "--value", "nan"],
+    # a negative reading in exponent form, which argparse once took for an option
+    ["gaussian", "epr", "--value", "-1e3"],
 ]
 
 # One option per verb that has options, given to a target that does not take

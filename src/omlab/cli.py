@@ -6,6 +6,10 @@ interferometer in either formalism, ``nogo`` drives the constraint
 searches (expected-infeasible verdicts count as passes), and ``gaussian``
 exercises the restricted Liouville suite.  Exit status is 0 iff every
 check in the emitted report passed.
+
+Each check function imports the omlab modules it runs, so that a process
+builds the classes of its own command's sector only: ``nogo pbr`` loads no
+toy-theory, Hardy or Gaussian module.
 """
 
 from __future__ import annotations
@@ -16,13 +20,11 @@ import os
 import random
 import sys
 import time
-import traceback
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import exact, hardy, pbr, quantum, toy
-from .models import frac_str, reproduction_check
+from .models import frac_str
 from .reports import CheckResult, ReportDocument, RunConfig, emit
 
 
@@ -56,6 +58,9 @@ def _check(name, expected, observed, provenance, passed=None, detail=None) -> Ch
 # verify targets
 
 def toy_born_checks() -> list:
+    from . import toy
+    from .models import reproduction_check
+
     model = toy.build_toy_model()
     table = toy.toy_born_table()
     report = reproduction_check(model, table)
@@ -71,6 +76,8 @@ def toy_born_checks() -> list:
 
 
 def noncomm_checks(seed: int) -> list:
+    from . import toy
+
     t = toy.noncommutativity_demo()
     half = Fraction(1, 2)
     expect_ab = {frozenset({1, 3}): half, frozenset({2, 4}): half}
@@ -102,6 +109,8 @@ def noncomm_checks(seed: int) -> list:
 
 
 def combine_checks() -> list:
+    from . import toy
+
     listed = [
         ((1, 2), toy.CombinationRule.RULE_1, (3, 4), (1, 3)),
         ((1, 2), toy.CombinationRule.RULE_2, (3, 4), (2, 4)),
@@ -130,6 +139,8 @@ def combine_checks() -> list:
 
 
 def steering_checks() -> list:
+    from . import toy
+
     state = toy.make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
     r1 = toy.steering_inference(state, toy.MEAS_X_TOY, frozenset({1, 3}))
     bob_support = sorted(s for s, w in r1.bob_marginal.items() if w > 0)
@@ -154,6 +165,8 @@ def steering_checks() -> list:
 
 
 def no_signaling_checks() -> list:
+    from . import toy
+
     state = toy.make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
     rep = toy.no_signaling_check(state, toy.ALL_TOY_MEASUREMENTS)
     checks = [_check("no-signaling variation (correlated state)", Fraction(0),
@@ -169,6 +182,8 @@ def no_signaling_checks() -> list:
 # simulate mz
 
 def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> list:
+    from . import exact, quantum, toy
+
     checks = []
     want_q = {("first_splitter", True): ("1", Fraction(0), Fraction(1)),
               ("first_splitter", False): ("0", Fraction(1), Fraction(0)),
@@ -207,6 +222,8 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
 def gram_check(kets) -> CheckResult:
     """The measurement kets' exact Gram matrix is the identity; the detail
     names the label pairs where it is not."""
+    from . import quantum
+
     defects = quantum.gram_defects({k: ket.amplitudes for k, ket in kets.items()})
     return _check("pbr measurement basis Gram = identity", True, not defects, "DERIVED",
                   detail={"defects": [f"<{a}|{b}>" for a, b in defects]} if defects else None)
@@ -216,6 +233,8 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
                relax_product: bool, null_budget) -> list:
     """``q`` and ``null_budget`` are fractions or fraction strings; None
     means no forced overlap and no no-show escape respectively."""
+    from . import pbr
+
     checks = []
     scenario = pbr.build_pbr_scenario()
     born = scenario.born_table()
@@ -270,6 +289,8 @@ def zero_facts_check(facts) -> CheckResult:
 
 
 def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
+    from . import hardy
+
     report = hardy.hardy_verdict(lambda_size, drop_invar=drop_invar)
     checks = [zero_facts_check(report.facts)]
     expected = drop_invar  # overlap survives only without flag invariance
@@ -285,6 +306,8 @@ def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
 
 
 def chsh_checks() -> list:
+    from . import pbr
+
     rep = pbr.chsh_gap_demo()
     target = 2 * math.sqrt(2)
     s_squared = rep.s_exact * rep.s_exact
@@ -393,6 +416,15 @@ def _fraction_or_none(text):
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
+def _reads(parse, text: str) -> bool:
+    """Whether ``parse`` (``float`` or ``Fraction``) reads ``text``."""
+    try:
+        parse(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 class Option:
     """One CLI option, declared once: its flag, the ``RunConfig.args`` key it
     fills, its default as a parsed value, the conversion from a parsed value
@@ -404,6 +436,24 @@ class Option:
         self.default = default
         self.to_arg = to_arg or (lambda value: value)
         self.spec = spec
+
+    def misfit(self, value) -> str | None:
+        """None if ``value`` has the form ``config_from_args`` gives this
+        option's args value, else that form in words."""
+        spec = self.spec
+        if "choices" in spec:
+            allowed = [self.to_arg(choice) for choice in spec["choices"]]
+            fits = any(type(value) is type(a) and value == a for a in allowed)
+            return None if fits else "one of " + ", ".join(map(repr, allowed))
+        if spec.get("action") == "store_true":
+            return None if isinstance(value, bool) else "a bool"
+        if spec["type"] is _fraction_or_none:
+            fits = value is None or isinstance(value, str) and _reads(Fraction, value)
+            return None if fits else "a fraction string or None"
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if spec["type"] is int:
+            return None if number and isinstance(value, int) else "an int"
+        return None if number else "a real number"
 
 
 LAMBDA_SIZE = Option("--lambda-size", "lambda_size", 4, type=int)
@@ -472,6 +522,8 @@ def _origin(exc: Exception) -> str:
     """Package-relative ``file:function`` of the innermost omlab frame of
     ``exc``: the function, not the line, so that an edit above the raise
     leaves the report's bytes alone."""
+    import traceback  # only failed runs get here
+
     package = Path(__file__).resolve().parent
     frame = [f for f in traceback.extract_tb(exc.__traceback__)
              if Path(f.filename).resolve().is_relative_to(package)][-1]
@@ -482,11 +534,14 @@ def _dispatch(config: RunConfig) -> list:
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     options, checks = COMMANDS[config.command]
-    keys = [opt.key for opt in options]
-    for key in config.args:
-        if key not in keys:
+    declared = {opt.key: opt for opt in options}
+    for key, value in config.args.items():
+        if key not in declared:
             raise ValueError(f"{key!r} is not an arg of {config.command!r} "
-                             f"(its args: {', '.join(keys) or 'none'})")
+                             f"(its args: {', '.join(declared) or 'none'})")
+        form = declared[key].misfit(value)
+        if form is not None:
+            raise ValueError(f"{config.command!r} takes {key} as {form}, not {value!r}")
     # an omitted arg takes the CLI default, converted as the CLI converts it
     return checks({opt.key: config.args[opt.key] if opt.key in config.args
                    else opt.to_arg(opt.default) for opt in options}, config.seed)
@@ -502,7 +557,10 @@ class _OnDemandSubParsers(argparse._SubParsersAction):
     action's ``choices``, so a name listed there with ``None`` passes the
     choice check), ``_choices_actions`` and ``_ChoicesPseudoAction`` (the help
     entries) and ``_prog_prefix``.  It bypasses ``add_parser``, so a verb
-    parser gets only what ``_verb_parser`` gives it."""
+    parser gets only what ``_verb_parser`` gives it.  ``_verb_parser`` sets a
+    fifth, ``ArgumentParser._negative_number_matcher``, whose ``match`` says
+    that an argument is a value and not an option (while no option string
+    looks like a negative number)."""
 
     common = None  # the parent parser of every verb's parser
 
@@ -525,10 +583,22 @@ class _OnDemandSubParsers(argparse._SubParsersAction):
                     f"(its options: {', '.join(o.flag for o in own) or 'none'})")
 
 
+class NegativeNumber:
+    """A verb parser's negative-number matcher: a minus sign and then anything
+    ``float`` reads, so that ``--value -1e3`` and ``--theta -inf`` give the
+    option its value.  argparse's own pattern takes only -N and -N.N, and
+    reads any other argument that starts with a minus sign as an option."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        return text.startswith("-") and _reads(float, text)
+
+
 def _verb_parser(verb: str, prog: str, common) -> argparse.ArgumentParser:
     targets = {c.partition(" ")[2]: options for c, (options, _) in COMMANDS.items()
                if c.startswith(verb + " ")}
     p = argparse.ArgumentParser(prog=prog, parents=[common], allow_abbrev=False)
+    p._negative_number_matcher = NegativeNumber
     p.add_argument("target", choices=list(targets))
     for opt in dict.fromkeys(o for options in targets.values() for o in options):
         p.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)

@@ -110,6 +110,9 @@ class GaussianEpistemicState:
 
 @dataclass(frozen=True)
 class ValidityResult:
+    """Whether a state satisfies the uncertainty principle, and the least
+    eigenvalue of gamma + i*lam*Sigma."""
+
     valid: bool
     min_eigenvalue: float
 
@@ -254,6 +257,9 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
 
 @dataclass(frozen=True)
 class EprInferenceResult:
+    """The distant system's posterior after the reading, its validity, and
+    a note on what was not re-validated."""
+
     bob: GaussianEpistemicState
     bob_validity: ValidityResult
     note: str = field(default=(

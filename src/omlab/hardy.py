@@ -33,6 +33,8 @@ class HardyError(ValueError):
 
 @dataclass(frozen=True)
 class ZeroFact:
+    """Whether P(detector | preparation, theta) is exactly zero."""
+
     preparation: str
     theta: str
     detector: str
@@ -139,6 +141,10 @@ def replay_zero_facts(assignment: PossibilisticAssignment,
 
 @dataclass(frozen=True)
 class HardyReport:
+    """A Hardy verdict: the support size and invariance setting asked, the
+    escape assignment or the certificate that none exists, and the zero
+    facts it was decided on."""
+
     lambda_size: int
     drop_invar: bool
     assignment: PossibilisticAssignment | None

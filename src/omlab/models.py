@@ -20,6 +20,8 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class OnticSpace:
+    """The ontic states' labels: nonempty and distinct."""
+
     labels: tuple
 
     def __post_init__(self):
@@ -93,6 +95,9 @@ class ResponseFunction:
 
 @dataclass(frozen=True)
 class OntologicalModel:
+    """One ontic space with labelled preparations (epistemic states) and
+    measurements (response functions) over it."""
+
     space: OnticSpace
     preparations: Mapping[str, EpistemicState]
     measurements: Mapping[str, ResponseFunction]
@@ -127,6 +132,9 @@ def predicted_probability(model: OntologicalModel, prep, meas, outcome) -> Fract
 
 @dataclass(frozen=True)
 class ReproductionRow:
+    """One (prep, meas, outcome) triple: the model's probability, the Born
+    value, and whether they are equal."""
+
     prep: str
     meas: str
     outcome: str
@@ -137,6 +145,8 @@ class ReproductionRow:
 
 @dataclass(frozen=True)
 class ReproductionReport:
+    """Every triple's row; ``ok`` holds iff each row matches."""
+
     rows: tuple
     ok: bool = field(init=False)
 

@@ -38,12 +38,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
 from .models import ModelError, frac_str
-from .toy import ALL_TOY_MEASUREMENTS, CompositeToyState, kb_composites
+
+if TYPE_CHECKING:  # the toy theory is imported only by the CHSH demonstration
+    from .toy import CompositeToyState
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
 OUTCOME_LABELS = ("phi1", "phi2", "phi3", "phi4")
@@ -79,6 +81,9 @@ _MEASUREMENT_KETS = {
 
 @dataclass(frozen=True)
 class PbrScenario:
+    """The four product preparations and the entangled measurement basis,
+    each as exact kets by label."""
+
     preparations: Mapping[str, quantum.Ket]
     measurement_kets: Mapping[str, quantum.Ket]
 
@@ -217,6 +222,9 @@ def _price_response(f: Fraction, t: Fraction) -> dict:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A PBR verdict: its status, a witness model or a certificate, the
+    grid points covered, a note on the grid, and the stage that decided it."""
+
     status: str                 # "feasible" | "infeasible"
     witness: dict | None
     certificate: dict | None
@@ -391,6 +399,9 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
 
 @dataclass(frozen=True)
 class ChshReport:
+    """The quantum CHSH value, the local deterministic bound and the toy
+    composites' maximum."""
+
     quantum_value: float  # |S|, rounded
     s_exact: ExactComplex  # S itself
     local_bound: Fraction
@@ -409,6 +420,8 @@ def _singlet_correlation(ka: int, kb: int):
 
 def _toy_observables():
     """One +/-1 block observable per toy measurement; its negation is the other sign."""
+    from .toy import ALL_TOY_MEASUREMENTS
+
     return [{s: sign for block, sign in zip(meas.partition, (1, -1)) for s in block}
             for meas in ALL_TOY_MEASUREMENTS]
 
@@ -433,6 +446,8 @@ def _toy_chsh_maximum(state: CompositeToyState, observables: Sequence[dict]) -> 
 def chsh_gap_demo() -> ChshReport:
     """Quantum singlet value at the maximal-violation angles vs the local
     deterministic bound and the best any toy composite state can do."""
+    from .toy import kb_composites
+
     # settings: A at 0 and pi/2, B at pi/4 and -pi/4 (in eighths of pi)
     e = _singlet_correlation
     s_exact = e(0, 1) + e(0, 7) + e(2, 1) - e(2, 7)

@@ -29,6 +29,9 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """What a run was asked to do: the command, its args, the seed, the
+    number mode and tolerance, and where its report is written."""
+
     command: str
     args: dict = field(default_factory=dict)
     seed: int = 0
@@ -55,6 +58,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One row of a report: the check's name, expected and observed values,
+    provenance tag, verdict and optional detail."""
+
     name: str
     expected: str
     observed: str
@@ -81,6 +87,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ReportDocument:
+    """A run's config, its checks, its wall-clock seconds and the omlab
+    version that produced it."""
+
     config: RunConfig
     checks: tuple
     wall_clock_s: float

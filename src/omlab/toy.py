@@ -300,6 +300,10 @@ def toy_born_table() -> dict:
 
 @dataclass(frozen=True)
 class AnalogyRow:
+    """One combination-rule instance: the toy's combined state beside the
+    six-state label and support of the quantum superposition, and whether
+    the supports agree."""
+
     left: ToyEpistemicState
     right: ToyEpistemicState
     rule: CombinationRule
@@ -311,6 +315,8 @@ class AnalogyRow:
 
 @dataclass(frozen=True)
 class AnalogyReport:
+    """The rows of every ordered disjoint pair under every rule."""
+
     rows: tuple
 
     def mismatches(self) -> tuple:
@@ -401,6 +407,9 @@ def marginal(state: CompositeToyState, party: int) -> dict:
 
 @dataclass(frozen=True)
 class SteeringResult:
+    """Alice's outcome probability, the updated joint state, Bob's marginal
+    and the pairs the composite could have occupied when she measured."""
+
     probability: Fraction
     updated: CompositeToyState
     bob_marginal: dict
@@ -458,6 +467,9 @@ def steering_retrodiction_demo(second_outcome: frozenset = frozenset({1, 2})) ->
 
 @dataclass(frozen=True)
 class NoSignalingReport:
+    """Bob's distributions under each of Alice's choices, and the largest
+    change any choice makes to them."""
+
     bob_distributions: dict  # (alice_idx, bob_idx) -> {block: Fraction}
     max_variation: Fraction
 
@@ -497,6 +509,9 @@ def no_signaling_check(state: CompositeToyState,
 
 @dataclass(frozen=True)
 class NoncommutativityTranscript:
+    """Outcome distributions of A alone, of B after A, of A after B and of
+    A twice, from one initial state."""
+
     a_outcome_when_first: dict  # A measured directly on the initial state
     a_then_b: dict              # B-outcome distribution after A went first
     b_then_a: dict              # A-outcome distribution after B went first

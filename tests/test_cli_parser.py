@@ -5,8 +5,11 @@ built for every verb up front does; a command takes only its own options."""
 import argparse
 import contextlib
 import io
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from lab_argvs import reach_argvs, usage_argvs
 
 from omlab import cli
@@ -18,13 +21,22 @@ def targets(verb: str) -> dict:
             if command.split(" ")[0] == verb}
 
 
+# The language reference's float grammar, after a minus sign: digits with
+# single underscores between them, a point and an exponent, or inf, infinity
+# or nan in any case.
+DIGITS = r"\d(?:_?\d)*"
+NEGATIVE_FLOAT = re.compile(rf"-(?:(?:(?:{DIGITS})?\.{DIGITS}|{DIGITS}\.?)(?:[eE][+-]?{DIGITS})?"
+                            r"|(?i:inf(?:inity)?|nan))\Z")
+
+
 class EagerParser:
     """The reference: one parser per verb of ``cli.VERBS``, all built up front
     with ``add_parser``, as argparse documents subcommands.  A verb's parser
-    declares every option of its targets, absent unless given; after parsing,
-    the first of them in declaration order that the named target does not take
-    is a usage error of the verb's parser, and then any unrecognized argument
-    is one of the top-level parser."""
+    takes every negative number of the float grammar as a value, and declares
+    every option of its targets, absent unless given; after parsing, the first
+    of them in declaration order that the named target does not take is a
+    usage error of the verb's parser, and then any unrecognized argument is
+    one of the top-level parser."""
 
     def __init__(self):
         common = argparse.ArgumentParser(add_help=False)
@@ -39,6 +51,7 @@ class EagerParser:
         self.verbs = {}
         for verb, help_text in cli.VERBS.items():
             p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
+            p._negative_number_matcher = NEGATIVE_FLOAT
             p.add_argument("target", choices=list(targets(verb)))
             declared = []
             for options in targets(verb).values():
@@ -80,6 +93,12 @@ MALFORMED = [
     ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
 ]
 
+# negative numbers in the forms float() reads, and three that it does not read
+NEGATIVE = [["simulate", "mz", "--theta", value] for value in (
+    "-1e-3", "-.5E+2", "-1_000.5", "-inf", "-Infinity", "-nan", "-e3", "-1e")] + [
+    ["gaussian", "epr", "--value", "-1e3", "--squeeze", "-2."],
+    ["nogo", "pbr", "--lambda-size", "-1e3"], ["nogo", "pbr", "--q", "-1/2"]]
+
 
 def outcome(parser, argv) -> tuple:
     """The namespace ``argv`` parses to, as its repr so that nan equals nan,
@@ -95,13 +114,22 @@ def outcome(parser, argv) -> tuple:
 def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     results = [(argv, outcome(cli.build_parser(), argv), outcome(EagerParser(), argv))
-               for argv in reach_argvs() + MALFORMED]
+               for argv in reach_argvs() + MALFORMED + NEGATIVE]
     assert [argv for argv, new, old in results if new != old] == []
     # the malformed cases reach help (exit 0), usage errors (exit 2, among
     # them every abbreviated flag) and a repeated flag that parses
     kinds = {new[1] if new[0] == "exit" else "parsed"
              for argv, new, _ in results if argv in MALFORMED}
     assert kinds == {0, 2, "parsed"}
+    # a negative number float() reads is a value; "-e3", "-1e" and "-1/2" are
+    # taken for options (though --q's type reads "-1/2"), and "-1e3" is no int
+    parsed = [argv[-1] for argv, new, _ in results if argv in NEGATIVE and new[0] == "parsed"]
+    assert parsed == ["-1e-3", "-.5E+2", "-1_000.5", "-inf", "-Infinity", "-nan", "-2."]
+
+
+@given(st.text(alphabet="0123456789._eE+-infatyINFATY\u0661", max_size=12))
+def test_a_verb_parser_takes_as_values_the_negative_numbers_of_the_float_grammar(tail):
+    assert cli.NegativeNumber.match("-" + tail) == bool(NEGATIVE_FLOAT.match("-" + tail))
 
 
 @pytest.mark.parametrize("argv", ABBREVIATED, ids=" ".join)
@@ -187,6 +215,14 @@ def test_every_command_records_exactly_its_declared_options():
         if config.command == "simulate mz" and "--theta" not in argv:
             declared.remove("theta")  # recorded only when given
         assert set(config.args) == declared, argv
+
+
+def test_every_recorded_arg_has_the_form_run_accepts():
+    for argv in reach_argvs():
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        options = {opt.key: opt for opt in cli.COMMANDS[config.command][0]}
+        assert [key for key, value in config.args.items()
+                if options[key].misfit(value) is not None] == [], argv
 
 
 def test_reach_runs_one_foreign_option_per_verb_outside_the_lab_argvs(capsys):

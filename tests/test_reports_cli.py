@@ -237,6 +237,37 @@ def test_an_undeclared_arg_fails_naming_it_and_the_command():
             assert row.detail["origin"] == "omlab/cli.py:_dispatch"
 
 
+# (command, key, value): a value of a form that no command line gives the key,
+# and a list for every key of the table
+MISFITS = [("simulate mz", "model", "bogus"), ("simulate mz", "phase_in", "pi"),
+           ("simulate mz", "phase_in", 1), ("simulate mz", "theta", "0.5"),
+           ("simulate mz", "theta", None), ("nogo hardy", "lambda_size", "4"),
+           ("nogo hardy", "lambda_size", 4.0), ("nogo hardy", "drop_invar", 1),
+           ("nogo pbr", "lambda_size", True), ("nogo pbr", "q", 0.25),
+           ("nogo pbr", "null_budget", "1/0"), ("nogo pbr", "null_budget", "none"),
+           ("gaussian epr", "squeeze", "3"), ("gaussian epr", "value", False),
+           ("gaussian suite", "hbar_like", "1")] + [
+    (command, opt.key, [1]) for command, (options, _) in cli.COMMANDS.items() for opt in options]
+
+
+@pytest.mark.parametrize("command, key, value", MISFITS, ids=repr)
+def test_an_arg_of_the_wrong_form_fails_naming_it_its_value_and_the_command(command, key,
+                                                                             value):
+    (row,) = cli.run(RunConfig(command=command, args={key: value})).checks
+    assert not row.passed
+    assert row.observed.startswith(f"ValueError: {command!r} takes {key} as ")
+    assert row.observed.endswith(f", not {value!r}")
+    assert row.detail["origin"] == "omlab/cli.py:_dispatch"
+
+
+def test_an_int_is_a_real_number_and_a_fraction_string_need_not_be_reduced():
+    int_squeeze = cli.run(RunConfig("gaussian epr", args={"squeeze": 1}))
+    float_squeeze = cli.run(RunConfig("gaussian epr", args={"squeeze": 1.0}))
+    assert int_squeeze.all_passed
+    assert [c.to_json() for c in int_squeeze.checks] == [c.to_json() for c in float_squeeze.checks]
+    assert cli.run(RunConfig("nogo pbr", args={"q": "2/4"})).all_passed
+
+
 def test_failed_run_keeps_the_exception_type_and_origin():
     report = cli.run(RunConfig(command="nogo pbr", args={"q": "7/2"}))
     detail = report.checks[0].detail
@@ -433,13 +464,15 @@ NON_FINITE = {"simulate mz --theta": ("QuantumError: theta must be finite",
 @pytest.mark.parametrize("flag, value", itertools.product(NON_FINITE, ("nan", "inf", "-inf")))
 def test_non_finite_reading_fails_naming_the_parameter(flag, value):
     # before: nan amplitudes failed the ket's norm check, and a nan posterior
-    # mean failed its row as "expected nan, observed nan"
-    argv = f"{flag}={value}".split(" ")
-    assert value != "nan" or f"{flag} nan".split(" ") in edge_argvs()
-    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
-    (row,) = report.checks
-    assert not row.passed
-    assert (row.observed, row.detail["origin"]) == NON_FINITE[flag]
+    # mean failed its row as "expected nan, observed nan".  The reading is
+    # given as its own argument and joined to its flag by "="
+    argv = f"{flag} {value}".split(" ")
+    assert value != "nan" or argv in edge_argvs()
+    for given in (argv, f"{flag}={value}".split(" ")):
+        report = cli.run(cli.config_from_args(cli.build_parser().parse_args(given)))
+        (row,) = report.checks
+        assert not row.passed
+        assert (row.observed, row.detail["origin"]) == NON_FINITE[flag]
 
 
 def test_value_help_says_finite():
@@ -601,6 +634,27 @@ JSONSCHEMA_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--format", "json", "n
 
 def test_no_command_text_or_json_loads_jsonschema():
     assert modules_loaded(JSONSCHEMA_PROBES, "jsonschema") == [False] * len(JSONSCHEMA_PROBES)
+
+
+# module -> command lines, run in turn in one interpreter, and whether the
+# module is loaded after each.  A PBR verdict needs pbr, quantum, exact, models
+# and reports only, and a Hardy verdict hardy, quantum, exact, models and
+# reports.  Each list ends with a command that does load the module, as the
+# control that the probe sees the import.
+PBR_PROBES = (["nogo", "pbr"], ["nogo", "pbr", "--null-budget", "1/2"])
+SECTOR_PROBES = {
+    "omlab.toy": (PBR_PROBES + (["nogo", "hardy"], ["verify", "toy-born"]),
+                  [False, False, False, True]),
+    "omlab.hardy": (PBR_PROBES + (["nogo", "hardy"],), [False, False, True]),
+    "omlab.gaussian": (PBR_PROBES + (["gaussian", "epr"],), [False, False, True]),
+    "omlab.pbr": ((["nogo", "hardy"], ["nogo", "pbr"]), [False, True]),
+}
+
+
+@pytest.mark.parametrize("module", SECTOR_PROBES)
+def test_a_command_loads_only_the_sector_modules_it_runs(module):
+    probes, loaded = SECTOR_PROBES[module]
+    assert modules_loaded(probes, module) == loaded
 
 
 @pytest.mark.parametrize("verb, target", [command.split(" ") for command in cli.COMMANDS])
