@@ -14,7 +14,6 @@ toy-theory, Hardy or Gaussian module.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import random
@@ -23,6 +22,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .models import frac_str
 from .reports import CheckResult, ReportDocument, RunConfig, emit
@@ -406,6 +406,16 @@ def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
 # --------------------------------------------------------------------------
 # options and dispatch
 
+def _fraction_misfit(text) -> str | None:
+    """None if ``text`` is a string that ``Fraction`` reads and ``str`` can
+    write in lowest terms, else the form it misses."""
+    if not (isinstance(text, str) and _reads(Fraction, text)):
+        return "a fraction string or None"
+    if not _reads(str, Fraction(text)):  # a term longer than the int-to-string digit limit
+        return f"a fraction within the int-to-string limit of {sys.get_int_max_str_digits()} digits"
+    return None
+
+
 def _fraction_or_none(text):
     """An argparse type: a fraction in lowest terms, or None for 'none'."""
     if text in ("", "none", "None"):
@@ -413,11 +423,16 @@ def _fraction_or_none(text):
     try:
         return str(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
+        import argparse  # argparse reports every value this rejects
+
+        raise argparse.ArgumentTypeError(f"{text!r} is not {_fraction_misfit(text)}"
+                                         if _reads(Fraction, text)
+                                         else f"invalid fraction value: {text!r}") from None
 
 
-def _reads(parse, text: str) -> bool:
-    """Whether ``parse`` (``float`` or ``Fraction``) reads ``text``."""
+def _reads(parse, text) -> bool:
+    """Whether ``parse`` (``float``, ``Fraction`` or ``str``) takes ``text``
+    without a ValueError or ZeroDivisionError."""
     try:
         parse(text)
     except (ValueError, ZeroDivisionError):
@@ -448,14 +463,18 @@ class Option:
         if spec.get("action") == "store_true":
             return None if isinstance(value, bool) else "a bool"
         if spec["type"] is _fraction_or_none:
-            fits = value is None or isinstance(value, str) and _reads(Fraction, value)
-            return None if fits else "a fraction string or None"
+            return None if value is None else _fraction_misfit(value)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if spec["type"] is int:
             return None if number and isinstance(value, int) else "an int"
         return None if number else "a real number"
 
 
+# the flags every command takes, before or after its verb
+COMMON = (Option("--seed", "seed", 0, type=int),
+          Option("--format", "format", "text", choices=("json", "text")),
+          Option("--output", "output", None,
+                 help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)"))
 LAMBDA_SIZE = Option("--lambda-size", "lambda_size", 4, type=int)
 LAMBDA = Option("--lambda", "hbar_like", 1.0, type=float,
                 help="uncertainty parameter, in [1e-300, 1e+280]")
@@ -547,89 +566,109 @@ def _dispatch(config: RunConfig) -> list:
                    else opt.to_arg(opt.default) for opt in options}, config.seed)
 
 
-class _OnDemandSubParsers(argparse._SubParsersAction):
-    """Subcommands that all show in usage, help and choice errors, but whose
-    parsers are built only when the command line names one.  An option the
-    named target does not take (options default to absent) is an error.
-
-    It relies on these internals of ``argparse._SubParsersAction``, which have
-    the same meaning in CPython 3.10 to 3.13: ``_name_parser_map`` (also the
-    action's ``choices``, so a name listed there with ``None`` passes the
-    choice check), ``_choices_actions`` and ``_ChoicesPseudoAction`` (the help
-    entries) and ``_prog_prefix``.  It bypasses ``add_parser``, so a verb
-    parser gets only what ``_verb_parser`` gives it.  ``_verb_parser`` sets a
-    fifth, ``ArgumentParser._negative_number_matcher``, whose ``match`` says
-    that an argument is a value and not an option (while no option string
-    looks like a negative number)."""
-
-    common = None  # the parent parser of every verb's parser
-
-    def add_on_demand(self, name: str, help: str) -> None:
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = None  # holds the name's place in choices
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]  # argparse has checked it against choices
-        if self._name_parser_map[name] is None:
-            self._name_parser_map[name] = _verb_parser(
-                name, f"{self._prog_prefix} {name}", self.common)
-        super().__call__(parser, namespace, values, option_string)
-        command = f"{name} {namespace.target}"
-        own = COMMANDS[command][0]
-        for opt in dict.fromkeys(o for options, _ in COMMANDS.values() for o in options):
-            if opt not in own and hasattr(namespace, opt.key):
-                self._name_parser_map[name].error(
-                    f"argument {opt.flag}: not an option of {command!r} "
-                    f"(its options: {', '.join(o.flag for o in own) or 'none'})")
-
-
 class NegativeNumber:
-    """A verb parser's negative-number matcher: a minus sign and then anything
-    ``float`` reads, so that ``--value -1e3`` and ``--theta -inf`` give the
-    option its value.  argparse's own pattern takes only -N and -N.N, and
-    reads any other argument that starts with a minus sign as an option."""
+    """After the verb, a minus sign and then anything ``float`` reads is a
+    value, so that ``--value -1e3`` and ``--theta -inf`` give the option its
+    value.  argparse's own negative-number pattern, which each verb parser
+    replaces by this, takes only -N and -N.N."""
 
     @staticmethod
     def match(text: str) -> bool:
         return text.startswith("-") and _reads(float, text)
 
 
-def _verb_parser(verb: str, prog: str, common) -> argparse.ArgumentParser:
-    targets = {c.partition(" ")[2]: options for c, (options, _) in COMMANDS.items()
-               if c.startswith(verb + " ")}
-    p = argparse.ArgumentParser(prog=prog, parents=[common], allow_abbrev=False)
-    p._negative_number_matcher = NegativeNumber
-    p.add_argument("target", choices=list(targets))
-    for opt in dict.fromkeys(o for options in targets.values() for o in options):
-        p.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)
-    return p
+def _options(verb: str) -> dict:
+    """flag -> option, for the options of ``verb``'s commands in ``COMMANDS`` order."""
+    return {opt.flag: opt for command, (options, _) in COMMANDS.items()
+            if command.startswith(verb + " ") for opt in options}
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Reader:
+    """What ``build_parser`` gives: ``parse_args`` reads a well-formed command line
+    against ``COMMANDS`` into argparse's namespace (``verb``, the options before the
+    verb, ``target``, the rest; a repeated flag keeps its first place and last value)
+    and hands any other, help and usage errors included, to ``_argparse``."""
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        return self._read(argv) or _argparse(argv)
+
+    @staticmethod
+    def _read(argv):
+        flags = {opt.flag: opt for opt in COMMON}
+        top, sub = {"verb": None}, None  # the options given before the verb, and after it
+        args = iter(argv)
+        for arg in args:
+            flag, eq, text = arg.partition("=")
+            opt = flags.get(flag)
+            if sub is None and arg in VERBS:
+                top["verb"], sub = arg, {"target": None}
+                flags.update(_options(arg))
+            elif sub and sub["target"] is None and f"{top['verb']} {arg}" in COMMANDS:
+                sub["target"] = arg
+            elif opt is None or eq and ("action" in opt.spec or text == "--"):
+                return None  # argparse drops a "--" value
+            elif "action" in opt.spec:  # store_true
+                (sub or top)[opt.key] = True
+            else:
+                if not eq:
+                    text = next(args, "-")  # a missing value reads as "-", which is declined
+                    if text.startswith("-") and not (sub and NegativeNumber.match(text)):
+                        return None
+                try:
+                    (sub or top)[opt.key] = opt.spec.get("type", str)(text)
+                except Exception:  # argparse reruns the type, and reports or raises as it does
+                    return None
+                if "choices" in opt.spec and text not in opt.spec["choices"]:
+                    return None
+        if not sub or sub["target"] is None or top.keys() & sub.keys():
+            return None  # no target, or a flag given both before and after the verb
+        own = {opt.key for opt in (*COMMON, *COMMANDS[f"{top['verb']} {sub['target']}"][0])}
+        return SimpleNamespace(**top, **sub) if sub.keys() - {"target"} <= own else None
+
+
+def _argparse(argv):
+    """Parse ``argv`` with argparse, every verb's parser built by ``add_parser``; an
+    option of the verb that the named target does not take is a usage error."""
+    import argparse
+
+    def declare(parser, options):
+        for opt in options:
+            parser.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)
+        return parser
+
     # Common flags live in a parent so they parse both before and after the
-    # subcommand; SUPPRESS keeps subparser defaults from clobbering values.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "text"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--output", default=argparse.SUPPRESS,
-                        help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
+    # verb; SUPPRESS keeps subparser defaults from clobbering values.
+    common = declare(argparse.ArgumentParser(add_help=False), COMMON)
     # No prefix matching: --lambda must not silently mean --lambda-size.
     parser = argparse.ArgumentParser(
         prog="omlab", parents=[common], allow_abbrev=False,
         description="desk-scale checks for ontological models of quantum theory")
-    # A command line names one verb, and building a parser for each of the
-    # others (an ArgumentParser, and a help formatter per add_argument) would
-    # be about half of every op's parse time, so only the named verb's parser
-    # is built.  Usage, help and errors still list every verb in VERBS order.
-    sub = parser.add_subparsers(dest="verb", required=True, action=_OnDemandSubParsers)
-    sub.common = common
+    verbs = parser.add_subparsers(dest="verb", required=True)
     for verb, help_text in VERBS.items():
-        sub.add_on_demand(verb, help_text)
-    return parser
+        p = verbs.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
+        p._negative_number_matcher = NegativeNumber
+        p.add_argument("target", choices=[c.partition(" ")[2] for c in COMMANDS
+                                          if c.startswith(verb + " ")])
+        declare(p, _options(verb).values())
+    ns, unrecognized = parser.parse_known_args(argv)
+    command = f"{ns.verb} {ns.target}"
+    own = COMMANDS[command][0]
+    for opt in _options(ns.verb).values():
+        if opt not in own and hasattr(ns, opt.key):
+            verbs.choices[ns.verb].error(
+                f"argument {opt.flag}: not an option of {command!r} "
+                f"(its options: {', '.join(o.flag for o in own) or 'none'})")
+    if unrecognized:
+        parser.error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return ns
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
+def build_parser() -> _Reader:
+    return _Reader()
+
+
+def config_from_args(ns) -> RunConfig:
     command = f"{ns.verb} {ns.target}"
     args = {opt.key: opt.to_arg(getattr(ns, opt.key, opt.default)) for opt in COMMANDS[command][0]}
     if args.get("theta", 0) is None:

@@ -1,14 +1,17 @@
-"""The command-line parser: ``cli.build_parser`` builds only the parser of the
-verb a command line names, and parses, helps and fails exactly as a parser
-built for every verb up front does; a command takes only its own options."""
+"""The command-line parser: ``cli.build_parser`` reads a well-formed command
+line without argparse, and parses, helps and fails exactly as an argparse
+parser built for every verb up front does; a command takes only its own
+options."""
 
 import argparse
 import contextlib
 import io
+import os
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from lab_argvs import reach_argvs, usage_argvs
 
@@ -91,7 +94,15 @@ MALFORMED = [
     ["nogo", "hardy", "--drop-invar", "--null-budget", "1/2", "--q", "1/2"],
     ["gaussian", "suite", "--value", "nan", "--measure", "p"],
     ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
+    # a negative value before the verb, which the top-level parser reads as a value
+    ["--seed", "-5", "verify", "toy-born"],
 ]
+
+# "=" forms, which the reader reads: a value that starts with a minus sign is
+# taken as it stands, before the verb too
+EQUALS = [["--output=o.json", "nogo", "chsh"], ["--seed=-3", "nogo", "pbr", "--q=-1/2"],
+          ["gaussian", "epr", "--value=-1e3", "--measure=p"],
+          ["simulate", "mz", "--output=", "--phase=0"]]
 
 # negative numbers in the forms float() reads, and three that it does not read
 NEGATIVE = [["simulate", "mz", "--theta", value] for value in (
@@ -114,7 +125,7 @@ def outcome(parser, argv) -> tuple:
 def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     results = [(argv, outcome(cli.build_parser(), argv), outcome(EagerParser(), argv))
-               for argv in reach_argvs() + MALFORMED + NEGATIVE]
+               for argv in reach_argvs() + MALFORMED + NEGATIVE + EQUALS]
     assert [argv for argv, new, old in results if new != old] == []
     # the malformed cases reach help (exit 0), usage errors (exit 2, among
     # them every abbreviated flag) and a repeated flag that parses
@@ -125,6 +136,96 @@ def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     # taken for options (though --q's type reads "-1/2"), and "-1e3" is no int
     parsed = [argv[-1] for argv, new, _ in results if argv in NEGATIVE and new[0] == "parsed"]
     assert parsed == ["-1e-3", "-.5E+2", "-1_000.5", "-inf", "-Infinity", "-nan", "-2."]
+
+
+ALL_OPTIONS = list(dict.fromkeys(
+    [*cli.COMMON, *(opt for options, _ in cli.COMMANDS.values() for opt in options)]))
+
+
+def valid_values(opt, after_verb: bool):
+    """Values of ``opt`` that its type or choices read; a value that starts
+    with a minus sign only after the verb, and only a negative number there."""
+    if "choices" in opt.spec:
+        return st.sampled_from(opt.spec["choices"])
+    if opt.spec.get("type") is int:
+        return st.integers(-10**6 if after_verb else 0, 10**6).map(str)
+    if opt.spec.get("type") is float:
+        numbers = st.floats() if after_verb else st.floats(min_value=0)
+        return st.one_of(numbers.map(repr), numbers.map("{:e}".format))
+    if opt.spec.get("type") is cli._fraction_or_none:
+        return st.one_of(st.fractions(min_value=0).map(str), st.sampled_from(["none", "0.25"]))
+    return st.sampled_from(["o.json", "out/r.txt", "x=y", ""])
+
+
+# tokens that are wrong for some option or place: help and unknown flags, "-"
+# and "--", values no type reads or that start with a minus sign without being
+# a negative number, and words and numbers that fit elsewhere
+JUNK = ["x", "", "-", "--", "-h", "-x", "--bogus", "-1/2", "-e3", "-1e", "1/0", "a b", "4.5",
+        "-1e3", "-inf", "nan", "1e-5000", "--seed", "--q", "pbr", "nogo", "none", "json"]
+
+
+@st.composite
+def well_formed(draw):
+    """(argv, clean): a command line of one command, its common flags before
+    or after the verb, its own options after it, in space or "=" form, and
+    with the target at any option boundary; ``clean`` is false where a junk
+    value or token replaced or joined a well-formed one."""
+    verb, target = draw(st.sampled_from(list(cli.COMMANDS))).split(" ")
+    own = list(cli.COMMANDS[f"{verb} {target}"][0])
+    clean = True
+
+    def given(options, after_verb):
+        nonlocal clean
+        groups = []
+        for opt in draw(st.lists(st.sampled_from(options), max_size=3)) if options else []:
+            if opt.spec.get("action") == "store_true":
+                groups.append([opt.flag])
+                continue
+            value = draw(valid_values(opt, after_verb))
+            if draw(st.integers(0, 7)) == 0:
+                value, clean = draw(st.sampled_from(JUNK)), False
+            groups.append(draw(st.sampled_from([[opt.flag, value], [f"{opt.flag}={value}"]])))
+        return groups
+
+    before = given(list(cli.COMMON), after_verb=False)
+    used = {group[0].partition("=")[0] for group in before}  # given once, on one side
+    after = given([opt for opt in cli.COMMON if opt.flag not in used] + own, after_verb=True)
+    after.insert(draw(st.integers(0, len(after))), [target])
+    argv = [token for group in before + [[verb]] + after for token in group]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+        clean = False
+    return argv, clean
+
+
+def tokens():
+    """Verbs, targets, every declared flag, help, "--", "-", "=" forms and
+    values of every type, well-formed or not."""
+    values = ["3", "0", "-5", "1_000", "1.5", "-1e3", "-inf", "nan", "1/2", "-1/2", "none",
+              "json", "text", "pi", "q", "both", "upper_arm", "o.json"] + JUNK
+    words = [*cli.VERBS, *(c.split(" ")[1] for c in cli.COMMANDS), "-h", "--help"]
+    flags = [opt.flag for opt in ALL_OPTIONS]
+    return st.one_of(st.sampled_from(words + flags + values),
+                     st.builds("{}={}".format, st.sampled_from(flags), st.sampled_from(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tokens(), max_size=7))
+def test_the_reader_matches_the_eager_parser_on_any_tokens(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert outcome(cli.build_parser(), argv) == outcome(EagerParser(), argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed())
+def test_the_reader_reads_a_well_formed_command_line_as_the_eager_parser_does(case):
+    argv, clean = case
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with parsers_built() as built:
+            read = outcome(cli.build_parser(), argv)
+        assert read == outcome(EagerParser(), argv)
+    if clean:  # the reader itself read it
+        assert (read[0], built) == ("parsed", [])
 
 
 @given(st.text(alphabet="0123456789._eE+-infatyINFATY\u0661", max_size=12))
@@ -140,47 +241,28 @@ def test_an_abbreviated_flag_is_an_error(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-class Counter:
-    """Counts the parsers and arguments argparse builds, keeping each parser."""
+@contextlib.contextmanager
+def parsers_built():
+    """A list of every ``ArgumentParser`` constructed inside the block."""
+    built, init = [], argparse.ArgumentParser.__init__
 
-    def __init__(self, monkeypatch):
-        self.parsers, self.arguments = [], 0
-        init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+    def counted_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
 
-        def counted_init(parser, *args, **kwargs):
-            self.parsers.append(parser)
-            init(parser, *args, **kwargs)
-
-        def counted_add_argument(parser, *args, **kwargs):
-            self.arguments += 1
-            return add_argument(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add_argument)
-
-    def op(self, argv) -> tuple:
-        """(parsers built, add_argument calls, the top-level and verb parsers
-        used) of one build and parse."""
-        first, arguments = len(self.parsers), self.arguments
-        parser = cli.build_parser()
-        parser.parse_args(argv)
-        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return (len(self.parsers) - first, self.arguments - arguments,
-                [parser, verbs.choices[argv[0]]])
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counted_init):
+        yield built
 
 
-@pytest.mark.parametrize("verb", list(cli.VERBS))
-def test_an_op_builds_only_the_named_verbs_parser(verb, monkeypatch):
-    counter = Counter(monkeypatch)
-    argv = [verb, next(iter(targets(verb)))]
-    ops = [counter.op(argv) for _ in range(2)]
-    for parsers, arguments, _ in ops:
-        # the common flags' parent, the top-level parser and the verb's parser
-        assert parsers == 3
-        assert arguments <= 12
-    # nothing is kept across ops: the second op uses none of the first's parsers
-    (_, _, used), (_, _, used_again) = ops
-    assert not any(a is b for a in used for b in used_again)
+def test_only_argvs_the_reader_declines_construct_an_argparse_parser():
+    def constructs(argv) -> bool:
+        with parsers_built() as built:
+            outcome(cli.build_parser(), argv)
+        return bool(built)
+
+    # the lab's own command lines and the "=" forms are read without argparse
+    assert [argv for argv in reach_argvs() + EQUALS if constructs(argv)] == []
+    assert [argv for argv in MALFORMED if not constructs(argv)] == []
 
 
 def foreign_options() -> list:

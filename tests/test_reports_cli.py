@@ -657,11 +657,42 @@ def test_a_command_loads_only_the_sector_modules_it_runs(module):
     assert modules_loaded(probes, module) == loaded
 
 
+# A well-formed command line is read without argparse, and so without the
+# gettext and locale it imports.  A negative seed before the verb is a form
+# only argparse reads: the control that the probe sees the imports.
+ARGPARSE_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--seed", "-5", "verify", "toy-born"])
+
+
+@pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+def test_a_well_formed_command_line_loads_no_argparse(module):
+    assert modules_loaded(ARGPARSE_PROBES, module) == [False, False, True]
+
+
 @pytest.mark.parametrize("verb, target", [command.split(" ") for command in cli.COMMANDS])
 def test_omitted_args_take_the_cli_defaults(verb, target):
     bare = cli.run(cli.config_from_args(cli.build_parser().parse_args([verb, target])))
     omitted = cli.run(RunConfig(command=f"{verb} {target}"))
     assert [c.to_json() for c in omitted.checks] == [c.to_json() for c in bare.checks]
+
+
+@pytest.mark.parametrize("flag", ["--q", "--null-budget"])
+def test_a_fraction_past_the_digit_limit_is_a_usage_error_naming_the_limit(flag, capsys):
+    # 1e-5000 is 1/10**5000, whose denominator str() cannot write
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["nogo", "pbr", flag, "1e-5000"])
+    assert stop.value.code == 2
+    assert (f"argument {flag}: '1e-5000' is not a fraction within the int-to-string limit "
+            f"of {sys.get_int_max_str_digits()} digits") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["q", "null_budget"])
+def test_a_fraction_past_the_digit_limit_fails_the_run_naming_the_limit(key):
+    (row,) = cli.run(RunConfig("nogo pbr", args={key: "1e-5000"})).checks
+    assert not row.passed
+    assert row.observed == (f"ValueError: 'nogo pbr' takes {key} as a fraction within the "
+                            f"int-to-string limit of {sys.get_int_max_str_digits()} digits, "
+                            f"not '1e-5000'")
+    assert row.detail["origin"] == "omlab/cli.py:_dispatch"
 
 
 @pytest.mark.parametrize("flag, value", [("--q", "abc"), ("--q", "1/0"),
