@@ -54,6 +54,7 @@ EDGE_ARGVS = [
     ["nogo", "pbr", "--grid-denominator", "0"],
     ["nogo", "pbr", "--null-budget", "1"],
     ["nogo", "hardy", "--lambda-size", "1"],
+    ["nogo", "hardy", "--lambda-size", "9"],
     ["gaussian", "epr", "--squeeze", "-1"],
     ["gaussian", "suite", "--lambda", "0"],
     ["gaussian", "epr", "--lambda", "-1"],
@@ -77,11 +78,12 @@ EDGE_ARGVS = [
 ]
 
 # One option per verb that has options, given to a target that does not take
-# it: each is a usage error (exit 2), so it yields no report and stays out of
-# ``argvs()``.
+# it, and a "--" given as an "=" value: each is a usage error (exit 2), so it
+# yields no report and stays out of ``argvs()``.
 USAGE_ARGVS = [
     ["nogo", "chsh", "--q", "1/2"],
     ["gaussian", "suite", "--squeeze", "9"],
+    ["--output=--", "nogo", "chsh"],
 ]
 
 

@@ -628,8 +628,9 @@ class _Reader:
 
 
 def _argparse(argv):
-    """Parse ``argv`` with argparse, every verb's parser built by ``add_parser``; an
-    option of the verb that the named target does not take is a usage error."""
+    """Parse ``argv`` with argparse, every verb's parser built by ``add_parser``.  An
+    option given no string value (argparse stores ``[]`` for ``--opt=--``) and an
+    option of the verb that the named target does not take are usage errors."""
     import argparse
 
     def declare(parser, options):
@@ -652,6 +653,9 @@ def _argparse(argv):
                                           if c.startswith(verb + " ")])
         declare(p, _options(verb).values())
     ns, unrecognized = parser.parse_known_args(argv)
+    for opt in (*COMMON, *_options(ns.verb).values()):
+        if isinstance(getattr(ns, opt.key, ""), list):
+            verbs.choices[ns.verb].error(f"argument {opt.flag}: expected one argument")
     command = f"{ns.verb} {ns.target}"
     own = COMMANDS[command][0]
     for opt in _options(ns.verb).values():

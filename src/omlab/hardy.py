@@ -25,6 +25,8 @@ PREP_UPPER = "phi"   # photon emitted into the upper arm
 PREPS = (PREP_SPLIT, PREP_UPPER)
 THETAS = ("0", "pi")
 DETECTORS = ("d1", "d2")
+# the verdict is fixed from 3 ontic states up; 8 is also nogo pbr's bound
+MAX_LAMBDA_SIZE = 8
 
 
 class HardyError(ValueError):
@@ -190,6 +192,8 @@ def hardy_verdict(lambda_size: int, drop_invar: bool = False,
     """
     if lambda_size < 2:
         raise HardyError("need at least two ontic states")
+    if lambda_size > MAX_LAMBDA_SIZE:
+        raise HardyError(f"lambda size must be in 2..{MAX_LAMBDA_SIZE}")
     if facts is None:
         facts = derive_zero_probability_facts()
     facts = tuple(facts)

@@ -38,14 +38,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
 from .models import ModelError, frac_str
-
-if TYPE_CHECKING:  # the toy theory is imported only by the CHSH demonstration
-    from .toy import CompositeToyState
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
 OUTCOME_LABELS = ("phi1", "phi2", "phi3", "phi4")
@@ -418,35 +415,21 @@ def _singlet_correlation(ka: int, kb: int):
     return val
 
 
-def _toy_observables():
-    """One +/-1 block observable per toy measurement; its negation is the other sign."""
-    from .toy import ALL_TOY_MEASUREMENTS
-
-    return [{s: sign for block, sign in zip(meas.partition, (1, -1)) for s in block}
-            for meas in ALL_TOY_MEASUREMENTS]
-
-
-def _toy_chsh_maximum(state: CompositeToyState, observables: Sequence[dict]) -> Fraction:
-    """max |S| over the signed settings (a1, a2, b1, b2), with S = c[a1][b1]
-    + c[a1][b2] + c[a2][b1] - c[a2][b2] and c the correlations as integer
-    numerators over |support|.  Each setting is +-1 times one of the
-    ``observables``, and C is their correlation matrix.  For fixed (a1, a2),
-    S = u[b1] + v[b2] with u = c[a1] + c[a2] and v = c[a1] - c[a2]; a sign on
-    b1 or b2 is free, so the best |S| is max |u| + max |v| over the
-    unsigned observables.  With a1 = s1 C_i and a2 = s2 C_k, a common sign
-    s1 = s2 leaves |u| and |v| unchanged, and s1 = -s2 swaps them, so
-    S_max = max over (i, k) of max_j |C_i + C_k|_j + max_j |C_i - C_k|_j."""
-    corr = [[sum(oa[a] * ob[b] for a, b in state.support) for ob in observables]
-            for oa in observables]
-    best = max(max(abs(x + y) for x, y in zip(c1, c2)) + max(abs(x - y) for x, y in zip(c1, c2))
-               for c1, c2 in itertools.product(corr, repeat=2))
-    return Fraction(best, len(state.support))
-
-
 def chsh_gap_demo() -> ChshReport:
     """Quantum singlet value at the maximal-violation angles vs the local
-    deterministic bound and the best any toy composite state can do."""
-    from .toy import kb_composites
+    deterministic bound and the best any toy composite state can do.
+
+    The toy's best is decided by an argument, not by enumerating composites
+    (arXiv:quant-ph/0401052).  A toy measurement's outcome is the block that
+    holds the ontic state, so once the four settings are fixed, each ontic
+    pair gives every setting a value +-1, and that pair's
+    S = A1(B1 + B2) + A2(B1 - B2) is +-2: one bracket is 0, the other +-2.
+    A composite's S is the mean of this over its uniform support, so
+    |S| <= 2 for every composite, knowledge-balanced or not.  The bound is
+    attained by 0 (x) 0 with Z for all four settings, where S = 2 Z Z on
+    every pair; that value is computed here, exactly, from the toy's tables.
+    """
+    from .toy import MEAS_Z_TOY, STATE_SUPPORT
 
     # settings: A at 0 and pi/2, B at pi/4 and -pi/4 (in eighths of pi)
     e = _singlet_correlation
@@ -455,7 +438,9 @@ def chsh_gap_demo() -> ChshReport:
     best_local = max(abs(a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2)
                      for a1, a2, b1, b2 in itertools.product((1, -1), repeat=4))
 
-    observables = _toy_observables()
-    toy_best = max(_toy_chsh_maximum(state, observables) for state in kb_composites())
+    # Z's value on each ontic state of 0's support: +1 on its first block
+    z = {lam: 1 if lam in MEAS_Z_TOY.partition[0] else -1 for lam in STATE_SUPPORT["0"]}
+    pairs = list(itertools.product(z, repeat=2))
+    toy_s = Fraction(sum(2 * z[a] * z[b] for a, b in pairs), len(pairs))
     return ChshReport(quantum_value=abs(s_exact.to_complex().real), s_exact=s_exact,
-                      local_bound=Fraction(best_local), toy_maximum=toy_best)
+                      local_bound=Fraction(best_local), toy_maximum=toy_s)

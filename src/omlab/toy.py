@@ -14,7 +14,6 @@ measurements reproducible and posteriors knowledge-balanced.  On a
 composite, ``steering_inference`` is that one update applied to Alice's
 coordinate, and ``no_signaling_check`` derives Bob's statistics from it, so
 an update that leaked into Bob's coordinate would show up as signaling.
-``kb_composites`` lists the 61 knowledge-balanced composite states.
 """
 
 from __future__ import annotations
@@ -383,17 +382,6 @@ def make_correlated(pairing: Mapping[int, int]) -> CompositeToyState:
 
 def product_composite(a: ToyEpistemicState, b: ToyEpistemicState) -> CompositeToyState:
     return CompositeToyState(frozenset(itertools.product(a.support, b.support)))
-
-
-def kb_composites() -> tuple:
-    """The 61 knowledge-balanced composite states: the 36 products of
-    2-element supports, the 24 correlated states (one per bijection) and
-    total ignorance."""
-    halves = [toy_state(*c) for c in itertools.combinations(STATES, 2)]
-    return (tuple(product_composite(a, b) for a, b in itertools.product(halves, repeat=2))
-            + tuple(make_correlated(dict(zip(STATES, image)))
-                    for image in itertools.permutations(STATES))
-            + (product_composite(IGNORANCE, IGNORANCE),))
 
 
 def marginal(state: CompositeToyState, party: int) -> dict:

@@ -39,7 +39,8 @@ class EagerParser:
     every option of its targets, absent unless given; after parsing, the first
     of them in declaration order that the named target does not take is a
     usage error of the verb's parser, and then any unrecognized argument is
-    one of the top-level parser."""
+    one of the top-level parser.  Before both, so is the first option, common
+    ones first, to which argparse gave no string value."""
 
     def __init__(self):
         common = argparse.ArgumentParser(add_help=False)
@@ -68,6 +69,9 @@ class EagerParser:
         verb_parser, declared = self.verbs[ns.verb]
         own = targets(ns.verb)[ns.target]
         given = vars(ns)
+        for opt in [*cli.COMMON, *declared]:  # argparse stores [] for "--opt=--"
+            if isinstance(given.get(opt.key), list):
+                verb_parser.error(f"argument {opt.flag}: expected one argument")
         foreign = [opt for opt in declared if opt.key in given and opt not in own]
         if foreign:
             takes = ", ".join(opt.flag for opt in own) or "none"
@@ -81,6 +85,10 @@ class EagerParser:
 # prefixes of --lambda-size and --lambda, which must not stand for them
 ABBREVIATED = [["nogo", "pbr", "--lambda", "3"], ["gaussian", "epr", "--lam", "2"],
                ["nogo", "pbr", "--l", "3"], ["gaussian", "epr", "--l", "2"]]
+
+# "--" as an "=" value, which argparse parses to []
+EMPTY_VALUE = [["--output=--", "nogo", "chsh"], ["--format=--", "nogo", "chsh"],
+               ["--seed=--", "verify", "noncomm"], ["nogo", "pbr", "--lambda-size=--"]]
 
 MALFORMED = [
     ["-h"], *([verb, "-h"] for verb in cli.VERBS), ["nogo", "pbr", "-h"],
@@ -96,6 +104,7 @@ MALFORMED = [
     ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
     # a negative value before the verb, which the top-level parser reads as a value
     ["--seed", "-5", "verify", "toy-born"],
+    *EMPTY_VALUE,
 ]
 
 # "=" forms, which the reader reads: a value that starts with a minus sign is
@@ -307,8 +316,20 @@ def test_every_recorded_arg_has_the_form_run_accepts():
                 if options[key].misfit(value) is not None] == [], argv
 
 
+@pytest.mark.parametrize("argv", EMPTY_VALUE, ids=" ".join)
+def test_a_dashes_value_is_a_usage_error(argv, capsys):
+    # before, argparse's [] reached the run: a TypeError from os.path.dirname
+    # for --output, a ReportError from emit for --format, a failed row for the rest
+    flag = next(arg for arg in argv if arg.endswith("=--")).partition("=")[0]
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 2
+    assert f"error: argument {flag}: expected one argument" in capsys.readouterr().err
+
+
 def test_reach_runs_one_foreign_option_per_verb_outside_the_lab_argvs(capsys):
-    argvs, lab = usage_argvs(), reach_argvs()
+    argvs, lab = [argv for argv in usage_argvs() if argv[0] in cli.VERBS], reach_argvs()
+    assert [argv for argv in usage_argvs() if argv not in argvs] == [EMPTY_VALUE[0]]
     assert sorted(argv[0] for argv in argvs) == sorted(
         {command.split(" ")[0] for command, _ in foreign_options()})
     for argv in argvs:

@@ -4,8 +4,9 @@ import dataclasses
 import itertools
 
 import pytest
+from lab_argvs import edge_argvs
 
-from omlab import hardy
+from omlab import cli, hardy
 from omlab.hardy import (
     DETECTORS,
     HardyError,
@@ -93,6 +94,18 @@ def test_a_shared_state_is_placed_even_when_it_meets_no_fact():
 def test_minimum_size_guard():
     with pytest.raises(HardyError):
         hardy.hardy_verdict(1)
+
+
+def test_maximum_size_guard_names_the_range():
+    # before, the escape padded any size with neutral states, all flagged
+    with pytest.raises(HardyError, match=r"^lambda size must be in 2\.\.8$"):
+        hardy.hardy_verdict(9, drop_invar=True)
+    argv = ["nogo", "hardy", "--lambda-size", "9"]
+    assert argv in edge_argvs()
+    (row,) = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))).checks
+    assert not row.passed
+    assert row.observed == "HardyError: lambda size must be in 2..8"
+    assert row.detail["origin"] == "omlab/hardy.py:hardy_verdict"
 
 
 # ------------------------------------------------------- brute-force oracle

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from pbr_oracle import grid_search, inner_feasibility, model_replay, witness_to_model
+from toy_composites import kb_composites
 
 from omlab import cli, pbr, quantum, toy
 from omlab.exact import INV_SQRT2, SQRT2, ExactComplex
@@ -642,19 +643,7 @@ def signed_toy_observables() -> list:
             for meas in toy.ALL_TOY_MEASUREMENTS for sign in (1, -1)]
 
 
-def test_toy_chsh_maximum_matches_brute_force():
-    # every signed setting (a1, a2, b1, b2), 6^4 of them, in Fractions
-    signed = signed_toy_observables()
-    observables = pbr._toy_observables()
-    for state in toy.kb_composites():
-        corr = [[F(sum(oa[a - 1] * ob[b - 1] for a, b in state.support), len(state.support))
-                 for ob in signed] for oa in signed]
-        brute = max(abs(corr[a1][b1] + corr[a1][b2] + corr[a2][b1] - corr[a2][b2])
-                    for a1, a2, b1, b2 in itertools.product(range(len(signed)), repeat=4))
-        assert pbr._toy_chsh_maximum(state, observables) == brute, state
-
-
-def test_toy_chsh_sign_reduction_holds_on_every_support():
+def test_toy_chsh_maximum_is_the_local_bound(monkeypatch):
     # all 65,535 nonempty sets of ontic pairs, knowledge-balanced or not,
     # against the 6^4 signed settings summed as integer numerators
     signed = np.array(signed_toy_observables(), dtype=np.int8)
@@ -668,8 +657,15 @@ def test_toy_chsh_sign_reduction_holds_on_every_support():
         s = (corr[:, a1, :, None] + corr[:, a1, None, :]
              + corr[:, a2, :, None] - corr[:, a2, None, :])
         brute = np.maximum(brute, np.abs(s).reshape(len(masks), -1).max(axis=1))
-    observables = pbr._toy_observables()
-    for mask, numerator, size in zip(masks.tolist(), brute.tolist(), cells.sum(axis=1).tolist()):
-        state = toy.CompositeToyState(frozenset(
-            pair for i, pair in enumerate(pairs) if mask >> i & 1))
-        assert pbr._toy_chsh_maximum(state, observables) == F(numerator, size), state
+    sizes = cells.sum(axis=1, dtype=np.int64)
+    assert (brute <= 2 * sizes).all()  # |S| <= 2 on every support
+    # the knowledge-balanced composites attain the bound, as the demo reports
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    index = [sum(bit[pair] for pair in state.support) - 1 for state in kb_composites()]
+    kb_best = max(F(int(brute[i]), int(sizes[i])) for i in index)
+    assert kb_best == pbr.chsh_gap_demo().toy_maximum == 2
+    # a relabelled 0 state is read by the demo: its S drops to 0
+    monkeypatch.setitem(toy.STATE_SUPPORT, "0", frozenset({1, 3}))
+    rows = {c.name: c.passed for c in cli.chsh_checks()}
+    assert rows == {"chsh quantum singlet value": True, "chsh local deterministic bound": True,
+                    "chsh toy composite maximum": False, "chsh gap positive": True}
