@@ -81,6 +81,7 @@ EDGE_ARGVS = [
 # it, and a "--" given as an "=" value: each is a usage error (exit 2), so it
 # yields no report and stays out of ``argvs()``.
 USAGE_ARGVS = [
+    ["verify", "toy-born", "--seed", "3"],
     ["nogo", "chsh", "--q", "1/2"],
     ["gaussian", "suite", "--squeeze", "9"],
     ["--output=--", "nogo", "chsh"],

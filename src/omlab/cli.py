@@ -4,8 +4,8 @@ Verbs mirror the library surface: ``verify`` replays the toy-theory
 demonstrations against exact expectations, ``simulate mz`` runs the
 interferometer in either formalism, ``nogo`` drives the constraint
 searches (expected-infeasible verdicts count as passes), and ``gaussian``
-exercises the restricted Liouville suite.  Exit status is 0 iff every
-check in the emitted report passed.
+exercises the restricted Liouville suite.  Exit status is 0 iff the
+emitted report has checks and every one passed.
 
 Each check function imports the omlab modules it runs, so that a process
 builds the classes of its own command's sector only: ``nogo pbr`` loads no
@@ -75,6 +75,64 @@ def toy_born_checks() -> list:
     return checks
 
 
+class _EachChoice:
+    """A stand-in rng for one branch of a sampler that draws once: ``choice``
+    returns element ``k`` of its argument and keeps the argument's length."""
+
+    def __init__(self, k: int):
+        self.k, self.n = k, None
+
+    def choice(self, seq):
+        if self.n is not None:
+            raise ValueError("the kernel enumerates one choice per measurement")
+        self.n = len(seq)
+        return seq[self.k]
+
+
+def _ontic_kernel(lam: int, meas) -> dict:
+    """(outcome block, resampled state) -> probability, for one ontic
+    measurement of ``lam``: each element ``choice`` draws has weight 1/len."""
+    from . import toy
+
+    kernel, k, n = {}, 0, 1
+    while k < n:
+        rng = _EachChoice(k)
+        out = toy.ontic_simulate_measurement(lam, meas, rng)
+        n = rng.n
+        kernel[out] = kernel.get(out, 0) + Fraction(1, n)
+        k += 1
+    return kernel
+
+
+def kernel_check() -> CheckResult:
+    """Each KB state pushed through the ontic kernel gives, for each
+    measurement, the Born outcome distribution and, given each outcome, the
+    updated epistemic state; the detail names the pairs where it does not."""
+    from . import toy
+
+    kernels = {(lam, m): _ontic_kernel(lam, m)
+               for lam in toy.STATES for m in toy.MEASUREMENT_TABLE.values()}
+    bad = []
+    for label, support in toy.STATE_SUPPORT.items():
+        state = toy.ToyEpistemicState(support)
+        for name, m in toy.MEASUREMENT_TABLE.items():
+            joint = {}  # (outcome block, resampled state) -> probability
+            for lam, p in zip(toy.STATES, state.probs):
+                for out, w in kernels[lam, m].items():
+                    joint[out] = joint.get(out, 0) + p * w
+            outcomes = {b: sum(w for (block, _), w in joint.items() if block == b)
+                        for b in m.partition}
+            if outcomes != toy.measurement_distribution(state, m) or any(
+                    tuple(joint.get((b, x), 0) / pb for x in toy.STATES)
+                    != toy.measure_update(state, m, b).probs
+                    for b, pb in outcomes.items() if pb):
+                bad.append(f"{name} on {label}")
+    n = len(toy.STATE_SUPPORT) * len(toy.MEASUREMENT_TABLE)
+    return _check("noncomm ontic kernel = Born outcomes + updated state",
+                  f"{n}/{n}", f"{n - len(bad)}/{n}", "DERIVED",
+                  detail={"mismatches": bad} if bad else None)
+
+
 def noncomm_checks(seed: int) -> list:
     from . import toy
 
@@ -91,20 +149,22 @@ def noncomm_checks(seed: int) -> list:
         _check("noncomm A repeated is certain", _dist_name(expect_aa),
                _dist_name(t.a_then_a), "PAPER"),
         _check("noncomm orderings differ", True, t.differs(), "PAPER"),
+        kernel_check(),
     ]
-    # seeded ontic replay of the B statistics on 1v2
+    # seeded ontic replay of the B statistics on 1v2; by Hoeffding a fair
+    # sampler leaves the band with probability at most delta
     rng = random.Random(seed)
-    n = 4000
+    n, delta = 4000, 1e-9
     hits = 0
     for _ in range(n):
         lam = rng.choice((1, 2))
         block, _ = toy.ontic_simulate_measurement(lam, toy.MEAS_X_TOY, rng)
         hits += block == frozenset({1, 3})
-    sigma = math.sqrt(0.25 / n)
-    checks.append(_check(f"noncomm sampled frequency (n={n}, 3-sigma)",
-                         "|freq-1/2| <= 3 sigma",
-                         f"{abs(hits / n - 0.5):.6f} vs {3 * sigma:.6f}",
-                         "DERIVED", passed=abs(hits / n - 0.5) <= 3 * sigma))
+    radius = math.sqrt(math.log(2 / delta) / (2 * n))
+    checks.append(_check(f"noncomm sampled frequency (n={n}, Hoeffding delta={delta:g})",
+                         "|freq-1/2| <= sqrt(ln(2/delta)/(2n))",
+                         f"{abs(hits / n - 0.5):.6f} vs {radius:.6f}",
+                         "DERIVED", passed=abs(hits / n - 0.5) <= radius))
     return checks
 
 
@@ -181,10 +241,11 @@ def no_signaling_checks() -> list:
 # --------------------------------------------------------------------------
 # simulate mz
 
-def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> list:
+def mz_checks(phase: str, model: str, source: str, theta: float | None) -> list:
     from . import exact, quantum, toy
 
     checks = []
+    phase_in = phase == "pi"
     want_q = {("first_splitter", True): ("1", Fraction(0), Fraction(1)),
               ("first_splitter", False): ("0", Fraction(1), Fraction(0)),
               ("upper_arm", True): (None, Fraction(1, 2), Fraction(1, 2)),
@@ -197,7 +258,13 @@ def mz_checks(phase_in: bool, model: str, source: str, theta: float | None) -> l
         checks.append(_check(f"mz quantum P(d1), P(d2) [{source}, phase={phase_in}]",
                              f"({_fmt(d1)}, {_fmt(d2)})", f"({_fmt(p1)}, {_fmt(p2)})",
                              "PAPER"))
-    if model in ("toy", "both") and source == "first_splitter":
+    if model in ("toy", "both") and source == "upper_arm":
+        dist = toy.measurement_distribution(toy.mz_toy_run(phase_in, source), toy.MEAS_Z_TOY)
+        t1, t2 = dist[frozenset({1, 2})], dist[frozenset({3, 4})]  # d1, d2
+        checks.append(_check(f"mz toy P(d1), P(d2) [{source}, phase={phase_in}]",
+                             f"({_fmt(d1)}, {_fmt(d2)})", f"({_fmt(t1)}, {_fmt(t2)})",
+                             "DERIVED"))
+    elif model in ("toy", "both"):
         toy_final = toy.mz_toy_run(phase_in)
         checks.append(_check(f"mz toy final state [phase={phase_in}]",
                              _support_name(toy.STATE_SUPPORT[label]),
@@ -340,18 +407,18 @@ def _conditioning_oracle(state, index: int, value: float):
     return mean, cov
 
 
-def gaussian_suite_checks(lam: float) -> list:
+def gaussian_suite_checks(hbar_like: float) -> list:
     import numpy as np
 
     from . import gaussian
 
     checks = []
-    boundary = gaussian.coherent_boundary(lam)
+    boundary = gaussian.coherent_boundary(hbar_like)
     v = gaussian.validity_check(boundary)
     checks.append(_check("gaussian boundary min eigenvalue", "0",
                          f"{v.min_eigenvalue:.3e}", "DERIVED",
                          passed=abs(v.min_eigenvalue) <= 1e-12))
-    tight = gaussian.GaussianEpistemicState(np.zeros(2), (lam / 10) * np.eye(2), lam)
+    tight = gaussian.GaussianEpistemicState(np.zeros(2), (hbar_like / 10) * np.eye(2), hbar_like)
     checks.append(_check("gaussian over-tight state invalid", False,
                          gaussian.validity_check(tight).valid, "DERIVED"))
     ent = gaussian.entropy(boundary)
@@ -359,11 +426,11 @@ def gaussian_suite_checks(lam: float) -> list:
     checks.append(_check("gaussian entropy closed form vs quadrature",
                          f"{ent:.9f}", f"{quad:.9f}", "DERIVED",
                          passed=abs(ent - quad) <= 1e-6))
-    epr = gaussian.epr_correlated(3.0, lam)
+    epr = gaussian.epr_correlated(3.0, hbar_like)
     checks.append(_check("gaussian EPR r=3 validity", True,
                          gaussian.validity_check(epr).valid, "DERIVED"))
     var = gaussian.epr_quadrature_variances(epr)
-    want = lam * math.exp(-6)
+    want = hbar_like * math.exp(-6)
     checks.append(_check("gaussian EPR var of difference quadrature",
                          f"{want:.12g}", f"{var['var_q_diff']:.12g}", "DERIVED",
                          passed=abs(var["var_q_diff"] - want) <= 1e-9))
@@ -378,7 +445,7 @@ def gaussian_suite_checks(lam: float) -> list:
                          res.bob_validity.valid, "DERIVED"))
     marg = gaussian.marginal_mode(epr, 0)
     checks.append(_check("gaussian EPR marginal variance grows", True,
-                         bool(marg.covariance[0, 0] >= lam * math.cosh(6) - 1e-9),
+                         bool(marg.covariance[0, 0] >= hbar_like * math.cosh(6) - 1e-9),
                          "DERIVED"))
     return checks
 
@@ -442,28 +509,27 @@ def _reads(parse, text) -> bool:
 
 class Option:
     """One CLI option, declared once: its flag, the ``RunConfig.args`` key it
-    fills, its default as a parsed value, the conversion from a parsed value
-    to an args value, and the rest of its argparse spec."""
+    fills, its default as an args value, and the rest of its argparse spec."""
 
-    def __init__(self, flag: str, key: str, default, to_arg=None, **spec):
+    def __init__(self, flag: str, key: str, default, **spec):
         self.flag = flag
         self.key = key
         self.default = default
-        self.to_arg = to_arg or (lambda value: value)
         self.spec = spec
 
     def misfit(self, value) -> str | None:
         """None if ``value`` has the form ``config_from_args`` gives this
         option's args value, else that form in words."""
         spec = self.spec
+        if value is None and (self.default is None or spec.get("type") is _fraction_or_none):
+            return None  # the option's absence, or a fraction option's 'none'
         if "choices" in spec:
-            allowed = [self.to_arg(choice) for choice in spec["choices"]]
-            fits = any(type(value) is type(a) and value == a for a in allowed)
-            return None if fits else "one of " + ", ".join(map(repr, allowed))
+            fits = isinstance(value, str) and value in spec["choices"]
+            return None if fits else "one of " + ", ".join(map(repr, spec["choices"]))
         if spec.get("action") == "store_true":
             return None if isinstance(value, bool) else "a bool"
         if spec["type"] is _fraction_or_none:
-            return None if value is None else _fraction_misfit(value)
+            return _fraction_misfit(value)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if spec["type"] is int:
             return None if number and isinstance(value, int) else "an int"
@@ -471,29 +537,29 @@ class Option:
 
 
 # the flags every command takes, before or after its verb
-COMMON = (Option("--seed", "seed", 0, type=int),
-          Option("--format", "format", "text", choices=("json", "text")),
+COMMON = (Option("--format", "format", "text", choices=("json", "text")),
           Option("--output", "output", None,
                  help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)"))
+SEED = Option("--seed", "seed", 0, type=int)
 LAMBDA_SIZE = Option("--lambda-size", "lambda_size", 4, type=int)
 LAMBDA = Option("--lambda", "hbar_like", 1.0, type=float,
                 help="uncertainty parameter, in [1e-300, 1e+280]")
 
-# "verb target" -> (options in --help order, checks given their args and the seed).
+# "verb target" -> (options in --help order, checks called with their args).
 # A verb's targets are its commands here, in order; its options, theirs.
 COMMANDS = {
-    "verify toy-born": ((), lambda a, seed: toy_born_checks()),
-    "verify noncomm": ((), lambda a, seed: noncomm_checks(seed)),
-    "verify combine-table": ((), lambda a, seed: combine_checks()),
-    "verify steering": ((), lambda a, seed: steering_checks()),
-    "verify no-signaling": ((), lambda a, seed: no_signaling_checks()),
+    "verify toy-born": ((), toy_born_checks),
+    "verify noncomm": ((SEED,), noncomm_checks),
+    "verify combine-table": ((), combine_checks),
+    "verify steering": ((), steering_checks),
+    "verify no-signaling": ((), no_signaling_checks),
     "simulate mz": ((
-        Option("--phase", "phase_in", "pi", lambda phase: phase == "pi", choices=("0", "pi")),
+        Option("--phase", "phase", "pi", choices=("0", "pi")),
         Option("--model", "model", "both", choices=("quantum", "toy", "both")),
         Option("--source", "source", "first_splitter", choices=("first_splitter", "upper_arm")),
         Option("--theta", "theta", None, type=float,
                help="extra float-mode run at an arbitrary phase"),
-    ), lambda a, seed: mz_checks(**a)),
+    ), mz_checks),
     "nogo pbr": ((
         Option("--q", "q", "1/4", type=_fraction_or_none,
                help="forced overlap floor as a fraction; 'none' disables"),
@@ -502,23 +568,32 @@ COMMANDS = {
         Option("--null-budget", "null_budget", None, type=_fraction_or_none,
                help="no-show budget as a fraction; enables the escape"),
         Option("--relax-product", "relax_product", False, action="store_true"),
-    ), lambda a, seed: pbr_checks(**a)),
+    ), pbr_checks),
     "nogo hardy": ((
         LAMBDA_SIZE,
         Option("--drop-invar", "drop_invar", False, action="store_true"),
-    ), lambda a, seed: hardy_checks(**a)),
-    "nogo chsh": ((), lambda a, seed: chsh_checks()),
+    ), hardy_checks),
+    "nogo chsh": ((), chsh_checks),
     # its EPR rows are fixed at r = 3 and a q reading of 1
-    "gaussian suite": ((LAMBDA,), lambda a, seed: gaussian_suite_checks(a["hbar_like"])),
+    "gaussian suite": ((LAMBDA,), gaussian_suite_checks),
     "gaussian epr": ((
         Option("--squeeze", "squeeze", 3.0, type=float, help="EPR squeezing r, in [0, 13]"),
         LAMBDA,
         Option("--measure", "measure", "q", choices=("q", "p")),
         Option("--value", "value", 1.0, type=float, help="the quadrature reading, finite"),
-    ), lambda a, seed: gaussian_epr_checks(**a)),
+    ), gaussian_epr_checks),
 }
-_DEMONSTRATIONS = [checks for name, (_, checks) in COMMANDS.items() if name.startswith("verify ")]
-COMMANDS["verify all"] = ((), lambda a, seed: [c for f in _DEMONSTRATIONS for c in f(a, seed)])
+_DEMONSTRATIONS = [entry for name, entry in COMMANDS.items() if name.startswith("verify ")]
+
+
+def verify_all_checks(**args) -> list:
+    """The demonstrations in table order, each given the args it declares."""
+    return [c for options, checks in _DEMONSTRATIONS
+            for c in checks(**{opt.key: args[opt.key] for opt in options})]
+
+
+COMMANDS["verify all"] = (tuple(dict.fromkeys(opt for options, _ in _DEMONSTRATIONS
+                                              for opt in options)), verify_all_checks)
 
 # verb -> help, in usage order
 VERBS = {"verify": "replay exact demonstrations", "simulate": "run the interferometer",
@@ -561,9 +636,8 @@ def _dispatch(config: RunConfig) -> list:
         form = declared[key].misfit(value)
         if form is not None:
             raise ValueError(f"{config.command!r} takes {key} as {form}, not {value!r}")
-    # an omitted arg takes the CLI default, converted as the CLI converts it
-    return checks({opt.key: config.args[opt.key] if opt.key in config.args
-                   else opt.to_arg(opt.default) for opt in options}, config.seed)
+    # an omitted arg takes the CLI default
+    return checks(**{opt.key: config.args.get(opt.key, opt.default) for opt in options})
 
 
 class NegativeNumber:
@@ -674,12 +748,9 @@ def build_parser() -> _Reader:
 
 def config_from_args(ns) -> RunConfig:
     command = f"{ns.verb} {ns.target}"
-    args = {opt.key: opt.to_arg(getattr(ns, opt.key, opt.default)) for opt in COMMANDS[command][0]}
-    if args.get("theta", 0) is None:
-        del args["theta"]  # recorded only when given
-    number_mode = "float" if ns.verb == "gaussian" or "theta" in args else "exact"
-    return RunConfig(command=command, args=args, seed=getattr(ns, "seed", 0),
-                     number_mode=number_mode, output=getattr(ns, "output", None))
+    args = {opt.key: getattr(ns, opt.key, opt.default) for opt in COMMANDS[command][0]}
+    number_mode = "float" if ns.verb == "gaussian" or args.get("theta") is not None else "exact"
+    return RunConfig(command, args, number_mode, getattr(ns, "output", None))
 
 
 def main(argv=None) -> int:

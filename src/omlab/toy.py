@@ -359,12 +359,16 @@ MZ_MIRRORS = ToyPermutation((3, 2, 1, 4))   # (1 3)
 MZ_PHASE = ToyPermutation((2, 1, 4, 3))     # (1 2)(3 4)
 
 
-def mz_toy_run(phase_in: bool) -> ToyEpistemicState:
+def mz_toy_run(phase_in: bool, source: str = "first_splitter") -> ToyEpistemicState:
     """Run the interferometer from 1v2: splitter, mirrors, the phase shifter
-    if ``phase_in``, splitter."""
+    if ``phase_in``, splitter.  From ``source="upper_arm"`` the state enters
+    the upper arm directly, so the first splitter is skipped."""
+    if source not in ("first_splitter", "upper_arm"):
+        raise ToyError(f"unknown source {source!r}")
     state = toy_state(1, 2)
+    first = (MZ_SPLITTER,) if source == "first_splitter" else ()
     phase = (MZ_PHASE,) if phase_in else ()
-    for perm in (MZ_SPLITTER, MZ_MIRRORS, *phase, MZ_SPLITTER):
+    for perm in (*first, MZ_MIRRORS, *phase, MZ_SPLITTER):
         state = apply_permutation(state, perm)
     return state
 

@@ -44,7 +44,6 @@ class EagerParser:
 
     def __init__(self):
         common = argparse.ArgumentParser(add_help=False)
-        common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
         common.add_argument("--output", default=argparse.SUPPRESS,
                             help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
@@ -88,14 +87,17 @@ ABBREVIATED = [["nogo", "pbr", "--lambda", "3"], ["gaussian", "epr", "--lam", "2
 
 # "--" as an "=" value, which argparse parses to []
 EMPTY_VALUE = [["--output=--", "nogo", "chsh"], ["--format=--", "nogo", "chsh"],
-               ["--seed=--", "verify", "noncomm"], ["nogo", "pbr", "--lambda-size=--"]]
+               ["verify", "noncomm", "--seed=--"], ["nogo", "pbr", "--lambda-size=--"]]
 
 MALFORMED = [
     ["-h"], *([verb, "-h"] for verb in cli.VERBS), ["nogo", "pbr", "-h"],
     [], ["frobnicate"], ["nogo"], ["nogo", "bell"],
     ["simulate", "mz", "--squeeze", "3"],
     *ABBREVIATED, ["--format", "xml", "nogo", "chsh"], ["nogo", "chsh", "--format", "xml"],
-    ["--seed", "1", "verify", "noncomm", "--seed", "2"], ["--seed", "x", "verify", "all"],
+    ["--format", "json", "verify", "noncomm", "--format", "text"],
+    ["verify", "noncomm", "--seed", "x"],
+    # --seed is an option of two commands, not a common one
+    ["--seed", "1", "verify", "noncomm"], ["nogo", "pbr", "--seed", "3"],
     ["nogo", "chsh", "--bogus"], ["nogo", "pbr", "--lambda-size", "four"],
     # options of the verb that the named target does not take
     ["gaussian", "suite", "--squeeze", "9"], ["nogo", "--q", "1/2", "chsh"],
@@ -103,13 +105,14 @@ MALFORMED = [
     ["gaussian", "suite", "--value", "nan", "--measure", "p"],
     ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
     # a negative value before the verb, which the top-level parser reads as a value
-    ["--seed", "-5", "verify", "toy-born"],
+    ["--output", "-5", "nogo", "chsh"],
     *EMPTY_VALUE,
 ]
 
 # "=" forms, which the reader reads: a value that starts with a minus sign is
 # taken as it stands, before the verb too
-EQUALS = [["--output=o.json", "nogo", "chsh"], ["--seed=-3", "nogo", "pbr", "--q=-1/2"],
+EQUALS = [["--output=o.json", "nogo", "chsh"], ["--output=-3", "nogo", "pbr", "--q=-1/2"],
+          ["verify", "all", "--seed=-3"],
           ["gaussian", "epr", "--value=-1e3", "--measure=p"],
           ["simulate", "mz", "--output=", "--phase=0"]]
 
@@ -299,12 +302,31 @@ def test_a_foreign_option_is_a_usage_error(command, opt, capsys):
             in capsys.readouterr().err)
 
 
+# the commands that sample nothing, and so take no --seed
+UNSEEDED = [command for command, (options, _) in cli.COMMANDS.items()
+            if cli.SEED not in options]
+
+
+def test_only_the_two_sampled_commands_take_a_seed():
+    assert [c for c in cli.COMMANDS if c not in UNSEEDED] == ["verify noncomm", "verify all"]
+    assert cli.SEED not in cli.COMMON and len(UNSEEDED) == 10
+
+
+@pytest.mark.parametrize("command", UNSEEDED)
+def test_a_seed_is_a_usage_error_of_every_other_command(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(command.split(" ") + ["--seed", "3"])
+    assert stop.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]  # the usage lines above may list --seed
+    verify = command.startswith("verify ")  # a verb with a command that takes --seed
+    assert (f"argument --seed: not an option of '{command}'" if verify
+            else "unrecognized arguments: --seed 3") in error
+
+
 def test_every_command_records_exactly_its_declared_options():
     for argv in reach_argvs():
         config = cli.config_from_args(cli.build_parser().parse_args(argv))
         declared = {opt.key for opt in cli.COMMANDS[config.command][0]}
-        if config.command == "simulate mz" and "--theta" not in argv:
-            declared.remove("theta")  # recorded only when given
         assert set(config.args) == declared, argv
 
 

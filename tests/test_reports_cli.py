@@ -42,7 +42,7 @@ def option(command, key):
 
 
 def small_report(passed=True):
-    config = RunConfig(command="verify toy-born", seed=3)
+    config = RunConfig(command="verify noncomm", args={"seed": 3})
     checks = (CheckResult("demo", "1", "1" if passed else "0", "TRIVIAL", passed),)
     return ReportDocument(config, checks, wall_clock_s=0.01)
 
@@ -52,8 +52,13 @@ def small_report(passed=True):
 def test_config_validation():
     with pytest.raises(ReportError):
         RunConfig(command="x", number_mode="decimal")
-    with pytest.raises(ReportError):
-        RunConfig(command="x", tolerance=0.0)
+
+
+def test_a_config_is_its_command_args_number_mode_and_output():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "command", "args", "number_mode", "output"]
+    assert set(load_schema()["properties"]["config"]["properties"]) == {
+        "command", "args", "number_mode", "output"}
 
 
 def test_check_provenance_validation():
@@ -61,11 +66,12 @@ def test_check_provenance_validation():
         CheckResult("n", "1", "1", "GUESSED", True)
 
 
-def test_empty_report_is_schema_valid():
-    config = RunConfig(command="verify toy-born")
-    doc = ReportDocument(config, (), 0.0).to_json()
+def test_empty_report_is_schema_valid_and_does_not_pass():
+    report = ReportDocument(RunConfig(command="verify toy-born"), (), 0.0)
+    doc = report.to_json()
     validate_report(doc)
     assert doc["checks"] == []
+    assert not report.all_passed  # a run that checked nothing shows nothing
 
 
 def test_package_schema_passes_its_meta_schema():
@@ -100,7 +106,7 @@ def base_reports() -> tuple:
     """Reports with each optional field present and absent: a row without a
     detail and one with a None detail, a failed run (a detail dict and an
     output path), a verdict's rows, and no rows at all."""
-    config = RunConfig(command="nogo pbr", args={"q": "7/2"}, seed=3, output="out.json")
+    config = RunConfig(command="nogo pbr", args={"q": "7/2"}, output="out.json")
     two_rows = small_report().to_json()
     two_rows["checks"].append(dict(two_rows["checks"][0], detail=None))
     return (two_rows, cli.run(config).to_json(), cli.run(RunConfig("nogo hardy")).to_json(),
@@ -155,7 +161,10 @@ def test_single_point_mutants_get_jsonschemas_verdict_and_one_of_its_paths(doc):
     (lambda schema: schema["properties"]["checks"]["items"]["properties"]["detail"].update(
         {"$ref": "#"}), "$ref"),
     (lambda schema: schema.update(additionalProperties={}), "additionalProperties"),
-], ids=["pattern", "$ref", "additionalProperties {}"])
+    # the schema bounds no value from below exclusively since config.tolerance went
+    (lambda schema: schema["properties"]["wall_clock_s"].update(exclusiveMinimum=0),
+     "exclusiveMinimum"),
+], ids=["pattern", "$ref", "additionalProperties {}", "exclusiveMinimum"])
 def test_unsupported_schema_keyword_is_a_report_error(monkeypatch, edit, keyword):
     schema = load_schema()
     edit(schema)
@@ -188,7 +197,7 @@ def _strip_clock(doc: dict) -> dict:
 
 
 def test_replay_determinism_byte_identical_minus_clock():
-    config = RunConfig(command="verify noncomm", seed=11)
+    config = RunConfig(command="verify noncomm", args={"seed": 11})
     a = cli.run(config).to_json()
     b = cli.run(config).to_json()
     assert json.dumps(_strip_clock(a), sort_keys=True) == \
@@ -196,10 +205,65 @@ def test_replay_determinism_byte_identical_minus_clock():
 
 
 def test_different_seeds_still_pass_but_may_differ():
-    a = cli.run(RunConfig(command="verify noncomm", seed=1)).to_json()
-    b = cli.run(RunConfig(command="verify noncomm", seed=2)).to_json()
+    a = cli.run(RunConfig(command="verify noncomm", args={"seed": 1})).to_json()
+    b = cli.run(RunConfig(command="verify noncomm", args={"seed": 2})).to_json()
     assert all(c["passed"] for c in a["checks"])
     assert all(c["passed"] for c in b["checks"])
+
+
+def test_a_reports_config_replays_its_run():
+    # the config read back from the report's JSON is all a rerun needs
+    for argv in reach_argvs():
+        doc = json.loads(emit(cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))),
+                              "json"))
+        c = doc["config"]
+        again = cli.run(RunConfig(c["command"], c["args"], c["number_mode"], c["output"]))
+        assert (json.dumps(_strip_clock(again.to_json()), sort_keys=True)
+                == json.dumps(_strip_clock(doc), sort_keys=True)), argv
+
+
+KERNEL_ROW = "noncomm ontic kernel = Born outcomes + updated state"
+SAMPLED_ROW = "noncomm sampled frequency (n=4000, Hoeffding delta=1e-09)"
+
+
+def noncomm_rows(seed=54) -> dict:
+    return {c.name: c for c in cli.noncomm_checks(seed)}
+
+
+@pytest.mark.parametrize("command", ["noncomm", "all"])
+def test_seed_54_passes(command, capsys):
+    # the old 3-sigma band, |freq - 1/2| <= 0.0237, failed this seed's 0.0255
+    assert cli.main(["verify", command, "--seed", "54"]) == 0
+    capsys.readouterr()
+    rows = noncomm_rows()
+    assert rows[KERNEL_ROW].observed == "18/18"
+    assert rows[SAMPLED_ROW].observed == "0.025500 vs 0.051740"
+
+
+def test_a_sampler_biased_to_three_fifths_fails_both_noncomm_rows(monkeypatch):
+    from omlab import toy
+
+    def biased(lam, meas, rng):
+        # the first block with probability 3/5, whatever lam is
+        first, second = meas.partition
+        return rng.choice([(first, x) for x in (*sorted(first), min(first))]
+                          + [(second, x) for x in sorted(second)])
+
+    monkeypatch.setattr(toy, "ontic_simulate_measurement", biased)
+    rows = noncomm_rows()
+    assert not rows[KERNEL_ROW].passed and rows[KERNEL_ROW].observed == "0/18"
+    assert not rows[SAMPLED_ROW].passed
+
+
+def test_a_sampler_that_resamples_outside_the_block_fails_the_kernel_row(monkeypatch):
+    from omlab import toy
+
+    monkeypatch.setattr(toy, "ontic_simulate_measurement",
+                        lambda lam, meas, rng: (meas.block_of(lam), rng.choice(toy.STATES)))
+    rows = noncomm_rows()
+    assert not rows[KERNEL_ROW].passed
+    assert rows[KERNEL_ROW].detail["mismatches"][:2] == ["Z on 0", "X on 0"]
+    assert rows[SAMPLED_ROW].passed  # the outcomes alone are right
 
 
 # ------------------------------------------------------------- dispatch
@@ -239,14 +303,15 @@ def test_an_undeclared_arg_fails_naming_it_and_the_command():
 
 # (command, key, value): a value of a form that no command line gives the key,
 # and a list for every key of the table
-MISFITS = [("simulate mz", "model", "bogus"), ("simulate mz", "phase_in", "pi"),
-           ("simulate mz", "phase_in", 1), ("simulate mz", "theta", "0.5"),
-           ("simulate mz", "theta", None), ("nogo hardy", "lambda_size", "4"),
+MISFITS = [("simulate mz", "model", "bogus"), ("simulate mz", "phase", True),
+           ("simulate mz", "phase", 0), ("simulate mz", "theta", "0.5"),
+           ("simulate mz", "model", None), ("nogo hardy", "lambda_size", "4"),
            ("nogo hardy", "lambda_size", 4.0), ("nogo hardy", "drop_invar", 1),
            ("nogo pbr", "lambda_size", True), ("nogo pbr", "q", 0.25),
            ("nogo pbr", "null_budget", "1/0"), ("nogo pbr", "null_budget", "none"),
            ("gaussian epr", "squeeze", "3"), ("gaussian epr", "value", False),
-           ("gaussian suite", "hbar_like", "1")] + [
+           ("gaussian suite", "hbar_like", "1"), ("verify noncomm", "seed", "3"),
+           ("verify all", "seed", 1.0)] + [
     (command, opt.key, [1]) for command, (options, _) in cli.COMMANDS.items() for opt in options]
 
 
@@ -345,10 +410,34 @@ def test_mz_float_theta_check(capsys):
 def test_exit_status_reflects_failures(monkeypatch, capsys):
     # square an impossible expectation through the dispatcher
     monkeypatch.setitem(cli.COMMANDS, "verify toy-born",
-                        ((), lambda args, seed: [CheckResult("forced", "1", "0",
-                                                             "TRIVIAL", False)]))
+                        ((), lambda: [CheckResult("forced", "1", "0", "TRIVIAL", False)]))
     assert cli.main(["verify", "toy-born"]) == 1
     capsys.readouterr()
+
+
+def test_a_run_with_no_checks_exits_one(monkeypatch, capsys):
+    monkeypatch.setitem(cli.COMMANDS, "verify toy-born", ((), lambda: []))
+    assert cli.main(["verify", "toy-born"]) == 1
+    assert "0/0 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("phase", ["0", "pi"])
+def test_the_toy_from_the_upper_arm_reaches_each_detector_half_the_time(phase, monkeypatch,
+                                                                       capsys):
+    from omlab import toy
+
+    # before, the toy model had no upper-arm row: "0/0 checks passed", exit 0
+    assert cli.main(["simulate", "mz", "--model", "toy", "--source", "upper_arm",
+                     "--phase", phase]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
+    (row,) = cli.mz_checks(phase, "toy", "upper_arm", None)
+    assert row.name == f"mz toy P(d1), P(d2) [upper_arm, phase={phase == 'pi'}]"
+    assert (row.expected, row.observed, row.passed) == ("(1/2, 1/2)", "(1/2, 1/2)", True)
+    # through the first splitter the toy ends in 0 or 1: one detector, surely
+    run = toy.mz_toy_run
+    monkeypatch.setattr(toy, "mz_toy_run", lambda phase_in, source: run(phase_in))
+    (row,) = cli.mz_checks(phase, "toy", "upper_arm", None)
+    assert not row.passed
 
 
 def test_gaussian_json_reports_are_schema_valid(capsys):
@@ -596,8 +685,8 @@ def test_mz_and_hardy_facts_check_no_basis(monkeypatch):
 
     monkeypatch.setattr(quantum, "gram_defects", forbidden)
     assert cli.zero_facts_check(hardy.derive_zero_probability_facts()).passed
-    for phase_in, source in itertools.product((False, True), ("first_splitter", "upper_arm")):
-        assert all(c.passed for c in cli.mz_checks(phase_in, "both", source, 1.0))
+    for phase, source in itertools.product(("0", "pi"), ("first_splitter", "upper_arm")):
+        assert all(c.passed for c in cli.mz_checks(phase, "both", source, 1.0))
 
 
 def modules_loaded(probes, module: str) -> list:
@@ -658,9 +747,10 @@ def test_a_command_loads_only_the_sector_modules_it_runs(module):
 
 
 # A well-formed command line is read without argparse, and so without the
-# gettext and locale it imports.  A negative seed before the verb is a form
-# only argparse reads: the control that the probe sees the imports.
-ARGPARSE_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--seed", "-5", "verify", "toy-born"])
+# gettext and locale it imports.  A flag given both before and after the verb
+# is a form only argparse reads: the control that the probe sees the imports.
+ARGPARSE_PROBES = (["nogo", "pbr"], ["verify", "all"],
+                   ["--format", "json", "verify", "toy-born", "--format", "text"])
 
 
 @pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])

@@ -272,6 +272,11 @@ def test_analogy_failure_crossed_pair():
 def test_mz_toy_runs():
     assert toy.mz_toy_run(True).support == {3, 4}
     assert toy.mz_toy_run(False).support == {1, 2}
+    # from the upper arm: mirrors, the phase shifter if in, splitter
+    assert toy.mz_toy_run(True, "upper_arm").support == {1, 4}
+    assert toy.mz_toy_run(False, "upper_arm").support == {2, 3}
+    with pytest.raises(ToyError, match="unknown source"):
+        toy.mz_toy_run(True, "lower_arm")
 
 
 def test_mz_toy_quantum_correspondence():
