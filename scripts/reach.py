@@ -78,13 +78,15 @@ EDGE_ARGVS = [
 ]
 
 # One option per verb that has options, given to a target that does not take
-# it, and a "--" given as an "=" value: each is a usage error (exit 2), so it
-# yields no report and stays out of ``argvs()``.
+# it, a "--" given as an "=" value and a command's option given before the
+# verb: each is a usage error (exit 2), so it yields no report and stays out
+# of ``argvs()``.
 USAGE_ARGVS = [
     ["verify", "toy-born", "--seed", "3"],
     ["nogo", "chsh", "--q", "1/2"],
     ["gaussian", "suite", "--squeeze", "9"],
     ["--output=--", "nogo", "chsh"],
+    ["--seed", "3", "verify", "noncomm"],
 ]
 
 

@@ -485,7 +485,7 @@ def _fraction_misfit(text) -> str | None:
 
 def _fraction_or_none(text):
     """An argparse type: a fraction in lowest terms, or None for 'none'."""
-    if text in ("", "none", "None"):
+    if text in ("none", "None"):
         return None
     try:
         return str(Fraction(text))
@@ -601,10 +601,14 @@ VERBS = {"verify": "replay exact demonstrations", "simulate": "run the interfero
 
 
 def run(config: RunConfig) -> ReportDocument:
-    """Execute the configured command and assemble the report document."""
+    """Execute the configured command and assemble the report document, whose
+    config is ``config`` with its args resolved by ``_dispatch``, or as given
+    if they do not resolve."""
     start = time.perf_counter()
     try:
-        checks = _dispatch(config)
+        args = _dispatch(config)
+        config = replace(config, args=args)
+        checks = COMMANDS[config.command][1](**args)
     except Exception as exc:  # surface module errors as failed checks
         checks = [CheckResult("run completed without errors", "no exception",
                               f"{type(exc).__name__}: {exc}", "TRIVIAL", False,
@@ -624,10 +628,14 @@ def _origin(exc: Exception) -> str:
     return f"{Path(frame.filename).resolve().relative_to(package.parent).as_posix()}:{frame.name}"
 
 
-def _dispatch(config: RunConfig) -> list:
+def _dispatch(config: RunConfig) -> dict:
+    """The args ``config``'s command is run with: each given one, checked
+    against the command's declared options, and each omitted one at its
+    default.  A command or arg that ``COMMANDS`` does not declare, or a value
+    of the wrong form, raises ValueError."""
     if config.command not in COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    options, checks = COMMANDS[config.command]
+    options = COMMANDS[config.command][0]
     declared = {opt.key: opt for opt in options}
     for key, value in config.args.items():
         if key not in declared:
@@ -636,8 +644,7 @@ def _dispatch(config: RunConfig) -> list:
         form = declared[key].misfit(value)
         if form is not None:
             raise ValueError(f"{config.command!r} takes {key} as {form}, not {value!r}")
-    # an omitted arg takes the CLI default
-    return checks(**{opt.key: config.args.get(opt.key, opt.default) for opt in options})
+    return {opt.key: config.args.get(opt.key, opt.default) for opt in options}
 
 
 class NegativeNumber:
@@ -702,15 +709,23 @@ class _Reader:
 
 
 def _argparse(argv):
-    """Parse ``argv`` with argparse, every verb's parser built by ``add_parser``.  An
-    option given no string value (argparse stores ``[]`` for ``--opt=--``) and an
-    option of the verb that the named target does not take are usage errors."""
+    """Parse ``argv`` with argparse, every verb's parser built by ``add_parser``.  A
+    command's option given before the verb, an option given no string value (argparse
+    stores ``[]`` for ``--opt=--``) and an option of the verb that the named target
+    does not take are usage errors."""
     import argparse
 
     def declare(parser, options):
         for opt in options:
             parser.add_argument(opt.flag, dest=opt.key, default=argparse.SUPPRESS, **opt.spec)
         return parser
+
+    class AfterTheCommand(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            takers = [repr(c) for c, (options, _) in COMMANDS.items()
+                      if any(opt.flag == option_string for opt in options)]
+            raise argparse.ArgumentError(
+                self, f"an option of {' and '.join(takers)}, which goes after the command")
 
     # Common flags live in a parent so they parse both before and after the
     # verb; SUPPRESS keeps subparser defaults from clobbering values.
@@ -719,6 +734,11 @@ def _argparse(argv):
     parser = argparse.ArgumentParser(
         prog="omlab", parents=[common], allow_abbrev=False,
         description="desk-scale checks for ontological models of quantum theory")
+    # the top-level parser reads only what comes before the verb, where a
+    # command's option is a usage error that says where the option goes
+    for flag in dict.fromkeys(opt.flag for options, _ in COMMANDS.values() for opt in options):
+        parser.add_argument(flag, nargs="?", action=AfterTheCommand,
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     verbs = parser.add_subparsers(dest="verb", required=True)
     for verb, help_text in VERBS.items():
         p = verbs.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
@@ -747,10 +767,11 @@ def build_parser() -> _Reader:
 
 
 def config_from_args(ns) -> RunConfig:
+    """The command line's config: its command and the options it gave;
+    ``cli.run`` gives the others their defaults."""
     command = f"{ns.verb} {ns.target}"
-    args = {opt.key: getattr(ns, opt.key, opt.default) for opt in COMMANDS[command][0]}
-    number_mode = "float" if ns.verb == "gaussian" or args.get("theta") is not None else "exact"
-    return RunConfig(command, args, number_mode, getattr(ns, "output", None))
+    args = {opt.key: getattr(ns, opt.key) for opt in COMMANDS[command][0] if hasattr(ns, opt.key)}
+    return RunConfig(command, args, output=getattr(ns, "output", None))
 
 
 def main(argv=None) -> int:

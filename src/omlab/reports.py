@@ -1,9 +1,9 @@
 """Run configuration and structured, replayable report documents.
 
 Every CLI run produces a ReportDocument: the echoed configuration, one row
-per check (expected vs observed, a provenance tag and a pass flag), a
-version stamp and the wall clock.  JSON serialization is deterministic
-(sorted keys), so identical configs emit byte-identical
+per check (expected vs observed, a provenance tag and a pass flag) and the
+wall clock, stamped with ``omlab.__version__``.  JSON serialization is
+deterministic (sorted keys), so identical configs emit byte-identical
 documents apart from the wall-clock field.  The document shape is pinned
 by ``schemas/report-v1.schema.json``.  ``validate_report`` checks each JSON
 report against it, interpreting the draft 2020-12 keywords it uses as
@@ -15,7 +15,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from . import __version__
 
@@ -29,17 +29,22 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What a run was asked to do: the command, its args, the number mode,
-    and where its report is written."""
+    """What a run is: the command, its args and where its report is written.
+    A report's config has every arg of its command, an omitted one at its
+    default; its number mode follows from the command and the args."""
 
     command: str
     args: dict = field(default_factory=dict)
-    number_mode: str = "exact"
+    _: KW_ONLY
     output: str | None = None
 
-    def __post_init__(self):
-        if self.number_mode not in ("exact", "float"):
-            raise ReportError("number_mode must be 'exact' or 'float'")
+    @property
+    def number_mode(self) -> str:
+        """'float' for the Gaussian commands and for ``simulate mz`` given a
+        theta, else 'exact'."""
+        floats = (self.command.startswith("gaussian ")
+                  or self.command == "simulate mz" and self.args.get("theta") is not None)
+        return "float" if floats else "exact"
 
     def to_json(self) -> dict:
         return {
@@ -81,13 +86,12 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """A run's config, its checks, its wall-clock seconds and the omlab
-    version that produced it."""
+    """A run's config, its checks and its wall-clock seconds; its JSON and
+    text carry the omlab version that produced it."""
 
     config: RunConfig
     checks: tuple
     wall_clock_s: float
-    version: str = __version__
 
     @property
     def all_passed(self) -> bool:
@@ -97,7 +101,7 @@ class ReportDocument:
     def to_json(self) -> dict:
         return {
             "schema": SCHEMA_ID,
-            "version": self.version,
+            "version": __version__,
             "config": self.config.to_json(),
             "checks": [c.to_json() for c in self.checks],
             "wall_clock_s": self.wall_clock_s,
@@ -211,7 +215,7 @@ def emit(report: ReportDocument, fmt: str = "json") -> str:
         validate_report(doc)
         return json.dumps(doc, sort_keys=True, indent=2)
     if fmt == "text":
-        lines = [f"omlab {report.version} :: {report.config.command}"]
+        lines = [f"omlab {__version__} :: {report.config.command}"]
         for c in report.checks:
             flag = "PASS" if c.passed else "FAIL"
             lines.append(f"[{flag}] {c.name}: expected {c.expected}, "

@@ -32,15 +32,27 @@ NEGATIVE_FLOAT = re.compile(rf"-(?:(?:(?:{DIGITS})?\.{DIGITS}|{DIGITS}\.?)(?:[eE
                             r"|(?i:inf(?:inity)?|nan))\Z")
 
 
+class BeforeTheVerb(argparse.Action):
+    """A command's option, seen by the top-level parser, which parses only
+    what comes before the verb: a usage error naming the commands that take it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        takers = " and ".join(f"'{command}'" for command, (options, _) in cli.COMMANDS.items()
+                              if option_string in [opt.flag for opt in options])
+        parser.error(f"argument {option_string}: an option of {takers}, "
+                     "which goes after the command")
+
+
 class EagerParser:
     """The reference: one parser per verb of ``cli.VERBS``, all built up front
-    with ``add_parser``, as argparse documents subcommands.  A verb's parser
-    takes every negative number of the float grammar as a value, and declares
-    every option of its targets, absent unless given; after parsing, the first
-    of them in declaration order that the named target does not take is a
-    usage error of the verb's parser, and then any unrecognized argument is
-    one of the top-level parser.  Before both, so is the first option, common
-    ones first, to which argparse gave no string value."""
+    with ``add_parser``, as argparse documents subcommands.  The top-level
+    parser takes each command's option, unlisted, as a usage error.  A verb's
+    parser takes every negative number of the float grammar as a value, and
+    declares every option of its targets, absent unless given; after parsing,
+    the first of them in declaration order that the named target does not
+    take is a usage error of the verb's parser, and then any unrecognized
+    argument is one of the top-level parser.  Before both, so is the first
+    option, common ones first, to which argparse gave no string value."""
 
     def __init__(self):
         common = argparse.ArgumentParser(add_help=False)
@@ -50,6 +62,10 @@ class EagerParser:
         self.parser = argparse.ArgumentParser(
             prog="omlab", parents=[common], allow_abbrev=False,
             description="desk-scale checks for ontological models of quantum theory")
+        for flag in dict.fromkeys(opt.flag for options, _ in cli.COMMANDS.values()
+                                  for opt in options):
+            self.parser.add_argument(flag, nargs="?", action=BeforeTheVerb,
+                                     default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         sub = self.parser.add_subparsers(dest="verb", required=True)
         self.verbs = {}
         for verb, help_text in cli.VERBS.items():
@@ -98,6 +114,9 @@ MALFORMED = [
     ["verify", "noncomm", "--seed", "x"],
     # --seed is an option of two commands, not a common one
     ["--seed", "1", "verify", "noncomm"], ["nogo", "pbr", "--seed", "3"],
+    # a command's option before the verb, with a value, none, or a common flag first
+    ["--lambda-size=3", "nogo", "pbr"], ["--relax-product", "nogo", "pbr"],
+    ["--output", "o.json", "--q", "nogo", "pbr"], ["--theta", "-1", "simulate", "mz"],
     ["nogo", "chsh", "--bogus"], ["nogo", "pbr", "--lambda-size", "four"],
     # options of the verb that the named target does not take
     ["gaussian", "suite", "--squeeze", "9"], ["nogo", "--q", "1/2", "chsh"],
@@ -323,11 +342,33 @@ def test_a_seed_is_a_usage_error_of_every_other_command(command, capsys):
             else "unrecognized arguments: --seed 3") in error
 
 
+def takers(flag) -> list:
+    """The commands of ``cli.COMMANDS`` that take ``flag``, in table order."""
+    return [command for command, (options, _) in cli.COMMANDS.items()
+            if flag in [opt.flag for opt in options]]
+
+
+@pytest.mark.parametrize("flag", dict.fromkeys(opt.flag for opt in ALL_OPTIONS
+                                               if opt not in cli.COMMON))
+def test_a_commands_option_before_the_verb_names_the_commands_that_take_it(flag, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([flag, "3", *takers(flag)[0].split(" ")])
+    assert stop.value.code == 2
+    named = " and ".join(f"'{c}'" for c in takers(flag))
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"omlab: error: argument {flag}: an option of {named}, which goes after the command")
+
+
 def test_every_command_records_exactly_its_declared_options():
     for argv in reach_argvs():
-        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        config = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))).config
         declared = {opt.key for opt in cli.COMMANDS[config.command][0]}
         assert set(config.args) == declared, argv
+
+
+def test_a_command_lines_config_records_only_the_options_it_gave():
+    ns = cli.build_parser().parse_args(["nogo", "pbr", "--lambda-size", "5", "--relax-product"])
+    assert cli.config_from_args(ns).args == {"lambda_size": 5, "relax_product": True}
 
 
 def test_every_recorded_arg_has_the_form_run_accepts():
@@ -351,7 +392,8 @@ def test_a_dashes_value_is_a_usage_error(argv, capsys):
 
 def test_reach_runs_one_foreign_option_per_verb_outside_the_lab_argvs(capsys):
     argvs, lab = [argv for argv in usage_argvs() if argv[0] in cli.VERBS], reach_argvs()
-    assert [argv for argv in usage_argvs() if argv not in argvs] == [EMPTY_VALUE[0]]
+    assert [argv for argv in usage_argvs() if argv not in argvs] == [
+        EMPTY_VALUE[0], ["--seed", "3", "verify", "noncomm"]]
     assert sorted(argv[0] for argv in argvs) == sorted(
         {command.split(" ")[0] for command, _ in foreign_options()})
     for argv in argvs:

@@ -49,16 +49,41 @@ def small_report(passed=True):
 
 # ------------------------------------------------------------- documents
 
-def test_config_validation():
-    with pytest.raises(ReportError):
-        RunConfig(command="x", number_mode="decimal")
-
-
-def test_a_config_is_its_command_args_number_mode_and_output():
-    assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "command", "args", "number_mode", "output"]
+def test_a_config_is_its_command_args_and_output():
+    assert [(f.name, f.kw_only) for f in dataclasses.fields(RunConfig)] == [
+        ("command", False), ("args", False), ("output", True)]
+    assert [f.name for f in dataclasses.fields(ReportDocument)] == [
+        "config", "checks", "wall_clock_s"]
+    # the report's config carries number_mode too, derived from the other two
     assert set(load_schema()["properties"]["config"]["properties"]) == {
         "command", "args", "number_mode", "output"}
+
+
+def test_a_third_positional_argument_does_not_fill_output():
+    # a call written when number_mode was the third field
+    with pytest.raises(TypeError):
+        RunConfig("x", {}, "exact")
+
+
+@pytest.mark.parametrize("config, mode", [
+    (RunConfig("gaussian suite", {"hbar_like": 1}), "float"),
+    (RunConfig("gaussian epr"), "float"),
+    (RunConfig("simulate mz", {"theta": 1.0}), "float"),
+    (RunConfig("simulate mz", {"theta": None}), "exact"),
+    (RunConfig("simulate mz"), "exact"),
+])
+def test_a_reports_number_mode_follows_from_its_command_and_args(config, mode):
+    report = cli.run(config)
+    assert report.all_passed
+    assert (config.number_mode, report.to_json()["config"]["number_mode"]) == (mode, mode)
+
+
+def test_a_config_that_does_not_resolve_is_echoed_as_given():
+    config = RunConfig("nogo chsh", {"seed": 3}, output="o.json")
+    report = cli.run(config)
+    assert report.config is config and not report.all_passed
+    assert report.to_json()["config"] == {"command": "nogo chsh", "args": {"seed": 3},
+                                          "number_mode": "exact", "output": "o.json"}
 
 
 def test_check_provenance_validation():
@@ -217,7 +242,7 @@ def test_a_reports_config_replays_its_run():
         doc = json.loads(emit(cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))),
                               "json"))
         c = doc["config"]
-        again = cli.run(RunConfig(c["command"], c["args"], c["number_mode"], c["output"]))
+        again = cli.run(RunConfig(c["command"], c["args"], output=c["output"]))
         assert (json.dumps(_strip_clock(again.to_json()), sort_keys=True)
                 == json.dumps(_strip_clock(doc), sort_keys=True)), argv
 
@@ -760,9 +785,10 @@ def test_a_well_formed_command_line_loads_no_argparse(module):
 
 @pytest.mark.parametrize("verb, target", [command.split(" ") for command in cli.COMMANDS])
 def test_omitted_args_take_the_cli_defaults(verb, target):
+    # the whole report, config and all, is the bare command line's
     bare = cli.run(cli.config_from_args(cli.build_parser().parse_args([verb, target])))
     omitted = cli.run(RunConfig(command=f"{verb} {target}"))
-    assert [c.to_json() for c in omitted.checks] == [c.to_json() for c in bare.checks]
+    assert _strip_clock(omitted.to_json()) == _strip_clock(bare.to_json())
 
 
 @pytest.mark.parametrize("flag", ["--q", "--null-budget"])
@@ -793,3 +819,14 @@ def test_malformed_fraction_is_a_usage_error(flag, value, capsys):
         cli.main(["nogo", "pbr", flag, value])
     assert stop.value.code == 2
     assert f"argument {flag}: invalid fraction value: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--q="], ["--q", ""], ["--null-budget="],
+                                  ["--null-budget", ""]], ids=repr)
+def test_a_blank_fraction_is_a_usage_error_not_none(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["nogo", "pbr", *argv])
+    assert stop.value.code == 2
+    flag = argv[0].rstrip("=")
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == f"omlab nogo: error: argument {flag}: invalid fraction value: ''")
