@@ -11,8 +11,10 @@ no report.  Each runs in process through ``cli.main`` under
 omlab is imported under the same trace, so module-level code counts as
 reached.
 
-For each module the script prints its statements (``ast`` statements,
-docstrings left out) and how many of them the trace reached.  Then it lists
+It prints how many command lines of each group reached ``cli._argparse``,
+which parses every form but the one the lab issues.  For each module it
+prints its statements (``ast`` statements, docstrings left out) and how
+many of them the trace reached.  Then it lists
 every function, method or class whose body no command line enters.  A
 function is entered when it is called.  A class is entered when one of its
 own functions is, when a method runs on one of its instances, or when one of
@@ -28,7 +30,7 @@ import contextlib
 import io
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # the script writes nothing
@@ -97,13 +99,13 @@ class Reach:
     def __init__(self):
         self.prefix = str(PACKAGE) + os.sep
         self.lines = defaultdict(set)   # file -> line numbers of line events
-        self.entered = set()            # (file, co_firstlineno)
+        self.entered = Counter()        # (file, co_firstlineno) -> calls
         self.types = set()
 
     def call(self, frame, event, arg):
         code = frame.f_code
         if code.co_filename.startswith(self.prefix):
-            self.entered.add((code.co_filename, code.co_firstlineno))
+            self.entered[code.co_filename, code.co_firstlineno] += 1
             self._note_self(frame)
             return self.local
         if code.co_filename == "<string>":  # dataclass-generated methods
@@ -211,11 +213,14 @@ def main() -> int:
     try:
         from omlab import cli
 
+        code = cli._argparse.__code__
+        argparse_key = (code.co_filename, code.co_firstlineno)  # one call per command line
         runs = argvs()
         codes = []
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(cli.main(argv))
+        argparsed = reach.entered[argparse_key]
         usage_codes = []
         for argv in USAGE_ARGVS:
             try:
@@ -226,9 +231,10 @@ def main() -> int:
     finally:
         sys.settrace(None)
     print(f"{len(runs)} command lines: {codes.count(0)} exit 0, "
-          f"{len(codes) - codes.count(0)} exit 1")
+          f"{len(codes) - codes.count(0)} exit 1; {argparsed} reached argparse")
     print(f"{len(USAGE_ARGVS)} usage errors, exit "
-          + ", ".join(str(code) for code in sorted(set(usage_codes))))
+          + ", ".join(str(code) for code in sorted(set(usage_codes)))
+          + f"; {reach.entered[argparse_key] - argparsed} reached argparse")
     print(f"{'module':14s} {'statements':>10s} {'reached':>8s}")
     total = [0, 0]
     dead = []

@@ -1,5 +1,5 @@
-"""The command-line parser: ``cli.build_parser`` reads a well-formed command
-line without argparse, and parses, helps and fails exactly as an argparse
+"""The command-line parser: ``cli.build_parser`` reads the one form the lab
+issues without argparse, and parses, helps and fails exactly as an argparse
 parser built for every verb up front does; a command takes only its own
 options."""
 
@@ -8,6 +8,8 @@ import contextlib
 import io
 import os
 import re
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -43,6 +45,13 @@ class BeforeTheVerb(argparse.Action):
                      "which goes after the command")
 
 
+def path(text):
+    """The type of ``--output``: a blank path is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"invalid path value: {text!r}")
+    return text
+
+
 class EagerParser:
     """The reference: one parser per verb of ``cli.VERBS``, all built up front
     with ``add_parser``, as argparse documents subcommands.  The top-level
@@ -52,12 +61,13 @@ class EagerParser:
     the first of them in declaration order that the named target does not
     take is a usage error of the verb's parser, and then any unrecognized
     argument is one of the top-level parser.  Before both, so is the first
-    option, common ones first, to which argparse gave no string value."""
+    option, common ones first, to which argparse gave no string value.  A
+    blank ``--output`` is a usage error too."""
 
     def __init__(self):
         common = argparse.ArgumentParser(add_help=False)
         common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-        common.add_argument("--output", default=argparse.SUPPRESS,
+        common.add_argument("--output", type=path, default=argparse.SUPPRESS,
                             help="write report here (default: $OMLAB_OUTPUT_DIR/<cmd>.<fmt>)")
         self.parser = argparse.ArgumentParser(
             prog="omlab", parents=[common], allow_abbrev=False,
@@ -125,15 +135,26 @@ MALFORMED = [
     ["nogo", "chsh", "--q", "1/2", "--bogus"], ["nogo", "chsh", "--bogus", "--q", "1/2"],
     # a negative value before the verb, which the top-level parser reads as a value
     ["--output", "-5", "nogo", "chsh"],
+    # a blank path, in "=" form after the verb and in space form before it
+    ["simulate", "mz", "--output=", "--phase=0"], ["--output", "", "nogo", "chsh"],
     *EMPTY_VALUE,
 ]
 
-# "=" forms, which the reader reads: a value that starts with a minus sign is
+# "=" forms, which argparse reads: a value that starts with a minus sign is
 # taken as it stands, before the verb too
 EQUALS = [["--output=o.json", "nogo", "chsh"], ["--output=-3", "nogo", "pbr", "--q=-1/2"],
           ["verify", "all", "--seed=-3"],
-          ["gaussian", "epr", "--value=-1e3", "--measure=p"],
-          ["simulate", "mz", "--output=", "--phase=0"]]
+          ["gaussian", "epr", "--value=-1e3", "--measure=p"]]
+
+# the other forms that argparse reads and the reader leaves to it: a common
+# flag after the target, an option between the verb and the target, and so
+# the target after an option
+COMMON_AFTER = [["nogo", "chsh", "--format", "json"],
+                ["verify", "noncomm", "--seed", "3", "--output", "o.json"]]
+BEFORE_TARGET = [["nogo", "--format", "json", "chsh"], ["simulate", "--output", "o.json", "mz"]]
+TARGET_AFTER = [["nogo", "--q", "1/2", "pbr"], ["simulate", "--theta", "-1", "mz"],
+                ["nogo", "--relax-product", "pbr", "--q", "none"]]
+ARGPARSE_FORMS = EQUALS + COMMON_AFTER + BEFORE_TARGET + TARGET_AFTER
 
 # negative numbers in the forms float() reads, and three that it does not read
 NEGATIVE = [["simulate", "mz", "--theta", value] for value in (
@@ -156,7 +177,7 @@ def outcome(parser, argv) -> tuple:
 def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the terminal width
     results = [(argv, outcome(cli.build_parser(), argv), outcome(EagerParser(), argv))
-               for argv in reach_argvs() + MALFORMED + NEGATIVE + EQUALS]
+               for argv in reach_argvs() + MALFORMED + NEGATIVE + ARGPARSE_FORMS]
     assert [argv for argv, new, old in results if new != old] == []
     # the malformed cases reach help (exit 0), usage errors (exit 2, among
     # them every abbreviated flag) and a repeated flag that parses
@@ -185,7 +206,7 @@ def valid_values(opt, after_verb: bool):
         return st.one_of(numbers.map(repr), numbers.map("{:e}".format))
     if opt.spec.get("type") is cli._fraction_or_none:
         return st.one_of(st.fractions(min_value=0).map(str), st.sampled_from(["none", "0.25"]))
-    return st.sampled_from(["o.json", "out/r.txt", "x=y", ""])
+    return st.sampled_from(["o.json", "out/r.txt", "x=y"])
 
 
 # tokens that are wrong for some option or place: help and unknown flags, "-"
@@ -197,16 +218,18 @@ JUNK = ["x", "", "-", "--", "-h", "-x", "--bogus", "-1/2", "-e3", "-1e", "1/0", 
 
 @st.composite
 def well_formed(draw):
-    """(argv, clean): a command line of one command, its common flags before
-    or after the verb, its own options after it, in space or "=" form, and
-    with the target at any option boundary; ``clean`` is false where a junk
-    value or token replaced or joined a well-formed one."""
+    """(argv, canonical): a command line of one command, its common flags
+    before or after the verb, its own options after it, in space or "=" form,
+    and with the target at any option boundary.  ``canonical`` is true where it
+    has the form the reader reads itself: common flags only before the verb,
+    the target right after it, every value in space form, and no junk value
+    or token in place of or beside a well-formed one."""
     verb, target = draw(st.sampled_from(list(cli.COMMANDS))).split(" ")
     own = list(cli.COMMANDS[f"{verb} {target}"][0])
-    clean = True
+    canonical = True
 
     def given(options, after_verb):
-        nonlocal clean
+        nonlocal canonical
         groups = []
         for opt in draw(st.lists(st.sampled_from(options), max_size=3)) if options else []:
             if opt.spec.get("action") == "store_true":
@@ -214,19 +237,24 @@ def well_formed(draw):
                 continue
             value = draw(valid_values(opt, after_verb))
             if draw(st.integers(0, 7)) == 0:
-                value, clean = draw(st.sampled_from(JUNK)), False
+                value, canonical = draw(st.sampled_from(JUNK)), False
             groups.append(draw(st.sampled_from([[opt.flag, value], [f"{opt.flag}={value}"]])))
+            canonical &= len(groups[-1]) == 2
         return groups
 
     before = given(list(cli.COMMON), after_verb=False)
     used = {group[0].partition("=")[0] for group in before}  # given once, on one side
-    after = given([opt for opt in cli.COMMON if opt.flag not in used] + own, after_verb=True)
-    after.insert(draw(st.integers(0, len(after))), [target])
+    common_after = [opt for opt in cli.COMMON if opt.flag not in used]
+    after = given(common_after + own, after_verb=True)
+    at = draw(st.integers(0, len(after)))
+    after.insert(at, [target])
+    canonical &= at == 0 and not {group[0].partition("=")[0] for group in after} & {
+        opt.flag for opt in common_after}
     argv = [token for group in before + [[verb]] + after for token in group]
     if draw(st.integers(0, 7)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
-        clean = False
-    return argv, clean
+        canonical = False
+    return argv, canonical
 
 
 def tokens():
@@ -250,12 +278,12 @@ def test_the_reader_matches_the_eager_parser_on_any_tokens(argv):
 @settings(max_examples=300, deadline=None)
 @given(well_formed())
 def test_the_reader_reads_a_well_formed_command_line_as_the_eager_parser_does(case):
-    argv, clean = case
+    argv, canonical = case
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         with parsers_built() as built:
             read = outcome(cli.build_parser(), argv)
         assert read == outcome(EagerParser(), argv)
-    if clean:  # the reader itself read it
+    if canonical:  # the reader itself read it
         assert (read[0], built) == ("parsed", [])
 
 
@@ -285,15 +313,32 @@ def parsers_built():
         yield built
 
 
+def readme_argvs() -> list:
+    """The argv of each ``omlab`` example in the README's CLI block."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("omlab ") and "`" not in line]
+
+
 def test_only_argvs_the_reader_declines_construct_an_argparse_parser():
     def constructs(argv) -> bool:
         with parsers_built() as built:
             outcome(cli.build_parser(), argv)
         return bool(built)
 
-    # the lab's own command lines and the "=" forms are read without argparse
-    assert [argv for argv in reach_argvs() + EQUALS if constructs(argv)] == []
-    assert [argv for argv in MALFORMED if not constructs(argv)] == []
+    # the lab's own command lines and the README's examples are read without argparse
+    assert len(readme_argvs()) == 17
+    assert [argv for argv in reach_argvs() + readme_argvs() if constructs(argv)] == []
+    assert [argv for argv in MALFORMED + ARGPARSE_FORMS if not constructs(argv)] == []
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_FORMS, ids=" ".join)
+def test_argparse_parses_the_forms_the_reader_declines_as_the_eager_parser_does(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with parsers_built() as built:
+            read = outcome(cli.build_parser(), argv)
+        assert read == outcome(EagerParser(), argv)
+    assert read[0] == "parsed" and built
 
 
 def foreign_options() -> list:

@@ -1,5 +1,6 @@
 """Restricted Liouville mechanics: validity, entropy, the correlated pair."""
 
+import dataclasses
 import json
 import math
 
@@ -347,6 +348,50 @@ def test_conditioning_keeps_its_scale_at_tiny_lambda(lam):
     assert np.allclose(cov / lam, unit_cov, rtol=1e-12, atol=0)
     checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(3.0, lam, "q", 1.0)
     assert [c.name for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-160, 1e-12, 0.25, 1.0, 4.0, 1e280])
+def test_the_gaussian_suite_passes_across_the_lambda_range(lam):
+    assert [c.name for c in cli.gaussian_suite_checks(lam) if not c.passed] == []
+
+
+def _scaled(state, factor):
+    """``state`` with its covariance, and its normal modes' variances, times ``factor``."""
+    variances, basis = state.modes
+    return g.GaussianEpistemicState(state.mean, factor * state.covariance, state.hbar_like,
+                                    (factor * variances, basis))
+
+
+def _patch(name, wrap):
+    """A mutant: ``g.<name>`` replaced by ``wrap`` applied to the original."""
+    return lambda monkeypatch: monkeypatch.setattr(g, name, wrap(getattr(g, name)))
+
+
+# (the suite row, a broken input that row must catch); each absolute
+# tolerance is scaled by lambda, so that the rows still fail far below 1
+SUITE_MUTANTS = [
+    ("gaussian boundary min eigenvalue",  # a half-width state, min eigenvalue -lam/2
+     _patch("coherent_boundary", lambda boundary: lambda lam: _scaled(boundary(lam), 0.5))),
+    ("gaussian EPR r=3 on the uncertainty boundary",  # valid, 1.001 off the boundary
+     _patch("epr_correlated", lambda epr: lambda r, lam: _scaled(epr(r, lam), 1.001))),
+    ("gaussian EPR var of difference quadrature",
+     _patch("epr_quadrature_variances",
+            lambda variances: lambda state: {**variances(state), "var_q_diff": 0.0})),
+    ("gaussian conditioning vs precision-matrix oracle",  # Bob's covariance tripled
+     _patch("epr_inference", lambda infer: lambda *args: dataclasses.replace(
+         infer(*args), bob=_scaled(infer(*args).bob, 3.0)))),
+    ("gaussian EPR marginal variance grows",  # the marginal shrunk 1000 times
+     _patch("marginal_mode", lambda marginal: lambda state, mode: _scaled(
+         marginal(state, mode), 1e-3))),
+]
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1.0])
+@pytest.mark.parametrize("row, mutate", SUITE_MUTANTS, ids=[row for row, _ in SUITE_MUTANTS])
+def test_each_gaussian_suite_row_fails_on_its_mutant(row, mutate, lam, monkeypatch):
+    assert {c.name: c.passed for c in cli.gaussian_suite_checks(lam)}[row]
+    mutate(monkeypatch)
+    assert not {c.name: c.passed for c in cli.gaussian_suite_checks(lam)}[row]
 
 
 def test_inference_input_validation():

@@ -392,6 +392,42 @@ def test_main_env_output_dir(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "verify-no-signaling.text").exists()
 
 
+@pytest.mark.parametrize("argv", [["--output="], ["--output", ""]], ids=repr)
+def test_a_blank_output_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["simulate", "mz", *argv, "--phase=0"])
+    assert stop.value.code == 2
+    assert (capsys.readouterr().err.splitlines()[-1]
+            == "omlab simulate: error: argument --output: invalid path value: ''")
+
+
+def unwritable(err: str, path: str) -> str:
+    """The one line ``err`` holds, which must name ``path`` and no traceback."""
+    (line,) = err.splitlines()
+    assert line.startswith(f"omlab: error: cannot write the report to {path!r}: ")
+    return line
+
+
+@pytest.mark.parametrize("name", [".", "newdir/"])
+def test_an_output_that_names_a_directory_is_a_named_error(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["nogo", "chsh", "--output", name]) == 1
+    out, err = capsys.readouterr()
+    assert "chsh gap positive" in out  # the report was printed first
+    assert unwritable(err, name).endswith("Is a directory")
+    assert list(tmp_path.iterdir()) == []  # newdir was not created
+
+
+def test_an_output_dir_that_is_a_file_is_a_named_error(tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("OMLAB_OUTPUT_DIR", str(tmp_path / "file"))
+    assert cli.main(["nogo", "chsh"]) == 1
+    out, err = capsys.readouterr()
+    assert "chsh gap positive" in out
+    assert unwritable(err, str(tmp_path / "file" / "nogo-chsh.text")).endswith(
+        f"File exists: {str(tmp_path / 'file')!r}")
+
+
 def test_main_mz_both_models(capsys):
     code = cli.main(["simulate", "mz", "--phase", "pi", "--model", "both",
                      "--format", "json"])
