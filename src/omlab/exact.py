@@ -8,6 +8,9 @@ tolerances.  A value is (a + b*sqrt2 + (c + d*sqrt2)*i)/den: four integers
 over one shared denominator den > 0, in lowest terms after one gcd per result.
 That form is canonical, so equality and hashing compare five integers, and a
 ``Fraction`` is made only at the boundary (``ra``, ``rb``, ``ia``, ``ib``).
+Sums of products (``dot``, ``dot_abs2``: inner products, matrix rows, Born
+values) run fused on the coordinates: the terms share a running common
+denominator and the sum is reduced by one gcd, not one per term.
 Arbitrary-angle phases fall back to plain ``complex``.
 """
 
@@ -141,6 +144,56 @@ def _reduced(a: int, b: int, c: int, d: int, den: int) -> ExactComplex:
     if g == 1:
         return _make((a, b, c, d, den))
     return _make((a // g, b // g, c // g, d // g, den // g))
+
+
+def _sum_of_products(xs, ys, conjugate_left: bool) -> tuple | None:
+    """The unreduced (a, b, c, d, den) of sum_i x_i y_i, or of sum_i conj(x_i) y_i,
+    over two equally long sequences; None if an entry is not an ExactComplex.
+    A term with a zero factor is skipped; the others' 16 coordinate products
+    go onto a running common denominator."""
+    sign = -1 if conjugate_left else 1
+    a = b = c = d = 0
+    den = 1
+    for x, y in zip(xs, ys, strict=True):
+        try:
+            a1, b1, c1, d1, n1 = x._t
+            a2, b2, c2, d2, n2 = y._t
+        except AttributeError:
+            return None
+        if not (a1 or b1 or c1 or d1) or not (a2 or b2 or c2 or d2):
+            continue
+        c1 *= sign
+        d1 *= sign
+        ta = a1 * a2 - c1 * c2 + 2 * (b1 * b2 - d1 * d2)
+        tb = a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+        tc = a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2)
+        td = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        n = n1 * n2
+        if n == den:
+            a, b, c, d = a + ta, b + tb, c + tc, d + td
+        else:
+            a, b, c, d = a * n + ta * den, b * n + tb * den, c * n + tc * den, d * n + td * den
+            den *= n
+    return a, b, c, d, den
+
+
+def dot(xs, ys, conjugate_left: bool = False) -> ExactComplex | None:
+    """sum_i x_i y_i (conj(x_i) y_i if ``conjugate_left``) over two equally
+    long sequences, reduced once; ZERO if they are empty, None if an entry is
+    not an ExactComplex (the caller's number mode is float)."""
+    t = _sum_of_products(xs, ys, conjugate_left)
+    return None if t is None else _reduced(*t)
+
+
+def dot_abs2(xs, ys) -> ExactComplex | None:
+    """|sum_i conj(x_i) y_i|^2, reduced once, or None as for ``dot``: for
+    z = (a + b*sqrt2 + (c + d*sqrt2)*i)/den,
+    |z|^2 = (a^2 + 2b^2 + c^2 + 2d^2 + 2(ab + cd)*sqrt2)/den^2."""
+    t = _sum_of_products(xs, ys, True)
+    if t is None:
+        return None
+    a, b, c, d, den = t
+    return _reduced(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), 0, 0, den * den)
 
 
 ZERO = ExactComplex()

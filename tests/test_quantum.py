@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_exact import sparse_scalars
+
 from omlab import quantum as q
-from omlab.exact import ONE, ZERO, as_probability, conj, phase_eighth
+from omlab.exact import (FLOAT_TOL, ONE, ZERO, ExactComplex, as_probability, conj, dot,
+                         phase_eighth)
 
 HALF = Fraction(1, 2)
 
@@ -202,3 +205,131 @@ def test_gram_defects_flags_an_off_diagonal_1e_9():
     e0, e1 = (1 + 0j, 0j), (0j, 1 + 0j)
     assert q.gram_defects({"a": e0, "b": e1}) == []
     assert q.gram_defects({"a": e0, "b": (1e-9 + 0j, 1 + 0j)}) == [("a", "b"), ("b", "a")]
+
+
+# ---------------------------------------------------------------- fused kernel
+# The operator-by-operator folds below are the forms the fused kernel
+# (``exact.dot``, ``exact.dot_abs2``) replaced: one ExactComplex multiply and
+# add per term.  They are the kernel's oracles.
+
+def fold_dot(a, b):
+    acc = conj(a[0]) * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + conj(x) * y
+    return acc
+
+
+def fold_mat_vec(m, v):
+    d = len(m)
+    return tuple(sum((m[i][k] * v[k] for k in range(1, d)), m[i][0] * v[0]) for i in range(d))
+
+
+def fold_transition_probability(e, psi):
+    amp = fold_dot(e, psi)
+    return as_probability(amp * conj(amp))
+
+
+def fold_gram_defects(vectors):
+    return [(a, b) for a, b in itertools.product(vectors, repeat=2)
+            if fold_dot(vectors[a], vectors[b]) != ExactComplex.of(int(a == b))]
+
+
+def unchecked_ket(amplitudes) -> q.Ket:
+    """A Ket that skips the norm check, so any amplitudes can be paired."""
+    ket = object.__new__(q.Ket)
+    object.__setattr__(ket, "amplitudes", tuple(amplitudes))
+    return ket
+
+
+def vector_pairs(scalars, min_size=1):
+    return st.integers(min_size, 4).flatmap(
+        lambda d: st.tuples(st.lists(scalars, min_size=d, max_size=d),
+                            st.lists(scalars, min_size=d, max_size=d)))
+
+
+# |x| <= 4 (1 + sqrt2) sqrt2 < 14 for a sparse scalar, so over 32 a vector of
+# length <= 4 has norm below 1 and every |<a|b>|^2 is a probability
+small_scalars = sparse_scalars.map(lambda x: x * Fraction(1, 32))
+
+
+def basis_or_sparse(d):
+    """A phased basis vector (so some Gram matrices are the identity) or any."""
+    basis = st.tuples(st.integers(0, d - 1), st.integers(0, 7)).map(
+        lambda kj: tuple(phase_eighth(kj[1]) if i == kj[0] else ZERO for i in range(d)))
+    return st.one_of(basis, st.lists(sparse_scalars, min_size=d, max_size=d).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_pairs(sparse_scalars))
+def test_fused_dot_equals_the_fold(pair):
+    a, b = pair
+    assert q._dot(a, b) == fold_dot(a, b)
+    assert dot(a, b) == fold_dot([conj(x) for x in a], b)
+    assert q._dot(a, a) == fold_dot(a, a) and q._close_to(q._dot(a, a), 0) == all(
+        x.is_zero() for x in a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_pairs(small_scalars))
+def test_fused_transition_probability_equals_the_fold(pair):
+    a, b = pair
+    got = q.transition_probability(unchecked_ket(a), unchecked_ket(b))
+    want = fold_transition_probability(a, b)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(sparse_scalars, min_size=d, max_size=d).map(tuple), min_size=d, max_size=d),
+    st.lists(sparse_scalars, min_size=d, max_size=d).map(tuple))))
+def test_fused_mat_vec_equals_the_fold(mv):
+    m, v = mv
+    assert q.mat_vec(m, v) == fold_mat_vec(m, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.dictionaries(
+    st.sampled_from("abcd"), basis_or_sparse(d), min_size=1, max_size=4)))
+def test_fused_gram_defects_equal_the_fold(vectors):
+    assert q.gram_defects(vectors) == fold_gram_defects(vectors)
+
+
+def demote(vector, mask):
+    """The vector with the entries that ``mask`` picks turned into complex."""
+    return tuple(x.to_complex() if m else x for x, m in zip(vector, mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vector_pairs(small_scalars), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_mixed_entries_keep_the_float_fold(pair, mask):
+    a, b = pair
+    if not any(mask[:2 * len(a)]):
+        mask[0] = True
+    fa, fb = demote(a, mask[:len(a)]), demote(b, mask[len(a):])
+    got = q._dot(fa, fb)
+    assert type(got) is complex
+    assert got == fold_dot(fa, fb)
+    assert abs(got - fold_dot(a, b).to_complex()) <= FLOAT_TOL
+    p = q.transition_probability(unchecked_ket(fa), unchecked_ket(fb))
+    assert type(p) is float
+    assert abs(p - float(fold_transition_probability(a, b))) <= FLOAT_TOL
+    m = (fa,) * len(a)
+    assert all(type(z) is complex for z in q.mat_vec(m, fb))
+    assert q.mat_vec(m, fb) == fold_mat_vec(m, fb)
+
+
+def test_fused_dot_of_empty_and_float_vectors():
+    assert dot((), ()) == ZERO
+    assert dot((ONE, 1j), (ONE, ONE)) is None
+    assert dot((ONE,), (0.5,)) is None
+
+
+@pytest.mark.parametrize("mode", [lambda x: x, ExactComplex.to_complex])
+def test_vectors_of_different_lengths_are_not_zipped_short(mode):
+    e0, e1 = (mode(ONE), mode(ZERO)), (mode(ZERO), mode(ONE), mode(ZERO))
+    with pytest.raises(q.QuantumError, match=r"'a' has 2 amplitudes but 'b' has 3"):
+        q.gram_defects({"a": e0, "b": e1})
+    with pytest.raises(ValueError):
+        q._dot(e0, (mode(ZERO), mode(ONE), mode(ONE)))
+    with pytest.raises(ValueError):
+        q.mat_vec((e0, e0), e1)
