@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reports import row
+
 VALIDITY_TOL = 1e-12
 
 
@@ -286,3 +288,74 @@ def epr_inference(state: GaussianEpistemicState, alice_measures: str,
     # remaining coordinates: [p_A or q_A, q_B, p_B]; Bob occupies the tail
     bob = GaussianEpistemicState(mean[1:], cov[1:, 1:], state.hbar_like)
     return EprInferenceResult(bob, validity_check(bob))
+
+
+# --------------------------------------------------------------------------
+# report rows: gaussian suite and gaussian epr
+
+def _conditioning_oracle(state, index: int, value: float):
+    """Precision-matrix route, independent of the module's Schur route."""
+    prec = np.linalg.inv(state.covariance)
+    rest = [i for i in range(state.dim) if i != index]
+    prec_rr = prec[np.ix_(rest, rest)]
+    prec_ri = prec[np.ix_(rest, [index])]
+    cov = np.linalg.inv(prec_rr)
+    mean = state.mean[rest] - (cov @ prec_ri).ravel() * (value - state.mean[index])
+    return mean, cov
+
+
+def gaussian_suite_checks(hbar_like: float) -> list:
+    checks = []
+    boundary = coherent_boundary(hbar_like)
+    v = validity_check(boundary)
+    checks.append(row("gaussian boundary min eigenvalue", "0",
+                      f"{v.min_eigenvalue:.3e}", "DERIVED",
+                      passed=abs(v.min_eigenvalue) <= 1e-12 * hbar_like))
+    tight = GaussianEpistemicState(np.zeros(2), (hbar_like / 10) * np.eye(2), hbar_like)
+    checks.append(row("gaussian over-tight state invalid", False,
+                      validity_check(tight).valid, "DERIVED"))
+    ent = entropy(boundary)
+    quad = entropy_by_quadrature(boundary)
+    checks.append(row("gaussian entropy closed form vs quadrature",
+                      f"{ent:.9f}", f"{quad:.9f}", "DERIVED",
+                      passed=abs(ent - quad) <= 1e-6))
+    epr = epr_correlated(3.0, hbar_like)
+    epr_min = validity_check(epr).min_eigenvalue
+    checks.append(row("gaussian EPR r=3 on the uncertainty boundary", "0",
+                      f"{epr_min:.3e}", "DERIVED",
+                      passed=abs(epr_min) <= 1e-12 * hbar_like))
+    var = epr_quadrature_variances(epr)
+    want = hbar_like * math.exp(-6)
+    checks.append(row("gaussian EPR var of difference quadrature",
+                      f"{want:.12g}", f"{var['var_q_diff']:.12g}", "DERIVED",
+                      passed=abs(var["var_q_diff"] - want) <= 1e-9 * hbar_like))
+    res = epr_inference(epr, "q", 1.0)
+    mean_o, cov_o = _conditioning_oracle(epr, 0, 1.0)
+    delta = abs(res.bob.mean[0] - mean_o[1])
+    checks.append(row("gaussian conditioning vs precision-matrix oracle",
+                      "<= 1e-6", f"{delta:.3e}", "DERIVED",
+                      passed=delta <= 1e-6 and np.allclose(
+                          res.bob.covariance, cov_o[1:, 1:], atol=1e-9 * hbar_like)))
+    checks.append(row("gaussian Bob posterior validity", True,
+                      res.bob_validity.valid, "DERIVED"))
+    marg = marginal_mode(epr, 0)
+    checks.append(row("gaussian EPR marginal variance grows", True,
+                      bool(marg.covariance[0, 0] >= hbar_like * math.cosh(6) * (1 - 1e-9)),
+                      "DERIVED"))
+    return checks
+
+
+def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
+                        value: float) -> list:
+    check_squeeze(squeeze)
+    epr = epr_correlated(squeeze, hbar_like)
+    res = epr_inference(epr, measure, value)
+    sign = 1.0 if measure == "q" else -1.0
+    want = sign * math.tanh(2 * squeeze) * value
+    got = res.bob.mean[0] if measure == "q" else res.bob.mean[1]
+    return [
+        row(f"gaussian epr posterior mean ({measure}={value})",
+            f"{want:.9g}", f"{got:.9g}", "DERIVED",
+            passed=abs(got - want) <= 1e-9, detail=res.bob.to_json()),
+        row("gaussian epr posterior validity", True, res.bob_validity.valid, "DERIVED"),
+    ]

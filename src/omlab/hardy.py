@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import quantum
+from .reports import CheckResult, row
 
 PREP_SPLIT = "psi"   # state after the first beam splitter
 PREP_UPPER = "phi"   # photon emitted into the upper arm
@@ -228,3 +229,26 @@ def hardy_verdict(lambda_size: int, drop_invar: bool = False,
         {(lam, theta, d): (theta, d) in on
          for lam, (_, on) in zip(labels, states) for theta, d in _FLAG_KEYS})
     return HardyReport(lambda_size, drop_invar, assignment, None, facts)
+
+
+# --------------------------------------------------------------------------
+# report rows: nogo hardy
+
+def zero_facts_check(facts) -> CheckResult:
+    """The zero-probability facts are exactly the paper's two."""
+    zero_names = sorted(str(f) for f in facts if f.is_zero)
+    return row("hardy zero facts",
+               "P(d1 | psi, theta=pi) is zero; P(d2 | psi, theta=0) is zero",
+               "; ".join(zero_names), "PAPER")
+
+
+def hardy_checks(lambda_size: int, drop_invar: bool) -> list:
+    report = hardy_verdict(lambda_size, drop_invar=drop_invar)
+    checks = [zero_facts_check(report.facts)]
+    expected = drop_invar  # overlap survives only without flag invariance
+    checks.append(row(f"hardy overlap possible (size {lambda_size}, drop_invar={drop_invar})",
+                      expected, report.overlap_possible, "DERIVED", detail=report.to_json()))
+    if report.assignment is not None:
+        checks.append(row("hardy escape assignment replays zero facts", True,
+                          replay_zero_facts(report.assignment, report.facts), "DERIVED"))
+    return checks

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
 from .models import ModelError, frac_str
+from .reports import CheckResult, fmt, row
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
 OUTCOME_LABELS = ("phi1", "phi2", "phi3", "phi4")
@@ -444,3 +445,75 @@ def chsh_gap_demo() -> ChshReport:
     toy_s = Fraction(sum(2 * z[a] * z[b] for a, b in pairs), len(pairs))
     return ChshReport(quantum_value=abs(s_exact.to_complex().real), s_exact=s_exact,
                       local_bound=Fraction(best_local), toy_maximum=toy_s)
+
+
+# --------------------------------------------------------------------------
+# report rows: nogo pbr and nogo chsh
+
+def gram_check(kets) -> CheckResult:
+    """The measurement kets' exact Gram matrix is the identity; the detail
+    names the label pairs where it is not."""
+    defects = quantum.gram_defects({k: ket.amplitudes for k, ket in kets.items()})
+    return row("pbr measurement basis Gram = identity", True, not defects, "DERIVED",
+               detail={"defects": [f"<{a}|{b}>" for a, b in defects]} if defects else None)
+
+
+def pbr_checks(q, lambda_size: int, grid_denominator: int,
+               relax_product: bool, null_budget) -> list:
+    """``q`` and ``null_budget`` are fractions or fraction strings; None
+    means no forced overlap and no no-show escape respectively."""
+    checks = []
+    scenario = build_pbr_scenario()
+    born = scenario.born_table()
+    for j in range(1, 5):
+        # <phi_j|Psi_j> = 0 iff its Born table entry |<phi_j|Psi_j>|^2 is 0
+        p = born[(f"Psi{j}", f"phi{j}")]
+        checks.append(row(f"pbr <phi{j}|Psi{j}>", "0",
+                          "0" if p == 0 else f"|<phi{j}|Psi{j}>|^2 = {fmt(p)}", "PAPER"))
+    checks.append(gram_check(scenario.measurement_kets))
+    problem = FeasibilityProblem(lambda_size=lambda_size, grid_denominator=grid_denominator,
+                                 q=q, relax_product=relax_product, null_budget=null_budget)
+    escape = problem.null_budget is not None
+    verdict = solve_feasibility(problem, born)
+    # the escape's price; None where no budget below 1 admits a model
+    price = no_show_price(problem)
+    expected_status = ("feasible" if price is not None and (problem.null_budget or 0) >= price
+                       else "infeasible")
+    checks.append(row(f"pbr verdict ({verdict.grid_note})", expected_status,
+                      verdict.status, "DERIVED", detail=verdict.to_json()))
+    if verdict.status == "infeasible":
+        checks.append(row("pbr certificate present", True,
+                          verdict.certificate is not None, "DERIVED",
+                          detail=verdict.certificate))
+    else:
+        replay = replay_witness(verdict.witness, born)
+        checks.append(row("pbr witness reproduces Born (post-selected)", True,
+                          replay["post_selected_match"], "DERIVED"))
+        if escape:
+            checks.append(row("pbr null witness: raw statistics differ from Born",
+                              True, not replay["unconditioned_match"], "TRIVIAL"))
+    if escape and price:
+        # from the price up the verdict's witness is the price's own, whose
+        # no-show rate does not read the budget; below it, solve at the price
+        if verdict.status == "infeasible":
+            at_price = solve_feasibility(replace(problem, null_budget=price), born)
+            replay = replay_witness(at_price.witness, born)
+        checks.append(row("pbr minimal no-show budget = f^2", price,
+                          replay["no_show_rate"] if replay["post_selected_match"]
+                          else "no reproducing witness", "DERIVED"))
+    return checks
+
+
+def chsh_checks() -> list:
+    rep = chsh_gap_demo()
+    target = 2 * math.sqrt(2)
+    s_squared = rep.s_exact * rep.s_exact
+    return [
+        row("chsh quantum singlet value", f"{target:.12g}",
+            f"{rep.quantum_value:.12g}", "DERIVED",
+            passed=rep.s_exact.is_real() and (s_squared - 8).is_zero()),
+        row("chsh local deterministic bound", Fraction(2), rep.local_bound, "DERIVED"),
+        row("chsh toy composite maximum", Fraction(2), rep.toy_maximum, "DERIVED"),
+        row("chsh gap positive", True,
+            (s_squared - rep.local_bound ** 2).is_positive(), "DERIVED"),
+    ]

@@ -2,7 +2,8 @@
 
 Every CLI run produces a ReportDocument: the echoed configuration, one row
 per check (expected vs observed, a provenance tag and a pass flag) and the
-wall clock, stamped with ``omlab.__version__``.  JSON serialization is
+wall clock, stamped with ``omlab.__version__``.  Every row is made by
+``row``, which writes its values with ``fmt``.  JSON serialization is
 deterministic (sorted keys), so identical configs emit byte-identical
 documents apart from the wall-clock field.  The document shape is pinned
 by ``schemas/report-v1.schema.json``.  ``validate_report`` checks each JSON
@@ -16,8 +17,10 @@ import importlib.resources
 import json
 import numbers
 from dataclasses import KW_ONLY, dataclass, field
+from fractions import Fraction
 
 from . import __version__
+from .models import frac_str
 
 SCHEMA_ID = "omlab/report-v1"
 PROVENANCES = ("PAPER", "DERIVED", "TRIVIAL")
@@ -82,6 +85,27 @@ class CheckResult:
         if self.detail is not None:
             doc["detail"] = self.detail
         return doc
+
+
+def fmt(value) -> str:
+    """A value as a row writes it: a fraction as n/d, a bool in lower case, a
+    float to 12 significant digits, anything else by ``str``."""
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def row(name, expected, observed, provenance, passed=None, detail=None) -> CheckResult:
+    """The row of one check, its values written by ``fmt``; without ``passed``
+    it passes iff the two texts agree."""
+    e, o = fmt(expected), fmt(observed)
+    if passed is None:
+        passed = e == o
+    return CheckResult(name, e, o, provenance, bool(passed), detail)
 
 
 @dataclass(frozen=True)

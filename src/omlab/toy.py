@@ -19,6 +19,7 @@ an update that leaked into Bob's coordinate would show up as signaling.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -26,13 +27,15 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import quantum
-from .exact import ExactComplex, phase_eighth
+from .exact import FLOAT_TOL, ExactComplex, phase_eighth
 from .models import (
     EpistemicState,
     OnticSpace,
     OntologicalModel,
     ResponseFunction,
+    reproduction_check,
 )
+from .reports import CheckResult, fmt, row
 
 STATES = (1, 2, 3, 4)
 
@@ -536,3 +539,219 @@ def noncommutativity_demo() -> NoncommutativityTranscript:
         b_then_a=_two_stage_distribution(initial, MEAS_X_TOY, MEAS_Z_TOY),
         a_then_a=_two_stage_distribution(initial, MEAS_Z_TOY, MEAS_Z_TOY),
     )
+
+
+# --------------------------------------------------------------------------
+# report rows: the verify targets and simulate mz
+
+def toy_born_checks() -> list:
+    report = reproduction_check(build_toy_model(), toy_born_table())
+    checks = [
+        row(f"toy-born {r.prep}|{r.meas}:{r.outcome}", r.quantum_value,
+            r.model_value, "DERIVED", passed=r.match)
+        for r in report.rows
+    ]
+    checks.append(row("toy-born all 36 triples", "36/36",
+                      f"{sum(1 for r in report.rows if r.match)}/{len(report.rows)}",
+                      "DERIVED", passed=report.ok))
+    return checks
+
+
+def _support_name(block) -> str:
+    return "v".join(str(x) for x in sorted(block))
+
+
+def _dist_name(dist: dict) -> str:
+    items = sorted(dist.items(), key=lambda kv: _support_name(kv[0]))
+    return "{" + ", ".join(f"{_support_name(k)}: {fmt(v)}" for k, v in items) + "}"
+
+
+class _EachChoice:
+    """A stand-in rng for one branch of a sampler that draws once: ``choice``
+    returns element ``k`` of its argument and keeps the argument's length."""
+
+    def __init__(self, k: int):
+        self.k, self.n = k, None
+
+    def choice(self, seq):
+        if self.n is not None:
+            raise ValueError("the kernel enumerates one choice per measurement")
+        self.n = len(seq)
+        return seq[self.k]
+
+
+def _ontic_kernel(lam: int, meas) -> dict:
+    """(outcome block, resampled state) -> probability, for one ontic
+    measurement of ``lam``: each element ``choice`` draws has weight 1/len."""
+    kernel, k, n = {}, 0, 1
+    while k < n:
+        rng = _EachChoice(k)
+        out = ontic_simulate_measurement(lam, meas, rng)
+        n = rng.n
+        kernel[out] = kernel.get(out, 0) + Fraction(1, n)
+        k += 1
+    return kernel
+
+
+def kernel_check() -> CheckResult:
+    """Each KB state pushed through the ontic kernel gives, for each
+    measurement, the Born outcome distribution and, given each outcome, the
+    updated epistemic state; the detail names the pairs where it does not."""
+    kernels = {(lam, m): _ontic_kernel(lam, m)
+               for lam in STATES for m in MEASUREMENT_TABLE.values()}
+    bad = []
+    for label, support in STATE_SUPPORT.items():
+        state = ToyEpistemicState(support)
+        for name, m in MEASUREMENT_TABLE.items():
+            joint = {}  # (outcome block, resampled state) -> probability
+            for lam, p in zip(STATES, state.probs):
+                for out, w in kernels[lam, m].items():
+                    joint[out] = joint.get(out, 0) + p * w
+            outcomes = {b: sum(w for (block, _), w in joint.items() if block == b)
+                        for b in m.partition}
+            if outcomes != measurement_distribution(state, m) or any(
+                    tuple(joint.get((b, x), 0) / pb for x in STATES)
+                    != measure_update(state, m, b).probs
+                    for b, pb in outcomes.items() if pb):
+                bad.append(f"{name} on {label}")
+    n = len(STATE_SUPPORT) * len(MEASUREMENT_TABLE)
+    return row("noncomm ontic kernel = Born outcomes + updated state",
+               f"{n}/{n}", f"{n - len(bad)}/{n}", "DERIVED",
+               detail={"mismatches": bad} if bad else None)
+
+
+def noncomm_checks(seed: int) -> list:
+    t = noncommutativity_demo()
+    half = Fraction(1, 2)
+    expect_ab = {frozenset({1, 3}): half, frozenset({2, 4}): half}
+    expect_ba = {frozenset({1, 2}): half, frozenset({3, 4}): half}
+    expect_aa = {frozenset({1, 2}): Fraction(1), frozenset({3, 4}): Fraction(0)}
+    checks = [
+        row("noncomm A-then-B outcomes", _dist_name(expect_ab),
+            _dist_name(t.a_then_b), "PAPER"),
+        row("noncomm B-then-A outcomes", _dist_name(expect_ba),
+            _dist_name(t.b_then_a), "PAPER"),
+        row("noncomm A repeated is certain", _dist_name(expect_aa),
+            _dist_name(t.a_then_a), "PAPER"),
+        row("noncomm orderings differ", True, t.differs(), "PAPER"),
+        kernel_check(),
+    ]
+    # seeded ontic replay of the B statistics on 1v2; by Hoeffding a fair
+    # sampler leaves the band with probability at most delta
+    rng = random.Random(seed)
+    n, delta = 4000, 1e-9
+    hits = 0
+    for _ in range(n):
+        lam = rng.choice((1, 2))
+        block, _ = ontic_simulate_measurement(lam, MEAS_X_TOY, rng)
+        hits += block == frozenset({1, 3})
+    radius = math.sqrt(math.log(2 / delta) / (2 * n))
+    checks.append(row(f"noncomm sampled frequency (n={n}, Hoeffding delta={delta:g})",
+                      "|freq-1/2| <= sqrt(ln(2/delta)/(2n))",
+                      f"{abs(hits / n - 0.5):.6f} vs {radius:.6f}",
+                      "DERIVED", passed=abs(hits / n - 0.5) <= radius))
+    return checks
+
+
+def combine_checks() -> list:
+    listed = [
+        ((1, 2), CombinationRule.RULE_1, (3, 4), (1, 3)),
+        ((1, 2), CombinationRule.RULE_2, (3, 4), (2, 4)),
+        ((2, 3), CombinationRule.RULE_4, (1, 4), (2, 4)),
+        ((1, 4), CombinationRule.RULE_4, (2, 3), (1, 3)),
+        ((1, 3), CombinationRule.RULE_3, (2, 4), (2, 3)),
+        ((1, 3), CombinationRule.RULE_4, (2, 4), (1, 4)),
+    ]
+    checks = []
+    for a, rule, b, want in listed:
+        got = combine(toy_state(*a), toy_state(*b), rule)
+        checks.append(row(
+            f"combine {_support_name(a)} +{rule.value} {_support_name(b)}",
+            _support_name(want), _support_name(got.support), "PAPER"))
+    report = analogy_failure_check()
+    flagged = {(str(r.left), r.rule.value, str(r.right)) for r in report.mismatches()}
+    for left, rule, right in (("1v3", 3, "2v4"), ("1v3", 4, "2v4")):
+        checks.append(row(f"analogy mismatch flagged: {left} +{rule} {right}",
+                          True, (left, rule, right) in flagged, "PAPER"))
+    match_case = next(r for r in report.rows
+                      if str(r.left) == "1v2" and r.rule is CombinationRule.RULE_1)
+    checks.append(row("analogy +1 case matches", True, match_case.match, "PAPER"))
+    checks.append(row("analogy mismatch count over ordered table", 4,
+                      len(report.mismatches()), "DERIVED"))
+    return checks
+
+
+def steering_checks() -> list:
+    state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
+    r1 = steering_inference(state, MEAS_X_TOY, frozenset({1, 3}))
+    bob_support = sorted(s for s, w in r1.bob_marginal.items() if w > 0)
+    checks = [
+        row("steering: Bob marginal support after X={1,3}", "[1, 3]",
+            str(bob_support), "PAPER"),
+        row("steering: Bob marginal uniform", "1/2",
+            fmt(r1.bob_marginal[1]), "PAPER"),
+    ]
+    checks.append(row("steering retrodiction singles out state", 1,
+                      steering_retrodiction_demo(), "PAPER"))
+    product = product_composite(toy_state(1, 2), toy_state(3, 4))
+    before = marginal(product, 1)
+    r2 = steering_inference(product, MEAS_X_TOY, frozenset({1, 3}))
+
+    def marg_name(m):
+        return "{" + ", ".join(f"{s}: {fmt(w)}" for s, w in sorted(m.items())) + "}"
+
+    checks.append(row("steering: product state leaves Bob unchanged",
+                      marg_name(before), marg_name(r2.bob_marginal), "TRIVIAL"))
+    return checks
+
+
+def no_signaling_checks() -> list:
+    state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
+    rep = no_signaling_check(state, ALL_TOY_MEASUREMENTS)
+    checks = [row("no-signaling variation (correlated state)", Fraction(0),
+                  rep.max_variation, "DERIVED")]
+    product = product_composite(toy_state(1, 2), toy_state(1, 3))
+    rep2 = no_signaling_check(product, ALL_TOY_MEASUREMENTS)
+    checks.append(row("no-signaling variation (product state)", Fraction(0),
+                      rep2.max_variation, "TRIVIAL"))
+    return checks
+
+
+def mz_checks(phase: str, model: str, source: str, theta: float | None) -> list:
+    checks = []
+    phase_in = phase == "pi"
+    want_q = {("first_splitter", True): ("1", Fraction(0), Fraction(1)),
+              ("first_splitter", False): ("0", Fraction(1), Fraction(0)),
+              ("upper_arm", True): (None, Fraction(1, 2), Fraction(1, 2)),
+              ("upper_arm", False): (None, Fraction(1, 2), Fraction(1, 2))}
+    label, d1, d2 = want_q[(source, phase_in)]
+    if model in ("quantum", "both"):
+        final = quantum.mz_evolve(phase_in, source)
+        p1, p2 = (quantum.born_probability(final, quantum.MEAS_DETECTORS, d)
+                  for d in ("d1", "d2"))
+        checks.append(row(f"mz quantum P(d1), P(d2) [{source}, phase={phase_in}]",
+                          f"({fmt(d1)}, {fmt(d2)})", f"({fmt(p1)}, {fmt(p2)})",
+                          "PAPER"))
+    if model in ("toy", "both") and source == "upper_arm":
+        dist = measurement_distribution(mz_toy_run(phase_in, source), MEAS_Z_TOY)
+        t1, t2 = dist[frozenset({1, 2})], dist[frozenset({3, 4})]  # d1, d2
+        checks.append(row(f"mz toy P(d1), P(d2) [{source}, phase={phase_in}]",
+                          f"({fmt(d1)}, {fmt(d2)})", f"({fmt(t1)}, {fmt(t2)})",
+                          "DERIVED"))
+    elif model in ("toy", "both"):
+        toy_final = mz_toy_run(phase_in)
+        checks.append(row(f"mz toy final state [phase={phase_in}]",
+                          _support_name(STATE_SUPPORT[label]),
+                          _support_name(toy_final.support), "PAPER"))
+        if model == "both":
+            ident = quantum.identify_pm_state(final)
+            corr = ident is not None and STATE_SUPPORT[ident] == toy_final.support
+            checks.append(row("mz correspondence toy <-> quantum", True, corr,
+                              "DERIVED"))
+    if theta is not None:
+        p1f, p2f = quantum.mz_detection_probabilities(theta, source)
+        want = math.cos(theta / 2) ** 2 if source == "first_splitter" else 0.5
+        checks.append(row(f"mz float-mode P(d1) at theta={theta:.6g}",
+                          f"{want:.12g}", f"{p1f:.12g}", "PAPER",
+                          passed=abs(p1f - want) <= FLOAT_TOL))
+    return checks

@@ -79,7 +79,12 @@ class EagerParser:
         sub = self.parser.add_subparsers(dest="verb", required=True)
         self.verbs = {}
         for verb, help_text in cli.VERBS.items():
-            p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False)
+            # the help's epilog: one line per target, naming its options
+            epilog = "options by target:\n" + "\n".join(
+                f"  {target}: {' '.join(opt.flag for opt in options) or 'none'}"
+                for target, options in targets(verb).items())
+            p = sub.add_parser(verb, parents=[common], help=help_text, allow_abbrev=False,
+                               epilog=epilog, formatter_class=argparse.RawDescriptionHelpFormatter)
             p._negative_number_matcher = NEGATIVE_FLOAT
             p.add_argument("target", choices=list(targets(verb)))
             declared = []
@@ -188,6 +193,17 @@ def test_on_demand_parser_matches_the_eager_one(monkeypatch):
     # taken for options (though --q's type reads "-1/2"), and "-1e3" is no int
     parsed = [argv[-1] for argv, new, _ in results if argv in NEGATIVE and new[0] == "parsed"]
     assert parsed == ["-1e-3", "-.5E+2", "-1_000.5", "-inf", "-Infinity", "-nan", "-2."]
+
+
+def test_a_verbs_help_names_each_targets_options(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["nogo", "-h"])
+    assert stop.value.code == 0
+    epilog = capsys.readouterr().out.split("options by target:\n")[1]
+    lines = dict(line.strip().split(": ", 1) for line in epilog.splitlines())
+    assert lines == {"pbr": "--q --lambda-size --grid-denominator --null-budget --relax-product",
+                     "hardy": "--lambda-size --drop-invar", "chsh": "none"}
+    assert [t for t, flags in lines.items() if "--drop-invar" in flags.split()] == ["hardy"]
 
 
 ALL_OPTIONS = list(dict.fromkeys(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omlab import cli
 from omlab import gaussian as g
 
 LN_2PIE = 2.8378770664093453  # ln(2 pi e), the N=2 boundary entropy at lam=1
@@ -296,7 +295,7 @@ def test_marginal_mode_rejects_modes_out_of_range():
 def test_epr_inference_position():
     epr = g.epr_correlated(3.0)
     res = g.epr_inference(epr, "q", 1.0)
-    mean_o, cov_o = cli._conditioning_oracle(epr, 0, 1.0)
+    mean_o, cov_o = g._conditioning_oracle(epr, 0, 1.0)
     assert res.bob.mean == pytest.approx(mean_o[1:], abs=1e-6)
     assert np.allclose(res.bob.covariance, cov_o[1:, 1:], atol=1e-9)
     assert res.bob.mean[0] == pytest.approx(1.0, abs=1e-4)  # tanh(6) ~ 1
@@ -333,7 +332,7 @@ def test_three_mode_conditioning_matches_the_precision_oracle():
     state = three_mode_state()
     for index in range(state.dim):
         mean, cov = g.condition_on_coordinate(state, index, 0.7)
-        mean_o, cov_o = cli._conditioning_oracle(state, index, 0.7)
+        mean_o, cov_o = g._conditioning_oracle(state, index, 0.7)
         assert np.allclose(mean, mean_o, rtol=1e-12, atol=1e-12)
         assert np.allclose(cov, cov_o, rtol=1e-12, atol=1e-12)
 
@@ -346,13 +345,13 @@ def test_conditioning_keeps_its_scale_at_tiny_lambda(lam):
     mean, cov = g.condition_on_coordinate(g.epr_correlated(3.0, lam), 0, 1.0)
     assert np.allclose(mean, unit_mean, rtol=1e-12, atol=0)
     assert np.allclose(cov / lam, unit_cov, rtol=1e-12, atol=0)
-    checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(3.0, lam, "q", 1.0)
+    checks = g.gaussian_suite_checks(lam) + g.gaussian_epr_checks(3.0, lam, "q", 1.0)
     assert [c.name for c in checks if not c.passed] == []
 
 
 @pytest.mark.parametrize("lam", [1e-300, 1e-160, 1e-12, 0.25, 1.0, 4.0, 1e280])
 def test_the_gaussian_suite_passes_across_the_lambda_range(lam):
-    assert [c.name for c in cli.gaussian_suite_checks(lam) if not c.passed] == []
+    assert [c.name for c in g.gaussian_suite_checks(lam) if not c.passed] == []
 
 
 def _scaled(state, factor):
@@ -389,9 +388,9 @@ SUITE_MUTANTS = [
 @pytest.mark.parametrize("lam", [1e-12, 1.0])
 @pytest.mark.parametrize("row, mutate", SUITE_MUTANTS, ids=[row for row, _ in SUITE_MUTANTS])
 def test_each_gaussian_suite_row_fails_on_its_mutant(row, mutate, lam, monkeypatch):
-    assert {c.name: c.passed for c in cli.gaussian_suite_checks(lam)}[row]
+    assert {c.name: c.passed for c in g.gaussian_suite_checks(lam)}[row]
     mutate(monkeypatch)
-    assert not {c.name: c.passed for c in cli.gaussian_suite_checks(lam)}[row]
+    assert not {c.name: c.passed for c in g.gaussian_suite_checks(lam)}[row]
 
 
 def test_inference_input_validation():

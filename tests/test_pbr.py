@@ -608,7 +608,7 @@ def test_chsh_quantum_value_and_bounds():
 
 def chsh_rows(monkeypatch, correlation) -> dict:
     monkeypatch.setattr(pbr, "_singlet_correlation", correlation)
-    return {c.name: c.passed for c in cli.chsh_checks()}
+    return {c.name: c.passed for c in pbr.chsh_checks()}
 
 
 def test_chsh_rows_decide_s_exactly(monkeypatch):
@@ -666,6 +666,6 @@ def test_toy_chsh_maximum_is_the_local_bound(monkeypatch):
     assert kb_best == pbr.chsh_gap_demo().toy_maximum == 2
     # a relabelled 0 state is read by the demo: its S drops to 0
     monkeypatch.setitem(toy.STATE_SUPPORT, "0", frozenset({1, 3}))
-    rows = {c.name: c.passed for c in cli.chsh_checks()}
+    rows = {c.name: c.passed for c in pbr.chsh_checks()}
     assert rows == {"chsh quantum singlet value": True, "chsh local deterministic bound": True,
                     "chsh toy composite maximum": False, "chsh gap positive": True}

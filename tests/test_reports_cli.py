@@ -4,6 +4,7 @@ import ast
 import copy
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lab_argvs import edge_argvs, reach_argvs
 
-from omlab import cli, hardy, pbr, quantum, reports
+from omlab import cli, gaussian, hardy, pbr, quantum, reports, toy
 from omlab.reports import (
     CheckResult,
     ReportDocument,
@@ -252,7 +253,7 @@ SAMPLED_ROW = "noncomm sampled frequency (n=4000, Hoeffding delta=1e-09)"
 
 
 def noncomm_rows(seed=54) -> dict:
-    return {c.name: c for c in cli.noncomm_checks(seed)}
+    return {c.name: c for c in toy.noncomm_checks(seed)}
 
 
 @pytest.mark.parametrize("command", ["noncomm", "all"])
@@ -266,8 +267,6 @@ def test_seed_54_passes(command, capsys):
 
 
 def test_a_sampler_biased_to_three_fifths_fails_both_noncomm_rows(monkeypatch):
-    from omlab import toy
-
     def biased(lam, meas, rng):
         # the first block with probability 3/5, whatever lam is
         first, second = meas.partition
@@ -281,8 +280,6 @@ def test_a_sampler_biased_to_three_fifths_fails_both_noncomm_rows(monkeypatch):
 
 
 def test_a_sampler_that_resamples_outside_the_block_fails_the_kernel_row(monkeypatch):
-    from omlab import toy
-
     monkeypatch.setattr(toy, "ontic_simulate_measurement",
                         lambda lam, meas, rng: (meas.block_of(lam), rng.choice(toy.STATES)))
     rows = noncomm_rows()
@@ -470,14 +467,14 @@ def test_mz_float_theta_check(capsys):
 
 def test_exit_status_reflects_failures(monkeypatch, capsys):
     # square an impossible expectation through the dispatcher
-    monkeypatch.setitem(cli.COMMANDS, "verify toy-born",
-                        ((), lambda: [CheckResult("forced", "1", "0", "TRIVIAL", False)]))
+    monkeypatch.setattr(toy, "toy_born_checks",
+                        lambda: [CheckResult("forced", "1", "0", "TRIVIAL", False)])
     assert cli.main(["verify", "toy-born"]) == 1
-    capsys.readouterr()
+    assert "[FAIL] forced: expected 1, observed 0" in capsys.readouterr().out
 
 
 def test_a_run_with_no_checks_exits_one(monkeypatch, capsys):
-    monkeypatch.setitem(cli.COMMANDS, "verify toy-born", ((), lambda: []))
+    monkeypatch.setattr(toy, "toy_born_checks", lambda: [])
     assert cli.main(["verify", "toy-born"]) == 1
     assert "0/0 checks passed" in capsys.readouterr().out
 
@@ -485,19 +482,17 @@ def test_a_run_with_no_checks_exits_one(monkeypatch, capsys):
 @pytest.mark.parametrize("phase", ["0", "pi"])
 def test_the_toy_from_the_upper_arm_reaches_each_detector_half_the_time(phase, monkeypatch,
                                                                        capsys):
-    from omlab import toy
-
     # before, the toy model had no upper-arm row: "0/0 checks passed", exit 0
     assert cli.main(["simulate", "mz", "--model", "toy", "--source", "upper_arm",
                      "--phase", phase]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
-    (row,) = cli.mz_checks(phase, "toy", "upper_arm", None)
+    (row,) = toy.mz_checks(phase, "toy", "upper_arm", None)
     assert row.name == f"mz toy P(d1), P(d2) [upper_arm, phase={phase == 'pi'}]"
     assert (row.expected, row.observed, row.passed) == ("(1/2, 1/2)", "(1/2, 1/2)", True)
     # through the first splitter the toy ends in 0 or 1: one detector, surely
     run = toy.mz_toy_run
     monkeypatch.setattr(toy, "mz_toy_run", lambda phase_in, source: run(phase_in))
-    (row,) = cli.mz_checks(phase, "toy", "upper_arm", None)
+    (row,) = toy.mz_checks(phase, "toy", "upper_arm", None)
     assert not row.passed
 
 
@@ -508,10 +503,8 @@ def test_gaussian_json_reports_are_schema_valid(capsys):
 
 
 def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
-    from omlab import gaussian
-
     def entropy_row():
-        return next(c for c in cli.gaussian_suite_checks(1.0)
+        return next(c for c in gaussian.gaussian_suite_checks(1.0)
                     if c.name == "gaussian entropy closed form vs quadrature")
 
     assert entropy_row().passed
@@ -522,7 +515,7 @@ def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
 
 def test_entropy_row_passes_where_det_gamma_is_subnormal():
     # det(1e-160 * I) = 1e-320 is subnormal: ln det gamma comes from slogdet
-    rows = {c.name: c for c in cli.gaussian_suite_checks(1e-160)}
+    rows = {c.name: c for c in gaussian.gaussian_suite_checks(1e-160)}
     assert rows["gaussian entropy closed form vs quadrature"].passed
 
 
@@ -560,13 +553,11 @@ def test_out_of_range_lambda_fails_naming_the_range(argv):
 
 
 def test_lambda_help_states_the_checked_range():
-    from omlab import gaussian
-
     low, high = gaussian.LAMBDA_RANGE
     assert option("gaussian suite", "hbar_like") is option("gaussian epr", "hbar_like")
     assert option("gaussian epr", "hbar_like").spec["help"].endswith(f"[{low:g}, {high:g}]")
     for lam in (low, high):  # both ends pass, at the widest squeeze swept
-        checks = cli.gaussian_suite_checks(lam) + cli.gaussian_epr_checks(12.0, lam, "p", 1.0)
+        checks = gaussian.gaussian_suite_checks(lam) + gaussian.gaussian_epr_checks(12.0, lam, "p", 1.0)
         assert [c.name for c in checks if not c.passed] == [], lam
     for lam in (math.nextafter(low, 0), math.nextafter(high, math.inf)):
         with pytest.raises(gaussian.GaussianError, match="must lie in"):
@@ -592,17 +583,15 @@ def test_out_of_range_squeeze_fails_naming_the_range(argv):
 
 
 def test_squeeze_help_states_the_checked_range():
-    from omlab import gaussian
-
     low, high = gaussian.SQUEEZE_RANGE
     assert option("gaussian epr", "squeeze").spec["help"].endswith(f"[{low:g}, {high:g}]")
     for lam, measure in itertools.product(gaussian.LAMBDA_RANGE, "qp"):
         # the widest squeeze passes at both ends of the lambda range
-        checks = cli.gaussian_epr_checks(high, lam, measure, 1.0)
+        checks = gaussian.gaussian_epr_checks(high, lam, measure, 1.0)
         assert [c.name for c in checks if not c.passed] == [], (lam, measure)
     for squeeze in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
         with pytest.raises(gaussian.GaussianError, match="must lie in"):
-            cli.gaussian_epr_checks(squeeze, 1.0, "q", 1.0)
+            gaussian.gaussian_epr_checks(squeeze, 1.0, "q", 1.0)
 
 
 NON_FINITE = {"simulate mz --theta": ("QuantumError: theta must be finite",
@@ -704,25 +693,25 @@ def test_two_state_budget_is_an_expected_infeasible(capsys):
 
 def test_gram_check_fails_on_a_non_orthonormal_ket():
     kets = dict(pbr.build_pbr_scenario().measurement_kets)
-    assert cli.gram_check(kets).passed
+    assert pbr.gram_check(kets).passed
     kets["phi2"] = kets["phi1"]  # normalized, but not orthogonal to phi1
-    check = cli.gram_check(kets)
+    check = pbr.gram_check(kets)
     assert not check.passed and check.observed == "false"
     assert check.detail == {"defects": ["<phi1|phi2>", "<phi2|phi1>"]}
 
 
 def test_zero_facts_check_fails_on_a_flipped_fact():
     facts = hardy.derive_zero_probability_facts()
-    assert cli.zero_facts_check(facts).passed
+    assert hardy.zero_facts_check(facts).passed
 
     def flip(*indices):
         return [dataclasses.replace(f, is_zero=not f.is_zero) if i in indices else f
                 for i, f in enumerate(facts)]
 
     assert [f.is_zero for f in facts[:2]] == [False, True]
-    assert not cli.zero_facts_check(flip(0)).passed
+    assert not hardy.zero_facts_check(flip(0)).passed
     # two flips keep two zero facts, but not the paper's two
-    assert not cli.zero_facts_check(flip(0, 1)).passed
+    assert not hardy.zero_facts_check(flip(0, 1)).passed
 
 
 def test_nogo_hardy_derives_the_zero_facts_once(monkeypatch, capsys):
@@ -745,9 +734,9 @@ def test_mz_and_hardy_facts_check_no_basis(monkeypatch):
         raise AssertionError(f"re-checked the basis {list(vectors)}")
 
     monkeypatch.setattr(quantum, "gram_defects", forbidden)
-    assert cli.zero_facts_check(hardy.derive_zero_probability_facts()).passed
+    assert hardy.zero_facts_check(hardy.derive_zero_probability_facts()).passed
     for phase, source in itertools.product(("0", "pi"), ("first_splitter", "upper_arm")):
-        assert all(c.passed for c in cli.mz_checks(phase, "both", source, 1.0))
+        assert all(c.passed for c in toy.mz_checks(phase, "both", source, 1.0))
 
 
 def modules_loaded(probes, module: str) -> list:
@@ -792,12 +781,15 @@ def test_no_command_text_or_json_loads_jsonschema():
 # reports.  Each list ends with a command that does load the module, as the
 # control that the probe sees the import.
 PBR_PROBES = (["nogo", "pbr"], ["nogo", "pbr", "--null-budget", "1/2"])
+TOY_PROBES = (["verify", "all"], ["simulate", "mz"])
 SECTOR_PROBES = {
     "omlab.toy": (PBR_PROBES + (["nogo", "hardy"], ["verify", "toy-born"]),
                   [False, False, False, True]),
-    "omlab.hardy": (PBR_PROBES + (["nogo", "hardy"],), [False, False, True]),
-    "omlab.gaussian": (PBR_PROBES + (["gaussian", "epr"],), [False, False, True]),
-    "omlab.pbr": ((["nogo", "hardy"], ["nogo", "pbr"]), [False, True]),
+    "omlab.hardy": (PBR_PROBES + TOY_PROBES + (["nogo", "hardy"],),
+                    [False, False, False, False, True]),
+    "omlab.gaussian": (PBR_PROBES + TOY_PROBES + (["gaussian", "epr"],),
+                       [False, False, False, False, True]),
+    "omlab.pbr": (TOY_PROBES + (["nogo", "hardy"], ["nogo", "pbr"]), [False, False, False, True]),
 }
 
 
@@ -817,6 +809,20 @@ ARGPARSE_PROBES = (["nogo", "pbr"], ["verify", "all"],
 @pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
 def test_a_well_formed_command_line_loads_no_argparse(module):
     assert modules_loaded(ARGPARSE_PROBES, module) == [False, False, True]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_names_a_row_function_of_its_module_taking_its_options(command):
+    # a misspelt name would only show as a failed row when the command runs
+    options, name = cli.COMMANDS[command]
+    rows = cli._rows(name)
+    assert inspect.isfunction(rows)
+    assert rows.__module__ == f"omlab.{name.split(':')[0]}"
+    params = inspect.signature(rows).parameters.values()
+    if command == "verify all":
+        assert [p.kind for p in params] == [inspect.Parameter.VAR_KEYWORD]
+    else:
+        assert {p.name for p in params} == {opt.key for opt in options}
 
 
 @pytest.mark.parametrize("verb, target", [command.split(" ") for command in cli.COMMANDS])
