@@ -3,18 +3,21 @@
 Every CLI run produces a ReportDocument: the echoed configuration, one row
 per check (expected vs observed, a provenance tag and a pass flag) and the
 wall clock, stamped with ``omlab.__version__``.  Every row is made by
-``row``, which writes its values with ``fmt``.  JSON serialization is
-deterministic (sorted keys), so identical configs emit byte-identical
-documents apart from the wall-clock field.  The document shape is pinned
-by ``schemas/report-v1.schema.json``.  ``validate_report`` checks each JSON
-report against it, interpreting the draft 2020-12 keywords it uses as
-jsonschema does, so the package needs no jsonschema at run time.
+``row``, which writes its values with ``fmt``.  The document shape is pinned
+by ``schemas/report-v1.schema.json``.  ``emit`` checks a JSON report against
+it and writes the report's text in one walk, which interprets the draft
+2020-12 keywords the schema uses as jsonschema does (so the package needs no
+jsonschema at run time) and writes each value as ``json.dumps(doc,
+sort_keys=True, indent=2)`` would, so identical configs emit byte-identical
+documents apart from the wall-clock field.  ``validate_report`` runs the same
+walk without writing.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import numbers
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
@@ -155,22 +158,19 @@ _TYPES = {
 }
 
 
-def _type_names(v) -> list:
-    return [v] if isinstance(v, str) else v
-
-
 def _strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
-# keyword -> the forms of its value that _check interprets.  Consts and enums
+# keyword -> the forms of its value that _walk interprets.  Consts and enums
 # are strings only: then == is the schema's equality, which never equates a
 # bool with a number.  Subschemas are checked by _check_form's recursion.
 _FORMS = {
     "$schema": lambda v: v == _DRAFT,
     "$id": _TYPES["string"],
     "title": _TYPES["string"],
-    "type": lambda v: _strings(_type_names(v)) and set(_type_names(v)) <= _TYPES.keys(),
+    "type": lambda v: (v in _TYPES if isinstance(v, str)
+                       else _strings(v) and _TYPES.keys() >= set(v)),
     "const": _TYPES["string"],
     "enum": _strings,
     "required": _strings,
@@ -194,50 +194,148 @@ def _check_form(schema) -> None:
         _check_form(sub)
 
 
-def _check(schema: dict, value, path: str) -> None:
-    """Raise ReportError("<path>: <reason>") at the first keyword of ``schema``
-    that ``value`` fails, descending into properties and items."""
-    if "type" in schema and not any(_TYPES[t](value) for t in _type_names(schema["type"])):
-        raise ReportError(f"{path}: {value!r} is not of type {schema['type']!r}")
-    if "const" in schema and value != schema["const"]:
-        raise ReportError(f"{path}: {schema['const']!r} was expected")
-    if "enum" in schema and value not in schema["enum"]:
-        raise ReportError(f"{path}: {value!r} is not one of {schema['enum']!r}")
-    # the bound applies to numbers only, and nan passes it
-    if "minimum" in schema and _TYPES["number"](value) and value < schema["minimum"]:
-        raise ReportError(f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}")
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of a scalar of each type that json writes, a subclass written as
+# its first base here (an IntEnum as an int, a numpy.float64 as a float).
+_LEAVES = {str: _encode_str, int: int.__repr__, float: _float_text,
+           bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+class _Fault(Exception):
+    """A keyword that a value fails, or a value or key that JSON cannot
+    write; ``keys`` gains the key or index of each container it leaves."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.keys = []
+
+
+def _walk(schema, value, write, nl: str) -> None:
+    """Check ``value`` against ``schema`` and, given ``write``, pass it the
+    text that ``json.dumps(value, sort_keys=True, indent=2)`` writes, ``nl``
+    being the newline and indent of the value's last line.
+
+    The first keyword that ``value`` fails, keys taken in sorted order,
+    raises _Fault; when writing, so does a value or key that JSON cannot
+    write.  Where ``schema`` is None (inside ``args`` and ``detail``) there
+    is nothing to check and the walk only writes."""
+    if schema:
+        types = schema.get("type")
+        if types is not None and not (_TYPES[types](value) if isinstance(types, str)
+                                      else any(_TYPES[t](value) for t in types)):
+            raise _Fault(f"{value!r} is not of type {types!r}")
+        if "const" in schema and value != schema["const"]:
+            raise _Fault(f"{schema['const']!r} was expected")
+        if "enum" in schema and value not in schema["enum"]:
+            raise _Fault(f"{value!r} is not one of {schema['enum']!r}")
+        # the bound applies to numbers only, and nan passes it
+        if "minimum" in schema and _TYPES["number"](value) and value < schema["minimum"]:
+            raise _Fault(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+    inner = nl + "  "
     if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ReportError(f"{path}: {key!r} is a required property")
-        extra = [key for key in value if key not in properties]
-        if extra and "additionalProperties" in schema:  # whose one form is false
-            raise ReportError(f"{path}: additional properties {extra!r} are not allowed")
-        for key, sub in properties.items():
-            if key in value:
-                _check(sub, value[key], f"{path}.{key}")
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            _check(schema["items"], item, f"{path}[{i}]")
+        properties = schema.get("properties", {}) if schema else {}
+        if schema:
+            for key in schema.get("required", ()):
+                if key not in value:
+                    raise _Fault(f"{key!r} is a required property")
+            extra = [key for key in value if key not in properties]
+            if extra and "additionalProperties" in schema:  # whose one form is false
+                raise _Fault(f"additional properties {extra!r} are not allowed")
+        if write is None:  # only the values with a subschema are left to check
+            keys = sorted(properties.keys() & value.keys())
+        else:
+            for key in value:
+                if not isinstance(key, str):
+                    raise _Fault(f"keys must be str, not {type(key).__name__}")
+            keys = sorted(value)
+        opening = "{" + inner
+        try:
+            for key in keys:
+                item, sub = value[key], properties.get(key)
+                if write is not None:
+                    head = opening + _encode_str(key) + ": "
+                    opening = "," + inner
+                    leaf = None if sub else _LEAVES.get(type(item))
+                    if leaf is not None:
+                        write(head + leaf(item))
+                        continue
+                    write(head)
+                _walk(sub, item, write, inner)
+        except _Fault as fault:
+            fault.keys.append(key)
+            raise
+        if write is not None:
+            write(nl + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        items = schema.get("items") if schema and isinstance(value, list) else None
+        if write is None and items is None:
+            return
+        opening = "[" + inner
+        try:
+            for i, item in enumerate(value):
+                if write is not None:
+                    head = opening
+                    opening = "," + inner
+                    leaf = None if items else _LEAVES.get(type(item))
+                    if leaf is not None:
+                        write(head + leaf(item))
+                        continue
+                    write(head)
+                _walk(items, item, write, inner)
+        except _Fault as fault:
+            fault.keys.append(i)
+            raise
+        if write is not None:
+            write(nl + "]" if value else "[]")
+    elif write is not None:
+        leaf = _LEAVES.get(type(value)) or next(
+            (_LEAVES[t] for t in type(value).__mro__ if t in _LEAVES), None)
+        if leaf is None:
+            raise _Fault(f"Object of type {type(value).__name__} is not JSON serializable")
+        write(leaf(value))
+
+
+def _walk_report(doc: dict, write) -> None:
+    """``_walk`` of ``doc`` under the package schema, read afresh and its form
+    checked; a _Fault becomes ReportError("<json_path>: <reason>")."""
+    schema = load_schema()
+    _check_form(schema)
+    try:
+        _walk(schema, doc, write, "\n")
+    except _Fault as fault:
+        path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(fault.keys))
+        raise ReportError(f"${path}: {fault}") from None
 
 
 def validate_report(doc: dict) -> None:
     """Check ``doc`` against the package schema, read afresh, as jsonschema
     would.  A violation raises ReportError("<json_path>: <reason>"), the path
     in jsonschema's ``json_path`` notation; a keyword or form of the schema
-    that ``_check`` does not interpret raises ReportError naming it."""
-    schema = load_schema()
-    _check_form(schema)
-    _check(schema, doc, "$")
+    that ``_walk`` does not interpret raises ReportError naming it."""
+    _walk_report(doc, None)
 
 
 def emit(report: ReportDocument, fmt: str = "json") -> str:
-    """Deterministic serialization; JSON round-trips losslessly."""
+    """Deterministic serialization; JSON round-trips losslessly.  The JSON is
+    checked and written in one walk, its text that of ``json.dumps(doc,
+    sort_keys=True, indent=2)``; a value or key that JSON cannot write raises
+    ReportError naming its path."""
     if fmt == "json":
-        doc = report.to_json()
-        validate_report(doc)
-        return json.dumps(doc, sort_keys=True, indent=2)
+        parts = []
+        _walk_report(report.to_json(), parts.append)
+        return "".join(parts)
     if fmt == "text":
         lines = [f"omlab {__version__} :: {report.config.command}"]
         for c in report.checks:

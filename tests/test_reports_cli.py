@@ -199,6 +199,45 @@ def test_unsupported_schema_keyword_is_a_report_error(monkeypatch, edit, keyword
         validate_report(small_report().to_json())
 
 
+@pytest.mark.parametrize("detail, message", [
+    ({"count": numpy.int64(3)}, "$.checks[0].detail.count: Object of type int64 is not JSON"),
+    ({"pairs": [(1, 2), {0}]}, "$.checks[0].detail.pairs[1]: Object of type set is not JSON"),
+    ({"by": {1: "a"}}, "$.checks[0].detail.by: keys must be str, not int"),
+], ids=["numpy.int64", "set", "int key"])
+def test_a_value_json_cannot_write_is_a_report_error_naming_its_path(detail, message):
+    report = ReportDocument(RunConfig(command="verify noncomm"),
+                            (CheckResult("demo", "1", "1", "TRIVIAL", True, detail),), 0.0)
+    validate_report(report.to_json())
+    assert reference_paths(report.to_json()) == set()
+    with pytest.raises(ReportError, match=re.escape(message)):
+        emit(report, "json")
+
+
+JSON_STRINGS = st.text(st.characters() | st.characters(categories=["Cs", "Cc"]), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80),
+              st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+              st.floats().map(numpy.float64), JSON_STRINGS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_VALUES)
+def test_the_walk_writes_the_text_of_json_dumps(value):
+    parts = []
+    reports._walk(None, value, parts.append, "\n")
+    assert "".join(parts) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_every_lab_report_emits_the_text_of_json_dumps():
+    for argv in reach_argvs():
+        report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+        assert emit(report, "json") == json.dumps(report.to_json(), sort_keys=True,
+                                                  indent=2), argv
+
+
 def test_json_round_trip():
     report = small_report()
     assert json.loads(emit(report, "json")) == report.to_json()
