@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from .reports import ReportDocument, RunConfig, emit, row
+from .reports import ReportDocument, ReportError, RunConfig, emit, row
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +357,11 @@ def main(argv=None) -> int:
     fmt = getattr(ns, "format", "text")
     config = config_from_args(ns)
     report = run(config)
-    rendered = emit(report, fmt)
+    try:
+        rendered = emit(report, fmt)
+    except ReportError as exc:
+        print(f"omlab: error: cannot emit the report: {exc}", file=sys.stderr)
+        return 1
     print(rendered)
     out_path = config.output
     if out_path is None and os.environ.get("OMLAB_OUTPUT_DIR"):

@@ -29,7 +29,8 @@ which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
 The no-show outcome is "absorbed": Born statistics are matched after
 post-selecting on real outcomes, and a budget caps each no-show rate.  No
 verdict solves an LP; ``replay_witness`` checks every witness by exact
-substitution, in integer numerators over one common denominator.
+substitution, in integer numerators over one common denominator.  It reads
+each "n/d" or "n" string with ``int``, and only other forms with ``Fraction``.
 """
 
 from __future__ import annotations
@@ -54,11 +55,27 @@ class PbrError(ValueError):
     pass
 
 
+def _read_ratio(s) -> tuple:
+    """An exact rational string as (numerator, denominator), d > 0, not
+    necessarily in lowest terms.  "n/d" and "n" with an optional "-", ASCII
+    digits and d != 0 are read with ``int``; any other form goes to
+    ``Fraction``, so the strings accepted, their values and the errors
+    raised are ``Fraction``'s."""
+    if isinstance(s, str) and s.isascii():
+        num, slash, den = s.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            d = int(den) if slash else 1
+            if d:
+                return int(num), d
+    v = Fraction(s)
+    return v.numerator, v.denominator
+
+
 def _over_lcm(strings) -> tuple:
     """Exact rational strings as (numerators, their least common denominator)."""
-    values = [Fraction(s) for s in strings]
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    pairs = [_read_ratio(s) for s in strings]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 # Amplitudes over |00>, |01>, |10>, |11>; the tests rebuild them as sums of
@@ -206,7 +223,7 @@ def _price_response(f: Fraction, t: Fraction) -> dict:
     a = (3 * f - 1) / (4 * f) + t * (1 - f) / f
     c = (1 + f) / (4 * f) - t * (1 - f) / f
     columns = {
-        (1, 1): {NULL: 1},
+        (1, 1): {NULL: Fraction(1)},
         (1, 2): {"phi2": a, "phi4": c}, (2, 1): {"phi3": a, "phi4": c},
         (1, 3): {"phi1": a, "phi3": c}, (3, 1): {"phi1": a, "phi2": c},
         (2, 2): {"phi2": h - t, "phi3": h - t, "phi4": 2 * t},
@@ -214,7 +231,8 @@ def _price_response(f: Fraction, t: Fraction) -> dict:
         (3, 2): {"phi1": h - t, "phi2": h, "phi4": t},
         (3, 3): {"phi1": 1 - 2 * t, "phi2": t, "phi3": t},
     }
-    return {(k, cell): Fraction(column.get(k, 0))
+    zero = Fraction(0)
+    return {(k, cell): column.get(k, zero)
             for cell, column in columns.items() for k in OUTCOME_LABELS + (NULL,)}
 
 
@@ -340,9 +358,11 @@ def _grid_note(problem: FeasibilityProblem) -> str:
 
 def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     """Check a witness against the exact Born table, reading each of its
-    strings once.  The joint weights, and the response entries on the cells
-    the joints weigh, become integers over one common denominator each, so
-    every check and every prediction is an ``int`` sum over one support.
+    strings once, as integers: "n/d" and "n" with ``int``, any other form
+    with ``Fraction``.  The joint weights, and the response entries on the
+    cells the joints weigh, become integers over one common denominator
+    each, so every check and every prediction is an ``int`` sum over one
+    support.
 
     The statistics post-selected on a real outcome and the raw ones are each
     compared with Born; without a null outcome the two are the same.  With

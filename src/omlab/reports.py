@@ -15,12 +15,12 @@ walk without writing.
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import numbers
 from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .models import frac_str
@@ -136,8 +136,7 @@ class ReportDocument:
 
 
 def load_schema() -> dict:
-    text = importlib.resources.files("omlab").joinpath(
-        "schemas/report-v1.schema.json").read_text()
+    text = (Path(__file__).with_name("schemas") / "report-v1.schema.json").read_text()
     return json.loads(text)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pbr_oracle import grid_search, inner_feasibility, model_replay, witness_to_model
 from toy_composites import kb_composites
 
@@ -401,6 +403,73 @@ def test_replay_rejects_malformed_witnesses_as_the_model_route_does():
     assert replay == model_replay(blind, born)
     assert replay == {"post_selected_match": False, "unconditioned_match": False,
                       "no_show_rate": 1}
+
+
+def assert_reads_as_fraction(text):
+    """The ratio reader gives (v.numerator * k, v.denominator * k), k >= 1,
+    where Fraction(text) is v, and raises what Fraction raises elsewhere."""
+    try:
+        value = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            pbr._read_ratio(text)
+        return
+    num, den = pbr._read_ratio(text)
+    k = den // value.denominator
+    assert k >= 1 and (num, den) == (value.numerator * k, value.denominator * k)
+
+
+@pytest.mark.parametrize("text", ["-0/1", "007/8", "3/00", "3/-8", "+3/8", "3_0/8", " 3/8",
+                                  "1.5", "-", ""], ids=repr)
+def test_the_ratio_reader_reads_each_edge_form_as_fraction_does(text):
+    assert_reads_as_fraction(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.fractions(max_denominator=10 ** 6).map(pbr.frac_str),
+                 st.text(alphabet="0123456789-+/._e \u0663", max_size=8)))
+def test_the_ratio_reader_reads_what_fraction_reads(text):
+    assert_reads_as_fraction(text)
+
+
+def test_replay_reads_equal_strings_in_any_form_fraction_reads():
+    born = pbr.build_pbr_scenario().born_table()
+    problem = pbr.FeasibilityProblem(lambda_size=4, grid_denominator=4, q=F(1, 4),
+                                     null_budget=F(1, 16))
+    witness = pbr.solve_feasibility(problem, born).witness  # one of emitted_witnesses
+    assert pbr.NULL in witness["outcomes"]
+    forms = itertools.cycle([lambda n, d: f"{2 * n}/{2 * d}", lambda n, d: f"+{n}/{d}",
+                             lambda n, d: f" {n}/{d}"])
+
+    def recast(text):
+        n, d = text.split("/")
+        return next(forms)(int(n), int(d))
+
+    joints = {prep: {cell: recast(w) for cell, w in weighed.items()}
+              for prep, weighed in witness["joints"].items()}
+    xi = {key: recast(v) for key, v in witness["xi"].items()}
+    assert pbr.replay_witness(dict(witness, joints=joints, xi=xi), born) == (
+        pbr.replay_witness(witness, born))
+    cell = next(iter(joints["Psi1"]))
+    with pytest.raises(ZeroDivisionError):
+        pbr.replay_witness(dict(witness, joints={**joints, "Psi1": {cell: "1/0"}}), born)
+    with pytest.raises(ValueError):
+        pbr.replay_witness(dict(witness, xi={**xi, f"phi1|{cell}": "x"}), born)
+
+
+def test_replay_reads_the_strings_frac_str_writes_without_fraction(monkeypatch):
+    born = pbr.build_pbr_scenario().born_table()
+    witnesses = [pbr.solve_feasibility(pbr.FeasibilityProblem(
+        lambda_size=4, grid_denominator=4, q=q, null_budget=budget), born).witness
+        for q, budget in ((None, None), (F(1, 4), F(1, 16)))]
+    expected = [pbr.replay_witness(witness, born) for witness in witnesses]
+
+    def no_text(*args):
+        assert not any(isinstance(a, str) for a in args), args
+        return F(*args)
+
+    monkeypatch.setattr(pbr, "Fraction", no_text)
+    assert [pbr.replay_witness(witness, born) for witness in witnesses] == expected
 
 
 def test_enumeration_confirms_the_price_without_the_bound():

@@ -199,6 +199,12 @@ def test_unsupported_schema_keyword_is_a_report_error(monkeypatch, edit, keyword
         validate_report(small_report().to_json())
 
 
+def test_load_schema_reads_the_packaged_schema():
+    import importlib.resources
+    oracle = importlib.resources.files("omlab").joinpath("schemas/report-v1.schema.json")
+    assert load_schema() == json.loads(oracle.read_text())
+
+
 @pytest.mark.parametrize("detail, message", [
     ({"count": numpy.int64(3)}, "$.checks[0].detail.count: Object of type int64 is not JSON"),
     ({"pairs": [(1, 2), {0}]}, "$.checks[0].detail.pairs[1]: Object of type set is not JSON"),
@@ -516,6 +522,18 @@ def test_a_run_with_no_checks_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(toy, "toy_born_checks", lambda: [])
     assert cli.main(["verify", "toy-born"]) == 1
     assert "0/0 checks passed" in capsys.readouterr().out
+
+
+def test_a_report_that_cannot_be_emitted_is_a_named_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(toy, "toy_born_checks", lambda: [
+        CheckResult("unwritable", "1", "1", "TRIVIAL", True, {"cells": {1, 2}})])
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "toy-born", "--format", "json", "--output", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.splitlines() == ["omlab: error: cannot emit the report: "
+                                "$.checks[0].detail.cells: Object of type set is not JSON "
+                                "serializable"]
 
 
 @pytest.mark.parametrize("phase", ["0", "pi"])
