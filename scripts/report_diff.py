@@ -6,13 +6,15 @@ The command lines are ``scripts/reach.py``'s: every op of the three perfbench
 workloads at seeds 1-3, the warm-up ops, ``scripts/run_all_checks.RUNS`` and
 ``reach.EDGE_ARGVS``, each distinct argv once.  Each tree runs all of them in
 one fresh interpreter, in process (``cli.build_parser`` ->
-``cli.config_from_args`` -> ``cli.run`` -> ``reports.emit(report, "json")``),
-and the report JSON minus ``wall_clock_s`` is compared.  A run that raises is
-compared by its exception's type and message.  The base tree's ``src/`` is
-extracted from git with ``git archive``.
+``cli.config_from_args`` -> ``cli.run`` -> ``reports.emit``), and compares
+two texts of each report: its JSON minus ``wall_clock_s``, and its text
+format with the ``in N.NNNs`` timing cut from the last line.  A run that
+raises is compared by its exception's type and message.  The base tree's
+``src/`` is extracted from git with ``git archive``.
 
 The script prints each argv whose report differs, with the top-level keys
-and check names that differ, and exits 1 if any does.
+and check names that differ (``text`` for the text format), and exits 1 if
+any does.
 
     python3 scripts/report_diff.py --base 1bbb6f6
 """
@@ -32,7 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import reach  # noqa: E402  (puts perfbench/ and scripts/ on sys.path)
 from ab import SRC, extract_src  # noqa: E402
 
-# Prints one line per argv: its report JSON minus wall_clock_s, or what it raised.
+# Prints one line per argv: its report JSON minus wall_clock_s and its text
+# minus the timing, or what it raised.
 WORKER = r"""
 import json, sys
 from pathlib import Path
@@ -42,12 +45,14 @@ if Path(omlab.__file__).resolve().parent != (Path(sys.argv[2]) / "omlab").resolv
     sys.exit(f"imported omlab from {omlab.__file__}, not from {sys.argv[2]}")
 for argv in json.loads(open(sys.argv[1]).read()):
     try:
-        config = cli.config_from_args(cli.build_parser().parse_args(argv))
-        doc = json.loads(reports.emit(cli.run(config), "json"))
+        report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+        doc = json.loads(reports.emit(report, "json"))
         del doc["wall_clock_s"]
+        # the last line ends "checks passed in N.NNNs"
+        text = reports.emit(report, "text").rpartition(" in ")[0]
     except (Exception, SystemExit) as exc:
-        doc = {"raised": f"{type(exc).__name__}: {exc}"}
-    print(json.dumps(doc, sort_keys=True))
+        doc, text = {"raised": f"{type(exc).__name__}: {exc}"}, None
+    print(json.dumps({"json": doc, "text": text}, sort_keys=True))
 """
 
 
@@ -61,14 +66,17 @@ def reports_of(src: Path, argvs_path: Path) -> list:
 
 
 def what_differs(base: dict, change: dict) -> list:
-    """Top-level keys that differ; for ``checks``, the names of the checks."""
+    """Top-level keys of the JSON that differ; for ``checks``, the names of
+    the checks; ``text`` if the text format differs."""
+    text = ["text"] if base["text"] != change["text"] else []
+    base, change = base["json"], change["json"]
     keys = sorted(k for k in base.keys() | change.keys() if base.get(k) != change.get(k))
     if "checks" not in keys or not isinstance(base.get("checks"), list):
-        return keys
+        return keys + text
     old = {c["name"]: c for c in base["checks"]}
     new = {c["name"]: c for c in change.get("checks", [])}
     names = sorted(n for n in old.keys() | new.keys() if old.get(n) != new.get(n))
-    return [k for k in keys if k != "checks"] + [f"check {n!r}" for n in names]
+    return [k for k in keys if k != "checks"] + [f"check {n!r}" for n in names] + text
 
 
 def main() -> int:

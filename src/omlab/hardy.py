@@ -23,7 +23,6 @@ from .reports import CheckResult, row
 
 PREP_SPLIT = "psi"   # state after the first beam splitter
 PREP_UPPER = "phi"   # photon emitted into the upper arm
-PREPS = (PREP_SPLIT, PREP_UPPER)
 THETAS = ("0", "pi")
 DETECTORS = ("d1", "d2")
 # the verdict is fixed from 3 ontic states up; 8 is also nogo pbr's bound

@@ -229,10 +229,3 @@ def permute_labels(model: OntologicalModel, new_order: Sequence) -> OntologicalM
         for name, xi in model.measurements.items()
     }
     return OntologicalModel(space, preparations, measurements)
-
-
-# --------------------------------------------------------------------------
-# rationals serialize as "p/q" strings to stay exact
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"

@@ -43,8 +43,8 @@ from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
-from .models import ModelError, frac_str
-from .reports import CheckResult, fmt, row
+from .models import ModelError
+from .reports import CheckResult, fmt, frac_str, row
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
 OUTCOME_LABELS = ("phi1", "phi2", "phi3", "phi4")

@@ -3,14 +3,14 @@
 Every CLI run produces a ReportDocument: the echoed configuration, one row
 per check (expected vs observed, a provenance tag and a pass flag) and the
 wall clock, stamped with ``omlab.__version__``.  Every row is made by
-``row``, which writes its values with ``fmt``.  The document shape is pinned
-by ``schemas/report-v1.schema.json``.  ``emit`` checks a JSON report against
-it and writes the report's text in one walk, which interprets the draft
-2020-12 keywords the schema uses as jsonschema does (so the package needs no
-jsonschema at run time) and writes each value as ``json.dumps(doc,
-sort_keys=True, indent=2)`` would, so identical configs emit byte-identical
-documents apart from the wall-clock field.  ``validate_report`` runs the same
-walk without writing.
+``row``, which writes its values with ``fmt``, a fraction with ``frac_str``.
+The document shape is pinned by ``schemas/report-v1.schema.json``.  ``emit``
+checks a report against it and writes its JSON text in one walk, whichever
+format it returns: the walk interprets the draft 2020-12 keywords the schema
+uses as jsonschema does (so the package needs no jsonschema at run time) and
+writes each value as ``json.dumps(doc, sort_keys=True, indent=2)`` would, so
+identical configs emit byte-identical documents apart from the wall-clock
+field.  ``validate_report`` runs the same walk and drops the text.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .models import frac_str
 
 SCHEMA_ID = "omlab/report-v1"
 PROVENANCES = ("PAPER", "DERIVED", "TRIVIAL")
@@ -88,6 +87,11 @@ class CheckResult:
         if self.detail is not None:
             doc["detail"] = self.detail
         return doc
+
+
+def frac_str(x: Fraction) -> str:
+    """A fraction as "n/d", in lowest terms, with the sign on n."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def fmt(value) -> str:
@@ -222,14 +226,14 @@ class _Fault(Exception):
 
 
 def _walk(schema, value, write, nl: str) -> None:
-    """Check ``value`` against ``schema`` and, given ``write``, pass it the
-    text that ``json.dumps(value, sort_keys=True, indent=2)`` writes, ``nl``
-    being the newline and indent of the value's last line.
+    """Check ``value`` against ``schema`` and pass ``write`` the text that
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes, ``nl`` being the
+    newline and indent of the value's last line.
 
-    The first keyword that ``value`` fails, keys taken in sorted order,
-    raises _Fault; when writing, so does a value or key that JSON cannot
-    write.  Where ``schema`` is None (inside ``args`` and ``detail``) there
-    is nothing to check and the walk only writes."""
+    The first keyword that ``value`` fails, keys taken in sorted order, or
+    the first value or key that JSON cannot write, raises _Fault.  Where
+    ``schema`` is None (inside ``args`` and ``detail``) there is nothing to
+    check and the walk only writes."""
     if schema:
         types = schema.get("type")
         if types is not None and not (_TYPES[types](value) if isinstance(types, str)
@@ -252,53 +256,43 @@ def _walk(schema, value, write, nl: str) -> None:
             extra = [key for key in value if key not in properties]
             if extra and "additionalProperties" in schema:  # whose one form is false
                 raise _Fault(f"additional properties {extra!r} are not allowed")
-        if write is None:  # only the values with a subschema are left to check
-            keys = sorted(properties.keys() & value.keys())
-        else:
-            for key in value:
-                if not isinstance(key, str):
-                    raise _Fault(f"keys must be str, not {type(key).__name__}")
-            keys = sorted(value)
+        for key in value:
+            if not isinstance(key, str):
+                raise _Fault(f"keys must be str, not {type(key).__name__}")
         opening = "{" + inner
         try:
-            for key in keys:
+            for key in sorted(value):
                 item, sub = value[key], properties.get(key)
-                if write is not None:
-                    head = opening + _encode_str(key) + ": "
-                    opening = "," + inner
-                    leaf = None if sub else _LEAVES.get(type(item))
-                    if leaf is not None:
-                        write(head + leaf(item))
-                        continue
-                    write(head)
+                head = opening + _encode_str(key) + ": "
+                opening = "," + inner
+                leaf = None if sub else _LEAVES.get(type(item))
+                if leaf is not None:
+                    write(head + leaf(item))
+                    continue
+                write(head)
                 _walk(sub, item, write, inner)
         except _Fault as fault:
             fault.keys.append(key)
             raise
-        if write is not None:
-            write(nl + "}" if value else "{}")
+        write(nl + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         items = schema.get("items") if schema and isinstance(value, list) else None
-        if write is None and items is None:
-            return
         opening = "[" + inner
         try:
             for i, item in enumerate(value):
-                if write is not None:
-                    head = opening
-                    opening = "," + inner
-                    leaf = None if items else _LEAVES.get(type(item))
-                    if leaf is not None:
-                        write(head + leaf(item))
-                        continue
-                    write(head)
+                head = opening
+                opening = "," + inner
+                leaf = None if items else _LEAVES.get(type(item))
+                if leaf is not None:
+                    write(head + leaf(item))
+                    continue
+                write(head)
                 _walk(items, item, write, inner)
         except _Fault as fault:
             fault.keys.append(i)
             raise
-        if write is not None:
-            write(nl + "]" if value else "[]")
-    elif write is not None:
+        write(nl + "]" if value else "[]")
+    else:
         leaf = _LEAVES.get(type(value)) or next(
             (_LEAVES[t] for t in type(value).__mro__ if t in _LEAVES), None)
         if leaf is None:
@@ -306,44 +300,47 @@ def _walk(schema, value, write, nl: str) -> None:
         write(leaf(value))
 
 
-def _walk_report(doc: dict, write) -> None:
-    """``_walk`` of ``doc`` under the package schema, read afresh and its form
-    checked; a _Fault becomes ReportError("<json_path>: <reason>")."""
+def _walk_report(doc: dict) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
+    ``_walk`` under the package schema, read afresh and its form checked; a
+    _Fault becomes ReportError("<json_path>: <reason>")."""
     schema = load_schema()
     _check_form(schema)
+    parts = []
     try:
-        _walk(schema, doc, write, "\n")
+        _walk(schema, doc, parts.append, "\n")
     except _Fault as fault:
         path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(fault.keys))
         raise ReportError(f"${path}: {fault}") from None
+    return "".join(parts)
 
 
 def validate_report(doc: dict) -> None:
-    """Check ``doc`` against the package schema, read afresh, as jsonschema
-    would.  A violation raises ReportError("<json_path>: <reason>"), the path
-    in jsonschema's ``json_path`` notation; a keyword or form of the schema
-    that ``_walk`` does not interpret raises ReportError naming it."""
-    _walk_report(doc, None)
+    """Check ``doc`` as ``emit`` does, dropping the text: against the package
+    schema, read afresh, as jsonschema would, and for values JSON can write.
+    A violation raises ReportError("<json_path>: <reason>"), the path in
+    jsonschema's ``json_path`` notation; a keyword or form of the schema that
+    ``_walk`` does not interpret raises ReportError naming it."""
+    _walk_report(doc)
 
 
 def emit(report: ReportDocument, fmt: str = "json") -> str:
-    """Deterministic serialization; JSON round-trips losslessly.  The JSON is
-    checked and written in one walk, its text that of ``json.dumps(doc,
-    sort_keys=True, indent=2)``; a value or key that JSON cannot write raises
-    ReportError naming its path."""
+    """The report as ``fmt``, "json" or "text", after ``_walk_report`` has
+    checked it; JSON round-trips losslessly, its text that of
+    ``json.dumps(doc, sort_keys=True, indent=2)``.  Either format raises the
+    same ReportError for a report the schema rejects or a value or key that
+    JSON cannot write, naming its path."""
+    if fmt not in ("json", "text"):
+        raise ReportError(f"unknown format {fmt!r}")
+    json_text = _walk_report(report.to_json())
     if fmt == "json":
-        parts = []
-        _walk_report(report.to_json(), parts.append)
-        return "".join(parts)
-    if fmt == "text":
-        lines = [f"omlab {__version__} :: {report.config.command}"]
-        for c in report.checks:
-            flag = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{flag}] {c.name}: expected {c.expected}, "
-                         f"observed {c.observed}  ({c.provenance})")
-        n_ok = sum(1 for c in report.checks if c.passed)
-        lines.append(f"{n_ok}/{len(report.checks)} checks passed "
-                     f"in {report.wall_clock_s:.3f}s")
-        return "\n".join(lines)
-    raise ReportError(f"unknown format {fmt!r}")
-
+        return json_text
+    lines = [f"omlab {__version__} :: {report.config.command}"]
+    for c in report.checks:
+        flag = "PASS" if c.passed else "FAIL"
+        lines.append(f"[{flag}] {c.name}: expected {c.expected}, "
+                     f"observed {c.observed}  ({c.provenance})")
+    n_ok = sum(1 for c in report.checks if c.passed)
+    lines.append(f"{n_ok}/{len(report.checks)} checks passed "
+                 f"in {report.wall_clock_s:.3f}s")
+    return "\n".join(lines)

@@ -173,12 +173,22 @@ def single_point_mutants(draw):
     return doc
 
 
+def json_path(path) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
 @settings(max_examples=400, deadline=None)
 @given(single_point_mutants())
 def test_single_point_mutants_get_jsonschemas_verdict_and_one_of_its_paths(doc):
     ours, reference = our_path(doc), reference_paths(doc)
-    assert (ours is None) == (not reference)
-    assert ours is None or ours in reference
+    unwritable = [json_path(path) for path, node in nodes(doc)
+                  if isinstance(node, (numpy.int64, numpy.bool_))]
+    if unwritable and not reference:
+        # jsonschema passes a value that JSON cannot write; our checker names it
+        assert ours == unwritable[0]
+    else:
+        assert (ours is None) == (not reference)
+        assert ours is None or ours in reference
 
 
 @pytest.mark.parametrize("edit, keyword", [
@@ -213,8 +223,9 @@ def test_load_schema_reads_the_packaged_schema():
 def test_a_value_json_cannot_write_is_a_report_error_naming_its_path(detail, message):
     report = ReportDocument(RunConfig(command="verify noncomm"),
                             (CheckResult("demo", "1", "1", "TRIVIAL", True, detail),), 0.0)
-    validate_report(report.to_json())
     assert reference_paths(report.to_json()) == set()
+    with pytest.raises(ReportError, match=re.escape(message)):
+        validate_report(report.to_json())
     with pytest.raises(ReportError, match=re.escape(message)):
         emit(report, "json")
 
@@ -524,16 +535,22 @@ def test_a_run_with_no_checks_exits_one(monkeypatch, capsys):
     assert "0/0 checks passed" in capsys.readouterr().out
 
 
-def test_a_report_that_cannot_be_emitted_is_a_named_error(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("detail, message", [
+    ({"cells": {1, 2}}, "$.checks[0].detail.cells: Object of type set is not JSON serializable"),
+    ({"count": numpy.int64(3)},
+     "$.checks[0].detail.count: Object of type int64 is not JSON serializable"),
+    ({"by": {1: "a"}}, "$.checks[0].detail.by: keys must be str, not int"),
+], ids=["set", "numpy.int64", "int key"])
+def test_a_report_that_cannot_be_emitted_is_a_named_error(detail, message, fmt, tmp_path,
+                                                          monkeypatch, capsys):
     monkeypatch.setattr(toy, "toy_born_checks", lambda: [
-        CheckResult("unwritable", "1", "1", "TRIVIAL", True, {"cells": {1, 2}})])
-    out = tmp_path / "report.json"
-    assert cli.main(["verify", "toy-born", "--format", "json", "--output", str(out)]) == 1
+        CheckResult("unwritable", "1", "1", "TRIVIAL", True, detail)])
+    out = tmp_path / "report"
+    assert cli.main(["verify", "toy-born", "--format", fmt, "--output", str(out)]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == "" and not out.exists()
-    assert err.splitlines() == ["omlab: error: cannot emit the report: "
-                                "$.checks[0].detail.cells: Object of type set is not JSON "
-                                "serializable"]
+    assert err.splitlines() == [f"omlab: error: cannot emit the report: {message}"]
 
 
 @pytest.mark.parametrize("phase", ["0", "pi"])
@@ -822,8 +839,8 @@ def test_only_gaussian_commands_import_numpy():
                                                      for argv in NUMPY_PROBES]
 
 
-# Text is the default format and JSON the schema-checked one; the numpy test
-# above is the control that the probe sees an import.
+# Text is the default format, and both formats are schema-checked; the numpy
+# test above is the control that the probe sees an import.
 JSONSCHEMA_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--format", "json", "nogo", "chsh"],
                      ["--format", "json", "verify", "all"], ["--format", "json", "gaussian", "epr"])
 
@@ -834,9 +851,9 @@ def test_no_command_text_or_json_loads_jsonschema():
 
 # module -> command lines, run in turn in one interpreter, and whether the
 # module is loaded after each.  A PBR verdict needs pbr, quantum, exact, models
-# and reports only, and a Hardy verdict hardy, quantum, exact, models and
-# reports.  Each list ends with a command that does load the module, as the
-# control that the probe sees the import.
+# and reports only, a Hardy verdict hardy, quantum, exact and reports, and a
+# Gaussian one gaussian and reports.  Each list ends with a command that does
+# load the module, as the control that the probe sees the import.
 PBR_PROBES = (["nogo", "pbr"], ["nogo", "pbr", "--null-budget", "1/2"])
 TOY_PROBES = (["verify", "all"], ["simulate", "mz"])
 SECTOR_PROBES = {
@@ -847,6 +864,8 @@ SECTOR_PROBES = {
     "omlab.gaussian": (PBR_PROBES + TOY_PROBES + (["gaussian", "epr"],),
                        [False, False, False, False, True]),
     "omlab.pbr": (TOY_PROBES + (["nogo", "hardy"], ["nogo", "pbr"]), [False, False, False, True]),
+    "omlab.models": ((["nogo", "hardy"], ["gaussian", "epr"], ["nogo", "pbr"]),
+                     [False, False, True]),
 }
 
 
