@@ -20,6 +20,10 @@ function is entered when it is called.  A class is entered when one of its
 own functions is, when a method runs on one of its instances, or when one of
 its instances is raised.
 
+It exits 1 when a command line of ``argvs()`` reaches ``cli._argparse`` or a
+usage error does not exit 2, else 0, so it can run as a check.  It takes no
+options.
+
     python3 scripts/reach.py
 """
 
@@ -232,6 +236,7 @@ def main() -> int:
         sys.settrace(None)
     print(f"{len(runs)} command lines: {codes.count(0)} exit 0, "
           f"{len(codes) - codes.count(0)} exit 1; {argparsed} reached argparse")
+    bad_usage = [argv for argv, code in zip(USAGE_ARGVS, usage_codes) if code != 2]
     print(f"{len(USAGE_ARGVS)} usage errors, exit "
           + ", ".join(str(code) for code in sorted(set(usage_codes)))
           + f"; {reach.entered[argparse_key] - argparsed} reached argparse")
@@ -250,7 +255,11 @@ def main() -> int:
     print(f"definitions no command line enters ({len(dead)}):")
     for entry in dead:
         print(f"  {entry}")
-    return 0
+    for argv in bad_usage:
+        print(f"FAIL: usage error {' '.join(argv)} did not exit 2")
+    if argparsed:
+        print(f"FAIL: {argparsed} lab command lines reached cli._argparse")
+    return 1 if argparsed or bad_usage else 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ def _fraction_misfit(text) -> str | None:
 
 def _fraction_or_none(text):
     """An argparse type: a fraction in lowest terms, or None for 'none'."""
-    if text in ("none", "None"):
+    if text == "none":
         return None
     try:
         return str(Fraction(text))

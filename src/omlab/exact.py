@@ -8,10 +8,10 @@ tolerances.  A value is (a + b*sqrt2 + (c + d*sqrt2)*i)/den: four integers
 over one shared denominator den > 0, in lowest terms after one gcd per result.
 That form is canonical, so equality and hashing compare five integers, and a
 ``Fraction`` is made only at the boundary (``ra``, ``rb``, ``ia``, ``ib``).
-Sums of products (``dot``, ``dot_abs2``: inner products, matrix rows, Born
-values) run fused on the coordinates: the terms share a running common
-denominator and the sum is reduced by one gcd, not one per term.
-Arbitrary-angle phases fall back to plain ``complex``.
+All arithmetic is one fused sum of products on the coordinates, reduced by
+one gcd: ``dot`` and ``dot_abs2`` (inner products, matrix rows, Born values)
+sum many terms, a product is the one-term sum and a sum the two-term sum.
+A ``float`` or ``complex`` operand (an arbitrary-angle phase) gives ``complex``.
 """
 
 from __future__ import annotations
@@ -47,23 +47,12 @@ class ExactComplex:
 
     @staticmethod
     def of(x: ExactComplex | int | Fraction) -> ExactComplex:
-        if isinstance(x, ExactComplex):
-            return x
-        if type(x) is int:
-            return _make((x, 0, 0, 0, 1))
-        if type(x) is Fraction:
-            return _make((x.numerator, 0, 0, 0, x.denominator))
-        return ExactComplex(x)
+        return x if isinstance(x, ExactComplex) else ExactComplex(x)
 
     def __add__(self, other):
         if _is_float_mode(other):
             return self.to_complex() + complex(other)
-        a1, b1, c1, d1, n1 = self._t
-        a2, b2, c2, d2, n2 = ExactComplex.of(other)._t
-        if n1 == n2:
-            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
-        return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
-                        c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
+        return _reduced(*_sum_of_products((self, ExactComplex.of(other)), (ONE, ONE), False))
 
     __radd__ = __add__
 
@@ -80,15 +69,7 @@ class ExactComplex:
         if _is_float_mode(other):
             # mixing number modes demotes the computation to float
             return self.to_complex() * complex(other)
-        a1, b1, c1, d1, n1 = self._t
-        a2, b2, c2, d2, n2 = ExactComplex.of(other)._t
-        if not (c1 or d1 or c2 or d2):
-            return _reduced(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, 0, 0, n1 * n2)
-        # (R1 + I1 i)(R2 + I2 i) with R, I in Q(sqrt2): 16 coordinate products
-        return _reduced(a1 * a2 - c1 * c2 + 2 * (b1 * b2 - d1 * d2),
-                        a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-                        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-                        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2, n1 * n2)
+        return _reduced(*_sum_of_products((self,), (ExactComplex.of(other),), False))
 
     __rmul__ = __mul__
 
@@ -150,7 +131,8 @@ def _sum_of_products(xs, ys, conjugate_left: bool) -> tuple | None:
     """The unreduced (a, b, c, d, den) of sum_i x_i y_i, or of sum_i conj(x_i) y_i,
     over two equally long sequences; None if an entry is not an ExactComplex.
     A term with a zero factor is skipped; the others' 16 coordinate products
-    go onto a running common denominator."""
+    go onto a running common denominator.  The one code that combines
+    coordinates: ``+`` and ``*`` call it too."""
     sign = -1 if conjugate_left else 1
     a = b = c = d = 0
     den = 1
@@ -219,13 +201,6 @@ _EIGHTH_PHASES = {
 def phase_eighth(k: int) -> ExactComplex:
     """Exact e^{i k pi/4}."""
     return _EIGHTH_PHASES[k % 8]
-
-
-def conj(x):
-    """Complex conjugate for ExactComplex or builtin complex/float entries."""
-    if isinstance(x, ExactComplex):
-        return x.conjugate()
-    return complex(x).conjugate()
 
 
 def as_probability(x):

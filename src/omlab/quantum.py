@@ -27,7 +27,6 @@ from .exact import (
     ONE,
     ZERO,
     as_probability,
-    conj,
     dot,
     dot_abs2,
 )
@@ -54,7 +53,7 @@ def _dot(a: Sequence, b: Sequence, conjugate_left: bool = True):
     z = dot(a, b, conjugate_left)
     if z is not None:
         return z
-    pairs = zip(map(conj, a) if conjugate_left else a, b, strict=True)
+    pairs = zip((x.conjugate() for x in a) if conjugate_left else a, b, strict=True)
     x, y = next(pairs)
     acc = x * y
     for x, y in pairs:
@@ -148,7 +147,7 @@ def transition_probability(e: Ket, psi: Ket):
     p = dot_abs2(e.amplitudes, psi.amplitudes) if e.dim == psi.dim else None
     if p is None:
         amp = inner(e, psi)
-        p = amp * conj(amp)
+        p = amp * amp.conjugate()
     return as_probability(p)
 
 

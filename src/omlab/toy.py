@@ -58,7 +58,7 @@ class ToyEpistemicState:
         s = frozenset(self.support)
         object.__setattr__(self, "support", s)
         if not s <= set(STATES):
-            raise ToyError(f"support {sorted(s)} is not a subset of 1..4")
+            raise ToyError(f"support {set(s)} is not a subset of 1..4")
         if len(s) not in (2, 4):
             raise ToyError("knowledge balance allows supports of size 2 or 4 only")
 
@@ -85,12 +85,12 @@ class ToyMeasurement:
     partition: tuple  # two frozensets, ordered by smallest member
 
     def __post_init__(self):
-        blocks = tuple(sorted((frozenset(b) for b in self.partition), key=min))
-        object.__setattr__(self, "partition", blocks)
+        blocks = tuple(frozenset(b) for b in self.partition)
         if len(blocks) != 2 or any(len(b) != 2 for b in blocks):
             raise ToyError("measurement must have exactly two 2-element blocks")
         if blocks[0] | blocks[1] != set(STATES) or blocks[0] & blocks[1]:
             raise ToyError("blocks must be disjoint and cover 1..4")
+        object.__setattr__(self, "partition", tuple(sorted(blocks, key=min)))
 
     def block_of(self, lam: int) -> frozenset:
         for b in self.partition:
@@ -115,7 +115,7 @@ class ToyPermutation:
     image: tuple
 
     def __post_init__(self):
-        if sorted(self.image) != list(STATES):
+        if len(self.image) != len(STATES) or set(self.image) != set(STATES):
             raise ToyError(f"{self.image} is not a permutation of 1..4")
 
     def __call__(self, lam: int) -> int:
@@ -139,9 +139,9 @@ class CompositeToyState:
         object.__setattr__(self, "support", s)
         if not s:
             raise ToyError("composite support must be nonempty")
-        for a, b in s:
-            if a not in STATES or b not in STATES:
-                raise ToyError(f"pair ({a},{b}) is not in 1..4 x 1..4")
+        for p in s:
+            if len(p) != 2 or p[0] not in STATES or p[1] not in STATES:
+                raise ToyError(f"{p} is not a pair in 1..4 x 1..4")
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +381,7 @@ def mz_toy_run(phase_in: bool, source: str = "first_splitter") -> ToyEpistemicSt
 
 def make_correlated(pairing: Mapping[int, int]) -> CompositeToyState:
     """The perfectly correlated state {(i, pairing(i))} for a bijection."""
-    image = [pairing[s] for s in STATES]
-    if sorted(image) != list(STATES):
+    if set(pairing) != set(STATES) or set(pairing.values()) != set(STATES):
         raise ToyError("pairing must be a bijection on 1..4")
     return CompositeToyState(frozenset((s, pairing[s]) for s in STATES))
 

@@ -372,7 +372,9 @@ def foreign_options() -> list:
 @pytest.mark.parametrize("command, opt", foreign_options(),
                          ids=lambda x: x if isinstance(x, str) else x.flag)
 def test_a_foreign_option_is_a_usage_error(command, opt, capsys):
-    value = [] if opt.spec.get("action") == "store_true" else [str(opt.default)]
+    # the default as a command line spells it: "none" for a None default
+    value = ([] if opt.spec.get("action") == "store_true"
+             else ["none" if opt.default is None else str(opt.default)])
     with pytest.raises(SystemExit) as stop:
         cli.main(command.split(" ") + [opt.flag] + value)
     assert stop.value.code == 2

@@ -1,5 +1,6 @@
 """Field arithmetic over Q(i, sqrt2)."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -61,8 +62,8 @@ def fields(z: ExactComplex) -> tuple:
 @settings(max_examples=300, deadline=None)
 @given(sparse_scalars, sparse_scalars)
 def test_zero_skipping_matches_the_full_products(x, y):
-    """Zero coordinates and the real-by-real product (4 of the 16 products)
-    give the full 16-product Fraction formula's fields and hashes."""
+    """Operands with zero coordinates, which the fused kernel skips term by
+    term, give the full 16-product Fraction formula's fields and hashes."""
     assert fields(x * y) == reference_mul(x, y)
     assert hash(x * y) == hash(ExactComplex(*reference_mul(x, y)))
     assert fields(x + y) == (x.ra + y.ra, x.rb + y.rb, x.ia + y.ia, x.ib + y.ib)
@@ -70,6 +71,27 @@ def test_zero_skipping_matches_the_full_products(x, y):
     assert fields(x.conjugate()) == (x.ra, x.rb, -x.ia, -x.ib)
     assert fields(x * 3) == reference_mul(x, ExactComplex.of(3))
     assert fields(0 + x) == fields(x)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+float_operands = st.one_of(finite, st.builds(complex, finite, finite))
+
+
+def bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_scalars, float_operands)
+def test_a_float_operand_demotes_each_operator_to_complex_bit_for_bit(z, w):
+    """z op w, for a float or complex w, is the same op on z.to_complex() and
+    complex(w), to the last bit of both parts; so is w op z for + and *
+    (ExactComplex has no __rsub__: no lab path subtracts it from a float)."""
+    zc, wc = z.to_complex(), complex(w)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert type(op(z, w)) is complex and bits(op(z, w)) == bits(op(zc, wc)), op
+    for op in (operator.add, operator.mul):
+        assert type(op(w, z)) is complex and bits(op(w, z)) == bits(op(wc, zc)), op
 
 
 @settings(max_examples=300, deadline=None)

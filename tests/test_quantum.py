@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_exact import sparse_scalars
 
 from omlab import quantum as q
-from omlab.exact import (FLOAT_TOL, ONE, ZERO, ExactComplex, as_probability, conj, dot,
+from omlab.exact import (FLOAT_TOL, ONE, ZERO, ExactComplex, as_probability, dot,
                          phase_eighth)
 
 HALF = Fraction(1, 2)
@@ -27,8 +27,8 @@ def _float_ket(amps):
 
 def trace_formula(e: q.Ket, psi: q.Ket):
     """Tr(|e><e| |psi><psi|), summed entry by entry over the two projectors."""
-    effect = [[x * conj(y) for y in e.amplitudes] for x in e.amplitudes]
-    rho = [[x * conj(y) for y in psi.amplitudes] for x in psi.amplitudes]
+    effect = [[x * y.conjugate() for y in e.amplitudes] for x in e.amplitudes]
+    rho = [[x * y.conjugate() for y in psi.amplitudes] for x in psi.amplitudes]
     d = e.dim
     return as_probability(sum((effect[i][j] * rho[j][i] for i in range(d) for j in range(d)),
                               ZERO))
@@ -213,9 +213,9 @@ def test_gram_defects_flags_an_off_diagonal_1e_9():
 # add per term.  They are the kernel's oracles.
 
 def fold_dot(a, b):
-    acc = conj(a[0]) * b[0]
+    acc = a[0].conjugate() * b[0]
     for x, y in zip(a[1:], b[1:]):
-        acc = acc + conj(x) * y
+        acc = acc + x.conjugate() * y
     return acc
 
 
@@ -226,7 +226,7 @@ def fold_mat_vec(m, v):
 
 def fold_transition_probability(e, psi):
     amp = fold_dot(e, psi)
-    return as_probability(amp * conj(amp))
+    return as_probability(amp * amp.conjugate())
 
 
 def fold_gram_defects(vectors):
@@ -264,7 +264,7 @@ def basis_or_sparse(d):
 def test_fused_dot_equals_the_fold(pair):
     a, b = pair
     assert q._dot(a, b) == fold_dot(a, b)
-    assert dot(a, b) == fold_dot([conj(x) for x in a], b)
+    assert dot(a, b) == fold_dot([x.conjugate() for x in a], b)
     assert q._dot(a, a) == fold_dot(a, a) and q._close_to(q._dot(a, a), 0) == all(
         x.is_zero() for x in a)
 

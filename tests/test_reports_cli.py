@@ -930,7 +930,8 @@ def test_a_fraction_past_the_digit_limit_fails_the_run_naming_the_limit(key):
 
 
 @pytest.mark.parametrize("flag, value", [("--q", "abc"), ("--q", "1/0"),
-                                         ("--null-budget", "x")])
+                                         ("--null-budget", "x"), ("--q", "None"),
+                                         ("--null-budget", "None")])
 def test_malformed_fraction_is_a_usage_error(flag, value, capsys):
     # rejected as --lambda-size abc is: argparse names the flag, exit 2
     with pytest.raises(SystemExit) as stop:

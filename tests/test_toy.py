@@ -414,3 +414,15 @@ def test_measurement_validation():
         ToyMeasurement((frozenset({1, 2}), frozenset({2, 3})))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ToyEpistemicState(frozenset({"a", 1})), "is not a subset of 1..4"),
+    (lambda: ToyMeasurement((frozenset(), frozenset({1, 2, 3, 4}))), "two 2-element blocks"),
+    (lambda: ToyPermutation(("a", 2, 3, 4)), "not a permutation of 1..4"),
+    (lambda: CompositeToyState({(1,)}), r"\(1,\) is not a pair in 1..4 x 1..4"),
+    (lambda: toy.make_correlated({1: 1, 2: 2, 3: 3}), "bijection on 1..4"),
+], ids=["mixed-support", "empty-block", "non-int-image", "one-tuple-pair", "partial-pairing"])
+def test_malformed_constructor_input_is_a_named_toy_error(build, message):
+    with pytest.raises(ToyError, match=message):
+        build()
+
+
