@@ -97,17 +97,6 @@ class ExactComplex:
         a, b, c, d, n = self._t  # a / n is float(Fraction(a, n)): both round once
         return complex(a / n + b / n * 2 ** 0.5, c / n + d / n * 2 ** 0.5)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        def part(a, b):
-            terms = []
-            if a:
-                terms.append(str(a))
-            if b:
-                terms.append(f"{b}*sqrt2")
-            return " + ".join(terms) if terms else "0"
-
-        return f"({part(self.ra, self.rb)}) + ({part(self.ia, self.ib)})i"
-
 
 _set_t = ExactComplex._t.__set__  # the slot's own setter, past the frozen __setattr__
 

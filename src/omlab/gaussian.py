@@ -259,14 +259,10 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
 
 @dataclass(frozen=True)
 class EprInferenceResult:
-    """The distant system's posterior after the reading, its validity, and
-    a note on what was not re-validated."""
+    """The distant system's posterior after the reading and its validity."""
 
     bob: GaussianEpistemicState
     bob_validity: ValidityResult
-    note: str = field(default=(
-        "posterior validity is checked for the distant system only; the "
-        "post-measurement joint state is not re-validated"))
 
 
 def epr_inference(state: GaussianEpistemicState, alice_measures: str,

@@ -43,7 +43,6 @@ from typing import Mapping, Sequence
 
 from . import quantum
 from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
-from .models import ModelError
 from .reports import CheckResult, fmt, frac_str, row
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
@@ -53,6 +52,14 @@ NULL = "null"
 
 class PbrError(ValueError):
     pass
+
+
+def _model_error(message: str) -> Exception:
+    """``models.ModelError(message)``, for a witness that fails its replay;
+    ``models`` is imported only here, so a replay that passes never loads it."""
+    from .models import ModelError
+
+    return ModelError(message)
 
 
 def _read_ratio(s) -> tuple:
@@ -381,24 +388,24 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
         supports[prep] = support = list(zip(weighed, weights))
         mass = sum(w for _, w in support)
         if any(w < 0 for _, w in support):
-            raise ModelError("negative epistemic weight")
+            raise _model_error("negative epistemic weight")
         if mass != wden:
-            raise ModelError(f"epistemic weights sum to {Fraction(mass, wden)}, not 1")
+            raise _model_error(f"epistemic weights sum to {Fraction(mass, wden)}, not 1")
     outcomes = witness["outcomes"]
     keys = [(k, cell) for k in outcomes for cell in cells]
     entries, xden = _over_lcm(witness["xi"].get(f"{k}|{a},{b}", "0") for k, (a, b) in keys)
     if any(not 0 <= x <= xden for x in entries):
-        raise ModelError("response entries must lie in [0, 1]")
+        raise _model_error("response entries must lie in [0, 1]")
     xi = dict(zip(keys, entries))
     for cell in cells:
         column = sum(xi[k, cell] for k in outcomes)
         if column != xden:
-            raise ModelError(f"response column for {cell!r} sums to "
-                             f"{Fraction(column, xden)}, not 1")
+            raise _model_error(f"response column for {cell!r} sums to "
+                               f"{Fraction(column, xden)}, not 1")
     missing = [f"preparation {p!r}" for p in PREP_LABELS if p not in supports]
     missing += [f"outcome {k!r}" for k in OUTCOME_LABELS if k not in outcomes]
     if missing:
-        raise ModelError(f"unknown {missing[0]}")
+        raise _model_error(f"unknown {missing[0]}")
     total = wden * xden  # the denominator of every prediction
     post_ok, raw_ok, nulls = True, True, []
     for p in PREP_LABELS:

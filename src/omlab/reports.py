@@ -10,7 +10,7 @@ format it returns: the walk interprets the draft 2020-12 keywords the schema
 uses as jsonschema does (so the package needs no jsonschema at run time) and
 writes each value as ``json.dumps(doc, sort_keys=True, indent=2)`` would, so
 identical configs emit byte-identical documents apart from the wall-clock
-field.  ``validate_report`` runs the same walk and drops the text.
+field.
 """
 
 from __future__ import annotations
@@ -303,7 +303,8 @@ def _walk(schema, value, write, nl: str) -> None:
 def _walk_report(doc: dict) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
     ``_walk`` under the package schema, read afresh and its form checked; a
-    _Fault becomes ReportError("<json_path>: <reason>")."""
+    _Fault becomes ReportError("<json_path>: <reason>"), the path in
+    jsonschema's ``json_path`` notation."""
     schema = load_schema()
     _check_form(schema)
     parts = []
@@ -313,15 +314,6 @@ def _walk_report(doc: dict) -> str:
         path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(fault.keys))
         raise ReportError(f"${path}: {fault}") from None
     return "".join(parts)
-
-
-def validate_report(doc: dict) -> None:
-    """Check ``doc`` as ``emit`` does, dropping the text: against the package
-    schema, read afresh, as jsonschema would, and for values JSON can write.
-    A violation raises ReportError("<json_path>: <reason>"), the path in
-    jsonschema's ``json_path`` notation; a keyword or form of the schema that
-    ``_walk`` does not interpret raises ReportError naming it."""
-    _walk_report(doc)
 
 
 def emit(report: ReportDocument, fmt: str = "json") -> str:

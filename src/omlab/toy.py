@@ -98,9 +98,6 @@ class ToyMeasurement:
                 return b
         raise ToyError(f"{lam} is not a toy state")
 
-    def __repr__(self) -> str:
-        return "{" + ", ".join("{" + ",".join(map(str, sorted(b))) + "}" for b in self.partition) + "}"
-
 
 MEAS_Z_TOY = ToyMeasurement((frozenset({1, 2}), frozenset({3, 4})))
 MEAS_X_TOY = ToyMeasurement((frozenset({1, 3}), frozenset({2, 4})))

@@ -32,7 +32,6 @@ from omlab.reports import (
     RunConfig,
     emit,
     load_schema,
-    validate_report,
 )
 
 
@@ -94,9 +93,8 @@ def test_check_provenance_validation():
 
 def test_empty_report_is_schema_valid_and_does_not_pass():
     report = ReportDocument(RunConfig(command="verify toy-born"), (), 0.0)
-    doc = report.to_json()
-    validate_report(doc)
-    assert doc["checks"] == []
+    emit(report)
+    assert report.to_json()["checks"] == []
     assert not report.all_passed  # a run that checked nothing shows nothing
 
 
@@ -113,9 +111,9 @@ def reference_paths(doc) -> set:
 
 
 def our_path(doc):
-    """None if ``validate_report`` passes ``doc``, else the path it names."""
+    """None if ``reports._walk_report`` passes ``doc``, else the path it names."""
     try:
-        validate_report(doc)
+        reports._walk_report(doc)
     except ReportError as exc:
         return str(exc).partition(": ")[0]
     return None
@@ -206,7 +204,7 @@ def test_unsupported_schema_keyword_is_a_report_error(monkeypatch, edit, keyword
     edit(schema)
     monkeypatch.setattr(reports, "load_schema", lambda: schema)
     with pytest.raises(ReportError, match=re.escape(repr(keyword))):
-        validate_report(small_report().to_json())
+        emit(small_report())
 
 
 def test_load_schema_reads_the_packaged_schema():
@@ -225,7 +223,7 @@ def test_a_value_json_cannot_write_is_a_report_error_naming_its_path(detail, mes
                             (CheckResult("demo", "1", "1", "TRIVIAL", True, detail),), 0.0)
     assert reference_paths(report.to_json()) == set()
     with pytest.raises(ReportError, match=re.escape(message)):
-        validate_report(report.to_json())
+        emit(report, "text")
     with pytest.raises(ReportError, match=re.escape(message)):
         emit(report, "json")
 
@@ -352,7 +350,7 @@ def test_every_report_check_carries_a_provenance_tag():
         assert report.checks
         for c in report.checks:
             assert c.provenance in ("PAPER", "DERIVED", "TRIVIAL")
-        validate_report(report.to_json())
+        emit(report)
 
 
 def test_unknown_verb_is_captured_as_failed_check():
@@ -421,7 +419,7 @@ def test_failed_run_keeps_the_exception_type_and_origin():
     bodies = [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.FunctionDef) and node.name == function]
     assert any('raise PbrError("q must lie in' in body for body in bodies)
-    validate_report(report.to_json())
+    emit(report)
 
 
 # ------------------------------------------------------------- main()
@@ -432,7 +430,7 @@ def test_main_exit_zero_and_writes_output(tmp_path, capsys):
                      "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    validate_report(doc)
+    reports._walk_report(doc)
     assert all(c["passed"] for c in doc["checks"])
     assert "steering" in capsys.readouterr().out
 
@@ -850,8 +848,8 @@ def test_no_command_text_or_json_loads_jsonschema():
 
 
 # module -> command lines, run in turn in one interpreter, and whether the
-# module is loaded after each.  A PBR verdict needs pbr, quantum, exact, models
-# and reports only, a Hardy verdict hardy, quantum, exact and reports, and a
+# module is loaded after each.  A PBR verdict needs pbr, quantum, exact and
+# reports only, a Hardy verdict hardy, quantum, exact and reports, and a
 # Gaussian one gaussian and reports.  Each list ends with a command that does
 # load the module, as the control that the probe sees the import.
 PBR_PROBES = (["nogo", "pbr"], ["nogo", "pbr", "--null-budget", "1/2"])
@@ -864,8 +862,9 @@ SECTOR_PROBES = {
     "omlab.gaussian": (PBR_PROBES + TOY_PROBES + (["gaussian", "epr"],),
                        [False, False, False, False, True]),
     "omlab.pbr": (TOY_PROBES + (["nogo", "hardy"], ["nogo", "pbr"]), [False, False, False, True]),
-    "omlab.models": ((["nogo", "hardy"], ["gaussian", "epr"], ["nogo", "pbr"]),
-                     [False, False, True]),
+    "omlab.models": (PBR_PROBES + (["nogo", "hardy"], ["gaussian", "epr"],
+                                   ["verify", "toy-born"]),
+                     [False, False, False, False, True]),
 }
 
 
