@@ -84,6 +84,8 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--value", "nan"],
     # a negative reading in exponent form, which argparse once took for an option
     ["gaussian", "epr", "--value", "-1e3"],
+    # a large reading, whose posterior mean is held to a relative 1e-9
+    ["gaussian", "epr", "--squeeze", "1", "--value", "1e10"],
 ]
 
 # One option per verb that has options, given to a target that does not take

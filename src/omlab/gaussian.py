@@ -352,6 +352,6 @@ def gaussian_epr_checks(squeeze: float, hbar_like: float, measure: str,
     return [
         row(f"gaussian epr posterior mean ({measure}={value})",
             f"{want:.9g}", f"{got:.9g}", "DERIVED",
-            passed=abs(got - want) <= 1e-9, detail=res.bob.to_json()),
+            passed=abs(got - want) <= 1e-9 * max(1.0, abs(want)), detail=res.bob.to_json()),
         row("gaussian epr posterior validity", True, res.bob_validity.valid, "DERIVED"),
     ]

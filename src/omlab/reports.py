@@ -10,7 +10,8 @@ format it returns: the walk interprets the draft 2020-12 keywords the schema
 uses as jsonschema does (so the package needs no jsonschema at run time) and
 writes each value as ``json.dumps(doc, sort_keys=True, indent=2)`` would, so
 identical configs emit byte-identical documents apart from the wall-clock
-field.
+field.  The walk trusts the packaged schema to use only the keywords and
+forms it interprets; the test suite checks that once, not each emit.
 """
 
 from __future__ import annotations
@@ -144,57 +145,17 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-_DRAFT = "https://json-schema.org/draft/2020-12/schema"
-
 # The types of draft 2020-12 as jsonschema checks them: a bool is never a
-# number, an integral float is an integer, and a numpy scalar is a number
-# exactly when it is a numbers.Number (numpy.int64 is, numpy.bool_ is not).
+# number, and a numpy scalar is a number exactly when it is a numbers.Number
+# (numpy.int64 is, numpy.bool_ is not).
 _TYPES = {
     "array": lambda v: isinstance(v, list),
     "boolean": lambda v: isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
     "null": lambda v: v is None,
     "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
     "object": lambda v: isinstance(v, dict),
     "string": lambda v: isinstance(v, str),
 }
-
-
-def _strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
-# keyword -> the forms of its value that _walk interprets.  Consts and enums
-# are strings only: then == is the schema's equality, which never equates a
-# bool with a number.  Subschemas are checked by _check_form's recursion.
-_FORMS = {
-    "$schema": lambda v: v == _DRAFT,
-    "$id": _TYPES["string"],
-    "title": _TYPES["string"],
-    "type": lambda v: (v in _TYPES if isinstance(v, str)
-                       else _strings(v) and _TYPES.keys() >= set(v)),
-    "const": _TYPES["string"],
-    "enum": _strings,
-    "required": _strings,
-    "properties": _TYPES["object"],
-    "additionalProperties": lambda v: v is False,
-    "items": _TYPES["object"],
-    "minimum": _TYPES["number"],
-}
-
-
-def _check_form(schema) -> None:
-    """Raise ReportError naming the first keyword of ``schema`` or of one of
-    its subschemas that has no form in ``_FORMS``."""
-    if not isinstance(schema, dict):
-        raise ReportError(f"unsupported schema form {schema!r}")
-    for key, value in schema.items():
-        if key not in _FORMS or not _FORMS[key](value):
-            raise ReportError(f"unsupported schema keyword or form {key!r}: {value!r}")
-    items = [schema["items"]] if "items" in schema else []
-    for sub in [*schema.get("properties", {}).values(), *items]:
-        _check_form(sub)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -302,11 +263,10 @@ def _walk(schema, value, write, nl: str) -> None:
 
 def _walk_report(doc: dict) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, indent=2)``, written by
-    ``_walk`` under the package schema, read afresh and its form checked; a
-    _Fault becomes ReportError("<json_path>: <reason>"), the path in
-    jsonschema's ``json_path`` notation."""
+    ``_walk`` under the package schema, read afresh on every call; a _Fault
+    becomes ReportError("<json_path>: <reason>"), the path in jsonschema's
+    ``json_path`` notation."""
     schema = load_schema()
-    _check_form(schema)
     parts = []
     try:
         _walk(schema, doc, parts.append, "\n")

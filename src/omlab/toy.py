@@ -48,6 +48,10 @@ class ImpossibleToyOutcome(ToyError):
     """Conditioning on an outcome block of zero prior probability."""
 
 
+def _support_name(block) -> str:
+    return "v".join(str(x) for x in sorted(block))
+
+
 @dataclass(frozen=True)
 class ToyEpistemicState:
     """Uniform distribution over a knowledge-balanced support."""
@@ -68,7 +72,7 @@ class ToyEpistemicState:
         return tuple(w if s in self.support else Fraction(0) for s in STATES)
 
     def __repr__(self) -> str:
-        return "v".join(str(s) for s in sorted(self.support))
+        return _support_name(self.support)
 
 
 def toy_state(*members: int) -> ToyEpistemicState:
@@ -99,10 +103,27 @@ class ToyMeasurement:
         raise ToyError(f"{lam} is not a toy state")
 
 
-MEAS_Z_TOY = ToyMeasurement((frozenset({1, 2}), frozenset({3, 4})))
-MEAS_X_TOY = ToyMeasurement((frozenset({1, 3}), frozenset({2, 4})))
-MEAS_Y_TOY = ToyMeasurement((frozenset({2, 3}), frozenset({1, 4})))
-ALL_TOY_MEASUREMENTS = (MEAS_Z_TOY, MEAS_X_TOY, MEAS_Y_TOY)
+# --------------------------------------------------------------------------
+# the toy <-> qubit correspondence
+
+STATE_SUPPORT = {
+    "0": frozenset({1, 2}),
+    "1": frozenset({3, 4}),
+    "+": frozenset({1, 3}),
+    "-": frozenset({2, 4}),
+    "+i": frozenset({2, 3}),
+    "-i": frozenset({1, 4}),
+}
+SUPPORT_STATE = {v: k for k, v in STATE_SUPPORT.items()}
+
+# The three partition measurements, each with the blocks of its quantum
+# counterpart's outcomes; block b's outcome label is SUPPORT_STATE[b].
+MEASUREMENT_TABLE = {
+    name: ToyMeasurement(tuple(STATE_SUPPORT[outcome] for outcome in meas.outcomes))
+    for name, meas in quantum.MEAS_BY_NAME.items()
+}
+ALL_TOY_MEASUREMENTS = tuple(MEASUREMENT_TABLE.values())
+MEAS_Z_TOY, MEAS_X_TOY, MEAS_Y_TOY = ALL_TOY_MEASUREMENTS
 
 
 @dataclass(frozen=True)
@@ -252,23 +273,6 @@ def combine(a: ToyEpistemicState, b: ToyEpistemicState,
     return ToyEpistemicState(frozenset(pick))
 
 
-# --------------------------------------------------------------------------
-# the toy <-> qubit correspondence
-
-STATE_SUPPORT = {
-    "0": frozenset({1, 2}),
-    "1": frozenset({3, 4}),
-    "+": frozenset({1, 3}),
-    "-": frozenset({2, 4}),
-    "+i": frozenset({2, 3}),
-    "-i": frozenset({1, 4}),
-}
-SUPPORT_STATE = {v: k for k, v in STATE_SUPPORT.items()}
-
-# The three partition measurements; block b's outcome label is SUPPORT_STATE[b].
-MEASUREMENT_TABLE = {"Z": MEAS_Z_TOY, "X": MEAS_X_TOY, "Y": MEAS_Y_TOY}
-
-
 def build_toy_model() -> OntologicalModel:
     """The full six-state, three-measurement model with 0/1 responses."""
     space = OnticSpace(STATES)
@@ -376,6 +380,11 @@ def mz_toy_run(phase_in: bool, source: str = "first_splitter") -> ToyEpistemicSt
 # --------------------------------------------------------------------------
 # composite systems
 
+# The pairing of the steering and no-signaling demos: each of Alice's states
+# with the same state of Bob's.
+DEMO_PAIRING = {1: 1, 2: 2, 3: 3, 4: 4}
+
+
 def make_correlated(pairing: Mapping[int, int]) -> CompositeToyState:
     """The perfectly correlated state {(i, pairing(i))} for a bijection."""
     if set(pairing) != set(STATES) or set(pairing.values()) != set(STATES):
@@ -446,7 +455,7 @@ def steering_retrodiction_demo(second_outcome: frozenset = frozenset({1, 2})) ->
     run's pairs whose Alice state the second run keeps pin the shared state
     the pair occupied at the first measurement; it is returned.
     """
-    state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
+    state = make_correlated(DEMO_PAIRING)
     r1 = steering_inference(state, MEAS_X_TOY, frozenset({1, 3}))
     r2 = steering_inference(r1.updated, MEAS_Z_TOY, frozenset(second_outcome))
     alice_at_second = {a for a, _ in r2.joint_at_measurement}
@@ -551,10 +560,6 @@ def toy_born_checks() -> list:
                       f"{sum(1 for r in report.rows if r.match)}/{len(report.rows)}",
                       "DERIVED", passed=report.ok))
     return checks
-
-
-def _support_name(block) -> str:
-    return "v".join(str(x) for x in sorted(block))
 
 
 def _dist_name(dist: dict) -> str:
@@ -678,7 +683,7 @@ def combine_checks() -> list:
 
 
 def steering_checks() -> list:
-    state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
+    state = make_correlated(DEMO_PAIRING)
     r1 = steering_inference(state, MEAS_X_TOY, frozenset({1, 3}))
     bob_support = sorted(s for s, w in r1.bob_marginal.items() if w > 0)
     checks = [
@@ -690,19 +695,17 @@ def steering_checks() -> list:
     checks.append(row("steering retrodiction singles out state", 1,
                       steering_retrodiction_demo(), "PAPER"))
     product = product_composite(toy_state(1, 2), toy_state(3, 4))
-    before = marginal(product, 1)
     r2 = steering_inference(product, MEAS_X_TOY, frozenset({1, 3}))
-
-    def marg_name(m):
-        return "{" + ", ".join(f"{s}: {fmt(w)}" for s, w in sorted(m.items())) + "}"
-
+    # Bob's marginals keyed by one-state blocks, each written as its state
+    before, after = ({frozenset({lam}): w for lam, w in m.items()}
+                     for m in (marginal(product, 1), r2.bob_marginal))
     checks.append(row("steering: product state leaves Bob unchanged",
-                      marg_name(before), marg_name(r2.bob_marginal), "TRIVIAL"))
+                      _dist_name(before), _dist_name(after), "TRIVIAL"))
     return checks
 
 
 def no_signaling_checks() -> list:
-    state = make_correlated({1: 1, 2: 2, 3: 3, 4: 4})
+    state = make_correlated(DEMO_PAIRING)
     rep = no_signaling_check(state, ALL_TOY_MEASUREMENTS)
     checks = [row("no-signaling variation (correlated state)", Fraction(0),
                   rep.max_variation, "DERIVED")]
@@ -730,7 +733,7 @@ def mz_checks(phase: str, model: str, source: str, theta: float | None) -> list:
                           "PAPER"))
     if model in ("toy", "both") and source == "upper_arm":
         dist = measurement_distribution(mz_toy_run(phase_in, source), MEAS_Z_TOY)
-        t1, t2 = dist[frozenset({1, 2})], dist[frozenset({3, 4})]  # d1, d2
+        t1, t2 = (dist[block] for block in MEAS_Z_TOY.partition)  # d1, d2
         checks.append(row(f"mz toy P(d1), P(d2) [{source}, phase={phase_in}]",
                           f"({fmt(d1)}, {fmt(d2)})", f"({fmt(t1)}, {fmt(t2)})",
                           "DERIVED"))

@@ -310,6 +310,19 @@ def test_epr_inference_momentum_anticorrelated():
     assert res.bob_validity.valid
 
 
+LOG_LAMBDA = tuple(math.log10(lam) for lam in g.LAMBDA_RANGE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 13.0), st.floats(*LOG_LAMBDA).map(lambda e: 10.0 ** e),
+       st.sampled_from("qp"), st.floats(-1e300, 1e300))
+def test_the_posterior_mean_row_passes_on_any_finite_reading(squeeze, lam, measure, value):
+    # the row once held the mean, tanh(2r) times the reading, to an absolute
+    # 1e-9, so "--squeeze 1 --value 1e10" failed on a mean right to 9 digits
+    checks = g.gaussian_epr_checks(squeeze, lam, measure, value)
+    assert [c.name for c in checks if not c.passed] == []
+
+
 def test_inference_no_signaling_analogue():
     # Bob's prior marginal equals the outcome-average of his posterior for
     # either of Alice's choices: posterior covariance + K Var K^T = prior.
