@@ -108,7 +108,6 @@ KEPT = {
     ("models.py", "ModelError"): _FAILURE,
     ("models.py", "EpistemicState.support"): _ITEMS_8_18,
     ("models.py", "EpistemicState.is_point_mass"): _ITEMS_8_18,
-    ("models.py", "ReproductionReport.mismatches"): _ITEMS_8_18,
     ("models.py", "overlap_witness"): _ITEMS_8_18,
     ("models.py", "classify"): _ITEMS_8_18,
     ("models.py", "permute_labels"): _ITEMS_8_18,

@@ -33,16 +33,16 @@ class GaussianError(ValueError):
 
 
 def _check_uncertainty_parameter(hbar_like: float) -> None:
-    """Reject lam before any arithmetic: at nan or inf a product with it
-    makes nan, and nan <= 0 is false."""
-    if not math.isfinite(hbar_like) or hbar_like <= 0:
-        raise GaussianError("the uncertainty parameter must be positive")
+    """Reject lam outside LAMBDA_RANGE, nan and inf included, before any
+    arithmetic: at nan or inf a product with it makes nan."""
     if not LAMBDA_RANGE[0] <= hbar_like <= LAMBDA_RANGE[1]:
         raise GaussianError("the uncertainty parameter must lie in [%g, %g]" % LAMBDA_RANGE)
 
 
-# Both Gaussian verbs pass throughout both ranges; past them floats under- or
-# overflow.  The first squeeze to fail is 13.753, at lambda = 1e-300.
+# Both Gaussian verbs pass throughout both ranges, save where lambda*sinh(2r)
+# underflows (r = 1e-24 at lambda = 1e-300 gives a posterior mean of 0); past
+# them floats under- or overflow.  The first squeeze to fail is 13.753, at
+# lambda = 1e-300.
 LAMBDA_RANGE = (1e-300, 1e280)
 SQUEEZE_RANGE = (0.0, 13.0)
 

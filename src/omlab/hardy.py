@@ -190,9 +190,7 @@ def hardy_verdict(lambda_size: int, drop_invar: bool = False,
     whose flags swing with the setting.  ``facts`` are derived from the
     interferometer when not given.
     """
-    if lambda_size < 2:
-        raise HardyError("need at least two ontic states")
-    if lambda_size > MAX_LAMBDA_SIZE:
+    if not 2 <= lambda_size <= MAX_LAMBDA_SIZE:
         raise HardyError(f"lambda size must be in 2..{MAX_LAMBDA_SIZE}")
     if facts is None:
         facts = derive_zero_probability_facts()

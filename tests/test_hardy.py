@@ -92,8 +92,13 @@ def test_a_shared_state_is_placed_even_when_it_meets_no_fact():
 
 
 def test_minimum_size_guard():
-    with pytest.raises(HardyError):
+    with pytest.raises(HardyError, match=r"^lambda size must be in 2\.\.8$"):
         hardy.hardy_verdict(1)
+    argv = ["nogo", "hardy", "--lambda-size", "1"]
+    assert argv in edge_argvs()
+    (row,) = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv))).checks
+    assert not row.passed
+    assert row.observed == "HardyError: lambda size must be in 2..8"
 
 
 def test_maximum_size_guard_names_the_range():

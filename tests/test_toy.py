@@ -364,6 +364,13 @@ def test_steering_product_state_leaves_bob_alone():
             assert r.bob_marginal == before
 
 
+def test_steering_rejects_an_update_that_is_not_uniform():
+    # Bob's 1 is twice as likely as his 2 among the pairs Alice's {1, 2} keeps
+    state = CompositeToyState(frozenset({(1, 1), (2, 1), (1, 2)}))
+    with pytest.raises(ToyError, match="not uniform"):
+        toy.steering_inference(state, MEAS_Z_TOY, frozenset({1, 2}))
+
+
 def test_steering_impossible_outcome():
     prod = toy.product_composite(toy_state(1, 2), toy_state(3, 4))
     with pytest.raises(ImpossibleToyOutcome):
