@@ -7,11 +7,12 @@ of ``perfbench/workloads.generate(w, s)`` for the three workloads at seeds
 ``--format json`` and with ``--format text``, and the edge cases in
 ``EDGE_ARGVS``; then the usage errors in ``USAGE_ARGVS``, which exit 2 with
 no report.  Each runs in process through ``cli.main`` under
-``sys.settrace``, with its output discarded and ``OMLAB_OUTPUT_DIR`` unset;
-omlab is imported under the same trace, so module-level code counts as
-reached.
+``sys.settrace``, with its output kept only for the names of its failed
+rows and ``OMLAB_OUTPUT_DIR`` unset; omlab is imported under the same trace,
+so module-level code counts as reached.
 
-It prints how many command lines of each group reached ``cli._argparse``,
+It prints how many command lines exit 0 and 1, and how many of each group
+reached ``cli._argparse``,
 which parses every form but the one the lab issues.  For each module it
 prints its statements (``ast`` statements, docstrings left out) and how
 many of them the trace reached.  Then it lists
@@ -22,10 +23,12 @@ its instances is raised.
 
 A definition may stay unentered only as an entry of ``KEPT``, keyed by file
 and qualified name, with the reason it stays.  The script exits 1 when a
-command line of ``argvs()`` reaches ``cli._argparse``, a usage error does not
-exit 2, an unentered definition is not in ``KEPT``, or a ``KEPT`` entry is
-entered or names no definition; else 0, so it can run as a check.  It takes
-no options.
+command line of ``argvs()`` reaches ``cli._argparse``; when one exits 1,
+unless it is in ``REJECTED_ARGVS``; when one of those exits 0 or fails a row
+other than "run completed without errors"; when a usage error does not exit
+2, an unentered definition is not in ``KEPT``, or a ``KEPT`` entry is entered
+or names no definition; else 0, so it can run as a check.  It takes no
+options.
 
     python3 scripts/reach.py
 """
@@ -46,19 +49,9 @@ PACKAGE = ROOT / "src" / "omlab"
 for path in (ROOT / "src", ROOT / "perfbench", ROOT / "scripts"):
     sys.path.insert(0, str(path))
 
-EDGE_ARGVS = [
-    ["nogo", "pbr", "--q", "none", "--relax-product"],
-    ["nogo", "pbr", "--q", "none", "--relax-product", "--null-budget", "1/2"],
-    ["nogo", "pbr", "--lambda-size", "1"],
-    ["nogo", "pbr", "--q", "1"],
-    ["nogo", "hardy", "--lambda-size", "8", "--drop-invar"],
-    ["simulate", "mz", "--theta", "1.0"],
-    ["verify", "noncomm", "--seed", "54"],
-    ["gaussian", "epr", "--squeeze", "10"],
-    # lambda far below 1, where products of two mode variances underflow
-    ["gaussian", "suite", "--lambda", "1e-160"],
-    ["gaussian", "epr", "--lambda", "1e-300"],
-    # one rejected value per range-checked option: each exits 1 with a failed row
+# One rejected value per range-checked option: each exits 1, and its one
+# failed row is "run completed without errors", which names the error.
+REJECTED_ARGVS = [
     ["nogo", "pbr", "--lambda-size", "9"],
     ["nogo", "pbr", "--grid-denominator", "0"],
     ["nogo", "pbr", "--null-budget", "1"],
@@ -82,6 +75,21 @@ EDGE_ARGVS = [
     # non-finite float readings, which fail naming the parameter
     ["simulate", "mz", "--theta", "nan"],
     ["gaussian", "epr", "--value", "nan"],
+]
+
+EDGE_ARGVS = [
+    ["nogo", "pbr", "--q", "none", "--relax-product"],
+    ["nogo", "pbr", "--q", "none", "--relax-product", "--null-budget", "1/2"],
+    ["nogo", "pbr", "--lambda-size", "1"],
+    ["nogo", "pbr", "--q", "1"],
+    ["nogo", "hardy", "--lambda-size", "8", "--drop-invar"],
+    ["simulate", "mz", "--theta", "1.0"],
+    ["verify", "noncomm", "--seed", "54"],
+    ["gaussian", "epr", "--squeeze", "10"],
+    # lambda far below 1, where products of two mode variances underflow
+    ["gaussian", "suite", "--lambda", "1e-160"],
+    ["gaussian", "epr", "--lambda", "1e-300"],
+    *REJECTED_ARGVS,
     # a negative reading in exponent form, which argparse once took for an option
     ["gaussian", "epr", "--value", "-1e3"],
     # a large reading, whose posterior mean is held to a relative 1e-9
@@ -246,10 +254,14 @@ def main() -> int:
         code = cli._argparse.__code__
         argparse_key = (code.co_filename, code.co_firstlineno)  # one call per command line
         runs = argvs()
-        codes = []
+        codes, failed_rows = [], []
         for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
                 codes.append(cli.main(argv))
+            failed_rows.append({line.partition(": expected ")[0].removeprefix("[FAIL] ")
+                                for line in out.getvalue().splitlines()
+                                if line.startswith("[FAIL] ")})
         argparsed = reach.entered[argparse_key]
         usage_codes = []
         for argv in USAGE_ARGVS:
@@ -286,6 +298,13 @@ def main() -> int:
     for file, line, name in dead:
         print(f"  {file}:{line} {name}  ({KEPT.get((file, name), 'not in KEPT')})")
     fails = [f"usage error {' '.join(argv)} did not exit 2" for argv in bad_usage]
+    for argv, code, failed in zip(runs, codes, failed_rows):
+        if argv not in REJECTED_ARGVS:
+            if code:
+                fails.append(f"{' '.join(argv)} exited {code}")
+        elif code != 1 or failed != {"run completed without errors"}:
+            fails.append(f"rejected value {' '.join(argv)} exited {code}, failing rows "
+                         f"{sorted(failed)} in place of only 'run completed without errors'")
     if argparsed:
         fails.append(f"{argparsed} lab command lines reached cli._argparse")
     fails += [f"{file}:{line} {name} is entered by no command line and not in KEPT"

@@ -322,9 +322,8 @@ def gaussian_suite_checks(hbar_like: float) -> list:
                       passed=abs(epr_min) <= 1e-12 * hbar_like))
     var = epr_quadrature_variances(epr)
     want = hbar_like * math.exp(-6)
-    checks.append(row("gaussian EPR var of difference quadrature",
-                      f"{want:.12g}", f"{var['var_q_diff']:.12g}", "DERIVED",
-                      passed=abs(var["var_q_diff"] - want) <= 1e-9 * hbar_like))
+    checks.append(row("gaussian EPR var of difference quadrature", want, var["var_q_diff"],
+                      "DERIVED", passed=abs(var["var_q_diff"] - want) <= 1e-9 * hbar_like))
     res = epr_inference(epr, "q", 1.0)
     mean_o, cov_o = _conditioning_oracle(epr, 0, 1.0)
     delta = abs(res.bob.mean[0] - mean_o[1])

@@ -492,11 +492,11 @@ def pbr_checks(q, lambda_size: int, grid_denominator: int,
     checks = []
     scenario = build_pbr_scenario()
     born = scenario.born_table()
-    for j in range(1, 5):
+    for prep, k in BORN_ZERO_PAIRS:
         # <phi_j|Psi_j> = 0 iff its Born table entry |<phi_j|Psi_j>|^2 is 0
-        p = born[(f"Psi{j}", f"phi{j}")]
-        checks.append(row(f"pbr <phi{j}|Psi{j}>", "0",
-                          "0" if p == 0 else f"|<phi{j}|Psi{j}>|^2 = {fmt(p)}", "PAPER"))
+        p = born[(prep, k)]
+        checks.append(row(f"pbr <{k}|{prep}>", "0",
+                          "0" if p == 0 else f"|<{k}|{prep}>|^2 = {fmt(p)}", "PAPER"))
     checks.append(gram_check(scenario.measurement_kets))
     problem = FeasibilityProblem(lambda_size=lambda_size, grid_denominator=grid_denominator,
                                  q=q, relax_product=relax_product, null_budget=null_budget)
@@ -536,8 +536,7 @@ def chsh_checks() -> list:
     target = 2 * math.sqrt(2)
     s_squared = rep.s_exact * rep.s_exact
     return [
-        row("chsh quantum singlet value", f"{target:.12g}",
-            f"{rep.quantum_value:.12g}", "DERIVED",
+        row("chsh quantum singlet value", target, rep.quantum_value, "DERIVED",
             passed=rep.s_exact.is_real() and (s_squared - 8).is_zero()),
         row("chsh local deterministic bound", Fraction(2), rep.local_bound, "DERIVED"),
         row("chsh toy composite maximum", Fraction(2), rep.toy_maximum, "DERIVED"),

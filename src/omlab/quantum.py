@@ -29,6 +29,7 @@ from .exact import (
     as_probability,
     dot,
     dot_abs2,
+    phase_eighth,
 )
 
 
@@ -151,10 +152,6 @@ def transition_probability(e: Ket, psi: Ket):
     return as_probability(p)
 
 
-def equal_up_to_global_phase(a: Ket, b: Ket) -> bool:
-    return _close_to(transition_probability(a, b), 1)
-
-
 def born_probability(psi: Ket, meas: ProjectiveMeasurement, outcome: str):
     """P(outcome | psi) = |<e_k|psi>|^2 for the measurement's basis ket e_k."""
     return transition_probability(meas.ket(outcome), psi)
@@ -183,10 +180,6 @@ PM_STATES = {
     "-i": KET_MINUS_I,
 }
 
-KET_UP = KET_0
-KET_DOWN = KET_1
-
-
 # Literal gate entries; the tests check that each is square with orthonormal
 # columns (empty ``gram_defects``).
 _HADAMARD = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
@@ -201,16 +194,23 @@ MEAS_BY_NAME = {"Z": MEAS_Z, "X": MEAS_X, "Y": MEAS_Y}
 
 # Detector measurement at the interferometer output: d1 catches the
 # upward-moving photon, d2 the downward-moving one.
-MEAS_DETECTORS = ProjectiveMeasurement({"d1": KET_UP, "d2": KET_DOWN})
+MEAS_DETECTORS = ProjectiveMeasurement({"d1": KET_0, "d2": KET_1})
+
+
+def mz_gates(phase_in: bool, source: str) -> tuple:
+    """The interferometer's gate names in order, for both formalisms: splitter,
+    mirrors, phase (if ``phase_in``), splitter.  From ``source="upper_arm"``
+    the photon is emitted directly into the upper arm, past the first splitter."""
+    if source not in ("first_splitter", "upper_arm"):
+        raise QuantumError(f"unknown source {source!r}")
+    first = ("splitter",) if source == "first_splitter" else ()
+    phase = ("phase",) if phase_in else ()
+    return (*first, "mirrors", *phase, "splitter")
 
 
 def mz_evolve(phase_in: bool, source: str = "first_splitter") -> Ket:
-    """Run the Mach-Zehnder sequence and return the final ket.
-
-    source="first_splitter": |up> -> H -> X -> [Phi(pi) if phase_in] -> H.
-    source="upper_arm": the first splitter is removed and the photon is
-    emitted directly into the upper arm, so the leading H is omitted.
-    """
+    """The final ket of ``mz_gates`` run on |0>, with H as the splitter, X as
+    the mirrors and diag(e^{i pi}, 1) as the phase."""
     return _mz_run(_PHASE_PI if phase_in else None, source)
 
 
@@ -225,15 +225,11 @@ def mz_detection_probabilities(theta: float, source: str = "first_splitter"):
 
 def _mz_run(phase: tuple | None, source: str) -> Ket:
     """The gate sequence on raw amplitudes; one Ket checks the final norm."""
-    if source not in ("first_splitter", "upper_arm"):
-        raise QuantumError(f"unknown source {source!r}")
-    amps = KET_UP.amplitudes
-    if source == "first_splitter":
-        amps = mat_vec(_HADAMARD, amps)
-    amps = mat_vec(_PAULI_X, amps)
-    if phase is not None:
-        amps = mat_vec(phase, amps)
-    return Ket(mat_vec(_HADAMARD, amps))
+    gates = {"splitter": _HADAMARD, "mirrors": _PAULI_X, "phase": phase}
+    amps = KET_0.amplitudes
+    for gate in mz_gates(phase is not None, source):
+        amps = mat_vec(gates[gate], amps)
+    return Ket(amps)
 
 
 def superpose(a: Ket, b: Ket, phase: ExactComplex) -> Ket:
@@ -246,7 +242,7 @@ def superpose(a: Ket, b: Ket, phase: ExactComplex) -> Ket:
 def identify_pm_state(psi: Ket) -> str | None:
     """Which of the six reference states equals psi up to a global phase."""
     for label, ref in PM_STATES.items():
-        if equal_up_to_global_phase(psi, ref):
+        if _close_to(transition_probability(psi, ref), 1):
             return label
     return None
 
@@ -256,12 +252,13 @@ def expectation(psi: Ket, observable) -> ExactComplex | complex:
     return _dot(psi.amplitudes, mat_vec(observable, psi.amplitudes))
 
 
+# cos(k pi/4) for k = 0..7: the real parts of the eighth-turn phases
+_COS_EIGHTH = tuple(ExactComplex(phase_eighth(k).ra, phase_eighth(k).rb) for k in range(8))
+
+
 def spin_observable_eighth(k_eighths: int) -> tuple:
     """cos(theta) Z + sin(theta) X at theta = k*pi/4, exact entries."""
-    c_table = {0: ONE, 1: INV_SQRT2, 2: ZERO, 3: -INV_SQRT2, 4: -ONE,
-               5: -INV_SQRT2, 6: ZERO, 7: INV_SQRT2}
-    k = k_eighths % 8
-    c, s = c_table[k], c_table[(k - 2) % 8]
+    c, s = _COS_EIGHTH[k_eighths % 8], _COS_EIGHTH[(k_eighths - 2) % 8]
     return ((c, s), (s, -c))
 
 

@@ -244,32 +244,42 @@ JUNK = ["x", "", "-", "--", "-h", "-x", "--bogus", "-1/2", "-e3", "-1e", "1/0", 
 def well_formed(draw):
     """(argv, canonical): a command line of one command, its common flags
     before or after the verb, its own options after it, in space or "=" form,
-    and with the target at any option boundary.  ``canonical`` is true where it
-    has the form the reader reads itself: common flags only before the verb,
-    the target right after it, every value in space form, and no junk value
-    or token in place of or beside a well-formed one."""
+    and with the target at any option boundary.  One time in four, a command
+    with options instead has one of them, with a valid value in space or "="
+    form, among its common flags before the verb, and nothing after its
+    target: a usage error.  ``canonical`` is true where it has the form the
+    reader reads itself: common flags only before the verb, the target right
+    after it, every value in space form, and no junk value or token in place
+    of or beside a well-formed one."""
     verb, target = draw(st.sampled_from(list(cli.COMMANDS))).split(" ")
     own = list(cli.COMMANDS[f"{verb} {target}"][0])
     canonical = True
 
-    def given(options, after_verb):
+    def given(options, after_verb, junk=True):
         nonlocal canonical
         groups = []
-        for opt in draw(st.lists(st.sampled_from(options), max_size=3)) if options else []:
+        for opt in options:
             if opt.spec.get("action") == "store_true":
                 groups.append([opt.flag])
                 continue
             value = draw(valid_values(opt, after_verb))
-            if draw(st.integers(0, 7)) == 0:
+            if junk and draw(st.integers(0, 7)) == 0:
                 value, canonical = draw(st.sampled_from(JUNK)), False
             groups.append(draw(st.sampled_from([[opt.flag, value], [f"{opt.flag}={value}"]])))
             canonical &= len(groups[-1]) == 2
         return groups
 
-    before = given(list(cli.COMMON), after_verb=False)
+    def some(options):
+        return draw(st.lists(st.sampled_from(options), max_size=3)) if options else []
+
+    before = given(some(list(cli.COMMON)), after_verb=False)
+    if own and draw(st.integers(0, 3)) == 0:
+        stray = given([draw(st.sampled_from(own))], after_verb=False, junk=False)[0]
+        before.insert(draw(st.integers(0, len(before))), stray)
+        return [token for group in before for token in group] + [verb, target], False
     used = {group[0].partition("=")[0] for group in before}  # given once, on one side
     common_after = [opt for opt in cli.COMMON if opt.flag not in used]
-    after = given(common_after + own, after_verb=True)
+    after = given(some(common_after + own), after_verb=True)
     at = draw(st.integers(0, len(after)))
     after.insert(at, [target])
     canonical &= at == 0 and not {group[0].partition("=")[0] for group in after} & {

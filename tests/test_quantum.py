@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from test_exact import sparse_scalars
 
 from omlab import quantum as q
-from omlab.exact import (FLOAT_TOL, ONE, ZERO, ExactComplex, as_probability, dot,
-                         phase_eighth)
+from omlab.exact import (FLOAT_TOL, INV_SQRT2, ONE, ZERO, ExactComplex, as_probability,
+                         dot, phase_eighth)
 
 HALF = Fraction(1, 2)
 
@@ -146,9 +146,18 @@ def test_non_orthonormal_grid_has_gram_defects():
 
 # ---------------------------------------------------------------- MZ runs
 
+def test_mz_gates_lists_each_run_in_order():
+    assert q.mz_gates(True, "first_splitter") == ("splitter", "mirrors", "phase", "splitter")
+    assert q.mz_gates(False, "first_splitter") == ("splitter", "mirrors", "splitter")
+    assert q.mz_gates(True, "upper_arm") == ("mirrors", "phase", "splitter")
+    assert q.mz_gates(False, "upper_arm") == ("mirrors", "splitter")
+    with pytest.raises(q.QuantumError, match="unknown source 'lower_arm'"):
+        q.mz_gates(True, "lower_arm")
+
+
 def test_mz_with_phase_is_down_up_to_global_phase():
     final = q.mz_evolve(True)
-    assert q.equal_up_to_global_phase(final, q.KET_DOWN)
+    assert q.PM_STATES[q.identify_pm_state(final)] == q.KET_1
     # the amplitude is exactly -1 on the down component
     assert final.amplitudes[0].is_zero()
     assert final.amplitudes[1] == -ONE
@@ -156,7 +165,8 @@ def test_mz_with_phase_is_down_up_to_global_phase():
 
 def test_mz_without_phase_returns_input():
     final = q.mz_evolve(False)
-    assert final.amplitudes == q.KET_UP.amplitudes
+    assert final.amplitudes == q.KET_0.amplitudes
+    assert q.identify_pm_state(final) == "0"
 
 
 def test_mz_upper_arm_equiprobable_for_both_settings():
@@ -187,6 +197,18 @@ def test_identify_pm_state():
     shifted = q.Ket(tuple(phase_eighth(3) * a for a in q.KET_PLUS_I.amplitudes))
     assert q.identify_pm_state(shifted) == "+i"
     assert q.identify_pm_state(q.mz_evolve(True)) == "1"
+
+
+# cos(k pi/4) for k = 0..7, written out: the oracle of the table that
+# ``spin_observable_eighth`` reads off the eighth-turn phases
+COS_EIGHTH = {0: ONE, 1: INV_SQRT2, 2: ZERO, 3: -INV_SQRT2, 4: -ONE,
+              5: -INV_SQRT2, 6: ZERO, 7: INV_SQRT2}
+
+
+def test_spin_observable_eighth_matches_the_literal_cos_table():
+    for k in range(-16, 17):
+        c, s = COS_EIGHTH[k % 8], COS_EIGHTH[(k - 2) % 8]  # sin(x) = cos(x - pi/2)
+        assert q.spin_observable_eighth(k) == ((c, s), (s, -c))
 
 
 def test_measurement_validation():

@@ -275,7 +275,7 @@ def test_mz_toy_runs():
     # from the upper arm: mirrors, the phase shifter if in, splitter
     assert toy.mz_toy_run(True, "upper_arm").support == {1, 4}
     assert toy.mz_toy_run(False, "upper_arm").support == {2, 3}
-    with pytest.raises(ToyError, match="unknown source"):
+    with pytest.raises(quantum.QuantumError, match="unknown source"):
         toy.mz_toy_run(True, "lower_arm")
 
 
