@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Run every verification verb and print a one-line summary per run.
+"""Run every verification verb and print a one-line summary per run: the
+verdict, the command, passed/total checks and the run's wall clock in
+milliseconds, each in a fixed-width column.
 
 Every report is also serialized to schema-checked JSON; a report that fails
 the schema counts as a failed run.
@@ -42,10 +44,10 @@ def main() -> int:
         except ReportError as exc:
             ok = False
             schema = f"  schema error: {exc}"
-        n_pass = sum(1 for c in report.checks if c.passed)
+        tally = f"{sum(1 for c in report.checks if c.passed)}/{len(report.checks)}"
         print(f"{'PASS' if ok else 'FAIL'}  {config.command:24s} "
-              f"{n_pass}/{len(report.checks)} checks  "
-              f"{report.wall_clock_s:6.2f}s  omlab {' '.join(argv)}{schema}")
+              f"{tally:>7s} checks  {report.wall_clock_s * 1e3:9.2f} ms  "
+              f"omlab {' '.join(argv)}{schema}")
         worst = max(worst, 0 if ok else 1)
     return worst
 

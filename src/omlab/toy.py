@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -85,9 +85,16 @@ IGNORANCE = toy_state(1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class ToyMeasurement:
-    """A partition of {1,2,3,4} into two 2-element blocks."""
+    """A partition of {1,2,3,4} into two 2-element blocks.
+
+    Construction also indexes the blocks once: each ontic state maps to its
+    block and to that block's members in ascending order.  The index is not
+    a field of the value, so repr, equality and hashing read ``partition``
+    alone.
+    """
 
     partition: tuple  # two frozensets, ordered by smallest member
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(frozenset(b) for b in self.partition)
@@ -95,13 +102,18 @@ class ToyMeasurement:
             raise ToyError("measurement must have exactly two 2-element blocks")
         if blocks[0] | blocks[1] != set(STATES) or blocks[0] & blocks[1]:
             raise ToyError("blocks must be disjoint and cover 1..4")
-        object.__setattr__(self, "partition", tuple(sorted(blocks, key=min)))
+        partition = tuple(sorted(blocks, key=min))
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "_index", {lam: (b, tuple(sorted(b)))
+                                            for b in partition for lam in b})
 
     def block_of(self, lam: int) -> frozenset:
-        for b in self.partition:
-            if lam in b:
-                return b
-        raise ToyError(f"{lam} is not a toy state")
+        """The block holding ``lam``; anything but a toy state, unhashable
+        values included, raises ``ToyError``."""
+        try:
+            return self._index[lam][0]
+        except (KeyError, TypeError):
+            raise ToyError(f"{lam} is not a toy state") from None
 
 
 # --------------------------------------------------------------------------
@@ -215,13 +227,13 @@ def ontic_simulate_measurement(lam: int, meas: ToyMeasurement,
                                rng: random.Random) -> tuple:
     """Simulate one measurement at the ontic level.
 
-    The outcome is the block containing lam; the disturbance then resamples
-    the true state uniformly inside that block.
+    The outcome is the block containing lam (``block_of``, which rejects a
+    non-state); the disturbance then resamples the true state with one
+    ``rng.choice`` over the block's members in ascending order, read from
+    the measurement's index.
     """
-    if lam not in STATES:
-        raise ToyError(f"{lam} is not a toy state")
     block = meas.block_of(lam)
-    return block, rng.choice(sorted(block))
+    return block, rng.choice(meas._index[lam][1])
 
 
 def apply_permutation(state: ToyEpistemicState, perm: ToyPermutation) -> ToyEpistemicState:
@@ -565,39 +577,50 @@ class _EachChoice:
         return seq[self.k]
 
 
-def _ontic_kernel(lam: int, meas) -> dict:
-    """(outcome block, resampled state) -> probability, for one ontic
-    measurement of ``lam``: each element ``choice`` draws has weight 1/len."""
-    kernel, k, n = {}, 0, 1
+def _ontic_kernel(lam: int, meas) -> tuple:
+    """(counts, n) for one ontic measurement of ``lam``: the sampler's one
+    ``choice`` has ``n`` branches, and ``counts`` maps each (outcome block,
+    resampled state) to the number of branches that give it, so its
+    probability is count/n."""
+    counts, k, n = {}, 0, 1
     while k < n:
         rng = _EachChoice(k)
         out = ontic_simulate_measurement(lam, meas, rng)
         n = rng.n
-        kernel[out] = kernel.get(out, 0) + Fraction(1, n)
+        counts[out] = counts.get(out, 0) + 1
         k += 1
-    return kernel
+    return counts, n
 
 
 def kernel_check() -> CheckResult:
     """Each KB state pushed through the ontic kernel gives, for each
     measurement, the Born outcome distribution and, given each outcome, the
-    updated epistemic state; the detail names the pairs where it does not."""
+    updated epistemic state; the detail names the pairs where it does not.
+
+    The state is uniform on its support, so the joint distribution of
+    (outcome block, resampled state) is an integer count over one
+    denominator: each support state's branch counts are scaled to the lcm
+    of their branch numbers.  A ``Fraction`` is made only to compare with
+    ``measurement_distribution`` and ``measure_update``."""
     kernels = {(lam, m): _ontic_kernel(lam, m)
                for lam in STATES for m in MEASUREMENT_TABLE.values()}
     bad = []
     for label, support in STATE_SUPPORT.items():
         state = ToyEpistemicState(support)
         for name, m in MEASUREMENT_TABLE.items():
-            joint = {}  # (outcome block, resampled state) -> probability
-            for lam, p in zip(STATES, state.probs):
-                for out, w in kernels[lam, m].items():
-                    joint[out] = joint.get(out, 0) + p * w
-            outcomes = {b: sum(w for (block, _), w in joint.items() if block == b)
+            lcm = math.lcm(*(kernels[lam, m][1] for lam in support))
+            joint = {}  # (outcome block, resampled state) -> count over lcm * |support|
+            for lam in support:
+                counts, n = kernels[lam, m]
+                for out, c in counts.items():
+                    joint[out] = joint.get(out, 0) + c * (lcm // n)
+            outcomes = {b: sum(c for (block, _), c in joint.items() if block == b)
                         for b in m.partition}
-            if outcomes != measurement_distribution(state, m) or any(
-                    tuple(joint.get((b, x), 0) / pb for x in STATES)
+            dist = {b: Fraction(c, lcm * len(support)) for b, c in outcomes.items()}
+            if dist != measurement_distribution(state, m) or any(
+                    tuple(Fraction(joint.get((b, x), 0), c) for x in STATES)
                     != measure_update(state, m, b).probs
-                    for b, pb in outcomes.items() if pb):
+                    for b, c in outcomes.items() if c):
                 bad.append(f"{name} on {label}")
     n = len(STATE_SUPPORT) * len(MEASUREMENT_TABLE)
     return row("noncomm ontic kernel = Born outcomes + updated state",
@@ -622,14 +645,15 @@ def noncomm_checks(seed: int) -> list:
         kernel_check(),
     ]
     # seeded ontic replay of the B statistics on 1v2; by Hoeffding a fair
-    # sampler leaves the band with probability at most delta
+    # sampler leaves the band with probability at most delta.  The sampler is
+    # read at call time, so a replaced one is the one sampled.
     rng = random.Random(seed)
+    choice, simulate, first = rng.choice, ontic_simulate_measurement, frozenset({1, 3})
     n, delta = 4000, 1e-9
     hits = 0
     for _ in range(n):
-        lam = rng.choice((1, 2))
-        block, _ = ontic_simulate_measurement(lam, MEAS_X_TOY, rng)
-        hits += block == frozenset({1, 3})
+        block, _ = simulate(choice((1, 2)), MEAS_X_TOY, rng)
+        hits += block == first
     radius = math.sqrt(math.log(2 / delta) / (2 * n))
     checks.append(row(f"noncomm sampled frequency (n={n}, Hoeffding delta={delta:g})",
                       "|freq-1/2| <= sqrt(ln(2/delta)/(2n))",

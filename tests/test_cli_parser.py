@@ -242,20 +242,22 @@ JUNK = ["x", "", "-", "--", "-h", "-x", "--bogus", "-1/2", "-e3", "-1e", "1/0", 
 
 @st.composite
 def well_formed(draw):
-    """(argv, canonical): a command line of one command, its common flags
-    before or after the verb, its own options after it, in space or "=" form,
-    and with the target at any option boundary.  One time in four, a command
-    with options instead has one of them, with a valid value in space or "="
-    form, among its common flags before the verb, and nothing after its
-    target: a usage error.  ``canonical`` is true where it has the form the
-    reader reads itself: common flags only before the verb, the target right
-    after it, every value in space form, and no junk value or token in place
-    of or beside a well-formed one."""
+    """(argv, canonical): a command line of one command.  ``canonical`` is
+    true where it has the form the reader reads itself: common flags only
+    before the verb, the target right after it, every value in space form,
+    and no junk value or token in place of or beside a well-formed one.
+
+    One time in two the line is drawn in that form directly.  Otherwise its
+    common flags come before or after the verb, its own options after it, in
+    space or "=" form, with the target at any option boundary; or, one time
+    in four for a command with options, one of them, with a valid value in
+    space or "=" form, is among its common flags before the verb, and
+    nothing follows its target: a usage error."""
     verb, target = draw(st.sampled_from(list(cli.COMMANDS))).split(" ")
     own = list(cli.COMMANDS[f"{verb} {target}"][0])
     canonical = True
 
-    def given(options, after_verb, junk=True):
+    def given(options, after_verb, junk=True, spaced=False):
         nonlocal canonical
         groups = []
         for opt in options:
@@ -265,13 +267,19 @@ def well_formed(draw):
             value = draw(valid_values(opt, after_verb))
             if junk and draw(st.integers(0, 7)) == 0:
                 value, canonical = draw(st.sampled_from(JUNK)), False
-            groups.append(draw(st.sampled_from([[opt.flag, value], [f"{opt.flag}={value}"]])))
+            forms = [[opt.flag, value]] + ([] if spaced else [[f"{opt.flag}={value}"]])
+            groups.append(draw(st.sampled_from(forms)))
             canonical &= len(groups[-1]) == 2
         return groups
 
     def some(options):
         return draw(st.lists(st.sampled_from(options), max_size=3)) if options else []
 
+    if draw(st.booleans()):
+        groups = (given(some(list(cli.COMMON)), after_verb=False, junk=False, spaced=True)
+                  + [[verb, target]]
+                  + given(some(own), after_verb=True, junk=False, spaced=True))
+        return [token for group in groups for token in group], True
     before = given(some(list(cli.COMMON)), after_verb=False)
     if own and draw(st.integers(0, 3)) == 0:
         stray = given([draw(st.sampled_from(own))], after_verb=False, junk=False)[0]

@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -374,6 +375,68 @@ def test_a_sampler_that_resamples_outside_the_block_fails_the_kernel_row(monkeyp
     assert not rows[KERNEL_ROW].passed
     assert rows[KERNEL_ROW].detail["mismatches"][:2] == ["Z on 0", "X on 0"]
     assert rows[SAMPLED_ROW].passed  # the outcomes alone are right
+
+
+def scanning_loop_observed(seed: int) -> str:
+    """The sampled row's observed text as the loop computed it before the
+    measurements indexed their blocks: a partition scan and a sorted block
+    per sample, the oracle for the random stream."""
+    rng = random.Random(seed)
+    n, delta = 4000, 1e-9
+    hits = 0
+    for _ in range(n):
+        lam = rng.choice((1, 2))
+        block = next(b for b in toy.MEAS_X_TOY.partition if lam in b)
+        rng.choice(sorted(block))
+        hits += block == frozenset({1, 3})
+    radius = math.sqrt(math.log(2 / delta) / (2 * n))
+    return f"{abs(hits / n - 0.5):.6f} vs {radius:.6f}"
+
+
+def test_the_sampled_row_draws_the_same_random_stream_as_the_scanning_loop():
+    for seed in [*range(1, 31), 54]:
+        assert noncomm_rows(seed)[SAMPLED_ROW].observed == scanning_loop_observed(seed), seed
+
+
+def test_both_ontic_rows_call_the_module_sampler_once_per_sample_and_branch(monkeypatch):
+    # a shortcut past the module's sampler would empty the biased-sampler gates
+    calls, simulate = [], toy.ontic_simulate_measurement
+
+    def counted(lam, meas, rng):
+        calls.append(rng)
+        return simulate(lam, meas, rng)
+
+    monkeypatch.setattr(toy, "ontic_simulate_measurement", counted)
+    noncomm_rows(7)
+    seeded = [rng for rng in calls if type(rng) is random.Random]
+    assert len(seeded) == 4000 and len({id(rng) for rng in seeded}) == 1
+    assert sum(type(rng) is toy._EachChoice for rng in calls) == 24
+    assert len(calls) == 4024
+
+
+def test_a_correct_sampler_with_more_branches_for_one_state_passes_the_kernel_row(monkeypatch):
+    def doubled(lam, meas, rng):
+        # lambda = 1 draws from its block's members listed twice: 4 branches, not 2
+        block = meas.block_of(lam)
+        return block, rng.choice(sorted(block) * (2 if lam == 1 else 1))
+
+    monkeypatch.setattr(toy, "ontic_simulate_measurement", doubled)
+    rows = noncomm_rows()
+    assert rows[KERNEL_ROW].passed and rows[KERNEL_ROW].observed == "18/18"
+
+
+def test_a_sampler_that_resamples_one_state_onto_the_wrong_member_fails_those_pairs(monkeypatch):
+    def stuck(lam, meas, rng):
+        # lambda = 4 always lands on its block's smaller member, from one branch
+        block = meas.block_of(lam)
+        return block, rng.choice([min(block)] if lam == 4 else sorted(block))
+
+    monkeypatch.setattr(toy, "ontic_simulate_measurement", stuck)
+    kernel = noncomm_rows()[KERNEL_ROW]
+    assert not kernel.passed and kernel.observed == "9/18"
+    # exactly the states whose support holds 4: 1 = 3v4, - = 2v4, -i = 1v4
+    assert kernel.detail["mismatches"] == [f"{m} on {label}" for label in ("1", "-", "-i")
+                                           for m in ("Z", "X", "Y")]
 
 
 @pytest.mark.slow

@@ -414,6 +414,24 @@ def test_toy_state_validation():
         ToyEpistemicState(frozenset({0, 5}))
 
 
+@pytest.mark.parametrize("lam", [0, 5, "1", [1]], ids=repr)
+def test_a_non_state_is_a_named_toy_error_from_block_of_and_the_simulator(lam):
+    with pytest.raises(ToyError, match=r"is not a toy state"):
+        MEAS_X_TOY.block_of(lam)
+    with pytest.raises(ToyError, match=r"is not a toy state"):
+        toy.ontic_simulate_measurement(lam, MEAS_X_TOY, random.Random(0))
+
+
+def test_block_index_matches_the_partition_and_stays_out_of_the_value():
+    for meas in ALL_TOY_MEASUREMENTS:
+        for lam in STATES:
+            (block,) = [b for b in meas.partition if lam in b]
+            assert meas.block_of(lam) is block
+    same = ToyMeasurement(tuple(reversed(MEAS_X_TOY.partition)))
+    assert same == MEAS_X_TOY and hash(same) == hash(MEAS_X_TOY)
+    assert repr(same) == f"ToyMeasurement(partition={MEAS_X_TOY.partition!r})"
+
+
 def test_measurement_validation():
     with pytest.raises(ToyError):
         ToyMeasurement((frozenset({1, 2, 3}), frozenset({4})))
