@@ -4,7 +4,10 @@ pairs, and write each workload's accept/reject arithmetic to a BENCH json file.
 
 The base side is ``src/`` of the git revision (``git archive``), the change
 side a copy of this checkout's ``src/``; both get this checkout's
-``perfbench/`` and ``BENCHMARK.json``, so only ``src/`` differs.  For every
+``perfbench/`` and ``BENCHMARK.json``, so only ``src/`` differs.  Both trees
+are byte-compiled (``python -m compileall -q``) before any run, so that each
+side's ``setup_s`` times imports from bytecode whatever
+``PYTHONDONTWRITEBYTECODE`` says.  For every
 workload of ``BENCHMARK.json``, each side runs ``perfbench/run.py --trace 0``
 for the file's ``run_seconds`` at seeds 1..``PAIRS``, the base first at odd
 seeds and the change first at even ones.  Per end-to-end metric the file
@@ -66,6 +69,13 @@ def add_benchmark(tree: Path) -> Path:
     shutil.copytree(ROOT / "perfbench", tree / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__", "results"))
     shutil.copy(ROOT / "BENCHMARK.json", tree)
+    return tree
+
+
+def compile_tree(tree: Path) -> Path:
+    """``tree`` with every module under it byte-compiled by this interpreter;
+    ``compileall`` writes the bytecode even under ``PYTHONDONTWRITEBYTECODE``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True)
     return tree
 
 
@@ -132,7 +142,8 @@ def main() -> int:
         base = extract_src(args.base, Path(tmp) / "base").parent
         change = Path(tmp) / "change"
         shutil.copytree(SRC, change / "src", ignore=shutil.ignore_patterns("__pycache__"))
-        trees = {"base": add_benchmark(base), "change": add_benchmark(change)}
+        trees = {"base": compile_tree(add_benchmark(base)),
+                 "change": compile_tree(add_benchmark(change))}
         for workload in workloads:
             for seed in range(1, PAIRS + 1):
                 for side in (("base", "change") if seed % 2 else ("change", "base")):

@@ -113,13 +113,12 @@ _FAILURE = "a failure path: no lab command line feeds it a fault"
 _ITEMS_8_18 = "ROADMAP items 8 and 18 call it"
 KEPT = {
     ("cli.py", "_path"): "the argparse type that rejects a blank --output",
-    ("models.py", "ModelError"): _FAILURE,
+    ("exact.py", "ModelError"): _FAILURE,
     ("models.py", "EpistemicState.support"): _ITEMS_8_18,
     ("models.py", "EpistemicState.is_point_mass"): _ITEMS_8_18,
     ("models.py", "overlap_witness"): _ITEMS_8_18,
     ("models.py", "classify"): _ITEMS_8_18,
-    ("models.py", "permute_labels"): _ITEMS_8_18,
-    ("pbr.py", "_model_error"): _FAILURE,
+    ("models.py", "permute_labels"): "criterion 10 of the pinned acceptance suite imports it",
     ("quantum.py", "tensor"): "ROADMAP items 3, 16 and 19 call it",
     ("reports.py", "ReportError"): _FAILURE,
     ("reports.py", "_Fault"): _FAILURE,

@@ -12,6 +12,10 @@ All arithmetic is one fused sum of products on the coordinates, reduced by
 one gcd: ``dot`` and ``dot_abs2`` (inner products, matrix rows, Born values)
 sum many terms, a product is the one-term sum and a sum the two-term sum.
 A ``float`` or ``complex`` operand (an arbitrary-angle phase) gives ``complex``.
+Finite ontological models are checked here too, in integers over one common
+denominator: ``over_lcm`` reads their rationals, and ``check_distribution``
+and ``check_response`` state their four validity rules for ``omlab.models``
+and ``pbr.replay_witness`` alike, so ``nogo pbr`` never imports ``models``.
 """
 
 from __future__ import annotations
@@ -215,3 +219,48 @@ def as_probability(x):
     if not -FLOAT_TOL <= v <= 1 + FLOAT_TOL:
         raise ValueError(f"probability out of range: {v}")
     return min(max(v, 0.0), 1.0)
+
+
+class ModelError(ValueError):
+    """Malformed model component or inconsistent query."""
+
+
+def read_ratio(s) -> tuple:
+    """An exact rational as (n, d), d > 0, not always in lowest terms: "n/d"
+    and "n" strings (an optional "-", ASCII digits, d != 0) are read with
+    ``int``, any other value by ``Fraction``, whose values and errors hold."""
+    if isinstance(s, str) and s.isascii():
+        num, slash, den = s.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            d = int(den) if slash else 1
+            if d:
+                return int(num), d
+    v = Fraction(s)
+    return v.numerator, v.denominator
+
+
+def over_lcm(values) -> tuple:
+    """Exact rationals as (numerators, their least common denominator)."""
+    pairs = [read_ratio(s) for s in values]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def check_distribution(weights, den: int) -> None:
+    """An epistemic state's weights, integers over ``den``: none negative and
+    their sum 1, or ``ModelError`` names the rule broken."""
+    if any(w < 0 for w in weights):
+        raise ModelError("negative epistemic weight")
+    if (total := sum(weights)) != den:
+        raise ModelError(f"epistemic weights sum to {Fraction(total, den)}, not 1")
+
+
+def check_response(entries, den: int, labels) -> None:
+    """A response table, one row per outcome and one column per ontic state in
+    ``labels``, row by row as integers over ``den``: every entry in [0, 1] and
+    every column's sum 1, or ``ModelError`` names the first rule broken."""
+    if any(not 0 <= x <= den for x in entries):
+        raise ModelError("response entries must lie in [0, 1]")
+    for l, label in enumerate(labels):
+        if (total := sum(entries[l::len(labels)])) != den:
+            raise ModelError(f"response column for {label!r} sums to {Fraction(total, den)}, not 1")

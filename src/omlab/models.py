@@ -3,8 +3,9 @@ functions, the Born-reproduction check and the epistemic/ontic classifier.
 
 Weights and the Born tables they are checked against are exact
 ``Fraction``s throughout, so reproduction and overlap checks are equality
-tests, not tolerance tests.  Continuous ontic spaces are out of scope here;
-they live in :mod:`omlab.gaussian`.
+tests, not tolerance tests; the validity rules and ``ModelError`` are
+:mod:`omlab.exact`'s, shared with ``pbr.replay_witness``.  Continuous ontic
+spaces are out of scope here; they live in :mod:`omlab.gaussian`.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-
-class ModelError(ValueError):
-    """Malformed model component or inconsistent query."""
+from .exact import ModelError, check_distribution, check_response, over_lcm
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,7 @@ class EpistemicState:
         object.__setattr__(self, "weights", ws)
         if len(ws) != self.space.size:
             raise ModelError("weight vector length does not match ontic space")
-        if any(w < 0 for w in ws):
-            raise ModelError("negative epistemic weight")
-        if sum(ws) != 1:
-            raise ModelError(f"epistemic weights sum to {sum(ws)}, not 1")
+        check_distribution(*over_lcm(ws))
 
     @property
     def support(self) -> tuple:
@@ -73,17 +69,9 @@ class ResponseFunction:
         object.__setattr__(self, "table", rows)
         if len(rows) != len(self.outcomes):
             raise ModelError("table row count does not match outcomes")
-        for row in rows:
-            if len(row) != self.space.size:
-                raise ModelError("table column count does not match ontic space")
-            if any(not 0 <= x <= 1 for x in row):
-                raise ModelError("response entries must lie in [0, 1]")
-        for l in range(self.space.size):
-            col = sum(row[l] for row in rows)
-            if col != 1:
-                raise ModelError(
-                    f"response column for {self.space.labels[l]!r} sums to {col}, not 1"
-                )
+        if any(len(row) != self.space.size for row in rows):
+            raise ModelError("table column count does not match ontic space")
+        check_response(*over_lcm(x for row in rows for x in row), self.space.labels)
 
     def row(self, outcome) -> tuple:
         """xi(outcome | lambda) for every label, in the space's order."""

@@ -29,8 +29,8 @@ which cells; no weight grid is searched (arXiv:1111.3328; 1409.1570, s. 7).
 The no-show outcome is "absorbed": Born statistics are matched after
 post-selecting on real outcomes, and a budget caps each no-show rate.  No
 verdict solves an LP; ``replay_witness`` checks every witness by exact
-substitution, in integer numerators over one common denominator.  It reads
-each "n/d" or "n" string with ``int``, and only other forms with ``Fraction``.
+substitution, in integers over one common denominator, with the rational
+reader and model validity rules that ``omlab.models`` uses (``omlab.exact``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import quantum
-from .exact import HALF, INV_SQRT2, ONE, ZERO, ExactComplex
+from .exact import (HALF, INV_SQRT2, ONE, ZERO, ExactComplex, ModelError, check_distribution,
+                    check_response, over_lcm)
 from .reports import CheckResult, fmt, frac_str, row
 
 PREP_LABELS = ("Psi1", "Psi2", "Psi3", "Psi4")
@@ -52,37 +53,6 @@ NULL = "null"
 
 class PbrError(ValueError):
     pass
-
-
-def _model_error(message: str) -> Exception:
-    """``models.ModelError(message)``, for a witness that fails its replay;
-    ``models`` is imported only here, so a replay that passes never loads it."""
-    from .models import ModelError
-
-    return ModelError(message)
-
-
-def _read_ratio(s) -> tuple:
-    """An exact rational string as (numerator, denominator), d > 0, not
-    necessarily in lowest terms.  "n/d" and "n" with an optional "-", ASCII
-    digits and d != 0 are read with ``int``; any other form goes to
-    ``Fraction``, so the strings accepted, their values and the errors
-    raised are ``Fraction``'s."""
-    if isinstance(s, str) and s.isascii():
-        num, slash, den = s.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-            d = int(den) if slash else 1
-            if d:
-                return int(num), d
-    v = Fraction(s)
-    return v.numerator, v.denominator
-
-
-def _over_lcm(strings) -> tuple:
-    """Exact rational strings as (numerators, their least common denominator)."""
-    pairs = [_read_ratio(s) for s in strings]
-    den = math.lcm(*(d for _, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
 
 
 # Amplitudes over |00>, |01>, |10>, |11>; the tests rebuild them as sums of
@@ -365,11 +335,11 @@ def _grid_note(problem: FeasibilityProblem) -> str:
 
 def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     """Check a witness against the exact Born table, reading each of its
-    strings once, as integers: "n/d" and "n" with ``int``, any other form
-    with ``Fraction``.  The joint weights, and the response entries on the
-    cells the joints weigh, become integers over one common denominator
-    each, so every check and every prediction is an ``int`` sum over one
-    support.
+    strings once with ``exact.over_lcm``.  The joint weights, and the
+    response entries on the cells the joints weigh, become integers over one
+    common denominator each, so every prediction is an ``int`` sum over one
+    support.  ``exact.check_distribution`` and ``check_response`` check the
+    model; this adds only that every preparation and real outcome is named.
 
     The statistics post-selected on a real outcome and the raw ones are each
     compared with Born; without a null outcome the two are the same.  With
@@ -382,30 +352,21 @@ def replay_witness(witness: dict, born: Mapping | None = None) -> dict:
     joints = {prep: {tuple(map(int, key.split(","))): w for key, w in cells.items()}
               for prep, cells in witness["joints"].items()}
     cells = sorted({cell for weighed in joints.values() for cell in weighed})
-    weights, wden = _over_lcm(w for weighed in joints.values() for w in weighed.values())
+    weights, wden = over_lcm(w for weighed in joints.values() for w in weighed.values())
     supports, weights = {}, iter(weights)
     for prep, weighed in joints.items():
-        supports[prep] = support = list(zip(weighed, weights))
-        mass = sum(w for _, w in support)
-        if any(w < 0 for _, w in support):
-            raise _model_error("negative epistemic weight")
-        if mass != wden:
-            raise _model_error(f"epistemic weights sum to {Fraction(mass, wden)}, not 1")
+        ws = list(itertools.islice(weights, len(weighed)))
+        check_distribution(ws, wden)
+        supports[prep] = list(zip(weighed, ws))
     outcomes = witness["outcomes"]
     keys = [(k, cell) for k in outcomes for cell in cells]
-    entries, xden = _over_lcm(witness["xi"].get(f"{k}|{a},{b}", "0") for k, (a, b) in keys)
-    if any(not 0 <= x <= xden for x in entries):
-        raise _model_error("response entries must lie in [0, 1]")
+    entries, xden = over_lcm(witness["xi"].get(f"{k}|{a},{b}", "0") for k, (a, b) in keys)
+    check_response(entries, xden, cells)
     xi = dict(zip(keys, entries))
-    for cell in cells:
-        column = sum(xi[k, cell] for k in outcomes)
-        if column != xden:
-            raise _model_error(f"response column for {cell!r} sums to "
-                               f"{Fraction(column, xden)}, not 1")
     missing = [f"preparation {p!r}" for p in PREP_LABELS if p not in supports]
     missing += [f"outcome {k!r}" for k in OUTCOME_LABELS if k not in outcomes]
     if missing:
-        raise _model_error(f"unknown {missing[0]}")
+        raise ModelError(f"unknown {missing[0]}")
     total = wden * xden  # the denominator of every prediction
     post_ok, raw_ok, nulls = True, True, []
     for p in PREP_LABELS:

@@ -564,8 +564,8 @@ def _dist_name(dist: dict) -> str:
 
 
 class _EachChoice:
-    """A stand-in rng for one branch of a sampler that draws once: ``choice``
-    returns element ``k`` of its argument and keeps the argument's length."""
+    """A stand-in rng for one branch of a sampler that draws at most once:
+    ``choice`` returns element ``k`` of its argument and keeps its length."""
 
     def __init__(self, k: int):
         self.k, self.n = k, None
@@ -579,14 +579,14 @@ class _EachChoice:
 
 def _ontic_kernel(lam: int, meas) -> tuple:
     """(counts, n) for one ontic measurement of ``lam``: the sampler's one
-    ``choice`` has ``n`` branches, and ``counts`` maps each (outcome block,
-    resampled state) to the number of branches that give it, so its
-    probability is count/n."""
+    ``choice`` has ``n`` branches (one if it makes none), and ``counts`` maps
+    each (outcome block, resampled state) to the number of branches that
+    give it, so its probability is count/n."""
     counts, k, n = {}, 0, 1
     while k < n:
         rng = _EachChoice(k)
         out = ontic_simulate_measurement(lam, meas, rng)
-        n = rng.n
+        n = rng.n or 1
         counts[out] = counts.get(out, 0) + 1
         k += 1
     return counts, n

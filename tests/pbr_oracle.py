@@ -8,7 +8,11 @@ search decides the same problems point by point, so the tests can grade the
 closed forms against an exhaustive run instead of against themselves.
 ``witness_to_model`` rebuilds a witness as an ``OntologicalModel``, so
 ``pbr.replay_witness``'s integer replay can be graded against
-``models.predicted_probability`` and ``models.reproduction_check``.
+``models.predicted_probability`` and ``models.reproduction_check``.  Both
+routes check a witness with the one set of validity rules in
+``omlab.exact``, so they raise the same ``ModelError``; the predictions are
+graded independently, as ``Fraction`` sums here and as ``int`` sums over one
+common denominator in ``pbr``.
 """
 
 from __future__ import annotations

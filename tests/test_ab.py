@@ -1,12 +1,14 @@
-"""``scripts/ab.py``'s accept/reject arithmetic, on synthetic paired runs."""
+"""``scripts/ab.py``'s accept/reject arithmetic, on synthetic paired runs,
+and its byte-compiling of each tree."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from ab import summarize  # noqa: E402
+from ab import compile_tree, summarize  # noqa: E402
 
 SPEC = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
                        {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]}
@@ -84,3 +86,16 @@ def test_correct_and_failed_ops_cover_every_run():
     assert block["correct"] is False
     assert block["failed_ops"] == {"base": 0, "change": 3}
     assert one_workload(base, base)["correct"] is True
+
+
+def test_each_tree_is_byte_compiled_even_where_the_environment_forbids_writing_it(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    sources = [tmp_path / "src" / "pkg" / "__init__.py", tmp_path / "src" / "pkg" / "mod.py",
+               tmp_path / "perfbench" / "run.py"]
+    for source in sources:
+        source.parent.mkdir(parents=True, exist_ok=True)
+        source.write_text("X = 1\n")
+    assert compile_tree(tmp_path) == tmp_path
+    # the bytecode is where this interpreter's imports look for it
+    assert all(Path(importlib.util.cache_from_source(str(s))).is_file() for s in sources)

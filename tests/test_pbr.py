@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pbr_oracle import grid_search, inner_feasibility, model_replay, witness_to_model
 from toy_composites import kb_composites
 
-from omlab import cli, pbr, quantum, toy
+from omlab import cli, exact, pbr, quantum, toy
 from omlab.exact import INV_SQRT2, SQRT2, ExactComplex
 from omlab.models import (
     EpistemicState,
@@ -356,6 +356,7 @@ def same_model_error(witness, born) -> str:
         model_replay(witness, born)
     with pytest.raises(ModelError) as by_replay:
         pbr.replay_witness(witness, born)
+    assert type(by_replay.value) is ModelError is exact.ModelError
     assert str(by_replay.value) == str(by_model.value)
     return str(by_replay.value)
 
@@ -412,9 +413,9 @@ def assert_reads_as_fraction(text):
         value = F(text)
     except (ValueError, ZeroDivisionError) as exc:
         with pytest.raises(type(exc)):
-            pbr._read_ratio(text)
+            exact.read_ratio(text)
         return
-    num, den = pbr._read_ratio(text)
+    num, den = exact.read_ratio(text)
     k = den // value.denominator
     assert k >= 1 and (num, den) == (value.numerator * k, value.denominator * k)
 

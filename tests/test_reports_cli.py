@@ -377,6 +377,21 @@ def test_a_sampler_that_resamples_outside_the_block_fails_the_kernel_row(monkeyp
     assert rows[SAMPLED_ROW].passed  # the outcomes alone are right
 
 
+def test_a_sampler_that_never_draws_fails_only_the_kernel_row(monkeypatch):
+    # no disturbance: the state stays put, so the kernel has one branch, and
+    # only the two measurements that do not hold the state's support in one
+    # block see an updated state that differs from the toy's
+    monkeypatch.setattr(toy, "ontic_simulate_measurement",
+                        lambda lam, meas, rng: (meas.block_of(lam), lam))
+    rows = noncomm_rows()
+    assert [name for name, c in rows.items() if not c.passed] == [KERNEL_ROW]
+    assert rows[KERNEL_ROW].observed == "6/18"
+    assert rows[KERNEL_ROW].detail["mismatches"] == [
+        f"{m} on {label}" for label, others in (("0", "XY"), ("1", "XY"), ("+", "ZY"),
+                                                ("-", "ZY"), ("+i", "ZX"), ("-i", "ZX"))
+        for m in others]
+
+
 def scanning_loop_observed(seed: int) -> str:
     """The sampled row's observed text as the loop computed it before the
     measurements indexed their blocks: a partition scan and a sorted block
