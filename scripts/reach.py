@@ -94,6 +94,8 @@ EDGE_ARGVS = [
     ["gaussian", "epr", "--value", "-1e3"],
     # a large reading, whose posterior mean is held to a relative 1e-9
     ["gaussian", "epr", "--squeeze", "1", "--value", "1e10"],
+    # a tiny squeeze at tiny lambda, where lambda*sinh(2r) underflows to 0
+    ["gaussian", "epr", "--squeeze", "1e-24", "--lambda", "1e-300", "--value", "1e16"],
 ]
 
 # One option per verb that has options, given to a target that does not take

@@ -2,8 +2,8 @@
 """Run every verification verb and print a one-line summary per run: the
 verdict, the command, passed/total checks and two wall clocks in
 milliseconds, each in a fixed-width column.  The first clock is the run's
-own, and includes the import of every omlab module (and numpy) that no
-earlier run needed; the second is a warm rerun's, with every import done.
+own, and includes the import of every omlab module that no earlier run
+needed; the second is a warm rerun's, with every import done.
 
 Every report is also serialized to schema-checked JSON; a report that fails
 the schema counts as a failed run.  The verdict and the exit status read the

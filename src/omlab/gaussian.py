@@ -14,14 +14,17 @@ limit is approached as r grows.  All states in the family sit exactly on
 the uncertainty boundary.  The family keeps its normal modes (variances
 lam*e^{-2r}, lam*e^{2r}) as a factored form, exact where the covariance's
 smallest eigenvalue and Schur complements fall below float64 rounding.
+
+Vectors and matrices are tuples of floats, at most 4 x 4: a one-mode state
+or the two-mode family.  Every quantity comes in closed form from 2 x 2
+blocks, so the module needs no linear-algebra library.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import combinations
 
 from .reports import row
 
@@ -39,10 +42,9 @@ def _check_uncertainty_parameter(hbar_like: float) -> None:
         raise GaussianError("the uncertainty parameter must lie in [%g, %g]" % LAMBDA_RANGE)
 
 
-# Both Gaussian verbs pass throughout both ranges, save where lambda*sinh(2r)
-# underflows (r = 1e-24 at lambda = 1e-300 gives a posterior mean of 0); past
-# them floats under- or overflow.  The first squeeze to fail is 13.753, at
-# lambda = 1e-300.
+# Both Gaussian verbs pass throughout both ranges; past them floats under- or
+# overflow.  The first squeeze to fail is 13.717, at lambda = 1e-300, where
+# lambda*e^{-2r} is subnormal and the pair's own validity check fails.
 LAMBDA_RANGE = (1e-300, 1e280)
 SQUEEZE_RANGE = (0.0, 13.0)
 
@@ -55,48 +57,96 @@ def check_squeeze(squeeze_r: float) -> None:
         raise GaussianError("squeezing must lie in [%g, %g]" % SQUEEZE_RANGE)
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal form with [[0,-1],[1,0]] per (q,p) pair."""
-    block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
+def _unit(hbar_like: float) -> float:
+    """s = 2^round(log2 lam): a power of two, so a quantity divides by it
+    and multiplies back exactly, and lam-sized quantities in units of s lie
+    near 1, far from under- and overflow."""
+    return 2.0 ** round(math.log2(hbar_like))
+
+
+def _matrix(rows) -> tuple:
+    return tuple(tuple(map(float, r)) for r in rows)
+
+
+def _allclose(a, b, atol: float) -> bool:
+    """numpy.allclose on two matrices: |x - y| <= atol + 1e-5 |y| entrywise."""
+    return all(abs(x - y) <= atol + 1e-5 * abs(y)
+               for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _rotation(gamma) -> tuple:
+    """(variances, basis) of a 2 x 2 covariance [[a, b], [b, c]] from the one
+    Jacobi rotation that zeroes b (Golub and Van Loan's symmetric Schur
+    decomposition): t = tan(theta) is the smaller root of t^2 + 2 tau t = 1,
+    tau = (c - a)/2b, and the variances are a - t b and c + t b."""
+    (a, b), (_, c) = gamma
+    if b == 0:
+        return (a, c), ((1.0, 0.0), (0.0, 1.0))
+    tau = (c - a) / (2 * b)
+    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    cos = 1 / math.hypot(1.0, t)
+    sin = t * cos
+    return (a - t * b, c + t * b), ((cos, sin), (-sin, cos))
 
 
 @dataclass(frozen=True)
 class GaussianEpistemicState:
-    """``modes`` is the factored form, arrays (variances, basis) with the
-    normal modes as the basis columns: covariance = basis @ diag(variances)
-    @ basis.T.  Worked out from the covariance unless given, it gives the
-    positivity, validity, entropy, quadrature variances and conditioned
-    covariances, where large terms would cancel in the covariance."""
+    """Mean and covariance as tuples of floats, read from any array-like.
 
-    mean: np.ndarray
-    covariance: np.ndarray
+    ``modes`` is the factored form, (variances, basis) with the normal modes
+    as the basis columns: covariance[a][b] = sum_j basis[a][j] variances[j]
+    basis[b][j].  One 2 x 2 rotation works it out for one mode; a state of
+    more modes must be given it.  It gives the positivity, validity,
+    entropy, quadrature variances and conditioned covariances, where large
+    terms would cancel in the covariance.  ``scaled`` is the covariance in
+    units of s = 2^round(log2 lam), worked out from the covariance unless
+    given: it keeps entries that underflow in the covariance itself, such
+    as lam*sinh(2r) at a tiny squeeze and lam."""
+
+    mean: tuple
+    covariance: tuple
     hbar_like: float = 1.0
     modes: tuple | None = field(default=None, repr=False, compare=False)
+    scaled: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_uncertainty_parameter(self.hbar_like)
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        n = mean.shape[0]
-        if mean.ndim != 1 or n % 2 != 0 or n == 0:
+        try:
+            mean, cov = tuple(map(float, self.mean)), _matrix(self.covariance)
+        except TypeError:
+            raise GaussianError("mean must be a vector and covariance a matrix") from None
+        n = len(mean)
+        if n % 2 != 0 or n == 0:
             raise GaussianError("mean must be a vector of even positive length")
-        if cov.shape != (n, n):
+        if len(cov) != n or any(len(r) != n for r in cov):
             raise GaussianError("covariance shape does not match the mean")
-        if not np.allclose(cov, cov.T, atol=VALIDITY_TOL):
+        if not _allclose(cov, tuple(zip(*cov)), VALIDITY_TOL):
             raise GaussianError("covariance must be symmetric")
-        variances, basis = np.linalg.eigh(cov) if self.modes is None else self.modes
-        if np.abs((basis * variances) @ basis.T - cov).max() > VALIDITY_TOL * np.abs(cov).max():
+        if self.modes is not None:
+            variances, basis = tuple(map(float, self.modes[0])), _matrix(self.modes[1])
+        elif n == 2:
+            variances, basis = _rotation(cov)
+        else:
+            raise GaussianError("a state of more than one mode needs its normal modes")
+        top = max(abs(x) for r in cov for x in r)
+        if any(abs(sum(basis[a][j] * variances[j] * basis[b][j] for j in range(n)) - cov[a][b])
+               > VALIDITY_TOL * top for a in range(n) for b in range(n)):
             raise GaussianError("normal modes do not factor the covariance")
-        if float(variances.min()) <= 0.0:
+        if min(variances) <= 0.0:
             raise GaussianError("covariance must be positive definite")
-        object.__setattr__(self, "modes", (variances, basis))
+        s = _unit(self.hbar_like)
+        scaled = self.scaled
+        if scaled is None:
+            scaled = tuple(tuple(x / s for x in r) for r in cov)
+        elif any(s * x != y for rx, ry in zip(scaled, cov) for x, y in zip(rx, ry)):
+            raise GaussianError("the scaled covariance does not scale to the covariance")
+        for name, value in (("mean", mean), ("covariance", cov),
+                            ("modes", (variances, basis)), ("scaled", scaled)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return len(self.mean)
 
     @property
     def n_modes(self) -> int:
@@ -104,8 +154,8 @@ class GaussianEpistemicState:
 
     def to_json(self) -> dict:
         return {
-            "mean": self.mean.tolist(),
-            "covariance": self.covariance.tolist(),
+            "mean": list(self.mean),
+            "covariance": [list(r) for r in self.covariance],
             "hbar_analogue": self.hbar_like,
         }
 
@@ -119,55 +169,108 @@ class ValidityResult:
     min_eigenvalue: float
 
 
-def validity_check(state: GaussianEpistemicState) -> ValidityResult:
-    """Williamson test: gamma + i*lam*Sigma >= 0 iff no symplectic eigenvalue
-    of gamma, a modulus of an eigenvalue of i*D B^T Sigma B D with D the root
-    mode variances, is below lam; relative to lam at any squeezing.
-    ``min_eigenvalue`` is that of gamma + i*lam*Sigma, as float64 has it."""
+def _geometric_mean(x: float, y: float) -> float:
+    """sqrt(x*y) with no under- or overflow in the product, and exact when
+    x == y: the mantissas multiply, the exponents add."""
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    e = ex + ey
+    return math.ldexp(math.sqrt(math.ldexp(mx * my, e % 2)), e // 2)
+
+
+def _mode_pairs(state: GaussianEpistemicState) -> list:
+    """(v_j, v_k, |c|) for each pair of normal modes that Sigma couples, with
+    c = (B^T Sigma B)_jk, B the basis, each product rounded before the sum
+    so that an uncoupled pair's c is exactly 0.  One mode is one pair; in
+    the two-mode family d pairs with w and s with u."""
     variances, basis = state.modes
-    sigma = symplectic_form(state.n_modes)
-    # B^T Sigma B with each product rounded before the sum, so zeros stay 0
-    coupling = (basis[:, :, None] * (sigma @ basis)[:, None, :]).sum(axis=0)
-    root = np.sqrt(variances)
-    nu = np.abs(np.linalg.eigvalsh(1j * root[:, None] * coupling * root)).min()
-    h = state.covariance.astype(complex) + 1j * state.hbar_like * sigma
-    mn = float(np.linalg.eigvalsh(h).min().real)
-    return ValidityResult(bool(nu >= state.hbar_like * (1 - VALIDITY_TOL)), mn)
+
+    def coupling(j: int, k: int) -> float:
+        return sum(basis[2 * m + 1][j] * basis[2 * m][k] - basis[2 * m][j] * basis[2 * m + 1][k]
+                   for m in range(state.n_modes))
+
+    pairs = []
+    for j in range(state.dim):
+        partners = [k for k in range(state.dim) if k != j and coupling(j, k)]
+        if len(partners) != 1:
+            raise GaussianError("validity needs normal modes that Sigma pairs")
+        if j < partners[0]:
+            k = partners[0]
+            pairs.append((variances[j], variances[k], abs(coupling(j, k))))
+    return pairs
+
+
+def validity_check(state: GaussianEpistemicState) -> ValidityResult:
+    """Williamson test on the normal modes.  In the mode basis, gamma +
+    i*lam*Sigma splits into one 2 x 2 block [[v_j, i lam c], [-i lam c, v_k]]
+    per pair of modes that Sigma couples.  The pair's symplectic eigenvalue
+    is nu = |c| g, with g = sqrt(v_j v_k), and gamma + i*lam*Sigma >= 0 iff
+    no nu is below lam; relative to lam at any squeezing.  The block's
+    least eigenvalue is (g^2 - (lam c)^2)/(m + h), m the mean of v_j and
+    v_k and h = hypot((v_j - v_k)/2, lam c), with g^2 - (lam c)^2 taken as
+    (g - lam|c|)(g + lam|c|) so that nothing but the difference cancels.
+    ``min_eigenvalue`` is the least over the blocks."""
+    lam = state.hbar_like
+    nu = least = math.inf
+    for vj, vk, c in _mode_pairs(state):
+        g, bound = _geometric_mean(vj, vk), lam * c
+        nu = min(nu, c * g)
+        least = min(least, (g - bound) * ((g + bound)
+                                          / ((vj + vk) / 2 + math.hypot((vj - vk) / 2, bound))))
+    return ValidityResult(nu >= lam * (1 - VALIDITY_TOL), least)
 
 
 def entropy(state: GaussianEpistemicState) -> float:
     """Differential entropy, closed form 0.5*ln((2 pi e)^N det gamma), with
     ln det gamma the sum of the logs of the normal-mode variances."""
     n = state.dim
-    return 0.5 * (n * math.log(2 * math.pi * math.e) + float(np.sum(np.log(state.modes[0]))))
+    return 0.5 * (n * math.log(2 * math.pi * math.e) + sum(map(math.log, state.modes[0])))
+
+
+# 41 offsets from -10 to 10 standard deviations, half an sd apart
+_QUADRATURE_OFFSETS = tuple(k / 2 for k in range(-20, 21))
 
 
 def entropy_by_quadrature(state: GaussianEpistemicState) -> float:
     """Independent oracle, N=2 only: -integral(mu ln mu) by nested trapezoids
-    over 201 x 201 offsets spanning +-10 standard deviations per axis.
-    With [[a, b], [b, c]] = gamma^-1, -ln mu = (a dx^2 + 2b dx dy + c dy^2)/2
-    + ln(2 pi sqrt(det gamma)), so the integrand mu ln(1/mu) takes one exp.
-    Only the covariance is read, not the normal modes.  On a Gaussian the
-    trapezoid errs by about 2 exp(-2 pi^2 (s/h)^2), h the step (sd/10) and s the
-    narrowest conditional sd, sd sqrt(1 - rho^2): 2e-17 at |rho| = 0.99, 0 on
-    round states.  The tails past +-10 sd hold erfc(10/sqrt2) = 1.5e-23."""
+    over 41 x 41 points spanning +-10 standard deviations.  Only the
+    covariance [[g00, g01], [g01, g11]] is read, not the normal modes.  x
+    runs over +-10 sd(x); at each x, y runs over +-10 conditional sds about
+    its conditional mean, the grid sheared along the density's axis: mean
+    (g01/g00) x, variance v = g11 - g01^2/g00.  The density is evaluated at
+    each (x, y) in full, -ln mu = (a x^2 + 2b xy + c y^2)/2 + ln 2 pi +
+    (ln g00 + ln v)/2 with [[a, b], [b, c]] = gamma^-1.  On a Gaussian the
+    trapezoid errs by about 2 exp(-2 pi^2 (sd/h)^2) per axis, h the step,
+    here sd/2: 2e-34.  The tails past +-10 sd hold erfc(10/sqrt2) = 1.5e-23."""
     if state.dim != 2:
         raise GaussianError("quadrature oracle is implemented for N=2 only")
-    gamma = state.covariance
-    dx, dy = (np.linspace(-10.0 * sd, 10.0 * sd, 201) for sd in np.sqrt(np.diag(gamma)))
-    (a, b), (_, c) = np.linalg.inv(gamma)
-    x = dx[:, None]
-    # ln det gamma from slogdet: det itself goes subnormal near lam = 1e-160
-    neg_log_mu = (0.5 * (a * x * x + 2 * b * x * dy + c * dy * dy)
-                  + math.log(2 * math.pi) + 0.5 * np.linalg.slogdet(gamma)[1])
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(trapezoid(np.exp(-neg_log_mu) * neg_log_mu, dy, axis=1), dx))
+    (g00, g01), (_, g11) = state.covariance
+    slope = g01 / g00
+    v = g11 - g01 * slope
+    c = 1 / v
+    b = -slope * c
+    a = 1 / g00 + slope * slope * c
+    log_norm = math.log(2 * math.pi) + 0.5 * (math.log(g00) + math.log(v))
+    sd_x, sd_y = math.sqrt(g00), math.sqrt(v)
+
+    def trapezoid(values: list, step: float) -> float:
+        return step * (sum(values) - (values[0] + values[-1]) / 2)
+
+    columns = []
+    for tx in _QUADRATURE_OFFSETS:
+        x = tx * sd_x
+        column = []
+        for ty in _QUADRATURE_OFFSETS:
+            y = slope * x + ty * sd_y
+            neg_log_mu = 0.5 * (a * x * x + 2 * b * x * y + c * y * y) + log_norm
+            column.append(math.exp(-neg_log_mu) * neg_log_mu)
+        columns.append(trapezoid(column, sd_y / 2))
+    return trapezoid(columns, sd_x / 2)
 
 
 def coherent_boundary(hbar_like: float = 1.0) -> GaussianEpistemicState:
     """gamma = lam * identity: the minimal-uncertainty round state."""
     _check_uncertainty_parameter(hbar_like)
-    return GaussianEpistemicState(np.zeros(2), hbar_like * np.eye(2), hbar_like)
+    return GaussianEpistemicState((0.0, 0.0), ((hbar_like, 0.0), (0.0, hbar_like)), hbar_like)
 
 
 def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemicState:
@@ -177,25 +280,23 @@ def epr_correlated(squeeze_r: float, hbar_like: float = 1.0) -> GaussianEpistemi
     variances are lam*cosh(2r); r -> 0 decouples into two boundary states
     and r -> infinity approaches the delta-correlated pair.  The state
     carries these normal modes and their sum-quadrature partners, with
-    variance lam*e^{2r}, as its factored form.
+    variance lam*e^{2r}, as its factored form, and its covariance in units
+    of s (``scaled``), where lam*sinh(2r) stays normal when it underflows.
     """
     if squeeze_r < 0:
         raise GaussianError("squeezing must be nonnegative")
     _check_uncertainty_parameter(hbar_like)
     lam = float(hbar_like)
-    c, s = math.cosh(2 * squeeze_r), math.sinh(2 * squeeze_r)
-    cov = lam * np.array([
-        [c, 0.0, s, 0.0],
-        [0.0, c, 0.0, -s],
-        [s, 0.0, c, 0.0],
-        [0.0, -s, 0.0, c],
-    ])
+    s = _unit(lam)
+    c, sh = (lam / s) * math.cosh(2 * squeeze_r), (lam / s) * math.sinh(2 * squeeze_r)
+    scaled = ((c, 0.0, sh, 0.0), (0.0, c, 0.0, -sh), (sh, 0.0, c, 0.0), (0.0, -sh, 0.0, c))
     h = math.sqrt(0.5)
     # columns: (q_A-q_B, p_A+p_B, q_A+q_B, p_A-p_B)/sqrt2 over (q_A, p_A, q_B, p_B)
-    basis = np.array([[h, 0.0, h, 0.0], [0.0, h, 0.0, h], [-h, 0.0, h, 0.0], [0.0, h, 0.0, -h]])
+    basis = ((h, 0.0, h, 0.0), (0.0, h, 0.0, h), (-h, 0.0, h, 0.0), (0.0, h, 0.0, -h))
     squeezed, stretched = lam * math.exp(-2 * squeeze_r), lam * math.exp(2 * squeeze_r)
-    variances = np.array([squeezed, squeezed, stretched, stretched])
-    state = GaussianEpistemicState(np.zeros(4), cov, lam, (variances, basis))
+    state = GaussianEpistemicState((0.0,) * 4, tuple(tuple(s * x for x in r) for r in scaled),
+                                   lam, ((squeezed, squeezed, stretched, stretched), basis),
+                                   scaled)
     check = validity_check(state)
     if not check.valid:
         raise GaussianError(f"correlated state failed validity: {check.min_eigenvalue}")
@@ -206,12 +307,14 @@ def epr_quadrature_variances(state: GaussianEpistemicState) -> dict:
     """Variances of the normalized joint quadratures of a two-system state."""
     if state.dim != 4:
         raise GaussianError("joint quadratures need a two-system state")
-    d = np.array([1.0, 0.0, -1.0, 0.0]) / math.sqrt(2)   # (q_A - q_B)/sqrt2
-    s = np.array([0.0, 1.0, 0.0, 1.0]) / math.sqrt(2)    # (p_A + p_B)/sqrt2
+    h = 1 / math.sqrt(2)
+    d = (h, 0.0, -h, 0.0)   # (q_A - q_B)/sqrt2
+    s = (0.0, h, 0.0, h)    # (p_A + p_B)/sqrt2
     variances, basis = state.modes
     # sum_j v_j (b_j . u)^2, each product rounded before the sum (no fused
     # multiply-add), so a mode orthogonal to u projects to exactly 0
-    return {name: float(np.sum(variances * (basis * u[:, None]).sum(axis=0) ** 2))
+    return {name: sum(v * sum(b[j] * x for b, x in zip(basis, u)) ** 2
+                      for j, v in enumerate(variances))
             for name, u in (("var_q_diff", d), ("var_p_sum", s))}
 
 
@@ -219,9 +322,9 @@ def marginal_mode(state: GaussianEpistemicState, mode: int) -> GaussianEpistemic
     """The (q, p) marginal of one mode: coordinates 2*mode and 2*mode + 1."""
     if not 0 <= mode < state.n_modes:
         raise GaussianError(f"mode {mode} is outside 0..{state.n_modes - 1}")
-    pair = [2 * mode, 2 * mode + 1]
-    return GaussianEpistemicState(state.mean[pair], state.covariance[np.ix_(pair, pair)],
-                                  state.hbar_like)
+    pair = slice(2 * mode, 2 * mode + 2)
+    return GaussianEpistemicState(state.mean[pair],
+                                  tuple(r[pair] for r in state.covariance[pair]), state.hbar_like)
 
 
 def condition_on_coordinate(state: GaussianEpistemicState, index: int,
@@ -230,31 +333,36 @@ def condition_on_coordinate(state: GaussianEpistemicState, index: int,
 
     Returns raw (mean, covariance) over the remaining coordinates; the
     result is one coordinate short of a phase-space state, so callers pick
-    out the (q, p) blocks they need.  The covariance, the Schur complement
+    out the (q, p) blocks they need.  The gain g_ri / g_ii is read from the
+    covariance in units of s = 2^round(log2 lambda), so it stays exact
+    where lambda*g_ri underflows.  The covariance, the Schur complement
     g_rr - g_ri g_ir / g_ii, is summed over pairs of normal modes in
-    Lagrange's form sum_jk v_j v_k w_jk w_jk^T / (2 g_ii), with
+    Lagrange's form sum_{j<k} v_j v_k w_jk w_jk^T / g_ii, with
     w_jk = b_ij b_rk - b_ik b_rj, so no large terms cancel.  The variances
-    and g_ii enter divided by s = 2^round(log2 lambda), and the sum is
-    multiplied by s: a power of two scales exactly, and keeps the products
-    v_j v_k from underflowing when lambda is tiny.
+    and g_ii enter divided by s, and the sum is multiplied by s: a power of
+    two scales exactly, and keeps the products v_j v_k from underflowing
+    when lambda is tiny.
     """
     n = state.dim
     if not 0 <= index < n:
         raise GaussianError("conditioning index out of range")
-    rest = [i for i in range(n) if i != index]
-    g = state.covariance
-    var = g[index, index]
-    if var <= 0:
-        raise GaussianError("conditioning block is singular")
-    k = g[np.ix_(rest, [index])] / var
-    mean = state.mean[rest] + (k * (value - state.mean[index])).ravel()
+    rest = [r for r in range(n) if r != index]
+    scaled = state.scaled
+    g_ii = scaled[index][index]
+    shift = value - state.mean[index]
+    mean = tuple(state.mean[r] + scaled[r][index] / g_ii * shift for r in rest)
+    s = _unit(state.hbar_like)
     variances, basis = state.modes
-    b_i, b_r = basis[index], basis[rest]
-    w = np.einsum("j,rk->jkr", b_i, b_r) - np.einsum("k,rj->jkr", b_i, b_r)
-    s = 2.0 ** round(math.log2(state.hbar_like))
-    v = variances / s
-    cov = s * np.einsum("j,k,jka,jkb->ab", v, v, w, w) / (2 * (var / s))
-    return mean, cov
+    v = [x / s for x in variances]
+    b_i = basis[index]
+    terms = [(v[j] * v[k], [b_i[j] * basis[r][k] - b_i[k] * basis[r][j] for r in rest])
+             for j, k in combinations(range(n), 2)]
+    m = len(rest)
+    cov = [[0.0] * m for _ in rest]
+    for a in range(m):
+        for b in range(a, m):
+            cov[a][b] = cov[b][a] = s * sum(vv * w[a] * w[b] for vv, w in terms) / g_ii
+    return mean, tuple(map(tuple, cov))
 
 
 @dataclass(frozen=True)
@@ -282,21 +390,36 @@ def epr_inference(state: GaussianEpistemicState, alice_measures: str,
         raise GaussianError("alice_value must be finite")
     mean, cov = condition_on_coordinate(state, index, alice_value)
     # remaining coordinates: [p_A or q_A, q_B, p_B]; Bob occupies the tail
-    bob = GaussianEpistemicState(mean[1:], cov[1:, 1:], state.hbar_like)
+    bob = GaussianEpistemicState(mean[1:], tuple(r[1:] for r in cov[1:]), state.hbar_like)
     return EprInferenceResult(bob, validity_check(bob))
 
 
 # --------------------------------------------------------------------------
 # report rows: gaussian suite and gaussian epr
 
+def _inverse(matrix) -> list:
+    """Gauss-Jordan elimination with partial pivoting."""
+    n = len(matrix)
+    rows = [list(r) + [float(i == j) for j in range(n)] for i, r in enumerate(matrix)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
 def _conditioning_oracle(state, index: int, value: float):
     """Precision-matrix route, independent of the module's Schur route."""
-    prec = np.linalg.inv(state.covariance)
+    prec = _inverse(state.covariance)
     rest = [i for i in range(state.dim) if i != index]
-    prec_rr = prec[np.ix_(rest, rest)]
-    prec_ri = prec[np.ix_(rest, [index])]
-    cov = np.linalg.inv(prec_rr)
-    mean = state.mean[rest] - (cov @ prec_ri).ravel() * (value - state.mean[index])
+    cov = _inverse([[prec[a][b] for b in rest] for a in rest])
+    shift = value - state.mean[index]
+    mean = [state.mean[a] - sum(x * prec[b][index] for x, b in zip(cov_row, rest)) * shift
+            for a, cov_row in zip(rest, cov)]
     return mean, cov
 
 
@@ -307,7 +430,8 @@ def gaussian_suite_checks(hbar_like: float) -> list:
     checks.append(row("gaussian boundary min eigenvalue", "0",
                       f"{v.min_eigenvalue:.3e}", "DERIVED",
                       passed=abs(v.min_eigenvalue) <= 1e-12 * hbar_like))
-    tight = GaussianEpistemicState(np.zeros(2), (hbar_like / 10) * np.eye(2), hbar_like)
+    tenth = hbar_like / 10
+    tight = GaussianEpistemicState((0.0, 0.0), ((tenth, 0.0), (0.0, tenth)), hbar_like)
     checks.append(row("gaussian over-tight state invalid", False,
                       validity_check(tight).valid, "DERIVED"))
     ent = entropy(boundary)
@@ -329,13 +453,13 @@ def gaussian_suite_checks(hbar_like: float) -> list:
     delta = abs(res.bob.mean[0] - mean_o[1])
     checks.append(row("gaussian conditioning vs precision-matrix oracle",
                       "<= 1e-6", f"{delta:.3e}", "DERIVED",
-                      passed=delta <= 1e-6 and np.allclose(
-                          res.bob.covariance, cov_o[1:, 1:], atol=1e-9 * hbar_like)))
+                      passed=delta <= 1e-6 and _allclose(
+                          res.bob.covariance, [r[1:] for r in cov_o[1:]], 1e-9 * hbar_like)))
     checks.append(row("gaussian Bob posterior validity", True,
                       res.bob_validity.valid, "DERIVED"))
     marg = marginal_mode(epr, 0)
     checks.append(row("gaussian EPR marginal variance grows", True,
-                      bool(marg.covariance[0, 0] >= hbar_like * math.cosh(6) * (1 - 1e-9)),
+                      bool(marg.covariance[0][0] >= hbar_like * math.cosh(6) * (1 - 1e-9)),
                       "DERIVED"))
     return checks
 

@@ -143,7 +143,8 @@ def load_schema() -> dict:
 
 
 # The types of draft 2020-12 as jsonschema checks them: a bool is never a
-# number, and a numpy scalar is a number exactly when it is a numbers.Number
+# number, and a scalar of another library, which no lab row holds but a
+# caller's detail may, is a number exactly when it is a numbers.Number
 # (numpy.int64 is, numpy.bool_ is not).
 _TYPES = {
     "array": lambda v: isinstance(v, list),
@@ -169,7 +170,8 @@ def _float_text(value: float) -> str:
 
 
 # The text of a scalar of each type that json writes, a subclass written as
-# its first base here (an IntEnum as an int, a numpy.float64 as a float).
+# its first base here (an IntEnum as an int, a caller's numpy.float64 as a
+# float).
 _LEAVES = {str: _encode_str, int: int.__repr__, float: _float_text,
            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 

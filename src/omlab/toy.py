@@ -757,7 +757,9 @@ def mz_checks(phase: str, model: str, source: str, theta: float | None) -> list:
                               "DERIVED"))
     if theta is not None:
         p1f, p2f = quantum.mz_detection_probabilities(theta, source)
-        want = math.cos(theta / 2) ** 2 if source == "first_splitter" else 0.5
-        checks.append(row(f"mz float-mode P(d1) at theta={theta:.6g}", want, p1f, "PAPER",
-                          passed=abs(p1f - want) <= FLOAT_TOL))
+        w1, w2 = ((math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2)
+                  if source == "first_splitter" else (0.5, 0.5))
+        checks.append(row(f"mz float-mode P(d1), P(d2) at theta={theta:.6g}",
+                          f"({fmt(w1)}, {fmt(w2)})", f"({fmt(p1f)}, {fmt(p2f)})", "PAPER",
+                          passed=abs(p1f - w1) <= FLOAT_TOL and abs(p2f - w2) <= FLOAT_TOL))
     return checks

@@ -35,9 +35,14 @@ def test_classical_limit_relaxes_the_constraint():
     assert g.validity_check(state).valid
 
 
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Block-diagonal form with [[0,-1],[1,0]] per (q,p) pair: the oracle's Sigma."""
+    return np.kron(np.eye(n_modes), np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
 def test_symplectic_form_properties():
     for n in (1, 2, 3):
-        s = g.symplectic_form(n)
+        s = symplectic_form(n)
         assert np.allclose(s.T, -s)
         assert np.allclose(s @ s, -np.eye(2 * n))
 
@@ -84,7 +89,7 @@ def test_entropy_matches_quadrature_oracle():
 
 def entropy_on_the_1201_point_grid(state) -> float:
     """The quadrature at 1201 x 1201 offsets, +-10 sd per axis: the
-    reference for the 201-point grid that ``entropy_by_quadrature`` uses."""
+    reference for the 41-point sheared grid that ``entropy_by_quadrature`` uses."""
     gamma = state.covariance
     dx, dy = (np.linspace(-10.0 * sd, 10.0 * sd, 1201) for sd in np.sqrt(np.diag(gamma)))
     (a, b), (_, c) = np.linalg.inv(gamma)
@@ -103,12 +108,12 @@ def reduced_grid_states():
     for lam in (0.25, 4.0):
         yield g.GaussianEpistemicState(np.array([1.5, -0.8]),
                                        lam * np.array([[2.0, -0.7], [-0.7, 1.5]]), lam)
-    for rho in (0.99, -0.99):  # the narrowest conditional sd is 1.41 grid steps
+    for rho in (0.99, -0.99):  # the narrowest conditional sd is 1.41 steps of the 1201 grid
         yield g.GaussianEpistemicState(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
     yield g.GaussianEpistemicState(np.zeros(2), np.diag([100.0, 0.01]))  # axis ratio 100
 
 
-def test_201_point_quadrature_matches_the_1201_point_grid():
+def test_sheared_quadrature_matches_the_1201_point_grid():
     for state in reduced_grid_states():
         reference = entropy_on_the_1201_point_grid(state)
         assert abs(g.entropy_by_quadrature(state) - reference) <= 1e-9, state.covariance
@@ -118,7 +123,7 @@ def test_201_point_quadrature_matches_the_1201_point_grid():
 def test_entropy_scaling_law():
     base = g.coherent_boundary(1.0)
     for c in (2.0, 5.0):
-        scaled = g.GaussianEpistemicState(base.mean, c * base.covariance, 1.0)
+        scaled = g.GaussianEpistemicState(base.mean, c * np.asarray(base.covariance), 1.0)
         assert g.entropy(scaled) - g.entropy(base) == pytest.approx(
             (2 / 2) * math.log(c), abs=1e-12)
 
@@ -159,7 +164,7 @@ def test_epr_reference_variances():
     epr2 = g.epr_correlated(2.0, lam)
     v = g.epr_quadrature_variances(epr2)
     assert v["var_q_diff"] == pytest.approx(math.exp(-4), abs=1e-12)
-    assert g.marginal_mode(epr2, 0).covariance[0, 0] == pytest.approx(
+    assert g.marginal_mode(epr2, 0).covariance[0][0] == pytest.approx(
         math.cosh(4), abs=1e-9)
 
     epr3 = g.epr_correlated(3.0, lam)
@@ -195,10 +200,10 @@ def test_epr_stays_accurate_at_high_squeeze():
             i = "qp".index(measure)
             assert res.bob_validity.valid, (r, measure)
             assert relative_error(res.bob.mean[i], sign * math.tanh(2 * r) * value) <= 1e-12
-            assert relative_error(res.bob.covariance[i, i], lam / math.cosh(2 * r)) <= 1e-12
-            assert relative_error(res.bob.covariance[1 - i, 1 - i],
+            assert relative_error(res.bob.covariance[i][i], lam / math.cosh(2 * r)) <= 1e-12
+            assert relative_error(res.bob.covariance[1 - i][1 - i],
                                   lam * math.cosh(2 * r)) <= 1e-12
-            assert res.bob.covariance[0, 1] == res.bob.covariance[1, 0] == 0.0
+            assert res.bob.covariance[0][1] == res.bob.covariance[1][0] == 0.0
 
 
 def test_validity_threshold_does_not_grow_with_the_squeeze():
@@ -214,11 +219,14 @@ def test_validity_threshold_does_not_grow_with_the_squeeze():
 def test_normal_modes_must_factor_the_covariance():
     epr = g.epr_correlated(1.0)
     variances, basis = epr.modes
-    assert np.allclose((basis * variances) @ basis.T, epr.covariance, rtol=1e-12, atol=0)
+    assert np.allclose((np.asarray(basis) * variances) @ np.asarray(basis).T, epr.covariance,
+                       rtol=1e-12, atol=0)
     with pytest.raises(g.GaussianError, match="normal modes"):
         g.GaussianEpistemicState(epr.mean, epr.covariance, 1.0, (variances[::-1], basis))
     with pytest.raises(g.GaussianError, match="positive definite"):
         g.GaussianEpistemicState(np.zeros(2), np.diag([1.0, 0.0]), 1.0)
+    with pytest.raises(g.GaussianError, match="mean must be a vector"):
+        g.GaussianEpistemicState(np.zeros((2, 2)), np.eye(2), 1.0)
 
 
 def test_epr_decoupling_limit():
@@ -229,7 +237,7 @@ def test_epr_decoupling_limit():
         marg = g.marginal_mode(tiny, mode)
         res = g.validity_check(marg)
         assert res.valid and abs(res.min_eigenvalue) <= 1e-12
-    assert tiny.covariance[0, 2] == pytest.approx(0.0, abs=1e-12)
+    assert tiny.covariance[0][2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_epr_monotone_in_squeezing():
@@ -246,7 +254,7 @@ def test_epr_marginal_is_valid_and_wide():
     for mode in (0, 1):
         marg = g.marginal_mode(epr, mode)
         assert g.validity_check(marg).valid
-        assert marg.covariance[0, 0] >= 0.5  # far above lam/2 per quadrature
+        assert marg.covariance[0][0] >= 0.5  # far above lam/2 per quadrature
 
 
 def test_epr_rejects_negative_squeeze():
@@ -257,8 +265,9 @@ def test_epr_rejects_negative_squeeze():
 # ------------------------------------------------------------- marginals
 
 def test_marginal_of_product_state_is_the_factor():
-    cov = np.diag([1.0, 1.0, 2.0, 3.0])
-    state = g.GaussianEpistemicState(np.array([0.0, 0.0, 1.0, -1.0]), cov, 1.0)
+    variances = [1.0, 1.0, 2.0, 3.0]
+    state = g.GaussianEpistemicState(np.array([0.0, 0.0, 1.0, -1.0]), np.diag(variances), 1.0,
+                                     (variances, np.eye(4)))
     a = g.marginal_mode(state, 0)
     assert np.allclose(a.covariance, np.eye(2))
     b = g.marginal_mode(state, 1)
@@ -269,7 +278,15 @@ def three_mode_state() -> g.GaussianEpistemicState:
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 6))
     cov = a @ a.T + 6 * np.eye(6)
-    return g.GaussianEpistemicState(rng.normal(size=6), cov, 1.0)
+    return g.GaussianEpistemicState(rng.normal(size=6), cov, 1.0, np.linalg.eigh(cov))
+
+
+def test_a_state_of_two_modes_needs_its_normal_modes():
+    with pytest.raises(g.GaussianError, match="needs its normal modes"):
+        g.GaussianEpistemicState(np.zeros(4), np.eye(4), 1.0)
+    # modes that Sigma does not pair are fine for conditioning, not for validity
+    with pytest.raises(g.GaussianError, match="Sigma pairs"):
+        g.validity_check(three_mode_state())
 
 
 def test_marginal_mode_is_the_mean_slice_and_covariance_block():
@@ -278,7 +295,7 @@ def test_marginal_mode_is_the_mean_slice_and_covariance_block():
         marg = g.marginal_mode(state, mode)
         pair = slice(2 * mode, 2 * mode + 2)
         assert np.array_equal(marg.mean, state.mean[pair])
-        assert np.array_equal(marg.covariance, state.covariance[pair, pair])
+        assert np.array_equal(marg.covariance, np.asarray(state.covariance)[pair, pair])
         assert marg.hbar_like == state.hbar_like
 
 
@@ -297,9 +314,9 @@ def test_epr_inference_position():
     res = g.epr_inference(epr, "q", 1.0)
     mean_o, cov_o = g._conditioning_oracle(epr, 0, 1.0)
     assert res.bob.mean == pytest.approx(mean_o[1:], abs=1e-6)
-    assert np.allclose(res.bob.covariance, cov_o[1:, 1:], atol=1e-9)
+    assert np.allclose(res.bob.covariance, np.asarray(cov_o)[1:, 1:], atol=1e-9)
     assert res.bob.mean[0] == pytest.approx(1.0, abs=1e-4)  # tanh(6) ~ 1
-    assert res.bob.covariance[0, 0] == pytest.approx(1 / math.cosh(6), abs=1e-12)
+    assert res.bob.covariance[0][0] == pytest.approx(1 / math.cosh(6), abs=1e-12)
     assert res.bob_validity.valid
 
 
@@ -329,7 +346,7 @@ def test_inference_no_signaling_analogue():
     epr = g.epr_correlated(2.0)
     prior = g.marginal_mode(epr, 1)
     for index in (0, 1):
-        gam = epr.covariance
+        gam = np.asarray(epr.covariance)
         rest = [i for i in range(4) if i != index]
         k = gam[np.ix_(rest, [index])] / gam[index, index]
         post = gam[np.ix_(rest, rest)] - k @ gam[np.ix_([index], rest)]
@@ -337,6 +354,93 @@ def test_inference_no_signaling_analogue():
         bob_rows = [rest.index(2), rest.index(3)]
         assert np.allclose(reassembled[np.ix_(bob_rows, bob_rows)],
                            prior.covariance, atol=1e-12)
+
+
+# The numpy oracles: seeded one-mode states, and the EPR family across its
+# squeezings at lambda 1 and at both ends of LAMBDA_RANGE
+ORACLE_SQUEEZES = (0.0, 1.0, 3.0, 9.2, 13.0)
+
+
+def oracle_one_mode_states():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        lam = 10.0 ** rng.uniform(-3, 3)
+        a = rng.normal(size=(2, 2))
+        yield g.GaussianEpistemicState(rng.normal(size=2), lam * (a @ a.T + 0.05 * np.eye(2)), lam)
+
+
+def oracle_epr_states():
+    for lam in (g.LAMBDA_RANGE[0], 1.0, g.LAMBDA_RANGE[1]):
+        for r in ORACLE_SQUEEZES:
+            yield r, g.epr_correlated(r, lam)
+
+
+def numpy_validity(state) -> tuple:
+    """(least symplectic eigenvalue, least eigenvalue of gamma + i*lam*Sigma)
+    by numpy.linalg.eigvalsh in the basis of the carried normal modes: the
+    moduli of the eigenvalues of i D C D, and the eigenvalues of diag(v) +
+    i*lam*C, with C = B^T Sigma B and D the root mode variances.  The
+    covariance itself holds the least eigenvalue of the EPR family only to
+    float64 rounding of lam*cosh(2r).  Both are taken in units of lam, as
+    eigvalsh underflows on entries near 1e-300."""
+    lam = state.hbar_like
+    v, b = np.asarray(state.modes[0]) / lam, np.asarray(state.modes[1])
+    # B^T Sigma B with each product rounded before the sum, as a BLAS matmul
+    # leaves ~1e-17 where the e^{4r} ratio of mode variances magnifies it
+    c = (b[:, :, None] * (symplectic_form(state.n_modes) @ b)[:, None, :]).sum(axis=0)
+    root = np.sqrt(v)
+    nu = np.abs(np.linalg.eigvalsh(1j * root[:, None] * c * root)).min()
+    return lam * nu, lam * np.linalg.eigvalsh(np.diag(v) + 1j * c).min()
+
+
+def test_validity_matches_numpy_eigenvalues():
+    for state in oracle_one_mode_states():
+        gamma, lam = np.asarray(state.covariance), state.hbar_like
+        res = g.validity_check(state)
+        nu = math.sqrt(np.linalg.det(gamma))
+        assert relative_error(numpy_validity(state)[0], nu) <= 1e-12
+        assert res.valid == (nu >= lam * (1 - g.VALIDITY_TOL))
+        least = np.linalg.eigvalsh(gamma + 1j * lam * symplectic_form(1)).min()
+        assert abs(res.min_eigenvalue - least) <= 1e-14 * np.abs(gamma).max()
+    for r, state in oracle_epr_states():
+        nu, least = numpy_validity(state)
+        res = g.validity_check(state)
+        assert relative_error(nu, state.hbar_like) <= 1e-12, r
+        assert res.valid
+        # eigvalsh is accurate to rounding of the largest variance, lam*e^{2r}
+        assert abs(res.min_eigenvalue - least) <= 1e-14 * max(state.modes[0]), r
+
+
+def numpy_conditioning(state, index: int, value: float) -> tuple:
+    """The precision-matrix route by numpy.linalg.inv."""
+    gamma = np.asarray(state.covariance)
+    prec = np.linalg.inv(gamma)
+    rest = [i for i in range(state.dim) if i != index]
+    cov = np.linalg.inv(prec[np.ix_(rest, rest)])
+    shift = value - state.mean[index]
+    return np.asarray(state.mean)[rest] - cov @ prec[rest, index] * shift, cov
+
+
+def test_conditioning_matches_numpy_inverse():
+    for state in oracle_one_mode_states():
+        for index in (0, 1):
+            mean, cov = g.condition_on_coordinate(state, index, 0.7)
+            mean_o, cov_o = numpy_conditioning(state, index, 0.7)
+            assert np.allclose(mean, mean_o, rtol=1e-12, atol=1e-12)
+            assert np.allclose(cov, cov_o, rtol=1e-12, atol=0)
+    for r, state in oracle_epr_states():
+        lam = state.hbar_like
+        for index, sign in ((0, 1.0), (1, -1.0)):
+            mean, cov = g.condition_on_coordinate(state, index, 0.7)
+            if r <= 3:
+                # the covariance's condition number e^{4r} stays far below 1/eps
+                mean_o, cov_o = numpy_conditioning(state, index, 0.7)
+                assert np.allclose(mean, mean_o, rtol=1e-9, atol=0), (r, lam)
+                assert np.allclose(cov, cov_o, rtol=1e-9, atol=1e-12 * lam), (r, lam)
+            # Bob's posterior in closed form, at every squeezing
+            bob = index + 1
+            assert relative_error(mean[bob], sign * math.tanh(2 * r) * 0.7) <= 1e-12, (r, lam)
+            assert relative_error(cov[bob][bob], lam / math.cosh(2 * r)) <= 1e-12, (r, lam)
 
 
 def test_three_mode_conditioning_matches_the_precision_oracle():
@@ -357,7 +461,7 @@ def test_conditioning_keeps_its_scale_at_tiny_lambda(lam):
     unit_mean, unit_cov = g.condition_on_coordinate(g.epr_correlated(3.0), 0, 1.0)
     mean, cov = g.condition_on_coordinate(g.epr_correlated(3.0, lam), 0, 1.0)
     assert np.allclose(mean, unit_mean, rtol=1e-12, atol=0)
-    assert np.allclose(cov / lam, unit_cov, rtol=1e-12, atol=0)
+    assert np.allclose(np.asarray(cov) / lam, unit_cov, rtol=1e-12, atol=0)
     checks = g.gaussian_suite_checks(lam) + g.gaussian_epr_checks(3.0, lam, "q", 1.0)
     assert [c.name for c in checks if not c.passed] == []
 
@@ -370,8 +474,8 @@ def test_the_gaussian_suite_passes_across_the_lambda_range(lam):
 def _scaled(state, factor):
     """``state`` with its covariance, and its normal modes' variances, times ``factor``."""
     variances, basis = state.modes
-    return g.GaussianEpistemicState(state.mean, factor * state.covariance, state.hbar_like,
-                                    (factor * variances, basis))
+    return g.GaussianEpistemicState(state.mean, factor * np.asarray(state.covariance),
+                                    state.hbar_like, (factor * np.asarray(variances), basis))
 
 
 def _patch(name, wrap):

@@ -640,6 +640,21 @@ def test_mz_float_theta_check(capsys):
     assert any("float-mode" in c["name"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("source", ["first_splitter", "upper_arm"])
+def test_the_float_mode_row_checks_both_detectors(source, monkeypatch):
+    row = toy.mz_checks("0", "quantum", source, 0.7)[-1]
+    assert row.name == "mz float-mode P(d1), P(d2) at theta=0.7" and row.passed
+    w1, w2 = ((math.cos(0.35) ** 2, math.sin(0.35) ** 2) if source == "first_splitter"
+              else (0.5, 0.5))
+    assert row.expected == f"({reports.fmt(w1)}, {reports.fmt(w2)})"
+    # a wrong P(d2) alone fails the row; P(d2) was once computed and dropped
+    probabilities = quantum.mz_detection_probabilities
+    monkeypatch.setattr(quantum, "mz_detection_probabilities", lambda theta, source: (
+        probabilities(theta, source)[0], 0.0))
+    row = toy.mz_checks("0", "quantum", source, 0.7)[-1]
+    assert not row.passed and row.observed.endswith(", 0)")
+
+
 def test_exit_status_reflects_failures(monkeypatch, capsys):
     # square an impossible expectation through the dispatcher
     monkeypatch.setattr(toy, "toy_born_checks",
@@ -707,7 +722,8 @@ def test_gaussian_entropy_row_fails_on_a_shifted_closed_form(monkeypatch):
 
 
 def test_entropy_row_passes_where_det_gamma_is_subnormal():
-    # det(1e-160 * I) = 1e-320 is subnormal: ln det gamma comes from slogdet
+    # det(1e-160 * I) = 1e-320 is subnormal: ln det gamma is ln g00 plus the
+    # log of y's conditional variance
     rows = {c.name: c for c in gaussian.gaussian_suite_checks(1e-160)}
     assert rows["gaussian entropy closed form vs quadrature"].passed
 
@@ -808,6 +824,17 @@ def test_a_large_reading_passes_the_posterior_mean_row():
     assert argv in edge_argvs()
     report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
     assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_a_tiny_squeeze_at_tiny_lambda_passes_the_posterior_mean_row():
+    # lam*sinh(2r) = 2e-324 underflows to 0 in the covariance, and e^{+-2r}
+    # both round to 1; the gain comes from the covariance in units of s.
+    # The row once read "expected 2e-08, observed 0"
+    argv = ["gaussian", "epr", "--squeeze", "1e-24", "--lambda", "1e-300", "--value", "1e16"]
+    assert argv in edge_argvs()
+    report = cli.run(cli.config_from_args(cli.build_parser().parse_args(argv)))
+    assert [c.name for c in report.checks if not c.passed] == []
+    assert report.checks[0].observed == "2e-08"
 
 
 def test_edge_argvs_raise_no_warning():
@@ -947,18 +974,18 @@ def modules_loaded(probes, module: str) -> list:
     return [line == "True" for line in out.splitlines()]
 
 
-# The Gaussian command comes last, as a control that the probe sees an import.
+# The Gaussian sector works in closed forms on tuples of floats; the control
+# that the probe sees an import is SECTOR_PROBES["omlab.gaussian"] below.
 NUMPY_PROBES = (["nogo", "pbr"], ["nogo", "hardy"], ["nogo", "chsh"], ["simulate", "mz"],
-                ["verify", "all"], ["gaussian", "suite"])
+                ["verify", "all"], ["gaussian", "suite"], ["gaussian", "epr"])
 
 
-def test_only_gaussian_commands_import_numpy():
-    assert modules_loaded(NUMPY_PROBES, "numpy") == [argv[0] == "gaussian"
-                                                     for argv in NUMPY_PROBES]
+def test_no_command_loads_numpy():
+    assert modules_loaded(NUMPY_PROBES, "numpy") == [False] * len(NUMPY_PROBES)
 
 
-# Text is the default format, and both formats are schema-checked; the numpy
-# test above is the control that the probe sees an import.
+# Text is the default format, and both formats are schema-checked; the
+# sector probes below are the control that the probe sees an import.
 JSONSCHEMA_PROBES = (["nogo", "pbr"], ["verify", "all"], ["--format", "json", "nogo", "chsh"],
                      ["--format", "json", "verify", "all"], ["--format", "json", "gaussian", "epr"])
 
